@@ -78,13 +78,14 @@ from .simulation import (
     OutageEstimate,
     Scheme,
     SelectionOutcome,
+    block_length,
+    block_rng,
     estimate_outage,
     estimate_outage_both,
     estimate_throughput,
     select_bulk,
     select_per_subcarrier,
     trial_outage,
-    trial_rng,
 )
 
 __version__ = "0.1.0"

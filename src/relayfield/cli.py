@@ -13,12 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import analytic, metrics, optimize
+from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region, default_truncation_radius
-from .simulation import Scheme, estimate_outage_both
-
-__version__ = "0.1.0"
+from .simulation import OutageEstimate, Scheme, estimate_outage_both
 
 MODES = ("simulate", "analytic", "asymptotic", "ratio", "diversity",
          "optimize-k", "figure")
@@ -304,6 +302,18 @@ def _analytic_outage(params, region, density, scheme, q) -> float:
     return analytic.outage_ps(params, region, density, q)
 
 
+def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
+    """Whether a Monte Carlo estimate agrees with the exact outage ref.
+
+    The standard error is also taken from ref itself: the plug-in one is
+    0 whenever no outage was observed, which is common and correct when
+    ref is far below 1/trials.
+    """
+    se = max(est.stderr,
+             math.sqrt(max(ref * (1.0 - ref), 0.0) / est.trials), 1e-12)
+    return abs(est.p_hat - ref) <= 3.0 * se
+
+
 def _grid_rows(cfg: ExperimentConfig, simulate: bool,
                asymptotic: bool = False) -> tuple[list[str], list[dict], dict]:
     q = cfg.quadrature()
@@ -318,15 +328,17 @@ def _grid_rows(cfg: ExperimentConfig, simulate: bool,
                 meta["r_max"] = region.truncation_radius
             analytic_region = (Region.plane() if cfg.region_kind == "plane"
                                else region)
+            if simulate:
+                both = estimate_outage_both(params, region, density,
+                                            cfg.trials, cfg.seed,
+                                            n_workers=cfg.workers)
             for scheme in _schemes(cfg):
                 row = {"lambda": density, "snr": snr,
                        "snr_db": 10.0 * math.log10(snr),
                        "K": params.subcarriers, "alpha": params.path_loss,
                        "s": params.threshold, "scheme": scheme.value}
                 if simulate:
-                    est = estimate_outage_both(params, region, density,
-                                               cfg.trials, cfg.seed,
-                                               n_workers=cfg.workers)[scheme]
+                    est = both[scheme]
                     row["p_outage"] = est.p_hat
                     row["stderr"] = est.stderr
                     row["empty_fraction"] = est.empty_fraction
@@ -334,8 +346,7 @@ def _grid_rows(cfg: ExperimentConfig, simulate: bool,
                         ref = _analytic_outage(params, analytic_region,
                                                density, scheme, q)
                         row["p_analytic"] = ref
-                        ok = abs(est.p_hat - ref) <= 3.0 * max(est.stderr,
-                                                               1e-12)
+                        ok = _within_3_sigma(est, ref)
                         row["verify_ok"] = ok
                         mismatches += 0 if ok else 1
                 elif asymptotic:

@@ -1,9 +1,19 @@
 """Monte Carlo estimation of outage and throughput under relay selection.
 
 Both selection schemes operate on a realised relay-by-subcarrier SNR
-matrix. Every trial owns a counter-based Philox substream keyed by
-(seed, trial index), so results are bitwise reproducible no matter how
-trials are distributed over workers.
+matrix. A run of n trials is cut into blocks of block_length(...)
+consecutive trials, and block b draws from one counter-based Philox
+stream keyed by (seed, b): first the Poisson relay counts of all its
+trials, then the radii, the angles and the (2, N, K) hop gains of all
+N relays of the block, trial after trial. The block length depends only
+on the expected relay count per trial and K, and workers always receive
+whole blocks, so results depend on the seed and the trial count but are
+bitwise identical for any number of workers.
+
+The vectorised kernel reduces each block with segment reductions over
+the trials' relays. The object pipeline (Topology, FadingRealization,
+select_bulk / select_per_subcarrier, trial_outage) is the per-trial
+reference the tests hold it to on the same block stream.
 """
 from __future__ import annotations
 
@@ -14,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingRealization, SystemParams, draw_fading, snr_matrix
-from .geometry import Region, Topology, sample_topology
+from .channel import FadingRealization, SystemParams, snr_matrix
+from .geometry import Region, Topology
+
+# Expected relay-subcarrier pairs per block. A block's hop gains then
+# take about 2 * 8 * DRAWS_PER_BLOCK bytes (512 KiB) whatever the
+# density, which measured faster than larger blocks, and a sparse field
+# still gets thousands of trials per numpy call.
+DRAWS_PER_BLOCK = 1 << 15
+MAX_BLOCK = 8192
 
 
 class Scheme(enum.Enum):
@@ -96,59 +113,79 @@ def trial_outage(topology: Topology, fading: FadingRealization,
     return bool(outcome.achieved.min() < params.threshold)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based substream for one trial, independent of all others."""
-    key = np.array([seed, trial], dtype=np.uint64)
+def block_length(region: Region, density: float, subcarriers: int) -> int:
+    """Trials per stream block.
+
+    A fixed function of the expected relay-subcarrier pairs per trial,
+    so that one block's hop gains stay near DRAWS_PER_BLOCK values
+    however dense the field is. It never depends on the trial or worker
+    count.
+    """
+    radius = region.sampling_radius()
+    pairs = density * math.pi * radius * radius * subcarriers
+    return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1), MAX_BLOCK))
+
+
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based stream for one block of trials, independent of all others."""
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate_chunk(params: SystemParams, region: Region, density: float,
-                    seed: int, start: int, stop: int) -> tuple[int, int, int]:
-    """(bulk outages, per-subcarrier outages, empty topologies) on [start, stop).
+def _block_outages(params: SystemParams, radius: float, mean_count: float,
+                   rng: np.random.Generator,
+                   n_trials: int) -> tuple[int, int, int]:
+    """(bulk outages, per-subcarrier outages, empty topologies) of one block.
 
-    Inlined fast path; draw order matches sample_topology followed by
-    draw_fading exactly, so each trial i reproduces
-    trial_outage(sample_topology(...), draw_fading(...), ...) on
-    trial_rng(seed, i).
+    Draw order: the block's relay counts, then the radii, angles and
+    (2, N, K) hop gains of all N relays, trial after trial.
     """
     a = params.path_loss
     c = params.threshold / params.snr_budget
     r_sd = params.r_sd
-    k = params.subcarriers
+    counts = rng.poisson(mean_count, n_trials)
+    n = int(counts.sum())
+    r = radius * np.sqrt(rng.random(n))
+    theta = 2.0 * math.pi * rng.random(n)
+    u = rng.random((2, n, params.subcarriers))
+    n_empty = n_trials - int(np.count_nonzero(counts))
+    if n == 0:
+        return n_trials, n_trials, n_empty
+    r_md2 = np.maximum(
+        r_sd * r_sd + r * r - 2.0 * r_sd * r * np.cos(theta), 0.0)
+    # A hop clears the threshold iff its gain -log1p(-u) is at least
+    # c * dist**alpha, i.e. iff u >= -expm1(-c * dist**alpha): one expm1
+    # per relay in place of one log per gain.
+    ok = u[0] >= -np.expm1(-c * r ** a)[:, None]
+    ok &= u[1] >= -np.expm1(-c * r_md2 ** (0.5 * a))[:, None]
+    # segment starts of the non-empty trials; empty trials serve nobody
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    bulk_served = np.logical_or.reduceat(ok.all(axis=1), starts)
+    ps_served = np.logical_or.reduceat(ok, starts, axis=0).all(axis=1)
+    return (n_trials - int(np.count_nonzero(bulk_served)),
+            n_trials - int(np.count_nonzero(ps_served)), n_empty)
+
+
+def _simulate_chunk(params: SystemParams, region: Region, density: float,
+                    seed: int, trials: int, first: int,
+                    stop: int) -> tuple[int, int, int]:
+    """(bulk outages, per-subcarrier outages, empty topologies) of blocks
+    [first, stop) of a run of `trials` trials.
+
+    Block b holds trials [b * L, min((b + 1) * L, trials)) with
+    L = block_length(...), and draws from block_rng(seed, b).
+    """
+    length = block_length(region, density, params.subcarriers)
     radius = region.sampling_radius()
     mean_count = density * math.pi * radius * radius
     n_bulk = n_ps = n_empty = 0
-    # re-keying one Philox in place is ~7x faster than constructing a
-    # fresh bit generator per trial and yields the identical stream
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    state = bitgen.state
-    for i in range(start, stop):
-        state["state"]["key"][1] = i
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bitgen.state = state
-        rng = np.random.Generator(bitgen)
-        n = rng.poisson(mean_count)
-        if n == 0:
-            n_empty += 1
-            n_bulk += 1
-            n_ps += 1
-            continue
-        r = radius * np.sqrt(rng.random(n))
-        theta = 2.0 * math.pi * rng.random(n)
-        gains = -np.log1p(-rng.random((2, n, k)))
-        r_md2 = np.maximum(
-            r_sd * r_sd + r * r - 2.0 * r_sd * r * np.cos(theta), 0.0)
-        # non-outage per (relay, subcarrier): both hop gains clear the
-        # distance-dependent threshold s * dist**alpha / (P_t/N_0)
-        ok = ((gains[0] >= c * r[:, None] ** a)
-              & (gains[1] >= c * r_md2[:, None] ** (0.5 * a)))
-        if not ok.all(axis=1).any():
-            n_bulk += 1
-        if not ok.any(axis=0).all():
-            n_ps += 1
+    for b in range(first, stop):
+        n_trials = min(length, trials - b * length)
+        bulk, ps, empty = _block_outages(params, radius, mean_count,
+                                         block_rng(seed, b), n_trials)
+        n_bulk += bulk
+        n_ps += ps
+        n_empty += empty
     return n_bulk, n_ps, n_empty
 
 
@@ -158,20 +195,24 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     """Outage estimates for both schemes on a shared trial stream.
 
     Sharing realisations gives paired samples for ratio estimation and
-    halves the simulation cost when both schemes are wanted.
+    halves the simulation cost when both schemes are wanted. Workers
+    receive whole blocks, so the result does not depend on n_workers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n_workers <= 1:
-        counts = [_simulate_chunk(params, region, density, seed, 0, trials)]
+    n_blocks = -(-trials // block_length(region, density, params.subcarriers))
+    n_chunks = max(1, min(n_workers, n_blocks))
+    bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int).tolist()
+    if n_chunks == 1:
+        counts = [_simulate_chunk(params, region, density, seed, trials,
+                                  0, n_blocks)]
     else:
-        bounds = np.linspace(0, trials, n_workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
             counts = list(pool.map(
                 _simulate_chunk,
-                [params] * n_workers, [region] * n_workers,
-                [density] * n_workers, [seed] * n_workers,
-                bounds[:-1], bounds[1:]))
+                [params] * n_chunks, [region] * n_chunks,
+                [density] * n_chunks, [seed] * n_chunks,
+                [trials] * n_chunks, bounds[:-1], bounds[1:]))
     n_bulk = sum(c[0] for c in counts)
     n_ps = sum(c[1] for c in counts)
     n_empty = sum(c[2] for c in counts)

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from relayfield import OutageEstimate
 from relayfield.cli import (
     ExperimentConfig,
     ValidationError,
     _parse_float_list,
+    _within_3_sigma,
     connection_probability_view,
     main,
     parse_config,
@@ -128,6 +130,26 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
         rows = _read_rows(out)
         assert all(row["verify_ok"] == "1" for row in rows)
     assert digests[0] == digests[1]
+
+
+def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
+    # p = 3.8e-6 is far below 1/trials: seeing no outage is the likely,
+    # correct result, although its plug-in standard error is 0
+    none_seen = OutageEstimate(p_hat=0.0, stderr=0.0, trials=1000, seed=1,
+                               empty_fraction=0.0)
+    assert _within_3_sigma(none_seen, 3.8e-6)
+    assert not _within_3_sigma(none_seen, 0.01)
+    off = OutageEstimate(p_hat=0.5, stderr=math.sqrt(0.25 / 1000),
+                         trials=1000, seed=1, empty_fraction=0.0)
+    assert _within_3_sigma(off, 0.47)
+    assert not _within_3_sigma(off, 0.45)
+    # the plane run that exited 2 when only the plug-in error was used
+    out = tmp_path / "plane.csv"
+    assert main(["--mode", "simulate", "--scheme", "both",
+                 "--region", "plane", "--lambda", "0.1", "--snr", "100",
+                 "--trials", "1000", "--seed", "1", "--verify",
+                 "--output", str(out)]) == 0
+    assert [row["verify_ok"] for row in _read_rows(out)] == ["1", "1"]
 
 
 def test_ratio_mode(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from relayfield import (
     Scheme,
     SystemParams,
     Topology,
+    block_length,
+    block_rng,
     draw_fading,
     estimate_outage,
     estimate_outage_both,
@@ -18,7 +21,6 @@ from relayfield import (
     select_bulk,
     select_per_subcarrier,
     trial_outage,
-    trial_rng,
 )
 from relayfield.simulation import _simulate_chunk
 
@@ -107,33 +109,69 @@ def test_per_subcarrier_dominates_bulk(params, rng):
     assert worse == 0
 
 
-def test_trial_rng_reproducible():
-    a = trial_rng(42, 7).random(5)
-    b = trial_rng(42, 7).random(5)
-    c = trial_rng(42, 8).random(5)
+def test_block_rng_reproducible():
+    a = block_rng(42, 7).random(5)
+    b = block_rng(42, 7).random(5)
+    c = block_rng(42, 8).random(5)
+    d = block_rng(43, 7).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+
+
+def _trial_by_trial(params, region, density, seed, trials):
+    """Slow reference on the kernel's block streams: each trial's relays
+    and gains become a Topology and a FadingRealization for trial_outage.
+    """
+    length = block_length(region, density, params.subcarriers)
+    radius = region.sampling_radius()
+    n_bulk = n_ps = n_empty = 0
+    for b, first in enumerate(range(0, trials, length)):
+        rng = block_rng(seed, b)
+        counts = rng.poisson(density * math.pi * radius**2,
+                             min(length, trials - first))
+        n = int(counts.sum())
+        r = radius * np.sqrt(rng.random(n))
+        theta = 2.0 * math.pi * rng.random(n)
+        gains = -np.log1p(-rng.random((2, n, params.subcarriers)))
+        ends = np.cumsum(counts)
+        for lo, hi in zip(ends - counts, ends):
+            topo = Topology(r_sm=r[lo:hi], theta=theta[lo:hi],
+                            region=region, density=density)
+            fading = FadingRealization(gains=gains[:, lo:hi])
+            n_empty += topo.n_relays == 0
+            n_bulk += trial_outage(topo, fading, params, Scheme.BULK)
+            n_ps += trial_outage(topo, fading, params, Scheme.PER_SUBCARRIER)
+    return n_bulk, n_ps, n_empty
 
 
 def test_chunk_matches_object_path(params):
-    # the inlined hot loop must reproduce the object-level pipeline
-    # trial by trial on the shared substreams
-    region = Region.disc(5.0)
-    density, seed, trials = 0.08, 99, 400
-    n_bulk = n_ps = n_empty = 0
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        topo = sample_topology(region, density, rng)
-        fading = draw_fading(topo, params.subcarriers, rng)
-        if topo.n_relays == 0:
-            n_empty += 1
-            n_bulk += 1
-            n_ps += 1
-            continue
-        n_bulk += trial_outage(topo, fading, params, Scheme.BULK)
-        n_ps += trial_outage(topo, fading, params, Scheme.PER_SUBCARRIER)
-    assert _simulate_chunk(params, region, density, seed, 0, trials) == (
-        n_bulk, n_ps, n_empty)
+    # the block kernel must reproduce the object-level pipeline exactly,
+    # trial by trial, on the same block streams
+    cases = {
+        "no relays": (params, Region.disc(5.0), 0.0, 300),
+        "sparse disc": (params, Region.disc(5.0), 0.08, 400),
+        "dense disc": (replace(params, snr_budget=10.0), Region.disc(5.0),
+                       2.0, 700),
+        "alpha 4, truncated plane": (
+            replace(params, snr_budget=1000.0, path_loss=4.0,
+                    subcarriers=8),
+            Region.plane(truncation_radius=8.0), 0.05, 300),
+    }
+    n_blocks = {}
+    for name, (p, region, density, trials) in cases.items():
+        length = block_length(region, density, p.subcarriers)
+        # every run ends in a partly filled block
+        assert trials % length, name
+        n_blocks[name] = -(-trials // length)
+        expect = _trial_by_trial(p, region, density, 99, trials)
+        got = _simulate_chunk(p, region, density, 99, trials, 0,
+                              n_blocks[name])
+        assert got == expect, name
+        if density > 0:
+            # neither scheme's count is pinned at 0 or at trials
+            assert 0 < expect[1] <= expect[0] < trials, name
+    assert n_blocks["dense disc"] > 1
 
 
 def test_estimate_outage_zero_density(params):
@@ -166,6 +204,22 @@ def test_workers_do_not_change_results(params):
     for scheme in Scheme:
         assert one[scheme].p_hat == three[scheme].p_hat
         assert one[scheme].empty_fraction == three[scheme].empty_fraction
+
+
+def test_worker_split_keeps_block_streams(params):
+    # trials not a multiple of the block length, and more workers than
+    # blocks: one block (no pool), and three blocks on 2 and 8 workers
+    cases = ((params, Region.disc(5.0), 0.1, 1000, 1),
+             (replace(params, snr_budget=10.0), Region.disc(5.0), 2.0, 150,
+              3))
+    for p, region, density, trials, blocks in cases:
+        length = block_length(region, density, p.subcarriers)
+        assert trials % length and -(-trials // length) == blocks
+        one = estimate_outage_both(p, region, density, trials, seed=5,
+                                   n_workers=1)
+        for workers in (2, 8):
+            assert estimate_outage_both(p, region, density, trials, seed=5,
+                                        n_workers=workers) == one
 
 
 def test_ps_outage_never_above_bulk(params):
