@@ -3,13 +3,20 @@
 Runs are batch-style: a mode, a parameter grid, a CSV output with a
 `.meta` text sidecar recording the fully resolved configuration. Exit
 codes: 0 success, 1 validation error, 2 numerical failure.
+
+Three tables drive the module: `_MODES` maps each mode to the function
+that computes its rows, `_FIGURES` maps each figure preset to its own,
+and `_OPTIONS` gives each setting's flag, config-file keys and parsing.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +24,6 @@ from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region, default_truncation_radius
 from .simulation import OutageEstimate, Scheme, estimate_outage_both
-
-MODES = ("simulate", "analytic", "asymptotic", "ratio", "diversity",
-         "optimize-k", "figure")
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
 class ValidationError(ValueError):
@@ -60,15 +63,13 @@ class ExperimentConfig:
     verify: bool = False
     connection: bool = False
 
-    def system_params(self, subcarriers: int | None = None,
-                      alpha: float | None = None) -> SystemParams:
-        return SystemParams(snr_budget=self.snrs[0],
-                            path_loss=self.alpha if alpha is None else alpha,
+    def system_params(self) -> SystemParams:
+        return SystemParams(snr_budget=self.snrs[0], path_loss=self.alpha,
                             threshold=self.threshold,
-                            subcarriers=subcarriers or self.subcarriers,
-                            r_sd=self.rsd)
+                            subcarriers=self.subcarriers, r_sd=self.rsd)
 
     def region(self, params: SystemParams) -> Region:
+        """The region simulation samples: the plane is truncated."""
         if self.region_kind == "disc":
             return Region.disc(self.sigma)
         rmax = self.rmax
@@ -77,6 +78,12 @@ class ExperimentConfig:
                                              params.threshold,
                                              params.path_loss)
         return Region.plane(truncation_radius=rmax)
+
+    def analytic_region(self) -> Region:
+        """The region quadrature integrates over: the plane is not truncated."""
+        if self.region_kind == "plane":
+            return Region.plane()
+        return Region.disc(self.sigma)
 
     def quadrature(self) -> analytic.QuadratureSettings:
         return analytic.QuadratureSettings(abs_tol=self.abs_tol,
@@ -87,177 +94,24 @@ def _parse_float_list(text: str) -> list[float]:
     """Comma list, or lo:hi:n for a log-spaced grid."""
     if ":" in text:
         lo, hi, n = text.split(":")
+        if int(n) < 1:
+            raise ValueError(f"a grid needs n >= 1, got {n}")
         return list(np.geomspace(float(lo), float(hi), int(n)))
     return [float(x) for x in text.split(",")]
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    [f"{path}:{lineno}: expected 'key = value'"])
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _parse_db_list(text: str) -> list[float]:
+    """A `_parse_float_list` of dB values, converted to linear."""
+    return [10.0 ** (db / 10.0) for db in _parse_float_list(text)]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="relayfield",
-        description="Outage/throughput sweeps for two-hop OFDM networks "
-                    "over Poisson relay fields")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--scheme", choices=("bulk", "ps", "both"))
-    p.add_argument("--lambda", dest="densities", metavar="LIST",
-                   help="relay densities (comma list or lo:hi:n log grid)")
-    p.add_argument("--snr", metavar="LIST",
-                   help="P_t/N_0 values, linear (comma list or lo:hi:n)")
-    p.add_argument("--snr-db", metavar="LIST",
-                   help="P_t/N_0 values in dB (converted to linear)")
-    p.add_argument("--region", dest="region_kind", choices=("disc", "plane"))
-    p.add_argument("--sigma", type=float, help="disc radius")
-    p.add_argument("--rmax", type=float,
-                   help="plane truncation radius (simulation only)")
-    p.add_argument("--rsd", type=float, help="source-destination distance")
-    p.add_argument("--K", dest="subcarriers", type=int)
-    p.add_argument("--alpha", type=float, help="path loss exponent (>= 2)")
-    p.add_argument("--s", dest="threshold", type=float,
-                   help="SNR threshold, linear")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--psi", type=float, help="outage ceiling for optimize-k")
-    p.add_argument("--epsilon", dest="epsilons", metavar="LIST",
-                   help="ratio targets for mode ratio")
-    p.add_argument("--output", help="CSV output path")
-    p.add_argument("--abs-tol", type=float)
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--figure", choices=FIGURES)
-    p.add_argument("--verify", action="store_true", default=None,
-                   help="simulate mode: check 3-sigma agreement vs quadrature")
-    p.add_argument("--connection", action="store_true", default=None,
-                   help="emit connection probability (1 - outage) columns")
-    return p
-
-
-_BOOL_KEYS = ("verify", "connection")
-
-# config files accept the flag spellings too
-_FILE_KEY_ALIASES = {"K": "subcarriers", "s": "threshold",
-                     "lambda": "densities", "region": "region_kind",
-                     "epsilon": "epsilons"}
-
-
-def parse_config(argv: list[str]) -> ExperimentConfig:
-    """Build a validated config from flags plus an optional config file."""
-    ns = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(mode="analytic")
-    problems: list[str] = []
-
-    merged: dict[str, str] = {}
-    if ns.config:
-        try:
-            merged.update(_read_config_file(ns.config))
-        except OSError as exc:
-            raise ValidationError([f"cannot read config file: {exc}"])
-    for key in list(merged):
-        if key in _FILE_KEY_ALIASES:
-            merged[_FILE_KEY_ALIASES[key]] = merged.pop(key)
-    known = set(vars(cfg)) | {"snr", "snr_db"}
-    for key in list(merged):
-        if key not in known:
-            problems.append(f"unknown config key {key!r}")
-            merged.pop(key)
-
-    def take(name: str, cast, file_key: str | None = None):
-        flag_val = getattr(ns, name, None)
-        if flag_val is not None:
-            return flag_val
-        fk = file_key or name
-        if fk in merged:
-            try:
-                return cast(merged[fk])
-            except ValueError as exc:
-                problems.append(f"config key {fk!r}: {exc}")
-        return None
-
-    for name, cast in (("mode", str), ("scheme", str),
-                       ("region_kind", str), ("sigma", float),
-                       ("rmax", float), ("rsd", float),
-                       ("subcarriers", int), ("alpha", float),
-                       ("threshold", float), ("trials", int),
-                       ("seed", int), ("workers", int), ("psi", float),
-                       ("output", str), ("abs_tol", float),
-                       ("rel_tol", float), ("figure", str)):
-        val = take(name, cast)
-        if val is not None:
-            setattr(cfg, name, val)
-
-    for flag, attr in (("densities", "densities"), ("epsilons", "epsilons")):
-        raw = getattr(ns, flag, None) or merged.get(attr)
-        if raw is not None:
-            try:
-                setattr(cfg, attr, _parse_float_list(raw))
-            except ValueError:
-                problems.append(f"cannot parse list {flag!r}: {raw!r}")
-    snr_raw = ns.snr or merged.get("snr")
-    snr_db_raw = ns.snr_db or merged.get("snr_db")
-    if snr_raw is not None:
-        try:
-            cfg.snrs = _parse_float_list(snr_raw)
-        except ValueError:
-            problems.append(f"cannot parse --snr: {snr_raw!r}")
-    elif snr_db_raw is not None:
-        try:
-            cfg.snrs = [10.0 ** (db / 10.0)
-                        for db in _parse_float_list(snr_db_raw)]
-        except ValueError:
-            problems.append(f"cannot parse --snr-db: {snr_db_raw!r}")
-    for name in _BOOL_KEYS:
-        flag_val = getattr(ns, name)
-        if flag_val is not None:
-            setattr(cfg, name, flag_val)
-        elif name in merged:
-            setattr(cfg, name, merged[name].lower() in ("1", "true", "yes"))
-
-    if ns.mode is None and "mode" not in merged:
-        problems.append("--mode is required")
-    if cfg.mode not in MODES:
-        problems.append(f"unknown mode {cfg.mode!r}")
-    if cfg.mode == "figure" and cfg.figure is None:
-        problems.append("mode figure requires --figure")
-    if cfg.alpha < 2:
-        problems.append(f"alpha must be >= 2, got {cfg.alpha}")
-    if cfg.subcarriers < 1:
-        problems.append("K must be >= 1")
-    if cfg.threshold <= 0:
-        problems.append("s must be > 0")
-    if cfg.sigma <= 0:
-        problems.append("sigma must be > 0")
-    if cfg.rsd <= 0:
-        problems.append("rsd must be > 0")
-    if cfg.trials < 1:
-        problems.append("trials must be >= 1")
-    if cfg.workers < 1:
-        problems.append("workers must be >= 1")
-    if any(d < 0 for d in cfg.densities):
-        problems.append("densities must be >= 0")
-    if any(v <= 0 for v in cfg.snrs):
-        problems.append("snr values must be > 0")
-    if cfg.psi is not None and not 0 < cfg.psi <= 1:
-        problems.append("psi must be in (0, 1]")
-    if cfg.scheme not in ("bulk", "ps", "both"):
-        problems.append(f"unknown scheme {cfg.scheme!r}")
-
-    if problems:
-        raise ValidationError(problems)
-    return cfg
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def connection_probability_view(p_outage: float) -> float:
@@ -290,10 +144,9 @@ def _write_meta(path: str, cfg: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{key} = {val}\n")
 
 
-def _schemes(cfg: ExperimentConfig) -> list[Scheme]:
-    if cfg.scheme == "both":
-        return [Scheme.BULK, Scheme.PER_SUBCARRIER]
-    return [Scheme.BULK if cfg.scheme == "bulk" else Scheme.PER_SUBCARRIER]
+# the schemes each --scheme value computes
+_SCHEMES = {"bulk": (Scheme.BULK,), "ps": (Scheme.PER_SUBCARRIER,),
+            "both": (Scheme.BULK, Scheme.PER_SUBCARRIER)}
 
 
 def _analytic_outage(params, region, density, scheme, q) -> float:
@@ -314,73 +167,95 @@ def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
     return abs(est.p_hat - ref) <= 3.0 * se
 
 
-def _grid_rows(cfg: ExperimentConfig, simulate: bool,
-               asymptotic: bool = False) -> tuple[list[str], list[dict], dict]:
-    q = cfg.quadrature()
+# A sweep's CSV columns, its rows and its extra .meta entries
+Sweep = tuple[list[str], list[dict], dict]
+
+
+def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
+    """One row per (lambda, SNR, scheme) point of the grid.
+
+    point(params, region, density) maps each scheme of cfg.scheme to its
+    row's fields: p_outage and the extra columns. region is the one
+    simulation samples; for the plane, .meta records its truncation
+    radius as r_max.
+    """
     rows = []
-    meta: dict = {}
-    mismatches = 0
+    meta = {}
     for density in cfg.densities:
         for snr in cfg.snrs:
             params = replace(cfg.system_params(), snr_budget=snr)
             region = cfg.region(params)
             if region.kind == "plane":
                 meta["r_max"] = region.truncation_radius
-            analytic_region = (Region.plane() if cfg.region_kind == "plane"
-                               else region)
-            if simulate:
-                both = estimate_outage_both(params, region, density,
-                                            cfg.trials, cfg.seed,
-                                            n_workers=cfg.workers)
-            for scheme in _schemes(cfg):
+            for scheme, fields in point(params, region, density).items():
                 row = {"lambda": density, "snr": snr,
                        "snr_db": 10.0 * math.log10(snr),
                        "K": params.subcarriers, "alpha": params.path_loss,
-                       "s": params.threshold, "scheme": scheme.value}
-                if simulate:
-                    est = both[scheme]
-                    row["p_outage"] = est.p_hat
-                    row["stderr"] = est.stderr
-                    row["empty_fraction"] = est.empty_fraction
-                    if cfg.verify:
-                        ref = _analytic_outage(params, analytic_region,
-                                               density, scheme, q)
-                        row["p_analytic"] = ref
-                        ok = _within_3_sigma(est, ref)
-                        row["verify_ok"] = ok
-                        mismatches += 0 if ok else 1
-                elif asymptotic:
-                    sigma = cfg.sigma
-                    if scheme is Scheme.BULK:
-                        row["p_outage"] = analytic.asymptotic_bulk_disc(
-                            params, density, sigma)
-                    else:
-                        row["p_outage"] = analytic.asymptotic_ps_disc(
-                            params, density, sigma)
-                else:
-                    row["p_outage"] = _analytic_outage(
-                        params, analytic_region, density, scheme, q)
+                       "s": params.threshold, "scheme": scheme.value,
+                       **fields}
                 if cfg.connection:
                     row["connection"] = connection_probability_view(
                         min(max(row["p_outage"], 0.0), 1.0))
                 rows.append(row)
     columns = ["lambda", "snr", "snr_db", "K", "alpha", "s", "scheme",
-               "p_outage"]
-    if simulate:
-        columns += ["stderr", "empty_fraction"]
-        if cfg.verify:
-            columns += ["p_analytic", "verify_ok"]
-            meta["verify_mismatches"] = mismatches
+               "p_outage", *extra]
     if cfg.connection:
         columns.append("connection")
     return columns, rows, meta
 
 
-def _ratio_rows(cfg: ExperimentConfig):
+def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
+    q, exact_region = cfg.quadrature(), cfg.analytic_region()
+
+    def point(params, region, density):
+        both = estimate_outage_both(params, region, density, cfg.trials,
+                                    cfg.seed, n_workers=cfg.workers)
+        fields = {}
+        for scheme in _SCHEMES[cfg.scheme]:
+            est = both[scheme]
+            fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
+                              "empty_fraction": est.empty_fraction}
+            if cfg.verify:
+                ref = _analytic_outage(params, exact_region, density,
+                                       scheme, q)
+                fields[scheme].update(p_analytic=ref,
+                                      verify_ok=_within_3_sigma(est, ref))
+        return fields
+
+    if not cfg.verify:
+        return _grid_rows(cfg, point, ["stderr", "empty_fraction"])
+    columns, rows, meta = _grid_rows(
+        cfg, point, ["stderr", "empty_fraction", "p_analytic", "verify_ok"])
+    meta["verify_mismatches"] = sum(not row["verify_ok"] for row in rows)
+    return columns, rows, meta
+
+
+def _analytic_rows(cfg: ExperimentConfig) -> Sweep:
+    q, region = cfg.quadrature(), cfg.analytic_region()
+
+    def point(params, _, density):
+        return {scheme: {"p_outage": _analytic_outage(params, region, density,
+                                                      scheme, q)}
+                for scheme in _SCHEMES[cfg.scheme]}
+
+    return _grid_rows(cfg, point, [])
+
+
+def _asymptotic_rows(cfg: ExperimentConfig) -> Sweep:
+    def point(params, _, density):
+        outage = {Scheme.BULK: analytic.asymptotic_bulk_disc,
+                  Scheme.PER_SUBCARRIER: analytic.asymptotic_ps_disc}
+        return {scheme: {"p_outage": outage[scheme](params, density,
+                                                    cfg.sigma)}
+                for scheme in _SCHEMES[cfg.scheme]}
+
+    return _grid_rows(cfg, point, [])
+
+
+def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     params = cfg.system_params()
-    region = (Region.plane() if cfg.region_kind == "plane"
-              else Region.disc(cfg.sigma))
+    region = cfg.analytic_region()
     rows = []
     for density in cfg.densities:
         res = metrics.outage_ratio(params, region, density, q)
@@ -398,8 +273,9 @@ def _ratio_rows(cfg: ExperimentConfig):
     return columns, rows, {}
 
 
-def _diversity_rows(cfg: ExperimentConfig):
+def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
+    region = cfg.analytic_region()
     rows = []
     if len(cfg.snrs) < 2:
         raise ValidationError(["mode diversity needs at least two --snr points"])
@@ -407,8 +283,6 @@ def _diversity_rows(cfg: ExperimentConfig):
         for lo, hi in zip(cfg.snrs[:-1], cfg.snrs[1:]):
             def log_curve(snr: float) -> float:
                 params = replace(cfg.system_params(), snr_budget=snr)
-                region = (Region.plane() if cfg.region_kind == "plane"
-                          else Region.disc(cfg.sigma))
                 return analytic.log_outage_bulk(params, region, density, q)
             est = metrics.diversity_slope(log_curve, lo, hi, log_domain=True)
             rows.append({"lambda": density, "snr_lo": lo, "snr_hi": hi,
@@ -416,11 +290,10 @@ def _diversity_rows(cfg: ExperimentConfig):
     return ["lambda", "snr_lo", "snr_hi", "slope"], rows, {}
 
 
-def _optimize_rows(cfg: ExperimentConfig):
+def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     params = cfg.system_params()
-    region = (Region.plane() if cfg.region_kind == "plane"
-              else Region.disc(cfg.sigma))
+    region = cfg.analytic_region()
     rows = []
     meta = {}
     for density in cfg.densities:
@@ -439,136 +312,304 @@ def _optimize_rows(cfg: ExperimentConfig):
             rows, meta)
 
 
-def _figure_rows(cfg: ExperimentConfig):
-    """Figure-reproduction presets; caption parameters are hard-coded,
-    abscissa grids are round log/linear grids."""
-    base = dict(threshold=1.0, r_sd=5.0)
-    sigma = 5.0
-    q = cfg.quadrature()
-    name = cfg.figure
-    rows: list[dict] = []
-    meta: dict = {"figure": name}
+def _caption(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """cfg with a figure caption's parameters, then the given changes.
 
-    if name == "fig2":
-        # kappa(K, lambda) surface, bulk, alpha=2, P_t/N_0=100, disc
-        for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0):
-            for k in range(1, 17):
-                params = SystemParams(snr_budget=100.0, path_loss=2.0,
-                                      subcarriers=k, **base)
-                kappa = optimize.throughput(k, params, Region.disc(sigma),
-                                            density, q)
-                rows.append({"lambda": density, "K": k, "kappa": kappa})
-        return ["lambda", "K", "kappa"], rows, meta
+    The captions fix the disc of radius 5, r_SD = 5 and s = 1; K = 4,
+    alpha = 2 and P_t/N_0 = 100 unless a figure sweeps them.
+    """
+    return replace(cfg, **{"region_kind": "disc", "sigma": 5.0, "rsd": 5.0,
+                           "threshold": 1.0, "subcarriers": 4, "alpha": 2.0,
+                           "snrs": [100.0], "psi": None, "epsilons": [],
+                           "connection": False, "verify": False, **changes})
 
-    if name in ("fig3", "fig4"):
-        # outage vs P_t/N_0; lambda=1, sigma=5, r_SD=5; K in {2,4},
-        # alpha in {2,4}; fig3 = bulk, fig4 = per-subcarrier
-        scheme = Scheme.BULK if name == "fig3" else Scheme.PER_SUBCARRIER
-        density = 1.0
-        for alpha in (2.0, 4.0):
-            for k in (2, 4):
-                params = SystemParams(snr_budget=1.0, path_loss=alpha,
-                                      subcarriers=k, **base)
-                for snr in np.geomspace(1.0, 1e4, 9):
-                    params_i = replace(params, snr_budget=float(snr))
-                    region = Region.disc(sigma)
-                    p_exact = _analytic_outage(params_i, region, density,
-                                               scheme, q)
-                    est = estimate_outage_both(params_i, region, density,
-                                               cfg.trials, cfg.seed,
-                                               n_workers=cfg.workers)[scheme]
-                    rows.append({"alpha": alpha, "K": k, "snr": float(snr),
-                                 "snr_db": 10.0 * math.log10(snr),
-                                 "p_analytic": p_exact,
-                                 "p_sim": est.p_hat, "stderr": est.stderr})
-        return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim",
-                 "stderr"], rows, meta)
 
-    if name == "fig5":
-        # connection probability vs density; P_t/N_0=100, K=4
-        for alpha in (2.0, 4.0):
-            params = SystemParams(snr_budget=100.0, path_loss=alpha,
-                                  subcarriers=4, **base)
-            region = Region.disc(sigma)
-            for density in np.geomspace(1e-3, 2.0, 12):
-                p_bulk = analytic.outage_bulk(params, region, float(density), q)
-                p_ps = analytic.outage_ps(params, region, float(density), q)
-                rows.append({"alpha": alpha, "lambda": float(density),
-                             "connection_bulk": 1.0 - p_bulk,
-                             "connection_ps": 1.0 - p_ps})
-        return (["alpha", "lambda", "connection_bulk", "connection_ps"],
-                rows, meta)
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+    return [float(v) for v in np.geomspace(lo, hi, n)]
 
-    if name == "fig6":
-        # exact vs approximate minimum density over the advantage target;
-        # caption gives sigma=5, r_SD=5, K=4; P_t/N_0=100 assumed (documented)
-        params = SystemParams(snr_budget=100.0, path_loss=2.0,
-                              subcarriers=4, **base)
-        region = Region.disc(sigma)
-        meta["assumed_snr"] = 100.0
-        for epsbar in np.geomspace(1e-6, 1e-2, 9):
-            res = metrics.min_density_for_advantage(1.0 - float(epsbar),
-                                                    params, region, q)
-            rows.append({"epsbar": float(epsbar),
-                         "lambda_exact": res.density_exact,
-                         "lambda_approx": res.density_approx})
-        return ["epsbar", "lambda_exact", "lambda_approx"], rows, meta
 
-    if name == "fig7":
-        # unconstrained K_opt and max throughput vs density
-        for alpha in (2.0, 4.0):
-            params = SystemParams(snr_budget=100.0, path_loss=alpha,
-                                  subcarriers=4, **base)
-            region = Region.disc(sigma)
-            for density in np.geomspace(0.05, 5.0, 13):
-                res = optimize.optimize_K_unconstrained(params, region,
-                                                        float(density), q)
-                rows.append({"alpha": alpha, "lambda": float(density),
-                             "K_relaxed": res.k_relaxed, "K_opt": res.k_opt,
-                             "kappa_opt": res.kappa_opt})
-        return (["alpha", "lambda", "K_relaxed", "K_opt", "kappa_opt"],
-                rows, meta)
+def _fig2(cfg: ExperimentConfig) -> Sweep:
+    # kappa(K, lambda) surface, bulk
+    fig = _caption(cfg)
+    rows = [{"lambda": density, "K": k,
+             "kappa": optimize.throughput(
+                 k, replace(fig.system_params(), subcarriers=k),
+                 fig.analytic_region(), density, fig.quadrature())}
+            for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+            for k in range(1, 17)]
+    return ["lambda", "K", "kappa"], rows, {}
 
-    if name == "fig8":
-        # constrained K_opt vs density for outage ceilings
-        params = SystemParams(snr_budget=100.0, path_loss=2.0,
-                              subcarriers=4, **base)
-        region = Region.disc(sigma)
-        for psi in (1e-2, 1e-3, 1e-5):
-            meta[f"cutoff_density_psi_{psi:g}"] = optimize.cutoff_density(
-                psi, params, region, q)
-            for density in np.geomspace(0.05, 5.0, 13):
-                res = optimize.optimize_K_constrained(params, region,
-                                                      float(density), psi, q)
-                rows.append({"psi": psi, "lambda": float(density),
-                             "K_opt": res.k_opt,
-                             "feasible": res.feasible})
-        return ["psi", "lambda", "K_opt", "feasible"], rows, meta
 
-    raise ValidationError([f"unknown figure preset {name!r}"])
+def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
+    # fig3 (bulk) and fig4 (per-subcarrier): quadrature and simulation
+    # against P_t/N_0 at lambda = 1
+    rows = []
+    for alpha in (2.0, 4.0):
+        for k in (2, 4):
+            fig = _caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
+                           densities=[1.0], snrs=_log_grid(1.0, 1e4, 9),
+                           verify=True)
+            rows += [{**row, "p_sim": row["p_outage"]}
+                     for row in _simulate_rows(fig)[1]]
+    return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
+            rows, {})
+
+
+def _fig5(cfg: ExperimentConfig) -> Sweep:
+    # connection probability vs density
+    rows = []
+    for alpha in (2.0, 4.0):
+        fig = _caption(cfg, alpha=alpha, scheme="both",
+                       densities=_log_grid(1e-3, 2.0, 12))
+        grid = _analytic_rows(fig)[1]
+        rows += [{"alpha": alpha, "lambda": bulk["lambda"],
+                  "connection_bulk": 1.0 - bulk["p_outage"],
+                  "connection_ps": 1.0 - ps["p_outage"]}
+                 for bulk, ps in zip(grid[::2], grid[1::2])]
+    return ["alpha", "lambda", "connection_bulk", "connection_ps"], rows, {}
+
+
+def _fig6(cfg: ExperimentConfig) -> Sweep:
+    # exact vs approximate minimum density over the advantage target;
+    # the caption gives sigma, r_SD and K; P_t/N_0 = 100 is assumed
+    epsbars = _log_grid(1e-6, 1e-2, 9)
+    fig = _caption(cfg, densities=[], epsilons=[1.0 - e for e in epsbars])
+    rows = [{"epsbar": e, **row}
+            for e, row in zip(epsbars, _ratio_rows(fig)[1])]
+    return (["epsbar", "lambda_exact", "lambda_approx"], rows,
+            {"assumed_snr": 100.0})
+
+
+def _fig7(cfg: ExperimentConfig) -> Sweep:
+    # unconstrained K_opt and max throughput vs density
+    rows = [{"alpha": alpha, **row} for alpha in (2.0, 4.0)
+            for row in _optimize_rows(_caption(
+                cfg, alpha=alpha, densities=_log_grid(0.05, 5.0, 13)))[1]]
+    return ["alpha", "lambda", "K_relaxed", "K_opt", "kappa_opt"], rows, {}
+
+
+def _fig8(cfg: ExperimentConfig) -> Sweep:
+    # constrained K_opt vs density for outage ceilings
+    rows = []
+    meta = {}
+    for psi in (1e-2, 1e-3, 1e-5):
+        _, grid, opt_meta = _optimize_rows(_caption(
+            cfg, psi=psi, densities=_log_grid(0.05, 5.0, 13)))
+        rows += [{"psi": psi, **row} for row in grid]
+        meta[f"cutoff_density_psi_{psi:g}"] = opt_meta["cutoff_density"]
+    return ["psi", "lambda", "K_opt", "feasible"], rows, meta
+
+
+_FIGURES = {
+    "fig2": _fig2,
+    "fig3": lambda cfg: _outage_vs_snr(cfg, "bulk"),
+    "fig4": lambda cfg: _outage_vs_snr(cfg, "ps"),
+    "fig5": _fig5,
+    "fig6": _fig6,
+    "fig7": _fig7,
+    "fig8": _fig8,
+}
+FIGURES = tuple(_FIGURES)
+
+
+def _figure_rows(cfg: ExperimentConfig) -> Sweep:
+    preset = _FIGURES.get(cfg.figure)
+    if preset is None:
+        raise ValidationError([f"unknown figure preset {cfg.figure!r}"])
+    columns, rows, meta = preset(cfg)
+    return columns, rows, {"figure": cfg.figure, **meta}
+
+
+_MODES = {
+    "simulate": _simulate_rows,
+    "analytic": _analytic_rows,
+    "asymptotic": _asymptotic_rows,
+    "ratio": _ratio_rows,
+    "diversity": _diversity_rows,
+    "optimize-k": _optimize_rows,
+    "figure": _figure_rows,
+}
+MODES = tuple(_MODES)
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+class _Option(NamedTuple):
+    """One setting: the ExperimentConfig field it sets and its flag.
+
+    Flag text and config-file text alike go through cast, the choices
+    check and bounds, a flat sequence of (comparison, limit) pairs that
+    every value must meet. A config file may use the field name or key.
+    """
+
+    name: str
+    flag: str
+    cast: Callable[[str], object] = str
+    help: str | None = None
+    choices: tuple = ()
+    bounds: tuple = ()
+
+    @property
+    def key(self) -> str:
+        """The flag without dashes: its argparse dest and config-file key."""
+        return self.flag[2:].replace("-", "_")
+
+    def parse(self, text: str, label: str):
+        """The value a text gives; a ValueError says what is wrong."""
+        try:
+            value = self.cast(text)
+        except (ValueError, OverflowError):
+            raise ValueError(f"{label}: cannot parse {text!r}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{label} must be one of "
+                             f"{', '.join(self.choices)}, got {text!r}")
+        limits = list(zip(self.bounds[::2], self.bounds[1::2]))
+        values = value if isinstance(value, list) else [value]
+        if not all(_COMPARE[op](v, limit)
+                   for op, limit in limits for v in values):
+            rule = " and ".join(f"{op} {limit:g}" for op, limit in limits)
+            raise ValueError(f"{label} must be {rule}, got {text}")
+        return value
+
+
+_OPTIONS = (
+    _Option("mode", "--mode", choices=MODES),
+    _Option("scheme", "--scheme", choices=tuple(_SCHEMES)),
+    _Option("densities", "--lambda", _parse_float_list,
+            "relay densities (comma list or lo:hi:n log grid)",
+            bounds=(">=", 0)),
+    _Option("snrs", "--snr", _parse_float_list,
+            "P_t/N_0 values, linear (comma list or lo:hi:n)",
+            bounds=(">", 0)),
+    _Option("snrs", "--snr-db", _parse_db_list,
+            "P_t/N_0 values in dB (converted to linear)", bounds=(">", 0)),
+    _Option("region_kind", "--region", choices=("disc", "plane")),
+    _Option("sigma", "--sigma", float, "disc radius", bounds=(">", 0)),
+    _Option("rmax", "--rmax", float,
+            "plane truncation radius (simulation only)", bounds=(">", 0)),
+    _Option("rsd", "--rsd", float, "source-destination distance",
+            bounds=(">", 0)),
+    _Option("subcarriers", "--K", int, bounds=(">=", 1)),
+    _Option("alpha", "--alpha", float, "path loss exponent (>= 2)",
+            bounds=(">=", 2)),
+    _Option("threshold", "--s", float, "SNR threshold, linear",
+            bounds=(">", 0)),
+    _Option("trials", "--trials", int, bounds=(">=", 1)),
+    _Option("seed", "--seed", int),
+    _Option("workers", "--workers", int, bounds=(">=", 1)),
+    _Option("psi", "--psi", float, "outage ceiling for optimize-k",
+            bounds=(">", 0, "<=", 1)),
+    _Option("epsilons", "--epsilon", _parse_float_list,
+            "ratio targets for mode ratio", bounds=(">", 0, "<=", 1)),
+    _Option("output", "--output", help="CSV output path"),
+    _Option("abs_tol", "--abs-tol", float, bounds=(">", 0)),
+    _Option("rel_tol", "--rel-tol", float, bounds=(">", 0)),
+    _Option("figure", "--figure", choices=FIGURES),
+    _Option("verify", "--verify", _parse_bool,
+            "simulate mode: check 3-sigma agreement vs quadrature"),
+    _Option("connection", "--connection", _parse_bool,
+            "emit connection probability (1 - outage) columns"),
+)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a malformed flag is a configuration problem: exit 1, not the
+        # exit 2 of argparse, which the CLI reserves for numerical failure
+        raise ValidationError([message])
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = _ArgumentParser(
+        prog="relayfield",
+        description="Outage/throughput sweeps for two-hop OFDM networks "
+                    "over Poisson relay fields")
+    p.add_argument("--config", help="key = value config file; flags override")
+    for opt in _OPTIONS:
+        if opt.cast is _parse_bool:
+            p.add_argument(opt.flag, dest=opt.key, action="store_const",
+                           const="true", help=opt.help)
+        else:
+            metavar = "{%s}" % ",".join(opt.choices) if opt.choices else None
+            p.add_argument(opt.flag, dest=opt.key, metavar=metavar,
+                           help=opt.help)
+    return p
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValidationError(
+                    [f"{path}:{lineno}: expected 'key = value'"])
+            key, value = line.split("=", 1)
+            values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+def parse_config(argv: list[str]) -> ExperimentConfig:
+    """Build a validated config from flags plus an optional config file.
+
+    A flag overrides the file's value for the same field. Flag and file
+    text are checked alike, and every problem found is reported in one
+    ValidationError.
+    """
+    ns = _build_parser().parse_args(argv)
+    given = [(opt, opt.flag, getattr(ns, opt.key)) for opt in _OPTIONS
+             if getattr(ns, opt.key) is not None]
+    problems: list[str] = []
+    if ns.config:
+        try:
+            file_values = _read_config_file(ns.config)
+        except OSError as exc:
+            raise ValidationError([f"cannot read config file: {exc}"])
+        flagged = {opt.name for opt, _, _ in given}
+        for key, text in file_values.items():
+            # a field name two options share (snrs) means the first
+            opt = next((opt for opt in _OPTIONS if key in (opt.key, opt.name)),
+                       None)
+            if opt is None:
+                problems.append(f"unknown config key {key!r}")
+            elif opt.name not in flagged:
+                given.append((opt, f"config key {key!r}", text))
+
+    labels: dict[str, str] = {}
+    values = {}
+    for opt, label, text in given:
+        if opt.name in labels:
+            problems.append(f"give only one of {labels[opt.name]} and {label}")
+            continue
+        labels[opt.name] = label
+        try:
+            values[opt.name] = opt.parse(text, label)
+        except ValueError as exc:
+            problems.append(str(exc))
+    if "mode" not in labels:
+        problems.append("--mode is required")
+    # the placeholder mode lets the checks below run when mode is missing
+    cfg = ExperimentConfig(**{"mode": "analytic", **values})
+    if cfg.mode == "figure" and cfg.figure is None:
+        problems.append("mode figure requires --figure")
+    if cfg.mode == "asymptotic" and cfg.region_kind == "plane":
+        problems.append("mode asymptotic has closed forms for the disc only")
+    if problems:
+        raise ValidationError(problems)
+    return cfg
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Execute the configured sweep and write CSV plus .meta sidecar."""
-    if cfg.mode == "simulate":
-        columns, rows, meta = _grid_rows(cfg, simulate=True)
-    elif cfg.mode == "analytic":
-        columns, rows, meta = _grid_rows(cfg, simulate=False)
-    elif cfg.mode == "asymptotic":
-        columns, rows, meta = _grid_rows(cfg, simulate=False, asymptotic=True)
-    elif cfg.mode == "ratio":
-        columns, rows, meta = _ratio_rows(cfg)
-    elif cfg.mode == "diversity":
-        columns, rows, meta = _diversity_rows(cfg)
-    elif cfg.mode == "optimize-k":
-        columns, rows, meta = _optimize_rows(cfg)
-    elif cfg.mode == "figure":
-        columns, rows, meta = _figure_rows(cfg)
-    else:
+    sweep = _MODES.get(cfg.mode)
+    if sweep is None:
         raise ValidationError([f"unknown mode {cfg.mode!r}"])
+    columns, rows, meta = sweep(cfg)
     _write_csv(cfg.output, columns, rows)
     _write_meta(cfg.output, cfg, meta)
-    if cfg.mode == "simulate" and cfg.verify and meta.get("verify_mismatches"):
+    if meta.get("verify_mismatches"):
         raise NumericalFailure(
             f"{meta['verify_mismatches']} grid point(s) failed the "
             f"3-sigma agreement check")
@@ -579,11 +620,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)
-    except ValidationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    try:
         rows = run_sweep(cfg)
     except ValidationError as exc:
         for problem in exc.problems:

@@ -5,6 +5,7 @@ import pytest
 
 from relayfield import OutageEstimate
 from relayfield.cli import (
+    FIGURES,
     ExperimentConfig,
     ValidationError,
     _parse_float_list,
@@ -28,6 +29,8 @@ def test_parse_float_list():
     assert grid == pytest.approx([1.0, 10.0, 100.0])
     with pytest.raises(ValueError):
         _parse_float_list("a,b")
+    with pytest.raises(ValueError):
+        _parse_float_list("1:10:0")
 
 
 def test_parse_defaults():
@@ -190,14 +193,32 @@ def test_optimize_mode(tmp_path):
     assert "cutoff_density" in meta
 
 
-def test_figure_preset_smoke(tmp_path):
-    out = tmp_path / "fig5.csv"
-    rc = main(["--mode", "figure", "--figure", "fig5",
+# each preset's CSV header and row count
+FIGURE_CSV = {
+    "fig2": ("lambda,K,kappa", 7 * 16),
+    "fig3": ("alpha,K,snr,snr_db,p_analytic,p_sim,stderr", 2 * 2 * 9),
+    "fig4": ("alpha,K,snr,snr_db,p_analytic,p_sim,stderr", 2 * 2 * 9),
+    "fig5": ("alpha,lambda,connection_bulk,connection_ps", 2 * 12),
+    "fig6": ("epsbar,lambda_exact,lambda_approx", 9),
+    "fig7": ("alpha,lambda,K_relaxed,K_opt,kappa_opt", 2 * 13),
+    "fig8": ("psi,lambda,K_opt,feasible", 3 * 13),
+}
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_preset_smoke(tmp_path, figure):
+    header, n_rows = FIGURE_CSV[figure]
+    out = tmp_path / f"{figure}.csv"
+    rc = main(["--mode", "figure", "--figure", figure, "--trials", "200",
                "--output", str(out)])
     assert rc == 0
+    assert out.read_text().splitlines()[0] == header
     rows = _read_rows(out)
-    assert len(rows) == 24
-    assert {r["alpha"] for r in rows} == {"2", "4"}
+    assert len(rows) == n_rows
+    assert all("" not in row.values() for row in rows)
+    if "alpha" in rows[0]:
+        assert {row["alpha"] for row in rows} == {"2", "4"}
+    assert f"figure = {figure}" in (tmp_path / f"{figure}.csv.meta").read_text()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -214,3 +235,110 @@ def test_exit_codes(tmp_path, capsys):
 def test_figure_mode_requires_figure():
     with pytest.raises(ValidationError, match="requires --figure"):
         parse_config(["--mode", "figure"])
+
+
+def test_flags_and_config_file_give_equal_configs(tmp_path):
+    # every option except --snr, which excludes --snr-db
+    opts = {"mode": "simulate", "scheme": "both", "lambda": "0.1,0.5",
+            "snr-db": "10:30:3", "region": "plane", "sigma": "4",
+            "rmax": "30", "rsd": "3", "K": "8", "alpha": "3", "s": "0.5",
+            "trials": "500", "seed": "7", "workers": "2", "psi": "0.01",
+            "epsilon": "0.9,0.99", "output": "x.csv", "abs-tol": "1e-9",
+            "rel-tol": "1e-7", "figure": "fig3"}
+    argv = [arg for key, text in opts.items() for arg in (f"--{key}", text)]
+    from_flags = parse_config(argv + ["--verify", "--connection"])
+    assert all(getattr(from_flags, name) != value
+               for name, value in vars(ExperimentConfig("analytic")).items())
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{key} = {text}\n" for key, text in opts.items())
+                    + "verify = true\nconnection = 1\n")
+    assert parse_config(["--config", str(conf)]) == from_flags
+    # the field names are keys too; snrs reads linear values
+    fields = {"K": "subcarriers", "s": "threshold", "lambda": "densities",
+              "region": "region_kind", "epsilon": "epsilons",
+              "abs-tol": "abs_tol", "rel-tol": "rel_tol"}
+    lines = [f"{fields.get(key, key)} = {text}\n" for key, text in opts.items()
+             if key != "snr-db"]
+    conf.write_text("".join(lines) + "snrs = 10,100,1000\nverify = 1\n"
+                    "connection = yes\n")
+    from_fields = parse_config(["--config", str(conf)])
+    assert from_fields.snrs == [10.0, 100.0, 1000.0]
+    assert vars(from_fields) == {**vars(from_flags),
+                                 "snrs": from_fields.snrs}
+    conf.write_text("mode = ratio\nverify = False\nconnection = no\n")
+    cfg = parse_config(["--config", str(conf)])
+    assert cfg.verify is False and cfg.connection is False
+
+
+def test_snr_flag_overrides_file_and_excludes_snr_db(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("mode = analytic\nsnr = 100\n")
+    assert parse_config(["--config", str(conf), "--snr-db", "30"]).snrs == [
+        1000.0]
+    assert parse_config(["--config", str(conf), "--snr", "30"]).snrs == [30.0]
+    with pytest.raises(ValidationError, match="only one of --snr and --snr-db"):
+        parse_config(["--mode", "analytic", "--snr", "10", "--snr-db", "10"])
+    conf.write_text("mode = analytic\nsnr_db = 20\nK = 4\nsubcarriers = 8\n"
+                    "snr = 100\n")
+    with pytest.raises(ValidationError) as exc:
+        parse_config(["--config", str(conf)])
+    assert exc.value.problems == [
+        "give only one of config key 'K' and config key 'subcarriers'",
+        "give only one of config key 'snr_db' and config key 'snr'"]
+
+
+@pytest.mark.parametrize("key, text, flag_fails", [
+    ("region", "Plane", True),
+    ("figure", "fig9", True),
+    ("scheme", "Both", True),
+    ("verify", "ture", False),
+    ("connection", "2", False),
+])
+def test_file_values_get_the_flag_checks(tmp_path, key, text, flag_fails):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"mode = ratio\n{key} = {text}\n")
+    with pytest.raises(ValidationError, match=f"config key '{key}'"):
+        parse_config(["--config", str(conf)])
+    if flag_fails:
+        with pytest.raises(ValidationError, match=f"--{key}"):
+            parse_config(["--mode", "ratio", f"--{key}", text])
+
+
+def test_bounds_on_numeric_options():
+    with pytest.raises(ValidationError) as exc:
+        parse_config(["--mode", "ratio", "--rmax", "-1", "--abs-tol", "0",
+                      "--rel-tol=-1e-8", "--epsilon", "0.5,1.5",
+                      "--psi", "2", "--lambda", "0.1,-1", "--snr-db", "-4000",
+                      "--workers", "0", "--K", "2.5"])
+    assert exc.value.problems == [
+        "--lambda must be >= 0, got 0.1,-1",
+        "--snr-db must be > 0, got -4000",
+        "--rmax must be > 0, got -1",
+        "--K: cannot parse '2.5'",
+        "--workers must be >= 1, got 0",
+        "--psi must be > 0 and <= 1, got 2",
+        "--epsilon must be > 0 and <= 1, got 0.5,1.5",
+        "--abs-tol must be > 0, got 0",
+        "--rel-tol must be > 0, got -1e-8"]
+
+
+def test_malformed_flags_exit_1(capsys):
+    for argv in (["--mode", "bogus"], ["--mode", "analytic", "--K", "four"],
+                 ["--mode", "analytic", "--bogus", "1"],
+                 ["--mode", "analytic", "--K"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--snr-db" in capsys.readouterr().out
+
+
+def test_asymptotic_mode_is_disc_only(tmp_path, capsys):
+    out = tmp_path / "asy.csv"
+    assert main(["--mode", "asymptotic", "--region", "plane",
+                 "--snr", "1000", "--output", str(out)]) == 1
+    assert "disc only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--mode", "asymptotic", "--snr", "1000",
+                 "--output", str(out)]) == 0
