@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
-from .geometry import Region, default_truncation_radius
-from .simulation import OutageEstimate, Scheme, estimate_outage_both
+from .geometry import Region
+from .simulation import (OutageEstimate, Scheme, WorkerPool,
+                         estimate_outage_both)
 
 
 class ValidationError(ValueError):
@@ -68,16 +70,12 @@ class ExperimentConfig:
                             threshold=self.threshold,
                             subcarriers=self.subcarriers, r_sd=self.rsd)
 
-    def region(self, params: SystemParams) -> Region:
-        """The region simulation samples: the plane is truncated."""
+    def region(self) -> Region:
+        """The region simulation samples: the plane is truncated only
+        at a given rmax."""
         if self.region_kind == "disc":
             return Region.disc(self.sigma)
-        rmax = self.rmax
-        if rmax is None:
-            rmax = default_truncation_radius(params.snr_budget,
-                                             params.threshold,
-                                             params.path_loss)
-        return Region.plane(truncation_radius=rmax)
+        return Region.plane(truncation_radius=self.rmax)
 
     def analytic_region(self) -> Region:
         """The region quadrature integrates over: the plane is not truncated."""
@@ -174,20 +172,14 @@ Sweep = tuple[list[str], list[dict], dict]
 def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     """One row per (lambda, SNR, scheme) point of the grid.
 
-    point(params, region, density) maps each scheme of cfg.scheme to its
-    row's fields: p_outage and the extra columns. region is the one
-    simulation samples; for the plane, .meta records its truncation
-    radius as r_max.
+    point(params, density) maps each scheme of cfg.scheme to its row's
+    fields: p_outage and the extra columns.
     """
     rows = []
-    meta = {}
     for density in cfg.densities:
         for snr in cfg.snrs:
             params = replace(cfg.system_params(), snr_budget=snr)
-            region = cfg.region(params)
-            if region.kind == "plane":
-                meta["r_max"] = region.truncation_radius
-            for scheme, fields in point(params, region, density).items():
+            for scheme, fields in point(params, density).items():
                 row = {"lambda": density, "snr": snr,
                        "snr_db": 10.0 * math.log10(snr),
                        "K": params.subcarriers, "alpha": params.path_loss,
@@ -201,15 +193,23 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
                "p_outage", *extra]
     if cfg.connection:
         columns.append("connection")
-    return columns, rows, meta
+    return columns, rows, {}
 
 
-def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
-    q, exact_region = cfg.quadrature(), cfg.analytic_region()
+def _simulate_rows(cfg: ExperimentConfig,
+                   pool: WorkerPool | None = None) -> Sweep:
+    """Simulated rows; points of more than one block run on pool, or on
+    a pool of this sweep's own that is shut down before it returns."""
+    if pool is None:
+        with WorkerPool(cfg.workers) as pool:
+            return _simulate_rows(cfg, pool)
+    q, exact_region, region = (cfg.quadrature(), cfg.analytic_region(),
+                               cfg.region())
 
-    def point(params, region, density):
+    def point(params, density):
         both = estimate_outage_both(params, region, density, cfg.trials,
-                                    cfg.seed, n_workers=cfg.workers)
+                                    cfg.seed, n_workers=cfg.workers,
+                                    pool=pool)
         fields = {}
         for scheme in _SCHEMES[cfg.scheme]:
             est = both[scheme]
@@ -222,18 +222,21 @@ def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
                                       verify_ok=_within_3_sigma(est, ref))
         return fields
 
-    if not cfg.verify:
-        return _grid_rows(cfg, point, ["stderr", "empty_fraction"])
-    columns, rows, meta = _grid_rows(
-        cfg, point, ["stderr", "empty_fraction", "p_analytic", "verify_ok"])
-    meta["verify_mismatches"] = sum(not row["verify_ok"] for row in rows)
+    extra = ["stderr", "empty_fraction"]
+    if cfg.verify:
+        extra += ["p_analytic", "verify_ok"]
+    columns, rows, meta = _grid_rows(cfg, point, extra)
+    if region.truncation_radius is not None:
+        meta["r_max"] = region.truncation_radius
+    if cfg.verify:
+        meta["verify_mismatches"] = sum(not row["verify_ok"] for row in rows)
     return columns, rows, meta
 
 
 def _analytic_rows(cfg: ExperimentConfig) -> Sweep:
     q, region = cfg.quadrature(), cfg.analytic_region()
 
-    def point(params, _, density):
+    def point(params, density):
         return {scheme: {"p_outage": _analytic_outage(params, region, density,
                                                       scheme, q)}
                 for scheme in _SCHEMES[cfg.scheme]}
@@ -242,7 +245,7 @@ def _analytic_rows(cfg: ExperimentConfig) -> Sweep:
 
 
 def _asymptotic_rows(cfg: ExperimentConfig) -> Sweep:
-    def point(params, _, density):
+    def point(params, density):
         outage = {Scheme.BULK: analytic.asymptotic_bulk_disc,
                   Scheme.PER_SUBCARRIER: analytic.asymptotic_ps_disc}
         return {scheme: {"p_outage": outage[scheme](params, density,
@@ -344,13 +347,14 @@ def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
     # fig3 (bulk) and fig4 (per-subcarrier): quadrature and simulation
     # against P_t/N_0 at lambda = 1
     rows = []
-    for alpha in (2.0, 4.0):
-        for k in (2, 4):
-            fig = _caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
-                           densities=[1.0], snrs=_log_grid(1.0, 1e4, 9),
-                           verify=True)
-            rows += [{**row, "p_sim": row["p_outage"]}
-                     for row in _simulate_rows(fig)[1]]
+    with WorkerPool(cfg.workers) as pool:
+        for alpha in (2.0, 4.0):
+            for k in (2, 4):
+                fig = _caption(cfg, alpha=alpha, subcarriers=k,
+                               scheme=scheme, densities=[1.0],
+                               snrs=_log_grid(1.0, 1e4, 9), verify=True)
+                rows += [{**row, "p_sim": row["p_outage"]}
+                         for row in _simulate_rows(fig, pool)[1]]
     return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
             rows, {})
 
@@ -486,7 +490,8 @@ _OPTIONS = (
     _Option("region_kind", "--region", choices=("disc", "plane")),
     _Option("sigma", "--sigma", float, "disc radius", bounds=(">", 0)),
     _Option("rmax", "--rmax", float,
-            "plane truncation radius (simulation only)", bounds=(">", 0)),
+            "plane truncation radius for simulation (default: none)",
+            bounds=(">", 0)),
     _Option("rsd", "--rsd", float, "source-destination distance",
             bounds=(">", 0)),
     _Option("subcarriers", "--K", int, bounds=(">=", 1)),
@@ -551,6 +556,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a flag joined to it.
+
+    argparse reads '-1' and '-0.5' after a flag as its value, but takes
+    '-1e-8' for a flag of its own; '--rel-tol=-1e-8' it reads as the
+    value, so the bound checks can report it.
+    """
+    takes_value = {opt.flag for opt in _OPTIONS if opt.cast is not _parse_bool}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in takes_value and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Build a validated config from flags plus an optional config file.
 
@@ -558,7 +580,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     text are checked alike, and every problem found is reported in one
     ValidationError.
     """
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_join_negative_values(argv))
     given = [(opt, opt.flag, getattr(ns, opt.key)) for opt in _OPTIONS
              if getattr(ns, opt.key) is not None]
     problems: list[str] = []

@@ -1,8 +1,8 @@
 """Deployment geometry: regions, Poisson relay fields and distances.
 
 Relays are scattered over either a finite disc centred at the source or
-the infinite plane (truncated for simulation). All lengths are relative
-dimensionless units.
+the infinite plane, optionally truncated to a disc. All lengths are
+relative dimensionless units.
 """
 from __future__ import annotations
 
@@ -24,8 +24,9 @@ class InfiniteAreaError(ValueError):
 class Region:
     """Relay deployment domain.
 
-    kind is "disc" (radius required) or "plane" (truncation_radius
-    required for simulation; analytic integrals need no truncation).
+    kind is "disc" (radius required) or "plane" (an optional
+    truncation_radius limits the simulated relays to that disc; analytic
+    integrals ignore it).
     """
 
     kind: str
@@ -56,14 +57,12 @@ class Region:
         return region_area(self)
 
     def sampling_radius(self) -> float:
-        """Radius of the disc actually sampled from in simulation."""
+        """Outer radius of the relays a simulation samples: the disc
+        radius, the plane's truncation radius, or inf for the plane."""
         if self.kind == "disc":
             return float(self.radius)
         if self.truncation_radius is None:
-            raise ConfigurationError(
-                "plane region needs a truncation_radius for simulation; "
-                "see default_truncation_radius()"
-            )
+            return math.inf
         return float(self.truncation_radius)
 
 
@@ -132,6 +131,10 @@ def sample_topology(region: Region, density: float,
     if density < 0:
         raise ConfigurationError("density must be >= 0")
     radius = region.sampling_radius()
+    if math.isinf(radius):
+        raise ConfigurationError(
+            "the untruncated plane holds infinitely many relays; give the "
+            "plane a truncation_radius")
     area = math.pi * radius**2
     n = rng.poisson(density * area)
     r = radius * np.sqrt(rng.random(n))

@@ -135,6 +135,52 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
+    from relayfield import simulation
+
+    started = []
+
+    class Recorded(simulation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.stopped = False
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.stopped = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
+    # two points of several blocks each on the untruncated plane, where
+    # SNR 1000 draws no relay from beyond a truncation radius
+    out = tmp_path / "plane.csv"
+    assert main(["--mode", "simulate", "--scheme", "both",
+                 "--region", "plane", "--lambda", "0.1",
+                 "--snr", "100,1000", "--trials", "2000", "--workers", "2",
+                 "--verify", "--output", str(out)]) == 0
+    assert [row["verify_ok"] for row in _read_rows(out)] == ["1"] * 4
+    assert len(started) == 1 and started[0].stopped
+    # every point fits in one block: no pool is started
+    assert main(["--mode", "simulate", "--lambda", "0.1,0.2",
+                 "--trials", "500", "--workers", "2",
+                 "--output", str(tmp_path / "disc.csv")]) == 0
+    assert len(started) == 1
+
+
+def test_meta_records_r_max_only_for_truncated_simulation(tmp_path):
+    def meta(*argv):
+        out = tmp_path / "run.csv"
+        assert main(["--region", "plane", "--lambda", "0.1", *argv,
+                     "--output", str(out)]) == 0
+        return (tmp_path / "run.csv.meta").read_text().splitlines()
+
+    assert "r_max = 20.0" in meta("--mode", "simulate", "--trials", "200",
+                                  "--rmax", "20")
+    for argv in (("--mode", "simulate", "--trials", "200"),
+                 ("--mode", "analytic"), ("--mode", "ratio")):
+        assert not any(line.startswith("r_max") for line in meta(*argv))
+
+
 def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
     # p = 3.8e-6 is far below 1/trials: seeing no outage is the likely,
     # correct result, although its plug-in standard error is 0
@@ -320,6 +366,19 @@ def test_bounds_on_numeric_options():
         "--epsilon must be > 0 and <= 1, got 0.5,1.5",
         "--abs-tol must be > 0, got 0",
         "--rel-tol must be > 0, got -1e-8"]
+
+
+def test_negative_exponent_values_reach_the_bound_checks(capsys):
+    # argparse alone takes "-1e-8" after a flag for a flag of its own
+    for flag, text, rule in (("--rel-tol", "-1e-8", "> 0"),
+                             ("--lambda", "-1e-3", ">= 0"),
+                             ("--snr", "-1E+2,10", "> 0")):
+        assert main(["--mode", "analytic", flag, text]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be {rule}, got {text}\n"
+    cfg = parse_config(["--mode", "analytic", "--lambda", "2e-3",
+                        "--output", "-1e3.csv"])
+    assert cfg.densities == [2e-3] and cfg.output == "-1e3.csv"
 
 
 def test_malformed_flags_exit_1(capsys):

@@ -17,12 +17,14 @@ from relayfield import (
     estimate_outage,
     estimate_outage_both,
     estimate_throughput,
+    outage_bulk,
+    outage_ps,
     sample_topology,
     select_bulk,
     select_per_subcarrier,
     trial_outage,
 )
-from relayfield.simulation import _simulate_chunk
+from relayfield.simulation import _sampler, _simulate_chunk
 
 
 def test_select_bulk_example():
@@ -120,28 +122,62 @@ def test_block_rng_reproducible():
 
 
 def _trial_by_trial(params, region, density, seed, trials):
-    """Slow reference on the kernel's block streams: each trial's relays
-    and gains become a Topology and a FadingRealization for trial_outage.
+    """Slow reference on the kernel's block streams: each trial's inner
+    and kept tail relays and their gains become a Topology and a
+    FadingRealization for trial_outage.
+
+    A tail point's forced subcarrier gets the first-hop gain t plus an
+    exponential excess (the conditional law of a gain that clears t),
+    and the point is kept with probability 1/j, where j counts its
+    first-hop gains of at least t.
     """
-    length = block_length(region, density, params.subcarriers)
-    radius = region.sampling_radius()
+    s = _sampler(params, region, density)
+    c = params.threshold / params.snr_budget
+    k = params.subcarriers
     n_bulk = n_ps = n_empty = 0
-    for b, first in enumerate(range(0, trials, length)):
+    for b, first in enumerate(range(0, trials, s.length)):
         rng = block_rng(seed, b)
-        counts = rng.poisson(density * math.pi * radius**2,
-                             min(length, trials - first))
+        counts = rng.poisson(s.inner_mean, min(s.length, trials - first))
         n = int(counts.sum())
-        r = radius * np.sqrt(rng.random(n))
+        r = s.inner_radius * np.sqrt(rng.random(n))
         theta = 2.0 * math.pi * rng.random(n)
-        gains = -np.log1p(-rng.random((2, n, params.subcarriers)))
-        ends = np.cumsum(counts)
-        for lo, hi in zip(ends - counts, ends):
-            topo = Topology(r_sm=r[lo:hi], theta=theta[lo:hi],
+        gains = -np.log1p(-rng.random((2, n, k)))
+        owner = np.repeat(np.arange(len(counts)), counts)
+        if s.tail_mean > 0:
+            tail_counts = rng.poisson(s.tail_mean, len(counts))
+            m = int(tail_counts.sum())
+            t = s.tail_t(rng.random(m))
+            forced = rng.integers(k, size=m)
+            g1 = -np.log1p(-rng.random((m, k)))
+            accept = rng.random(m)
+            keep = np.zeros(m, dtype=bool)
+            for i in range(m):
+                g1[i, forced[i]] += t[i]
+                keep[i] = accept[i] * np.sum(g1[i] >= t[i]) < 1.0
+            r_tail = (t[keep] / c) ** (1.0 / params.path_loss)
+            # tail relays lie in the annulus r* < r < R
+            assert np.all(r_tail >= s.inner_radius * (1.0 - 1e-12))
+            assert np.all(r_tail <= region.sampling_radius() * (1.0 + 1e-12))
+            kept = len(r_tail)
+            r = np.concatenate([r, r_tail])
+            theta = np.concatenate([theta, 2.0 * math.pi * rng.random(kept)])
+            g2 = -np.log1p(-rng.random((kept, k)))
+            gains = np.concatenate([gains, np.stack([g1[keep], g2])], axis=1)
+            owner = np.concatenate(
+                [owner, np.repeat(np.arange(len(counts)), tail_counts)[keep]])
+        no_relay = 0
+        for trial in range(len(counts)):
+            mine = owner == trial
+            topo = Topology(r_sm=r[mine], theta=theta[mine],
                             region=region, density=density)
-            fading = FadingRealization(gains=gains[:, lo:hi])
-            n_empty += topo.n_relays == 0
+            fading = FadingRealization(gains=gains[:, mine])
+            no_relay += topo.n_relays == 0
             n_bulk += trial_outage(topo, fading, params, Scheme.BULK)
             n_ps += trial_outage(topo, fading, params, Scheme.PER_SUBCARRIER)
+        # relays that failed every first hop are not drawn: a trial
+        # without drawn relays is empty if the annulus holds none either
+        n_empty += (no_relay if s.tail_mean == 0
+                    else rng.binomial(no_relay, s.void))
     return n_bulk, n_ps, n_empty
 
 
@@ -160,18 +196,80 @@ def test_chunk_matches_object_path(params):
     }
     n_blocks = {}
     for name, (p, region, density, trials) in cases.items():
-        length = block_length(region, density, p.subcarriers)
+        s = _sampler(p, region, density)
         # every run ends in a partly filled block
-        assert trials % length, name
-        n_blocks[name] = -(-trials // length)
+        assert trials % s.length, name
+        n_blocks[name] = -(-trials // s.length)
         expect = _trial_by_trial(p, region, density, 99, trials)
-        got = _simulate_chunk(p, region, density, 99, trials, 0,
-                              n_blocks[name])
+        got = _simulate_chunk(s, 99, trials, 0, n_blocks[name])
         assert got == expect, name
         if density > 0:
             # neither scheme's count is pinned at 0 or at trials
             assert 0 < expect[1] <= expect[0] < trials, name
     assert n_blocks["dense disc"] > 1
+    # the last two cases draw tail relays and the void count
+    assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
+    assert 0 < _sampler(*cases["alpha 4, truncated plane"][:3]).void < 1
+
+
+def test_disc_without_tail_keeps_its_stream(params):
+    # with r* >= sigma the disc has no tail, and its counts are the ones
+    # the brute-force sampler drew before thinning, over several blocks
+    alpha_4 = replace(params, snr_budget=1000.0, path_loss=4.0)
+    for p, density, trials, pinned in ((params, 0.08, 4000, (990, 198, 6)),
+                                       (alpha_4, 0.3, 2000, (134, 2, 0))):
+        s = _sampler(p, Region.disc(5.0), density)
+        assert s.tail_mean == 0 and s.inner_radius == 5.0
+        n_blocks = -(-trials // s.length)
+        assert n_blocks > 1
+        assert _simulate_chunk(s, 99, trials, 0, n_blocks) == pinned
+
+
+def _agrees(p_hat, p, trials):
+    # within 4 exact binomial standard errors of the quadrature value
+    return abs(p_hat - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def test_thinned_sampler_agrees_with_quadrature(params):
+    # the untruncated plane at SNR 1000, K = 1 (r* = 0: every relay is a
+    # tail relay) and a truncated plane whose annulus r* < r < 20 is
+    # drawn thinned, which quadrature sees as the disc of radius 20
+    trials = 40_000
+    cases = {
+        "alpha 2, plane": (replace(params, snr_budget=1000.0),
+                           Region.plane(), Region.plane(), 0.002),
+        "alpha 4, plane": (replace(params, snr_budget=1000.0, path_loss=4.0),
+                           Region.plane(), Region.plane(), 0.05),
+        "K 1, plane": (replace(params, subcarriers=1), Region.plane(),
+                       Region.plane(), 0.02),
+        "rmax 20": (params, Region.plane(truncation_radius=20.0),
+                    Region.disc(20.0), 0.005),
+    }
+    for name, (p, region, exact, density) in cases.items():
+        s = _sampler(p, region, density)
+        assert 0 < s.tail_mean, name
+        assert s.inner_radius < region.sampling_radius(), name
+        both = estimate_outage_both(p, region, density, trials, seed=31)
+        for scheme, outage in ((Scheme.BULK, outage_bulk),
+                               (Scheme.PER_SUBCARRIER, outage_ps)):
+            ref = outage(p, exact, density)
+            assert 0.01 < ref < 0.99, name
+            assert _agrees(both[scheme].p_hat, ref, trials), (name, scheme)
+        if region.sampling_radius() == math.inf:
+            assert both[Scheme.BULK].empty_fraction == 0.0
+
+
+def test_empty_fraction_with_a_thinned_tail(params):
+    # at SNR 10 r* = 3.7 < sigma = 5: the empty count must still follow
+    # the void probability of the whole disc
+    p = replace(params, snr_budget=10.0)
+    region = Region.disc(5.0)
+    assert _sampler(p, region, 0.02).tail_mean > 0
+    trials = 40_000
+    est = estimate_outage(p, region, 0.02, Scheme.BULK, trials=trials,
+                          seed=37)
+    assert _agrees(est.empty_fraction, math.exp(-0.02 * region.area),
+                   trials)
 
 
 def test_estimate_outage_zero_density(params):
@@ -213,7 +311,7 @@ def test_worker_split_keeps_block_streams(params):
              (replace(params, snr_budget=10.0), Region.disc(5.0), 2.0, 150,
               3))
     for p, region, density, trials, blocks in cases:
-        length = block_length(region, density, p.subcarriers)
+        length = block_length(p, region, density)
         assert trials % length and -(-trials // length) == blocks
         one = estimate_outage_both(p, region, density, trials, seed=5,
                                    n_workers=1)
