@@ -16,6 +16,8 @@ import operator
 import re
 import sys
 from collections.abc import Callable
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -24,8 +26,8 @@ import numpy as np
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region
-from .simulation import (OutageEstimate, Scheme, WorkerPool,
-                         estimate_outage_both)
+from .simulation import (OutageEstimate, Scheme, estimate_outage_both,
+                         workers_used)
 
 
 class ValidationError(ValueError):
@@ -196,13 +198,35 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     return columns, rows, {}
 
 
-def _simulate_rows(cfg: ExperimentConfig,
-                   pool: WorkerPool | None = None) -> Sweep:
-    """Simulated rows; points of more than one block run on pool, or on
-    a pool of this sweep's own that is shut down before it returns."""
-    if pool is None:
-        with WorkerPool(cfg.workers) as pool:
-            return _simulate_rows(cfg, pool)
+def _sweep_pool(*cfgs: ExperimentConfig):
+    """Context of the one process pool the simulated points of cfgs share.
+
+    The pool has as many processes as the point that uses the most,
+    since a forked pool starts all of its processes on the first task;
+    if that is one, there is no pool (None) and every point runs in this
+    process.
+    """
+    size = 1
+    for cfg in cfgs:
+        if cfg.workers == 1:
+            continue
+        region = cfg.region()
+        for density in cfg.densities:
+            for snr in cfg.snrs:
+                params = replace(cfg.system_params(), snr_budget=snr)
+                size = max(size, workers_used(params, region, density,
+                                              cfg.trials, cfg.workers))
+    return ProcessPoolExecutor(size) if size > 1 else nullcontext()
+
+
+def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
+    with _sweep_pool(cfg) as pool:
+        return _pooled_simulate_rows(cfg, pool)
+
+
+def _pooled_simulate_rows(cfg: ExperimentConfig,
+                          pool: Executor | None) -> Sweep:
+    """Simulated rows; points of more than one block run on pool."""
     q, exact_region, region = (cfg.quadrature(), cfg.analytic_region(),
                                cfg.region())
 
@@ -346,15 +370,15 @@ def _fig2(cfg: ExperimentConfig) -> Sweep:
 def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
     # fig3 (bulk) and fig4 (per-subcarrier): quadrature and simulation
     # against P_t/N_0 at lambda = 1
+    figs = [_caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
+                     densities=[1.0], snrs=_log_grid(1.0, 1e4, 9),
+                     verify=True)
+            for alpha in (2.0, 4.0) for k in (2, 4)]
     rows = []
-    with WorkerPool(cfg.workers) as pool:
-        for alpha in (2.0, 4.0):
-            for k in (2, 4):
-                fig = _caption(cfg, alpha=alpha, subcarriers=k,
-                               scheme=scheme, densities=[1.0],
-                               snrs=_log_grid(1.0, 1e4, 9), verify=True)
-                rows += [{**row, "p_sim": row["p_outage"]}
-                         for row in _simulate_rows(fig, pool)[1]]
+    with _sweep_pool(*figs) as pool:
+        for fig in figs:
+            rows += [{**row, "p_sim": row["p_outage"]}
+                     for row in _pooled_simulate_rows(fig, pool)[1]]
     return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
             rows, {})
 
@@ -525,8 +549,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: only whole flags exist, so that
+    # _join_negative_values knows every flag that takes a value
     p = _ArgumentParser(
-        prog="relayfield",
+        prog="relayfield", allow_abbrev=False,
         description="Outage/throughput sweeps for two-hop OFDM networks "
                     "over Poisson relay fields")
     p.add_argument("--config", help="key = value config file; flags override")

@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import nullcontext
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,14 +174,12 @@ class _Sampler:
     def tail_t(self, u: np.ndarray) -> np.ndarray:
         """c r^alpha of tail points, by inversion of uniforms u in [0, 1).
 
-        Q(1, t) = exp(-t) and Q(1/2, t) = erfc(sqrt(t)) (alpha 2 and 4)
-        invert over a hundred times faster than gammainccinv.
+        For alpha 2, Q(1, t) = exp(-t) inverts over a thousand times
+        faster than gammainccinv.
         """
         q = self.q_hi - u * self.q_span
         if self.params.path_loss == 2.0:
             return -np.log(q)
-        if self.params.path_loss == 4.0:
-            return special.erfcinv(q) ** 2
         return special.gammainccinv(2.0 / self.params.path_loss, q)
 
 
@@ -223,6 +221,14 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
     depends on the trial or worker count.
     """
     return _sampler(params, region, density).length
+
+
+def workers_used(params: SystemParams, region: Region, density: float,
+                 trials: int, n_workers: int) -> int:
+    """Processes estimate_outage_both runs one grid point on: one per
+    block, at most n_workers."""
+    n_blocks = -(-trials // block_length(params, region, density))
+    return max(1, min(n_workers, n_blocks))
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -326,35 +332,9 @@ def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,
     return n_bulk, n_ps, n_empty
 
 
-class WorkerPool:
-    """Process pool for estimate_outage_both, started on first use.
-
-    Used as a context manager, one pool serves every grid point of a
-    sweep, and its workers are shut down and reaped on exit. A sweep
-    whose points each fit in one block never starts it.
-    """
-
-    def __init__(self, max_workers: int):
-        self.max_workers = max_workers
-        self._executor: ProcessPoolExecutor | None = None
-
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-
 def estimate_outage_both(params: SystemParams, region: Region, density: float,
                          trials: int, seed: int, n_workers: int = 1,
-                         pool: WorkerPool | None = None,
+                         pool: Executor | None = None,
                          ) -> dict[Scheme, OutageEstimate]:
     """Outage estimates for both schemes on a shared trial stream.
 
@@ -373,9 +353,10 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     if n_chunks == 1:
         counts = [_simulate_chunk(s, seed, trials, 0, n_blocks)]
     else:
-        lifetime = WorkerPool(n_chunks) if pool is None else nullcontext(pool)
+        lifetime = (ProcessPoolExecutor(n_chunks) if pool is None
+                    else nullcontext(pool))
         with lifetime as workers:
-            counts = list(workers.executor().map(
+            counts = list(workers.map(
                 _simulate_chunk, [s] * n_chunks, [seed] * n_chunks,
                 [trials] * n_chunks, bounds[:-1], bounds[1:]))
     n_bulk = sum(c[0] for c in counts)

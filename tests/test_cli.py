@@ -136,21 +136,24 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
 
 
 def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
-    from relayfield import simulation
+    from relayfield import cli, simulation
 
-    started = []
+    launched = []
 
     class Recorded(simulation.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.stopped = False
-            started.append(self)
+        # a pool starts its processes on its first task
+        def submit(self, *args, **kwargs):
+            if self not in launched:
+                self.stopped = False
+                launched.append(self)
+            return super().submit(*args, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             self.stopped = True
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
     # two points of several blocks each on the untruncated plane, where
     # SNR 1000 draws no relay from beyond a truncation radius
     out = tmp_path / "plane.csv"
@@ -159,12 +162,19 @@ def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
                  "--snr", "100,1000", "--trials", "2000", "--workers", "2",
                  "--verify", "--output", str(out)]) == 0
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1"] * 4
-    assert len(started) == 1 and started[0].stopped
+    assert len(launched) == 1 and launched[0].stopped
+    assert launched[0]._max_workers == 2
+    # points of at most 3 blocks start 3 of 8 workers
+    assert main(["--mode", "simulate", "--lambda", "0.05,0.1",
+                 "--trials", "2500", "--workers", "8",
+                 "--output", str(tmp_path / "three.csv")]) == 0
+    assert len(launched) == 2 and launched[1].stopped
+    assert launched[1]._max_workers == 3
     # every point fits in one block: no pool is started
     assert main(["--mode", "simulate", "--lambda", "0.1,0.2",
                  "--trials", "500", "--workers", "2",
                  "--output", str(tmp_path / "disc.csv")]) == 0
-    assert len(started) == 1
+    assert len(launched) == 2
 
 
 def test_meta_records_r_max_only_for_truncated_simulation(tmp_path):
@@ -376,6 +386,11 @@ def test_negative_exponent_values_reach_the_bound_checks(capsys):
         assert main(["--mode", "analytic", flag, text]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {flag} must be {rule}, got {text}\n"
+    # only whole flags exist, so no abbreviation takes a value past them
+    for argv in (["--rel", "-1e-8"], ["--lam", "0.1"]):
+        assert main(["--mode", "analytic", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unrecognized arguments: {argv[0]}")
     cfg = parse_config(["--mode", "analytic", "--lambda", "2e-3",
                         "--output", "-1e3.csv"])
     assert cfg.densities == [2e-3] and cfg.output == "-1e3.csv"
