@@ -3,9 +3,9 @@ networks whose decode-and-forward relays form a homogeneous Poisson
 point process.
 
 Two parallel evaluation paths are provided for every outage quantity:
-Monte Carlo simulation (`simulation`) and adaptive-quadrature analytics
-(`analytic`), with scheme-comparison metrics (`metrics`), subcarrier
-optimisation (`optimize`) and a sweep CLI (`cli`) on top.
+Monte Carlo simulation (`simulation`) and Gauss-Legendre quadrature
+analytics (`analytic`), with scheme-comparison metrics (`metrics`),
+subcarrier optimisation (`optimize`) and a sweep CLI (`cli`) on top.
 """
 
 from .analytic import (

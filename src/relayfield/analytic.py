@@ -1,11 +1,13 @@
 """Exact, asymptotic and closed-form outage expressions.
 
-The exact results are double integrals of the kernel
-H(n) = r * exp(-(n*s/(P_t/N_0)) * (r**alpha + r_mD**alpha))
+The exact results are integrals of the relay kernel
+H(n) = r * exp(-c * (r**alpha + r_mD**alpha)), c = n*s/(P_t/N_0),
 over the half-disc (a symmetry factor 2 covers theta in [pi, 2pi)).
-Semi-infinite radial integrals use the rational substitution
-r = t/(1-t) so a single bounded-domain adaptive routine serves both
-regions.
+`_integrate` evaluates them for a whole vector of c in one numpy pass,
+on a tensor Gauss-Legendre grid in (r, theta). Its radial range ends at
+the disc's radius, or where the kernel has fallen e**-40 below its peak
+bound with the neglected tail bounded in closed form, and its error
+estimate is the difference against the rule with twice the nodes.
 """
 from __future__ import annotations
 
@@ -19,15 +21,19 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import SystemParams
-from .geometry import Region, relay_dest_distance
+from .geometry import Region
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the best estimate."""
+    """Quadrature missed its tolerance; carries the best estimate of the
+    integral and the estimate of its error."""
 
-    def __init__(self, message: str, estimate: float):
-        super().__init__(f"{message} (estimate {estimate!r})")
+    def __init__(self, message: str, estimate: float,
+                 error: float = math.nan):
+        super().__init__(f"{message} (estimate {estimate!r}, "
+                         f"error estimate {error!r})")
         self.estimate = estimate
+        self.error = error
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -43,6 +49,14 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
+    """Tolerances of every quadrature.
+
+    An integral is accepted once its error estimate is at most
+    max(abs_tol, rel_tol * |integral|). max_subdivisions caps the
+    Gauss-Legendre nodes per panel of the region integrals (the first
+    level, of 32, always runs) and the subintervals of scipy's quad.
+    """
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
@@ -59,15 +73,34 @@ DEFAULT_QUADRATURE = QuadratureSettings()
 MAX_SUBCARRIERS_EXACT = 64
 
 
-def integrand_H(n: float, r: float, theta: float,
-                params: SystemParams) -> float:
-    """Radial kernel of all outage integrals; accepts real n (relaxed K)."""
-    if r < 0:
+# The radial range ends where exp(-c r**alpha) has fallen e**-_CUT_NATS
+# below the kernel's peak bound exp(-2c (r_sd/2)**alpha).
+_CUT_NATS = 40.0
+# Nodes per panel of the first coarse rule; the rule it is checked
+# against, whose value is returned, has twice as many.
+_FIRST_NODES = 16
+# Grid values evaluated at once: keeps each batch temporary near 256 kB.
+_BATCH_NODES = 2**15
+
+
+def _success(c, r, cos_theta, alpha: float, r_sd: float):
+    """exp(-c * (r**alpha + r_mD**alpha)): with c = n*s/(P_t/N_0), the
+    probability that a relay at (r, theta) clears both hops on n
+    subcarriers. Broadcasts over arrays."""
+    r2 = r * r
+    rmd2 = np.maximum(r_sd * r_sd + r2 - 2.0 * r_sd * r * cos_theta, 0.0)
+    return np.exp(-c * (r2 ** (alpha / 2.0) + rmd2 ** (alpha / 2.0)))
+
+
+def integrand_H(n: float, r, theta, params: SystemParams):
+    """Kernel of all outage integrals, r * exp(-c (r**alpha + r_mD**alpha)).
+
+    Accepts real n (relaxed K) and arrays of r and theta.
+    """
+    if np.any(np.asarray(r) < 0):
         raise ValueError("r must be >= 0")
-    a = params.path_loss
-    r_md = relay_dest_distance(r, theta, params.r_sd)
     c = n * params.threshold / params.snr_budget
-    return r * math.exp(-c * (r**a + r_md**a))
+    return r * _success(c, r, np.cos(theta), params.path_loss, params.r_sd)
 
 
 def _quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
@@ -75,20 +108,108 @@ def _quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
         f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol,
         limit=q.max_subdivisions, full_output=True)
     if msg:
-        raise QuadratureError(f"quadrature did not converge in {what}", val)
+        raise QuadratureError(f"quadrature did not converge in {what}",
+                              val, err)
     return val
 
 
-@lru_cache(maxsize=4096)
-def _u_disc_cached(sigma: float, c: float, alpha: float, r_sd: float,
-                   q: QuadratureSettings) -> float:
-    def inner(theta: float) -> float:
-        def radial(r: float) -> float:
-            r_md = math.sqrt(max(r_sd**2 + r**2 - 2 * r_sd * r * math.cos(theta), 0.0))
-            return r * math.exp(-c * (r**alpha + r_md**alpha))
-        return _quad(radial, 0.0, sigma, q, "u_disc inner")
+@lru_cache(maxsize=8)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of n points on [0, 1]."""
+    x, w = special.roots_legendre(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
-    return _quad(inner, 0.0, math.pi, q, "u_disc outer")
+
+def _panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, n per panel between the edges of each row;
+    panels of zero width in every row are left out."""
+    x, w = _legendre(n)
+    width = edges[:, 1:] - edges[:, :-1]
+    keep = width.max(axis=0) > 0
+    start, width = edges[:, :-1][:, keep, None], width[:, keep, None]
+    return ((start + width * x).reshape(len(edges), -1),
+            (width * w).reshape(len(edges), -1))
+
+
+@lru_cache(maxsize=8)
+def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and weights on [0, pi], with more nodes towards
+    theta = 0, where the mass gathers as c grows."""
+    theta, w = _panel_rule(np.array([[0.0, math.pi / 4.0, math.pi]]), n)
+    return np.cos(theta[0]), w[0]
+
+
+def _integrate(region: Region, cs, params: SystemParams,
+               q: QuadratureSettings, what: str,
+               h=lambda g: (g,), slopes=(1.0,)) -> np.ndarray:
+    """Integrals of r * h(g) over the half region, [0, pi] in theta, for
+    each c of cs, where g = exp(-c * (r**alpha + r_mD**alpha)).
+
+    h maps grid values of g to those of one or more integrands, the j-th
+    at most slopes[j] * g. Returns shape (len(slopes), len(cs)). The
+    error estimate is the difference against the rule with half the
+    nodes plus the bound on the cut-off tail. While an integral is above
+    tolerance the nodes are doubled, up to q.max_subdivisions per panel,
+    beyond which QuadratureError is raised.
+    """
+    alpha, r_sd = params.path_loss, params.r_sd
+    # the plane's truncation radius is a simulation setting: ignored here
+    radius = region.radius if region.kind == "disc" else math.inf
+    cs = np.asarray(cs, dtype=float)
+    with np.errstate(divide="ignore"):
+        cut = (_CUT_NATS / cs + 2.0 * (0.5 * r_sd) ** alpha) ** (1.0 / alpha)
+        outer = np.minimum(radius, cut)
+        # pi * int_outer^inf r exp(-c r**alpha) dr, which is at most
+        # pi outer**(2-alpha) exp(-c outer**alpha) / (alpha c) as 2/alpha <= 1
+        tail = np.outer(slopes, np.where(
+            outer < radius, math.pi * outer ** (2.0 - alpha)
+            * np.exp(-cs * outer**alpha) / (alpha * cs), 0.0))
+    # radial panel ends: the kernel peaks near r_sd/2 for large c,
+    # r_mD**alpha has its kink at r_sd, and outer/4 bounds the far-field
+    # panel at small c
+    edges = np.empty((cs.size, 5))
+    edges[:, :3] = [0.0, 0.5 * r_sd, r_sd]
+    edges[:, 3] = np.maximum(r_sd, 0.25 * outer)
+    edges[:, 4] = outer
+    np.minimum(edges, outer[:, None], out=edges)
+
+    def rule(n: int) -> np.ndarray:
+        r, w_r = _panel_rule(edges, n)
+        cos_theta, w_theta = _angular_rule(n)
+        rw = r * w_r
+        step = max(1, _BATCH_NODES // (r.shape[1] * w_theta.size))
+        parts = []
+        for at in (slice(i, i + step) for i in range(0, cs.size, step)):
+            g = _success(cs[at, None, None], r[at, :, None], cos_theta,
+                         alpha, r_sd)
+            parts.append([(v @ w_theta * rw[at]).sum(axis=-1) for v in h(g)])
+        return np.concatenate(parts, axis=1)
+
+    n, coarse = 2 * _FIRST_NODES, rule(_FIRST_NODES)
+    while True:
+        fine = rule(n)
+        error = np.abs(fine - coarse) + tail
+        excess = error / np.maximum(q.abs_tol, q.rel_tol * np.abs(fine))
+        if (excess <= 1.0).all():
+            return fine
+        if 2 * n > q.max_subdivisions:
+            worst = np.unravel_index(np.argmax(excess), excess.shape)
+            raise QuadratureError(
+                f"{what} missed its tolerance with {n} nodes per panel",
+                float(fine[worst]), float(error[worst]))
+        n, coarse = 2 * n, fine
+
+
+@lru_cache(maxsize=4096)
+def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
+              q: QuadratureSettings) -> tuple[float, ...]:
+    """u(n) for each n of ns from one integrator pass; cached, so that
+    sweeps reuse them across densities."""
+    cs = [n * params.threshold / params.snr_budget for n in ns]
+    if region.kind == "plane" and min(cs) <= 0:
+        raise DomainError("plane integral diverges for n <= 0")
+    return tuple(_integrate(region, cs, params, q,
+                            f"u over the {region.kind}")[0].tolist())
 
 
 def u_disc(sigma: float, n: float, params: SystemParams,
@@ -96,30 +217,13 @@ def u_disc(sigma: float, n: float, params: SystemParams,
     """Half-disc integral of H(n) over [0, sigma] x [0, pi]."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    c = n * params.threshold / params.snr_budget
-    return _u_disc_cached(sigma, c, params.path_loss, params.r_sd, q)
-
-
-@lru_cache(maxsize=4096)
-def _u_plane_cached(c: float, alpha: float, r_sd: float,
-                    q: QuadratureSettings) -> float:
-    def inner(theta: float) -> float:
-        def rational(t: float) -> float:
-            r = t / (1.0 - t)
-            r_md = math.sqrt(max(r_sd**2 + r**2 - 2 * r_sd * r * math.cos(theta), 0.0))
-            return r * math.exp(-c * (r**alpha + r_md**alpha)) / (1.0 - t) ** 2
-        return _quad(rational, 0.0, 1.0, q, "u_plane inner")
-
-    return _quad(inner, 0.0, math.pi, q, "u_plane outer")
+    return _u_values(Region.disc(sigma), (n,), params, q)[0]
 
 
 def u_plane(n: float, params: SystemParams,
             q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Semi-infinite integral of H(n) over [0, inf) x [0, pi]."""
-    c = n * params.threshold / params.snr_budget
-    if c <= 0:
-        raise DomainError("plane integral diverges for n <= 0")
-    return _u_plane_cached(c, params.path_loss, params.r_sd, q)
+    return _u_values(Region.plane(), (n,), params, q)[0]
 
 
 def _u_region(region: Region, n: float, params: SystemParams,
@@ -184,11 +288,12 @@ def outage_ps(params: SystemParams, region: Region, density: float,
     if density < 0:
         raise ValueError("density must be >= 0")
     big_k = params.subcarriers
-    u = {n: _u_region(region, n, params, q) for n in range(1, big_k + 1)}
+    u = _u_values(region, tuple(range(1, big_k + 1)), params, q)
 
     def inner(k: int) -> float:
         return 2.0 * density * math.fsum(
-            math.comb(k, n) * (-1) ** (n + 1) * u[n] for n in range(1, k + 1))
+            math.comb(k, n) * (-1) ** (n + 1) * u[n - 1]
+            for n in range(1, k + 1))
 
     return _alternating_outage(big_k, inner)
 

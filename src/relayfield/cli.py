@@ -227,8 +227,10 @@ def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
 def _pooled_simulate_rows(cfg: ExperimentConfig,
                           pool: Executor | None) -> Sweep:
     """Simulated rows; points of more than one block run on pool."""
-    q, exact_region, region = (cfg.quadrature(), cfg.analytic_region(),
-                               cfg.region())
+    q, region = cfg.quadrature(), cfg.region()
+    # a plane truncated at rmax samples exactly the disc of that radius
+    exact_region = (cfg.analytic_region() if region.truncation_radius is None
+                    else Region.disc(region.truncation_radius))
 
     def point(params, density):
         both = estimate_outage_both(params, region, density, cfg.trials,

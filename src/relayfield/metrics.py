@@ -10,14 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
-from scipy import integrate, optimize
+import numpy as np
+from scipy import optimize
 
 from .analytic import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureSettings,
+    _integrate,
     _quad,
     exp_integral_E,
     lower_incomplete_gamma,
@@ -50,27 +52,23 @@ class DiversityEstimate:
     snr_window: tuple[float, float]
 
 
-@lru_cache(maxsize=1024)
-def _delta_cached(k: int, big_k: int, c: float, alpha: float, r_sd: float,
-                  region: Region, q: QuadratureSettings) -> float:
-    def integrand(r: float, theta: float) -> float:
-        r_md = math.sqrt(max(r_sd**2 + r**2 - 2 * r_sd * r * math.cos(theta), 0.0))
-        g = math.exp(-c * (r**alpha + r_md**alpha))  # 1 - F
-        f = 1.0 - g
-        return r * (1.0 - f**k - g**big_k)
+@lru_cache(maxsize=256)
+def _delta_table(params: SystemParams, region: Region,
+                 q: QuadratureSettings) -> tuple[float, ...]:
+    """Delta(1..K) from one evaluation of the kernel on the grid."""
+    big_k = params.subcarriers
 
-    if region.kind == "disc":
-        sigma = region.radius
+    def integrands(g):
+        # 1 - f**k - g**K with f = 1 - g, in a form that keeps 1 - f**k
+        # accurate where g is small
+        log_f, g_big_k = np.log1p(-g), g**big_k
+        return (-np.expm1(k * log_f) - g_big_k for k in range(1, big_k + 1))
 
-        def inner(theta: float) -> float:
-            return _quad(lambda r: integrand(r, theta), 0.0, sigma, q,
-                         "delta_k inner")
-    else:
-        def inner(theta: float) -> float:
-            return _quad(lambda t: integrand(t / (1.0 - t), theta)
-                         / (1.0 - t) ** 2, 0.0, 1.0, q, "delta_k inner")
-
-    return 2.0 * _quad(inner, 0.0, math.pi, q, "delta_k outer")
+    # each integrand is at most k * g, which bounds its cut-off tail
+    c = params.threshold / params.snr_budget
+    return tuple((2.0 * _integrate(region, (c,), params, q, "delta_k",
+                                   integrands, range(1, big_k + 1))[:, 0]
+                  ).tolist())
 
 
 def delta_k(k: int, params: SystemParams, region: Region,
@@ -81,25 +79,18 @@ def delta_k(k: int, params: SystemParams, region: Region,
     """
     if not 1 <= k <= params.subcarriers:
         raise ValueError("need 1 <= k <= subcarriers")
-    c = params.threshold / params.snr_budget
-    return _delta_cached(k, params.subcarriers, c, params.path_loss,
-                         params.r_sd, region, q)
+    return _delta_table(params, region, q)[k - 1]
 
 
-def _delta_table(params: SystemParams, region: Region,
-                 q: QuadratureSettings) -> list[float]:
-    return [delta_k(k, params, region, q)
-            for k in range(1, params.subcarriers + 1)]
-
-
-def _phi_from_deltas(density: float, deltas: list[float]) -> float:
+def _phi_from_deltas(density: float, deltas: Sequence[float]) -> float:
     big_k = len(deltas)
     return math.fsum(math.comb(big_k, k) * (-1) ** (k + 1)
                      * math.exp(-density * deltas[k - 1])
                      for k in range(1, big_k + 1))
 
 
-def _phi_approx_from_deltas(density: float, deltas: list[float]) -> float:
+def _phi_approx_from_deltas(density: float,
+                            deltas: Sequence[float]) -> float:
     big_k = len(deltas)
     quad_sum = math.fsum(math.comb(big_k, k) * (-1) ** (k + 1)
                          * deltas[k - 1] ** 2
@@ -231,10 +222,5 @@ def appendix_bound_T1_quadrature(params: SystemParams,
     a = params.path_loss
     c = params.subcarriers * params.threshold / params.snr_budget
     r_sd = params.r_sd
-
-    def rational(t: float) -> float:
-        r = t / (1.0 - t)
-        far = 2.0 * max(r, r_sd)
-        return r * math.exp(-c * (r**a + far**a)) / (1.0 - t) ** 2
-
-    return _quad(rational, 0.0, 1.0, q, "appendix_bound_T1")
+    return _quad(lambda r: r * math.exp(-c * (r**a + (2.0 * max(r, r_sd))**a)),
+                 0.0, math.inf, q, "appendix_bound_T1")

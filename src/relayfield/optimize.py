@@ -18,10 +18,9 @@ from .analytic import (
     DomainError,
     QuadratureSettings,
     _require_freespace,
+    _u_region,
     outage_bulk,
     outage_floor,
-    u_disc,
-    u_plane,
 )
 from .channel import SystemParams
 from .geometry import Region
@@ -163,11 +162,7 @@ def cutoff_density(psi: float, params: SystemParams, region: Region,
     """Density below which the ceiling psi cannot be met even at K = 1."""
     if not 0 < psi < 1:
         raise ValueError("psi must be in (0, 1)")
-    if region.kind == "disc":
-        denom = 2.0 * u_disc(region.radius, 1.0, params, q)
-    else:
-        denom = 2.0 * u_plane(1.0, params, q)
-    return -math.log(psi) / denom
+    return -math.log(psi) / (2.0 * _u_region(region, 1.0, params, q))
 
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from relayfield import (
     DEFAULT_QUADRATURE,
     DomainError,
     NumericalInstabilityError,
+    QuadratureError,
     QuadratureSettings,
     Region,
     SystemParams,
@@ -65,6 +67,13 @@ def test_integrand_examples(params):
         5.0 * math.exp(-1.5), rel=1e-12)
     with pytest.raises(ValueError):
         integrand_H(1.0, -1.0, 0.0, params)
+    # arrays broadcast to the scalar values
+    r, theta = np.array([[0.0], [5.0]]), np.array([0.0, math.pi / 2])
+    assert np.array_equal(integrand_H(1.0, r, theta, params), [
+        [integrand_H(1.0, float(a), float(b), params) for b in theta]
+        for a in r[:, 0]])
+    with pytest.raises(ValueError):
+        integrand_H(1.0, np.array([1.0, -1.0]), 0.0, params)
 
 
 def test_u_disc_degenerate_and_monotone(params):
@@ -89,7 +98,7 @@ def test_u_disc_against_monte_carlo(params):
 
 
 def test_u_plane_against_monte_carlo():
-    # alpha = 4 exercises the rational substitution away from the
+    # alpha = 4 exercises the plane's radial cut-off away from the
     # free-space closed form; the kernel is negligible beyond r = 8
     p = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
@@ -103,6 +112,65 @@ def test_u_plane_against_monte_carlo():
     assert abs(quad - est) < max(3 * se, 1e-4 * quad)
     with pytest.raises(DomainError):
         u_plane(0.0, p)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.4])
+def test_tiny_u_keeps_its_relative_accuracy(c):
+    # u is 8e-12 and 2e-15 here, below the default abs_tol of 1e-10; a
+    # nested quad at the default tolerances was 8 % and 36 % off
+    p = SystemParams(snr_budget=1.0, path_loss=4.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12)
+
+    def angular(theta):
+        # the kernel is below exp(-3000) beyond r = 10
+        return _quad(lambda r: r * math.exp(-c * (
+            r**4 + (25.0 + r * r - 10.0 * r * math.cos(theta)) ** 2)),
+            0.0, 10.0, tight, "radial")
+
+    oracle = _quad(angular, 0.0, math.pi, tight, "angular")
+    assert u_plane(c, p) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1.0, 4.0, 40.0, 320.0])
+def test_u_disc_matches_the_bessel_oracle(params, n):
+    # at alpha = 2 the angular integral is pi * I0(2 c r r_sd), which
+    # leaves a 1-D radial integral; n = 320 gives u near 1e-18
+    c = n * params.threshold / params.snr_budget
+    tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
+    oracle = _quad(lambda r: math.pi * r
+                   * math.exp(-c * (r * r + (r - 5.0) ** 2))
+                   * special.i0e(2.0 * c * r * 5.0),
+                   0.0, 5.0, tight, "bessel oracle")
+    assert u_disc(5.0, n, params) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 1e-2])
+def test_first_rule_resolves_the_wide_plane_kernel(c):
+    # small c spreads the kernel out to r ~ c**-0.5; the far-field panel
+    # keeps the first coarse rule within 1e-10, so no refinement is needed
+    p = SystemParams(snr_budget=1.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    first_only = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10,
+                                    max_subdivisions=32)
+    assert u_plane(c, p, first_only) == pytest.approx(
+        u_plane(c, p), rel=1e-12, abs=0.0)
+
+
+def test_integrator_raises_with_its_estimate_past_the_cap():
+    # c = 3.2 at alpha = 4 is too peaked to meet rel_tol 1e-12 within
+    # 32 nodes per panel; the estimate is still close
+    p = SystemParams(snr_budget=10.0, path_loss=4.0, threshold=1.0,
+                     subcarriers=32, r_sd=5.0)
+    capped = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12,
+                                max_subdivisions=32)
+    with pytest.raises(QuadratureError) as caught:
+        u_plane(32.0, p, capped)
+    assert caught.value.estimate == pytest.approx(3.0228e-111, rel=1e-3,
+                                                  abs=0.0)
+    assert caught.value.error > 1e-12 * caught.value.estimate
+    assert u_plane(32.0, p) == pytest.approx(caught.value.estimate,
+                                             rel=1e-3, abs=0.0)
 
 
 def test_bulk_outage_spot_values(params, disc):
@@ -140,8 +208,8 @@ def test_ps_below_bulk(params, disc):
 
 
 def test_plane_quadrature_matches_freespace_closed_forms(params):
-    # two independent routes to the same number: adaptive quadrature
-    # with the rational substitution vs the alpha = 2 closed forms
+    # two independent routes to the same number: Gauss-Legendre
+    # quadrature over the cut-off plane vs the alpha = 2 closed forms
     for density in (0.05, 0.3, 1.0):
         assert outage_bulk_plane(params, density) == pytest.approx(
             outage_bulk_plane_freespace(params, density), rel=1e-10)

@@ -211,6 +211,25 @@ def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1", "1"]
 
 
+def test_verify_under_rmax_checks_against_the_disc(tmp_path):
+    # a plane truncated at --rmax 8 samples exactly the disc of radius 8,
+    # so that disc, not the untruncated plane, is the verify reference
+    from relayfield import Region, SystemParams, outage_bulk, outage_ps
+    out = tmp_path / "rmax.csv"
+    assert main(["--mode", "simulate", "--scheme", "both",
+                 "--region", "plane", "--rmax", "8", "--lambda", "0.05",
+                 "--snr", "100", "--trials", "20000", "--verify",
+                 "--output", str(out)]) == 0
+    params = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
+                          subcarriers=4, r_sd=5.0)
+    disc = Region.disc(8.0)
+    rows = _read_rows(out)
+    assert {row["scheme"]: float(row["p_analytic"]) for row in rows} == {
+        "bulk": outage_bulk(params, disc, 0.05),
+        "ps": outage_ps(params, disc, 0.05)}
+    assert [row["verify_ok"] for row in rows] == ["1", "1"]
+
+
 def test_ratio_mode(tmp_path):
     from relayfield import Region, SystemParams, outage_ratio
 
