@@ -676,7 +676,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 1
     except (analytic.QuadratureError, analytic.NumericalInstabilityError,
-            NumericalFailure, ArithmeticError) as exc:
+            optimize.UnboundedOptimumError, NumericalFailure,
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(rows)} rows to {cfg.output}")

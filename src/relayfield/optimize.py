@@ -1,7 +1,8 @@
 """Subcarrier-count optimisation for bulk selection.
 
-Throughput kappa(K, density) = K * (1 - Phi_bulk(K)) is concave in the
-relaxed real-valued subcarrier count, so a bracketed golden-section
+Throughput kappa(K, density) = K * (1 - Phi_bulk(K)) is unimodal in the
+relaxed real-valued subcarrier count, though not globally concave (its
+tail turns convex), so a doubling bracket followed by bounded Brent
 search finds the relaxed optimum; integer optima follow the stated
 rounding rules. A cut-off density marks where an outage ceiling becomes
 unattainable even at K = 1.
@@ -19,13 +20,13 @@ from .analytic import (
     QuadratureSettings,
     _require_freespace,
     _u_region,
+    log_outage_bulk,
     outage_bulk,
     outage_floor,
 )
 from .channel import SystemParams
 from .geometry import Region
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _K_CAP = 2**16
 
 
@@ -58,34 +59,26 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     return subcarriers * (1.0 - phi)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
-
-
 def _relaxed_optimum(kappa, k_hi_start: float = 2.0) -> float:
-    """Bracket the concave maximum by doubling, then golden section."""
-    k_hi = k_hi_start
+    """Maximise a unimodal kappa over K > 0 by bounded Brent search.
+
+    Doubling at integer K brackets the maximum: once kappa(2 k_hi) <=
+    kappa(k_hi) it lies below 2 k_hi, and above k_hi / 2 if the loop
+    doubled at least once (kappa(k_hi) > kappa(k_hi / 2)). Brent's
+    method (parabolic steps within golden section) then refines it to
+    1e-6.
+    """
+    lo, k_hi = 1e-9, k_hi_start
     best = kappa(k_hi)
     while kappa(2.0 * k_hi) > best:
-        k_hi *= 2.0
+        lo, k_hi = k_hi, 2.0 * k_hi
         best = kappa(k_hi)
         if k_hi > _K_CAP:
             raise UnboundedOptimumError(
                 f"throughput still increasing past K = {_K_CAP}")
-    return _golden_section_max(kappa, 1e-9, 2.0 * k_hi)
+    res = sopt.minimize_scalar(lambda k: -kappa(k), bounds=(lo, 2.0 * k_hi),
+                               method="bounded", options={"xatol": 1e-6})
+    return float(res.x)
 
 
 def optimize_K_unconstrained(params: SystemParams, region: Region,
@@ -143,11 +136,13 @@ def optimize_K_constrained(params: SystemParams, region: Region,
     if phi(unconstrained.k_relaxed) <= psi:
         k_relaxed = unconstrained.k_relaxed
     else:
-        # Phi is increasing in the relaxed K, so the ceiling binds
-        k_max = sopt.brentq(lambda k: phi(k) - psi, 1.0,
-                            max(unconstrained.k_relaxed, 1.0 + 1e-9),
-                            xtol=1e-9)
-        k_relaxed = k_max
+        # Phi is increasing in the relaxed K, so the ceiling binds; log Phi
+        # is nearly linear in K, so brentq needs fewer steps on it
+        log_psi = math.log(psi)
+        k_relaxed = sopt.brentq(
+            lambda k: log_outage_bulk(params, region, density, q,
+                                      subcarriers=k) - log_psi,
+            1.0, max(unconstrained.k_relaxed, 1.0 + 1e-9), xtol=1e-9)
     k_opt = max(1, math.floor(k_relaxed))
 
     def kappa(k: float) -> float:
@@ -157,20 +152,24 @@ def optimize_K_constrained(params: SystemParams, region: Region,
                               kappa_opt=kappa(k_opt), feasible=True, psi=psi)
 
 
+def _neg_log_ceiling(psi: float) -> float:
+    """-log(psi), +0.0 at psi = 1 where every density meets the ceiling."""
+    if not 0 < psi <= 1:
+        raise ValueError("psi must be in (0, 1]")
+    return 0.0 - math.log(psi)
+
+
 def cutoff_density(psi: float, params: SystemParams, region: Region,
                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Density below which the ceiling psi cannot be met even at K = 1."""
-    if not 0 < psi < 1:
-        raise ValueError("psi must be in (0, 1)")
-    return -math.log(psi) / (2.0 * _u_region(region, 1.0, params, q))
+    return _neg_log_ceiling(psi) / (2.0 * _u_region(region, 1.0, params, q))
 
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:
     """Free-space (alpha=2) approximation of the plane cut-off density."""
-    if not 0 < psi < 1:
-        raise ValueError("psi must be in (0, 1)")
+    neg_log_psi = _neg_log_ceiling(psi)
     _require_freespace(params)
     s = params.threshold
     budget = params.snr_budget
-    return (-2.0 * s * math.log(psi)
+    return (2.0 * s * neg_log_psi
             / (math.pi * budget * math.exp(-params.r_sd**2 * s / (2.0 * budget))))

@@ -268,6 +268,28 @@ def test_optimize_mode(tmp_path):
     assert "cutoff_density" in meta
 
 
+def test_optimize_mode_at_psi_one(tmp_path):
+    # every density meets psi = 1, so the cut-off density is zero
+    out = tmp_path / "opt.csv"
+    rc = main(["--mode", "optimize-k", "--lambda", "1", "--psi", "1",
+               "--output", str(out)])
+    assert rc == 0
+    assert _read_rows(out)[0]["feasible"] == "1"
+    meta = (tmp_path / "opt.csv.meta").read_text().splitlines()
+    assert "cutoff_density = 0.0" in meta
+
+
+def test_unbounded_optimum_is_a_numerical_failure(tmp_path, capsys):
+    # at this SNR throughput still grows past the doubling bracket's cap
+    out = tmp_path / "opt.csv"
+    rc = main(["--mode", "optimize-k", "--lambda", "1", "--snr", "1e6",
+               "--output", str(out)])
+    assert rc == 2
+    assert ("numerical failure: throughput still increasing past K"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # each preset's CSV header and row count
 FIGURE_CSV = {
     "fig2": ("lambda,K,kappa", 7 * 16),

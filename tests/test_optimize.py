@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy import optimize as sopt
 
 from relayfield import (
     Region,
@@ -13,6 +14,14 @@ from relayfield import (
     outage_floor,
     throughput,
 )
+from relayfield.analytic import QuadratureSettings
+from relayfield.optimize import _relaxed_optimum
+
+TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
+
+# the fig7 caption's disc and densities
+FIG7_POINTS = [(alpha, Region.disc(5.0), density)
+               for alpha in (2.0, 4.0) for density in (0.05, 1.0, 5.0)]
 
 
 def _params(alpha=2.0, budget=100.0):
@@ -53,8 +62,42 @@ def test_relaxed_optimum_is_local_max(disc):
         assert throughput(k + step, p, disc, 1.0) <= peak + 1e-10
 
 
+@pytest.mark.parametrize("alpha,region,density", FIG7_POINTS)
+def test_relaxed_optimum_needs_few_kappa_evaluations(alpha, region, density):
+    # Brent's parabolic steps; golden section to the same 1e-6 needed
+    # about 39 evaluations per solve
+    p = _params(alpha)
+    calls = []
+
+    def kappa(k):
+        calls.append(k)
+        return throughput(k, p, region, density)
+
+    _relaxed_optimum(kappa)
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("alpha,region,density",
+                         FIG7_POINTS + [(2.0, Region.plane(), 1e-9)])
+def test_relaxed_optimum_matches_a_tight_reference(alpha, region, density):
+    # reference: the root of a five-point derivative of kappa at tight
+    # quadrature, which does not search on kappa's values at all; on the
+    # plane at 1e-9 the optimum lies far below the doubling's start K = 2
+    p = _params(alpha)
+    k_relaxed = optimize_K_unconstrained(p, region, density).k_relaxed
+
+    def slope(k):
+        h = 1e-3 * k
+        f = [throughput(k + i * h, p, region, density, TIGHT)
+             for i in (-2, -1, 1, 2)]
+        return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+
+    ref = sopt.brentq(slope, 0.5 * k_relaxed, 2.0 * k_relaxed, xtol=1e-12)
+    assert k_relaxed == pytest.approx(ref, abs=1e-6, rel=0)
+
+
 def test_throughput_is_unimodal_in_relaxed_k(disc):
-    # unimodality is what the bracketed golden-section search needs:
+    # unimodality is all the bracketed Brent search needs:
     # first differences change sign exactly once over the grid
     p = _params()
     for density in (0.2, 1.0, 5.0):
@@ -116,6 +159,15 @@ def test_constrained_examples(disc):
     assert got[1e-2] == 9 and got[1e-5] == 5
 
 
+@pytest.mark.parametrize("psi", [1e-2, 1e-3, 1e-5])
+def test_constrained_root_meets_the_ceiling(disc, psi):
+    # the log-domain root puts the relaxed K on Phi = psi
+    p = _params()
+    res = optimize_K_constrained(p, disc, 1.0, psi)
+    phi = outage_bulk(p, disc, 1.0, subcarriers=res.k_relaxed)
+    assert phi == pytest.approx(psi, rel=1e-6, abs=0)
+
+
 def test_constrained_inactive_ceiling(disc):
     p = _params()
     res = optimize_K_constrained(p, disc, 1.0, 1.0)
@@ -162,8 +214,15 @@ def test_cutoff_density_disc(disc):
     cutoff = cutoff_density(0.01, p, disc)
     assert optimize_K_constrained(p, disc, 1.05 * cutoff, 0.01).feasible
     assert not optimize_K_constrained(p, disc, 0.95 * cutoff, 0.01).feasible
-    with pytest.raises(ValueError):
-        cutoff_density(1.0, p, disc)
+    # every density meets psi = 1; +0.0, not -0.0, reaches the .meta
+    for zero in (cutoff_density(1.0, p, disc),
+                 cutoff_density_freespace(1.0, p)):
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    for psi in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            cutoff_density(psi, p, disc)
+        with pytest.raises(ValueError):
+            cutoff_density_freespace(psi, p)
 
 
 def test_cutoff_freespace_rejects_other_exponents():
