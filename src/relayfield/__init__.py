@@ -33,25 +33,8 @@ from .analytic import (
     u_disc,
     u_plane,
 )
-from .channel import (
-    FadingRealization,
-    SystemParams,
-    draw_fading,
-    e2e_cdf,
-    end_to_end_snr,
-    snr_matrix,
-)
-from .geometry import (
-    ConfigurationError,
-    InfiniteAreaError,
-    Region,
-    RelayPoint,
-    Topology,
-    default_truncation_radius,
-    region_area,
-    relay_dest_distance,
-    sample_topology,
-)
+from .channel import SystemParams
+from .geometry import ConfigurationError, InfiniteAreaError, Region, region_area
 from .metrics import (
     DiversityEstimate,
     MinDensityResult,
@@ -74,18 +57,13 @@ from .optimize import (
     throughput,
 )
 from .simulation import (
-    NoCandidateError,
     OutageEstimate,
     Scheme,
-    SelectionOutcome,
     block_length,
     block_rng,
     estimate_outage,
     estimate_outage_both,
     estimate_throughput,
-    select_bulk,
-    select_per_subcarrier,
-    trial_outage,
 )
 
 __version__ = "0.1.0"

@@ -153,8 +153,7 @@ def _integrate(region: Region, cs, params: SystemParams,
     beyond which QuadratureError is raised.
     """
     alpha, r_sd = params.path_loss, params.r_sd
-    # the plane's truncation radius is a simulation setting: ignored here
-    radius = region.radius if region.kind == "disc" else math.inf
+    radius = region.outer_radius()
     cs = np.asarray(cs, dtype=float)
     with np.errstate(divide="ignore"):
         cut = (_CUT_NATS / cs + 2.0 * (0.5 * r_sd) ** alpha) ** (1.0 / alpha)

@@ -1,17 +1,12 @@
-"""Per-subcarrier Rayleigh-faded two-hop SNRs for decode-and-forward links.
+"""Physical constants of a two-hop decode-and-forward OFDM link.
 
-Hop gains are i.i.d. unit-mean exponential; the end-to-end SNR of a
-relay link is the minimum of the two hop SNRs. Everything is in linear
-scale.
+Hop gains are i.i.d. unit-mean exponential (Rayleigh fading) per
+subcarrier; the end-to-end SNR of a relay link is the minimum of the two
+hop SNRs. Everything is in linear scale.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .geometry import RelayPoint, Topology, relay_dest_distance
 
 
 @dataclass(frozen=True)
@@ -40,76 +35,3 @@ class SystemParams:
             raise ValueError("subcarriers must be >= 1")
         if self.r_sd <= 0:
             raise ValueError("r_sd must be > 0")
-
-
-@dataclass(frozen=True)
-class FadingRealization:
-    """Channel gains with shape (2 hops, n_relays, subcarriers)."""
-
-    gains: np.ndarray
-
-    @property
-    def n_relays(self) -> int:
-        return self.gains.shape[1]
-
-    @property
-    def subcarriers(self) -> int:
-        return self.gains.shape[2]
-
-
-def draw_fading(topology: Topology, subcarriers: int,
-                rng: np.random.Generator) -> FadingRealization:
-    """Draw unit-mean exponential gains for every hop/relay/subcarrier.
-
-    Inverse transform -ln(1 - U) with U in [0, 1), so the argument of
-    the log never hits zero.
-    """
-    if subcarriers < 1:
-        raise ValueError("subcarriers must be >= 1")
-    shape = (2, topology.n_relays, subcarriers)
-    gains = -np.log1p(-rng.random(shape))
-    return FadingRealization(gains=gains)
-
-
-def _hop_snr(snr_budget, gain, distance, path_loss):
-    """Single-hop SNR; a zero-length hop has infinite SNR."""
-    dist = np.asarray(distance, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        attenuation = np.where(dist > 0, dist, np.nan) ** (-path_loss)
-        attenuation = np.where(dist > 0, attenuation, np.inf)
-        out = snr_budget * np.asarray(gain, dtype=float) * attenuation
-    # 0 * inf at a zero-length hop: a dead gain still means zero SNR
-    return np.where(np.asarray(gain) == 0, 0.0, out)
-
-
-def end_to_end_snr(params: SystemParams, relay: RelayPoint,
-                   g1: float, g2: float) -> float:
-    """min of the two hop SNRs for one relay and one subcarrier."""
-    if g1 < 0 or g2 < 0:
-        raise ValueError("gains must be >= 0")
-    r_md = relay_dest_distance(relay.r_sm, relay.theta, params.r_sd)
-    snr1 = _hop_snr(params.snr_budget, g1, relay.r_sm, params.path_loss)
-    snr2 = _hop_snr(params.snr_budget, g2, r_md, params.path_loss)
-    return float(min(snr1, snr2))
-
-
-def snr_matrix(params: SystemParams, topology: Topology,
-               fading: FadingRealization) -> np.ndarray:
-    """End-to-end SNR for every relay and subcarrier, shape (M, K)."""
-    r_sm = topology.r_sm[:, None]
-    r_md = relay_dest_distance(topology.r_sm, topology.theta, params.r_sd)[:, None]
-    snr1 = _hop_snr(params.snr_budget, fading.gains[0], r_sm, params.path_loss)
-    snr2 = _hop_snr(params.snr_budget, fading.gains[1], r_md, params.path_loss)
-    return np.minimum(snr1, snr2)
-
-
-def e2e_cdf(params: SystemParams, r_sm: float, r_md: float, x: float):
-    """CDF of the end-to-end SNR at a fixed relay position.
-
-    F(x) = 1 - exp(-(x/(P_t/N_0)) * (r_sm**alpha + r_md**alpha)).
-    """
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("x must be >= 0")
-    a = params.path_loss
-    return -np.expm1(-(np.asarray(x, dtype=float) / params.snr_budget)
-                     * (r_sm**a + r_md**a))

@@ -50,7 +50,6 @@ class ExperimentConfig:
     snrs: list[float] = field(default_factory=lambda: [100.0])
     region_kind: str = "disc"
     sigma: float = 5.0
-    rmax: float | None = None
     rsd: float = 5.0
     subcarriers: int = 4
     alpha: float = 2.0
@@ -73,14 +72,6 @@ class ExperimentConfig:
                             subcarriers=self.subcarriers, r_sd=self.rsd)
 
     def region(self) -> Region:
-        """The region simulation samples: the plane is truncated only
-        at a given rmax."""
-        if self.region_kind == "disc":
-            return Region.disc(self.sigma)
-        return Region.plane(truncation_radius=self.rmax)
-
-    def analytic_region(self) -> Region:
-        """The region quadrature integrates over: the plane is not truncated."""
         if self.region_kind == "plane":
             return Region.plane()
         return Region.disc(self.sigma)
@@ -96,7 +87,7 @@ def _parse_float_list(text: str) -> list[float]:
         lo, hi, n = text.split(":")
         if int(n) < 1:
             raise ValueError(f"a grid needs n >= 1, got {n}")
-        return list(np.geomspace(float(lo), float(hi), int(n)))
+        return _log_grid(float(lo), float(hi), int(n))
     return [float(x) for x in text.split(",")]
 
 
@@ -228,9 +219,6 @@ def _pooled_simulate_rows(cfg: ExperimentConfig,
                           pool: Executor | None) -> Sweep:
     """Simulated rows; points of more than one block run on pool."""
     q, region = cfg.quadrature(), cfg.region()
-    # a plane truncated at rmax samples exactly the disc of that radius
-    exact_region = (cfg.analytic_region() if region.truncation_radius is None
-                    else Region.disc(region.truncation_radius))
 
     def point(params, density):
         both = estimate_outage_both(params, region, density, cfg.trials,
@@ -242,8 +230,7 @@ def _pooled_simulate_rows(cfg: ExperimentConfig,
             fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
                               "empty_fraction": est.empty_fraction}
             if cfg.verify:
-                ref = _analytic_outage(params, exact_region, density,
-                                       scheme, q)
+                ref = _analytic_outage(params, region, density, scheme, q)
                 fields[scheme].update(p_analytic=ref,
                                       verify_ok=_within_3_sigma(est, ref))
         return fields
@@ -252,15 +239,13 @@ def _pooled_simulate_rows(cfg: ExperimentConfig,
     if cfg.verify:
         extra += ["p_analytic", "verify_ok"]
     columns, rows, meta = _grid_rows(cfg, point, extra)
-    if region.truncation_radius is not None:
-        meta["r_max"] = region.truncation_radius
     if cfg.verify:
         meta["verify_mismatches"] = sum(not row["verify_ok"] for row in rows)
     return columns, rows, meta
 
 
 def _analytic_rows(cfg: ExperimentConfig) -> Sweep:
-    q, region = cfg.quadrature(), cfg.analytic_region()
+    q, region = cfg.quadrature(), cfg.region()
 
     def point(params, density):
         return {scheme: {"p_outage": _analytic_outage(params, region, density,
@@ -284,7 +269,7 @@ def _asymptotic_rows(cfg: ExperimentConfig) -> Sweep:
 def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     params = cfg.system_params()
-    region = cfg.analytic_region()
+    region = cfg.region()
     rows = []
     for density in cfg.densities:
         res = metrics.outage_ratio(params, region, density, q)
@@ -304,7 +289,7 @@ def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
 
 def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
-    region = cfg.analytic_region()
+    region = cfg.region()
     rows = []
     if len(cfg.snrs) < 2:
         raise ValidationError(["mode diversity needs at least two --snr points"])
@@ -322,7 +307,7 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
 def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     params = cfg.system_params()
-    region = cfg.analytic_region()
+    region = cfg.region()
     rows = []
     meta = {}
     for density in cfg.densities:
@@ -363,7 +348,7 @@ def _fig2(cfg: ExperimentConfig) -> Sweep:
     rows = [{"lambda": density, "K": k,
              "kappa": optimize.throughput(
                  k, replace(fig.system_params(), subcarriers=k),
-                 fig.analytic_region(), density, fig.quadrature())}
+                 fig.region(), density, fig.quadrature())}
             for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
             for k in range(1, 17)]
     return ["lambda", "K", "kappa"], rows, {}
@@ -515,9 +500,6 @@ _OPTIONS = (
             "P_t/N_0 values in dB (converted to linear)", bounds=(">", 0)),
     _Option("region_kind", "--region", choices=("disc", "plane")),
     _Option("sigma", "--sigma", float, "disc radius", bounds=(">", 0)),
-    _Option("rmax", "--rmax", float,
-            "plane truncation radius for simulation (default: none)",
-            bounds=(">", 0)),
     _Option("rsd", "--rsd", float, "source-destination distance",
             bounds=(">", 0)),
     _Option("subcarriers", "--K", int, bounds=(">=", 1)),

@@ -70,9 +70,8 @@ def _relaxed_optimum(kappa, k_hi_start: float = 2.0) -> float:
     """
     lo, k_hi = 1e-9, k_hi_start
     best = kappa(k_hi)
-    while kappa(2.0 * k_hi) > best:
-        lo, k_hi = k_hi, 2.0 * k_hi
-        best = kappa(k_hi)
+    while (doubled := kappa(2.0 * k_hi)) > best:
+        lo, k_hi, best = k_hi, 2.0 * k_hi, doubled
         if k_hi > _K_CAP:
             raise UnboundedOptimumError(
                 f"throughput still increasing past K = {_K_CAP}")
@@ -99,12 +98,13 @@ def optimize_K_unconstrained(params: SystemParams, region: Region,
     k_relaxed = _relaxed_optimum(kappa)
     k_floor = max(1, math.floor(k_relaxed))
     k_ceil = max(1, math.ceil(k_relaxed))
-    if kappa(k_ceil) >= kappa(k_floor):
-        k_opt = k_ceil
+    kappa_ceil, kappa_floor = kappa(k_ceil), kappa(k_floor)
+    if kappa_ceil >= kappa_floor:
+        k_opt, kappa_opt = k_ceil, kappa_ceil
     else:
-        k_opt = k_floor
+        k_opt, kappa_opt = k_floor, kappa_floor
     return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
-                              kappa_opt=kappa(k_opt), feasible=True)
+                              kappa_opt=kappa_opt, feasible=True)
 
 
 def optimize_K_constrained(params: SystemParams, region: Region,

@@ -8,8 +8,8 @@ so by the Poisson marking and thinning theorems the sampler draws relays
 from the dominating intensity lambda * min(1, K p) and thins them
 exactly. That intensity is lambda inside r* = (ln K / c)^(1/a) and
 integrable beyond it, so the plane needs no truncation: the sampled
-region has outer radius R, the disc radius, the plane's truncation
-radius if it has one, and infinity otherwise.
+region has outer radius R, the disc radius sigma, or infinity on the
+plane.
 
 A run of n trials is cut into blocks of block_length(...) consecutive
 trials, and block b draws from one counter-based Philox stream keyed by
@@ -30,7 +30,7 @@ trials, and block b draws from one counter-based Philox stream keyed by
   first-hop success, each with its exact conditional first-hop pattern.
   The kept points draw their angles and (N_kept, K) second-hop
   uniforms.
-* on a finite R with a tail, last: how many of the trials with no inner
+* on a disc with a tail, last: how many of the trials with no inner
   and no kept relay are empty, Binomial(n, v), where v is the
   probability that the annulus holds no relay that failed every first
   hop. On the unbounded plane no trial is empty.
@@ -41,9 +41,8 @@ seed and the trial count but are bitwise identical for any number of
 workers.
 
 The vectorised kernel reduces each block with segment reductions over
-the trials' relays. The object pipeline (Topology, FadingRealization,
-select_bulk / select_per_subcarrier, trial_outage) is the per-trial
-reference the tests hold it to on the same block streams.
+the trials' relays. The tests hold it to a per-trial object pipeline
+(tests/reference.py) replayed on the same block streams.
 """
 from __future__ import annotations
 
@@ -56,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .channel import FadingRealization, SystemParams, snr_matrix
-from .geometry import Region, Topology
+from .channel import SystemParams
+from .geometry import Region
 
 # Expected relay-subcarrier pairs per block. A block's hop gains then
 # take about 2 * 8 * DRAWS_PER_BLOCK bytes (512 KiB) whatever the
@@ -74,19 +73,6 @@ class Scheme(enum.Enum):
     PER_SUBCARRIER = "ps"
 
 
-class NoCandidateError(ValueError):
-    """Selection requested on an empty relay set."""
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Selected relay and achieved SNR per subcarrier."""
-
-    scheme: Scheme
-    chosen: np.ndarray    # relay index per subcarrier
-    achieved: np.ndarray  # linear SNR per subcarrier
-
-
 @dataclass(frozen=True)
 class OutageEstimate:
     """Monte Carlo outage probability with its binomial standard error."""
@@ -96,53 +82,6 @@ class OutageEstimate:
     trials: int
     seed: int
     empty_fraction: float
-
-
-def select_bulk(snr: np.ndarray) -> SelectionOutcome:
-    """One relay for all subcarriers, maximising its worst-subcarrier SNR.
-
-    Ties break to the lowest relay index.
-    """
-    snr = np.asarray(snr, dtype=float)
-    if snr.ndim != 2 or snr.shape[0] == 0:
-        raise NoCandidateError("need at least one relay")
-    worst = snr.min(axis=1)
-    m = int(np.argmax(worst))
-    k = snr.shape[1]
-    return SelectionOutcome(scheme=Scheme.BULK,
-                            chosen=np.full(k, m, dtype=int),
-                            achieved=snr[m].copy())
-
-
-def select_per_subcarrier(snr: np.ndarray) -> SelectionOutcome:
-    """Each subcarrier independently picks its best relay.
-
-    The same relay may serve several subcarriers; ties break to the
-    lowest relay index.
-    """
-    snr = np.asarray(snr, dtype=float)
-    if snr.ndim != 2 or snr.shape[0] == 0:
-        raise NoCandidateError("need at least one relay")
-    chosen = snr.argmax(axis=0)
-    achieved = snr[chosen, np.arange(snr.shape[1])]
-    return SelectionOutcome(scheme=Scheme.PER_SUBCARRIER,
-                            chosen=chosen, achieved=achieved)
-
-
-def trial_outage(topology: Topology, fading: FadingRealization,
-                 params: SystemParams, scheme: Scheme) -> bool:
-    """True iff this realisation is in outage under the given scheme.
-
-    An empty topology counts as outage.
-    """
-    if topology.n_relays == 0:
-        return True
-    snr = snr_matrix(params, topology, fading)
-    if scheme is Scheme.BULK:
-        outcome = select_bulk(snr)
-    else:
-        outcome = select_per_subcarrier(snr)
-    return bool(outcome.achieved.min() < params.threshold)
 
 
 @dataclass(frozen=True)
@@ -189,7 +128,7 @@ def _sampler(params: SystemParams, region: Region,
     a = params.path_loss
     k = params.subcarriers
     c = params.threshold / params.snr_budget
-    outer = region.sampling_radius()
+    outer = region.outer_radius()
     t_star = math.log(k)
     radius = min((t_star / c) ** (1.0 / a), outer)
     inner_mean = density * math.pi * radius * radius

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relayfield import (
-    FadingRealization,
-    Region,
+from relayfield import Region, SystemParams
+from reference import (
     RelayPoint,
-    SystemParams,
     Topology,
     draw_fading,
     e2e_cdf,

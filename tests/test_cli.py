@@ -1,10 +1,13 @@
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from relayfield import OutageEstimate
 from relayfield.cli import (
+    _OPTIONS,
     FIGURES,
     ExperimentConfig,
     ValidationError,
@@ -104,7 +107,7 @@ def test_analytic_sweep_csv_roundtrip(tmp_path):
     from relayfield import Region, SystemParams, outage_bulk
 
     out = tmp_path / "sweep.csv"
-    cfg = parse_config(["--mode", "analytic", "--lambda", "0.1,1",
+    cfg = parse_config(["--mode", "analytic", "--lambda", "0.1:1:2",
                         "--snr", "50,100", "--output", str(out)])
     run_sweep(cfg)
     rows = _read_rows(out)
@@ -118,6 +121,8 @@ def test_analytic_sweep_csv_roundtrip(tmp_path):
     meta = (tmp_path / "sweep.csv.meta").read_text()
     assert "mode = analytic" in meta
     assert "seed = 1" in meta
+    # a lo:hi:n grid is recorded as plain floats
+    assert "densities = [0.1, 1.0]" in meta.splitlines()
 
 
 def test_simulate_verify_and_worker_invariance(tmp_path):
@@ -154,8 +159,7 @@ def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
-    # two points of several blocks each on the untruncated plane, where
-    # SNR 1000 draws no relay from beyond a truncation radius
+    # two points of several blocks each on the plane
     out = tmp_path / "plane.csv"
     assert main(["--mode", "simulate", "--scheme", "both",
                  "--region", "plane", "--lambda", "0.1",
@@ -177,18 +181,34 @@ def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
     assert len(launched) == 2
 
 
-def test_meta_records_r_max_only_for_truncated_simulation(tmp_path):
-    def meta(*argv):
-        out = tmp_path / "run.csv"
-        assert main(["--region", "plane", "--lambda", "0.1", *argv,
-                     "--output", str(out)]) == 0
-        return (tmp_path / "run.csv.meta").read_text().splitlines()
-
-    assert "r_max = 20.0" in meta("--mode", "simulate", "--trials", "200",
-                                  "--rmax", "20")
-    for argv in (("--mode", "simulate", "--trials", "200"),
-                 ("--mode", "analytic"), ("--mode", "ratio")):
-        assert not any(line.startswith("r_max") for line in meta(*argv))
+def test_rmax_is_an_unknown_option(tmp_path, capsys):
+    # the plane is never truncated: --region disc --sigma R replaces --rmax R
+    out = tmp_path / "run.csv"
+    assert main(["--mode", "simulate", "--region", "plane", "--rmax", "20",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: unrecognized arguments: --rmax 20")
+    conf = tmp_path / "run.conf"
+    conf.write_text("mode = simulate\nregion = plane\nrmax = 20\n"
+                    f"output = {out}\n")
+    assert main(["--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'rmax'\n"
+    assert not out.exists()
+    # the disc of radius 8, drawn thinned beyond r*, verifies against its
+    # own quadrature
+    from relayfield import Region, SystemParams, outage_bulk, outage_ps
+    assert main(["--mode", "simulate", "--scheme", "both",
+                 "--region", "disc", "--sigma", "8", "--lambda", "0.05",
+                 "--snr", "100", "--trials", "20000", "--verify",
+                 "--output", str(out)]) == 0
+    params = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
+                          subcarriers=4, r_sd=5.0)
+    disc = Region.disc(8.0)
+    rows = _read_rows(out)
+    assert {row["scheme"]: float(row["p_analytic"]) for row in rows} == {
+        "bulk": outage_bulk(params, disc, 0.05),
+        "ps": outage_ps(params, disc, 0.05)}
+    assert [row["verify_ok"] for row in rows] == ["1", "1"]
 
 
 def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
@@ -209,25 +229,6 @@ def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
                  "--trials", "1000", "--seed", "1", "--verify",
                  "--output", str(out)]) == 0
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1", "1"]
-
-
-def test_verify_under_rmax_checks_against_the_disc(tmp_path):
-    # a plane truncated at --rmax 8 samples exactly the disc of radius 8,
-    # so that disc, not the untruncated plane, is the verify reference
-    from relayfield import Region, SystemParams, outage_bulk, outage_ps
-    out = tmp_path / "rmax.csv"
-    assert main(["--mode", "simulate", "--scheme", "both",
-                 "--region", "plane", "--rmax", "8", "--lambda", "0.05",
-                 "--snr", "100", "--trials", "20000", "--verify",
-                 "--output", str(out)]) == 0
-    params = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
-                          subcarriers=4, r_sd=5.0)
-    disc = Region.disc(8.0)
-    rows = _read_rows(out)
-    assert {row["scheme"]: float(row["p_analytic"]) for row in rows} == {
-        "bulk": outage_bulk(params, disc, 0.05),
-        "ps": outage_ps(params, disc, 0.05)}
-    assert [row["verify_ok"] for row in rows] == ["1", "1"]
 
 
 def test_ratio_mode(tmp_path):
@@ -338,7 +339,7 @@ def test_flags_and_config_file_give_equal_configs(tmp_path):
     # every option except --snr, which excludes --snr-db
     opts = {"mode": "simulate", "scheme": "both", "lambda": "0.1,0.5",
             "snr-db": "10:30:3", "region": "plane", "sigma": "4",
-            "rmax": "30", "rsd": "3", "K": "8", "alpha": "3", "s": "0.5",
+            "rsd": "3", "K": "8", "alpha": "3", "s": "0.5",
             "trials": "500", "seed": "7", "workers": "2", "psi": "0.01",
             "epsilon": "0.9,0.99", "output": "x.csv", "abs-tol": "1e-9",
             "rel-tol": "1e-7", "figure": "fig3"}
@@ -403,14 +404,13 @@ def test_file_values_get_the_flag_checks(tmp_path, key, text, flag_fails):
 
 def test_bounds_on_numeric_options():
     with pytest.raises(ValidationError) as exc:
-        parse_config(["--mode", "ratio", "--rmax", "-1", "--abs-tol", "0",
+        parse_config(["--mode", "ratio", "--abs-tol", "0",
                       "--rel-tol=-1e-8", "--epsilon", "0.5,1.5",
                       "--psi", "2", "--lambda", "0.1,-1", "--snr-db", "-4000",
                       "--workers", "0", "--K", "2.5"])
     assert exc.value.problems == [
         "--lambda must be >= 0, got 0.1,-1",
         "--snr-db must be > 0, got -4000",
-        "--rmax must be > 0, got -1",
         "--K: cannot parse '2.5'",
         "--workers must be >= 1, got 0",
         "--psi must be > 0 and <= 1, got 2",
@@ -435,6 +435,20 @@ def test_negative_exponent_values_reach_the_bound_checks(capsys):
     cfg = parse_config(["--mode", "analytic", "--lambda", "2e-3",
                         "--output", "-1e3.csv"])
     assert cfg.densities == [2e-3] and cfg.output == "-1e3.csv"
+
+
+def test_readme_option_table_lists_every_option():
+    # each table row pairs its field names with its flags, in order
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = set()
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[2].strip().startswith("`--"):
+            names = re.findall(r"`(\w+)`", cells[1])
+            flags = re.findall(r"`(--[\w-]+)`", cells[2])
+            assert len(names) == len(flags), line
+            listed |= set(zip(names, flags))
+    assert listed == {(opt.name, opt.flag) for opt in _OPTIONS}
 
 
 def test_malformed_flags_exit_1(capsys):

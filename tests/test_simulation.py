@@ -5,26 +5,28 @@ import numpy as np
 import pytest
 
 from relayfield import (
-    FadingRealization,
-    NoCandidateError,
     Region,
     Scheme,
     SystemParams,
-    Topology,
     block_length,
     block_rng,
-    draw_fading,
     estimate_outage,
     estimate_outage_both,
     estimate_throughput,
     outage_bulk,
     outage_ps,
+)
+from relayfield.simulation import _sampler, _simulate_chunk
+from reference import (
+    FadingRealization,
+    NoCandidateError,
+    Topology,
+    draw_fading,
     sample_topology,
     select_bulk,
     select_per_subcarrier,
     trial_outage,
 )
-from relayfield.simulation import _sampler, _simulate_chunk
 
 
 def test_select_bulk_example():
@@ -157,7 +159,7 @@ def _trial_by_trial(params, region, density, seed, trials):
             r_tail = (t[keep] / c) ** (1.0 / params.path_loss)
             # tail relays lie in the annulus r* < r < R
             assert np.all(r_tail >= s.inner_radius * (1.0 - 1e-12))
-            assert np.all(r_tail <= region.sampling_radius() * (1.0 + 1e-12))
+            assert np.all(r_tail <= region.outer_radius() * (1.0 + 1e-12))
             kept = len(r_tail)
             r = np.concatenate([r, r_tail])
             theta = np.concatenate([theta, 2.0 * math.pi * rng.random(kept)])
@@ -189,10 +191,10 @@ def test_chunk_matches_object_path(params):
         "sparse disc": (params, Region.disc(5.0), 0.08, 400),
         "dense disc": (replace(params, snr_budget=10.0), Region.disc(5.0),
                        2.0, 700),
-        "alpha 4, truncated plane": (
+        "alpha 4, disc 8": (
             replace(params, snr_budget=1000.0, path_loss=4.0,
                     subcarriers=8),
-            Region.plane(truncation_radius=8.0), 0.05, 300),
+            Region.disc(8.0), 0.05, 300),
     }
     n_blocks = {}
     for name, (p, region, density, trials) in cases.items():
@@ -209,7 +211,7 @@ def test_chunk_matches_object_path(params):
     assert n_blocks["dense disc"] > 1
     # the last two cases draw tail relays and the void count
     assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
-    assert 0 < _sampler(*cases["alpha 4, truncated plane"][:3]).void < 1
+    assert 0 < _sampler(*cases["alpha 4, disc 8"][:3]).void < 1
 
 
 def test_disc_without_tail_keeps_its_stream(params):
@@ -231,31 +233,28 @@ def _agrees(p_hat, p, trials):
 
 
 def test_thinned_sampler_agrees_with_quadrature(params):
-    # the untruncated plane at SNR 1000, K = 1 (r* = 0: every relay is a
-    # tail relay) and a truncated plane whose annulus r* < r < 20 is
-    # drawn thinned, which quadrature sees as the disc of radius 20
+    # the plane at SNR 1000, K = 1 (r* = 0: every relay is a tail relay)
+    # and a disc of radius 20 whose annulus r* < r < 20 is drawn thinned
     trials = 40_000
     cases = {
         "alpha 2, plane": (replace(params, snr_budget=1000.0),
-                           Region.plane(), Region.plane(), 0.002),
+                           Region.plane(), 0.002),
         "alpha 4, plane": (replace(params, snr_budget=1000.0, path_loss=4.0),
-                           Region.plane(), Region.plane(), 0.05),
-        "K 1, plane": (replace(params, subcarriers=1), Region.plane(),
-                       Region.plane(), 0.02),
-        "rmax 20": (params, Region.plane(truncation_radius=20.0),
-                    Region.disc(20.0), 0.005),
+                           Region.plane(), 0.05),
+        "K 1, plane": (replace(params, subcarriers=1), Region.plane(), 0.02),
+        "disc 20": (params, Region.disc(20.0), 0.005),
     }
-    for name, (p, region, exact, density) in cases.items():
+    for name, (p, region, density) in cases.items():
         s = _sampler(p, region, density)
         assert 0 < s.tail_mean, name
-        assert s.inner_radius < region.sampling_radius(), name
+        assert s.inner_radius < region.outer_radius(), name
         both = estimate_outage_both(p, region, density, trials, seed=31)
         for scheme, outage in ((Scheme.BULK, outage_bulk),
                                (Scheme.PER_SUBCARRIER, outage_ps)):
-            ref = outage(p, exact, density)
+            ref = outage(p, region, density)
             assert 0.01 < ref < 0.99, name
             assert _agrees(both[scheme].p_hat, ref, trials), (name, scheme)
-        if region.sampling_radius() == math.inf:
+        if region.outer_radius() == math.inf:
             assert both[Scheme.BULK].empty_fraction == 0.0
 
 
