@@ -181,9 +181,19 @@ def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
     assert len(launched) == 2
 
 
-def test_rmax_is_an_unknown_option(tmp_path, capsys):
-    # the plane is never truncated: --region disc --sigma R replaces --rmax R
-    out = tmp_path / "run.csv"
+def test_meta_records_r_max_only_for_truncated_simulation(tmp_path, capsys):
+    # the plane is never truncated: --region disc --sigma R replaces --rmax R,
+    # so --rmax and the config key rmax are unknown and no .meta has r_max
+    def meta(*argv):
+        out = tmp_path / "run.csv"
+        assert main(["--region", "plane", "--lambda", "0.1", *argv,
+                     "--output", str(out)]) == 0
+        return (tmp_path / "run.csv.meta").read_text().splitlines()
+
+    for argv in (("--mode", "simulate", "--trials", "200"),
+                 ("--mode", "analytic"), ("--mode", "ratio")):
+        assert not any(line.startswith("r_max") for line in meta(*argv))
+    out = tmp_path / "rmax.csv"
     assert main(["--mode", "simulate", "--region", "plane", "--rmax", "20",
                  "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
@@ -194,9 +204,13 @@ def test_rmax_is_an_unknown_option(tmp_path, capsys):
     assert main(["--config", str(conf)]) == 1
     assert capsys.readouterr().err == "error: unknown config key 'rmax'\n"
     assert not out.exists()
-    # the disc of radius 8, drawn thinned beyond r*, verifies against its
-    # own quadrature
+
+
+def test_verify_under_rmax_checks_against_the_disc(tmp_path):
+    # what --rmax 8 used to sample, the disc of radius 8 drawn thinned
+    # beyond r*, verifies against its own quadrature
     from relayfield import Region, SystemParams, outage_bulk, outage_ps
+    out = tmp_path / "disc8.csv"
     assert main(["--mode", "simulate", "--scheme", "both",
                  "--region", "disc", "--sigma", "8", "--lambda", "0.05",
                  "--snr", "100", "--trials", "20000", "--verify",
