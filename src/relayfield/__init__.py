@@ -21,13 +21,9 @@ from .analytic import (
     log_outage_bulk,
     lower_incomplete_gamma,
     outage_bulk,
-    outage_bulk_disc,
-    outage_bulk_plane,
     outage_bulk_plane_freespace,
     outage_floor,
     outage_ps,
-    outage_ps_disc,
-    outage_ps_plane,
     outage_ps_plane_freespace,
     tau_alpha,
     u_disc,

@@ -8,6 +8,10 @@ on a tensor Gauss-Legendre grid in (r, theta). Its radial range ends at
 the disc's radius, or where the kernel has fallen e**-40 below its peak
 bound with the neglected tail bounded in closed form, and its error
 estimate is the difference against the rule with twice the nodes.
+The integrals u(n) of H(n) come from there or, on the plane at
+alpha = 2, from the closed form `_u_freespace`; both feed the same
+outage formulas, with one inclusion-exclusion sum over subcarriers
+(`_inclusion_exclusion`).
 """
 from __future__ import annotations
 
@@ -252,26 +256,25 @@ def outage_bulk(params: SystemParams, region: Region, density: float,
     return math.exp(log_outage_bulk(params, region, density, q, subcarriers))
 
 
-def outage_bulk_disc(params: SystemParams, density: float, sigma: float,
-                     q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """exp(-2 * density * u(sigma, K)) on the finite disc."""
-    return outage_bulk(params, Region.disc(sigma), density, q)
+def _inclusion_exclusion(values) -> list[float]:
+    """binom(K, k) (-1)**(k+1) values[k-1] for k = 1..K, K = len(values)."""
+    big_k = len(values)
+    return [math.comb(big_k, k) * (-1) ** (k + 1) * v
+            for k, v in enumerate(values, start=1)]
 
 
-def outage_bulk_plane(params: SystemParams, density: float,
-                      q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Bulk outage over the infinite plane, any path loss exponent."""
-    return outage_bulk(params, Region.plane(), density, q)
-
-
-def _alternating_outage(k_total: int, inner_value) -> float:
-    """Sum binom(K,k) (-1)^(k+1) exp(-inner_value(k)) with a cancellation guard."""
-    if k_total > MAX_SUBCARRIERS_EXACT:
+def _outage_ps_from_u(density: float, u) -> float:
+    """Per-subcarrier outage from u(1..K), guarded against cancellation:
+    the inclusion-exclusion sum of exp(-2 density S(k)) over k, where
+    S(k) is the inclusion-exclusion sum of u(1..k)."""
+    big_k = len(u)
+    if big_k > MAX_SUBCARRIERS_EXACT:
         raise NumericalInstabilityError(
-            f"subcarrier count {k_total} exceeds the double-precision "
+            f"subcarrier count {big_k} exceeds the double-precision "
             f"cancellation limit {MAX_SUBCARRIERS_EXACT}")
-    terms = [math.comb(k_total, k) * (-1) ** (k + 1) * math.exp(-inner_value(k))
-             for k in range(1, k_total + 1)]
+    terms = _inclusion_exclusion([
+        math.exp(-2.0 * density * math.fsum(_inclusion_exclusion(u[:k])))
+        for k in range(1, big_k + 1)])
     total = math.fsum(terms)
     slack = 1e-12 + 1e-15 * max(abs(t) for t in terms)
     if total < -slack or total > 1.0 + slack:
@@ -286,41 +289,23 @@ def outage_ps(params: SystemParams, region: Region, density: float,
     """Per-subcarrier outage probability over either region."""
     if density < 0:
         raise ValueError("density must be >= 0")
-    big_k = params.subcarriers
-    u = _u_values(region, tuple(range(1, big_k + 1)), params, q)
-
-    def inner(k: int) -> float:
-        return 2.0 * density * math.fsum(
-            math.comb(k, n) * (-1) ** (n + 1) * u[n - 1]
-            for n in range(1, k + 1))
-
-    return _alternating_outage(big_k, inner)
+    return _outage_ps_from_u(density, _u_values(
+        region, tuple(range(1, params.subcarriers + 1)), params, q))
 
 
-def outage_ps_disc(params: SystemParams, density: float, sigma: float,
-                   q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Per-subcarrier outage on the finite disc (alternating binomial sum)."""
-    return outage_ps(params, Region.disc(sigma), density, q)
-
-
-def outage_ps_plane(params: SystemParams, density: float,
-                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Per-subcarrier outage over the infinite plane."""
-    return outage_ps(params, Region.plane(), density, q)
-
-
-def _require_freespace(params: SystemParams):
+def _u_freespace(params: SystemParams, n: float) -> float:
+    """Closed-form u_plane(n) at alpha = 2."""
     if params.path_loss != 2:
         raise DomainError("closed form requires path_loss == 2")
+    ns = n * params.threshold
+    return (math.pi * params.snr_budget / (4.0 * ns)
+            * math.exp(-params.r_sd**2 * ns / (2.0 * params.snr_budget)))
 
 
 def log_outage_bulk_plane_freespace(params: SystemParams,
                                     density: float) -> float:
     """Log of the free-space (alpha=2) plane bulk closed form."""
-    _require_freespace(params)
-    ks = params.subcarriers * params.threshold
-    return (-density * math.pi * params.snr_budget / (2.0 * ks)
-            * math.exp(-params.r_sd**2 * ks / (2.0 * params.snr_budget)))
+    return -2.0 * density * _u_freespace(params, params.subcarriers)
 
 
 def outage_bulk_plane_freespace(params: SystemParams, density: float) -> float:
@@ -330,17 +315,8 @@ def outage_bulk_plane_freespace(params: SystemParams, density: float) -> float:
 
 def outage_ps_plane_freespace(params: SystemParams, density: float) -> float:
     """Free-space (alpha=2) closed form of the plane per-subcarrier outage."""
-    _require_freespace(params)
-    s = params.threshold
-    budget = params.snr_budget
-
-    def inner(k: int) -> float:
-        return density * math.pi * math.fsum(
-            math.comb(k, n) * (-1) ** (n + 1) * budget / (2.0 * n * s)
-            * math.exp(-params.r_sd**2 * n * s / (2.0 * budget))
-            for n in range(1, k + 1))
-
-    return _alternating_outage(params.subcarriers, inner)
+    return _outage_ps_from_u(density, [
+        _u_freespace(params, n) for n in range(1, params.subcarriers + 1)])
 
 
 def tau_alpha(alpha: float, r_sd: float, sigma: float) -> float:

@@ -2,7 +2,7 @@
 
 Runs are batch-style: a mode, a parameter grid, a CSV output with a
 `.meta` text sidecar recording the fully resolved configuration. Exit
-codes: 0 success, 1 validation error, 2 numerical failure.
+codes: 0 success, 1 validation or domain error, 2 numerical failure.
 
 Three tables drive the module: `_MODES` maps each mode to the function
 that computes its rows, `_FIGURES` maps each figure preset to its own,
@@ -291,8 +291,9 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     region = cfg.region()
     rows = []
-    if len(cfg.snrs) < 2:
-        raise ValidationError(["mode diversity needs at least two --snr points"])
+    if len(cfg.snrs) < 2 or (np.diff(cfg.snrs) <= 0).any():
+        raise ValidationError(["mode diversity needs at least two increasing "
+                               "--snr points"])
     for density in cfg.densities:
         for lo, hi in zip(cfg.snrs[:-1], cfg.snrs[1:]):
             def log_curve(snr: float) -> float:
@@ -656,6 +657,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return 1
+    except analytic.DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (analytic.QuadratureError, analytic.NumericalInstabilityError,
             optimize.UnboundedOptimumError, NumericalFailure,

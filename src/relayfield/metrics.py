@@ -19,6 +19,7 @@ from .analytic import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureSettings,
+    _inclusion_exclusion,
     _integrate,
     _quad,
     exp_integral_E,
@@ -28,6 +29,8 @@ from .analytic import (
 )
 from .channel import SystemParams
 from .geometry import Region
+
+_CROSS_CHECK_RTOL = 1e-5
 
 
 class OutageUnderflowError(ArithmeticError):
@@ -83,29 +86,22 @@ def delta_k(k: int, params: SystemParams, region: Region,
 
 
 def _phi_from_deltas(density: float, deltas: Sequence[float]) -> float:
-    big_k = len(deltas)
-    return math.fsum(math.comb(big_k, k) * (-1) ** (k + 1)
-                     * math.exp(-density * deltas[k - 1])
-                     for k in range(1, big_k + 1))
+    return math.fsum(_inclusion_exclusion(
+        [math.exp(-density * d) for d in deltas]))
 
 
-def _phi_approx_from_deltas(density: float,
-                            deltas: Sequence[float]) -> float:
-    big_k = len(deltas)
-    quad_sum = math.fsum(math.comb(big_k, k) * (-1) ** (k + 1)
-                         * deltas[k - 1] ** 2
-                         for k in range(1, big_k + 1))
-    return 1.0 + 0.5 * density**2 * quad_sum
+def _quadratic_coefficient(deltas: Sequence[float]) -> float:
+    """The density**2 / 2 coefficient of phi's small-density expansion."""
+    return math.fsum(_inclusion_exclusion([d**2 for d in deltas]))
 
 
 def outage_ratio(params: SystemParams, region: Region, density: float,
-                 q: QuadratureSettings = DEFAULT_QUADRATURE,
-                 cross_check_rtol: float = 1e-5) -> RatioResult:
+                 q: QuadratureSettings = DEFAULT_QUADRATURE) -> RatioResult:
     """Exact outage ratio phi = Phi_ps / Phi_bulk at one density.
 
     Evaluates both the Delta-based alternating sum and the direct
     quotient of the two outage integrals; they are the same identity, so
-    disagreement beyond cross_check_rtol signals a numerical problem.
+    disagreement beyond _CROSS_CHECK_RTOL signals a numerical problem.
     """
     if density < 0:
         raise ValueError("density must be >= 0")
@@ -113,14 +109,13 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
     phi = _phi_from_deltas(density, deltas)
     quotient = outage_ps(params, region, density, q) / outage_bulk(
         params, region, density, q)
-    if not math.isclose(phi, quotient, rel_tol=cross_check_rtol,
-                        abs_tol=cross_check_rtol):
+    if not math.isclose(phi, quotient, rel_tol=_CROSS_CHECK_RTOL,
+                        abs_tol=_CROSS_CHECK_RTOL):
         raise ArithmeticError(
             f"ratio cross-check failed: Delta-sum {phi!r} vs quotient "
             f"{quotient!r}")
-    return RatioResult(phi=phi,
-                       phi_approx=_phi_approx_from_deltas(density, deltas),
-                       density=density)
+    approx = outage_ratio_approx(params, region, density, q)
+    return RatioResult(phi=phi, phi_approx=approx, density=density)
 
 
 def outage_ratio_approx(params: SystemParams, region: Region, density: float,
@@ -128,7 +123,8 @@ def outage_ratio_approx(params: SystemParams, region: Region, density: float,
     """Quadratic small-density approximation of the outage ratio."""
     if density < 0:
         raise ValueError("density must be >= 0")
-    return _phi_approx_from_deltas(density, _delta_table(params, region, q))
+    return 1.0 + 0.5 * density**2 * _quadratic_coefficient(
+        _delta_table(params, region, q))
 
 
 @dataclass(frozen=True)
@@ -152,17 +148,13 @@ def min_density_for_advantage(epsilon: float, params: SystemParams,
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     deltas = _delta_table(params, region, q)
-    big_k = len(deltas)
-    quad_sum = math.fsum(math.comb(big_k, k) * (-1) ** (k + 1)
-                         * deltas[k - 1] ** 2
-                         for k in range(1, big_k + 1))
+    quad_sum = _quadratic_coefficient(deltas)
     if epsilon == 1.0:
         return MinDensityResult(0.0, 0.0, epsilon)
-    radicand = 2.0 * (epsilon - 1.0) / quad_sum
-    if radicand < 0:
+    if not quad_sum < 0:
         raise DomainError("epsilon target inconsistent with the sign of the "
                           "quadratic coefficient")
-    approx = math.sqrt(radicand)
+    approx = math.sqrt(2.0 * (epsilon - 1.0) / quad_sum)
 
     def gap(density: float) -> float:
         return _phi_from_deltas(density, deltas) - epsilon

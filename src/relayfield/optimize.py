@@ -18,7 +18,7 @@ from .analytic import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureSettings,
-    _require_freespace,
+    _u_freespace,
     _u_region,
     log_outage_bulk,
     outage_bulk,
@@ -28,6 +28,7 @@ from .channel import SystemParams
 from .geometry import Region
 
 _K_CAP = 2**16
+_K_HI_START = 2.0  # first K of the doubling bracket
 
 
 class UnboundedOptimumError(RuntimeError):
@@ -59,7 +60,7 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     return subcarriers * (1.0 - phi)
 
 
-def _relaxed_optimum(kappa, k_hi_start: float = 2.0) -> float:
+def _relaxed_optimum(kappa) -> float:
     """Maximise a unimodal kappa over K > 0 by bounded Brent search.
 
     Doubling at integer K brackets the maximum: once kappa(2 k_hi) <=
@@ -68,7 +69,7 @@ def _relaxed_optimum(kappa, k_hi_start: float = 2.0) -> float:
     method (parabolic steps within golden section) then refines it to
     1e-6.
     """
-    lo, k_hi = 1e-9, k_hi_start
+    lo, k_hi = 1e-9, _K_HI_START
     best = kappa(k_hi)
     while (doubled := kappa(2.0 * k_hi)) > best:
         lo, k_hi, best = k_hi, 2.0 * k_hi, doubled
@@ -98,7 +99,8 @@ def optimize_K_unconstrained(params: SystemParams, region: Region,
     k_relaxed = _relaxed_optimum(kappa)
     k_floor = max(1, math.floor(k_relaxed))
     k_ceil = max(1, math.ceil(k_relaxed))
-    kappa_ceil, kappa_floor = kappa(k_ceil), kappa(k_floor)
+    kappa_ceil = kappa(k_ceil)
+    kappa_floor = kappa(k_floor) if k_floor < k_ceil else kappa_ceil
     if kappa_ceil >= kappa_floor:
         k_opt, kappa_opt = k_ceil, kappa_ceil
     else:
@@ -144,12 +146,9 @@ def optimize_K_constrained(params: SystemParams, region: Region,
                                       subcarriers=k) - log_psi,
             1.0, max(unconstrained.k_relaxed, 1.0 + 1e-9), xtol=1e-9)
     k_opt = max(1, math.floor(k_relaxed))
-
-    def kappa(k: float) -> float:
-        return throughput(k, params, region, density, q)
-
+    kappa_opt = throughput(k_opt, params, region, density, q)
     return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
-                              kappa_opt=kappa(k_opt), feasible=True, psi=psi)
+                              kappa_opt=kappa_opt, feasible=True, psi=psi)
 
 
 def _neg_log_ceiling(psi: float) -> float:
@@ -167,9 +166,4 @@ def cutoff_density(psi: float, params: SystemParams, region: Region,
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:
     """Free-space (alpha=2) approximation of the plane cut-off density."""
-    neg_log_psi = _neg_log_ceiling(psi)
-    _require_freespace(params)
-    s = params.threshold
-    budget = params.snr_budget
-    return (2.0 * s * neg_log_psi
-            / (math.pi * budget * math.exp(-params.r_sd**2 * s / (2.0 * budget))))
+    return _neg_log_ceiling(psi) / (2.0 * _u_freespace(params, 1.0))

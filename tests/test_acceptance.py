@@ -25,11 +25,9 @@ from relayfield import (
     optimize_K_constrained,
     optimize_K_unconstrained,
     outage_bulk,
-    outage_bulk_disc,
     outage_bulk_plane_freespace,
     outage_floor,
     outage_ps,
-    outage_ps_disc,
     outage_ratio,
     throughput,
 )
@@ -94,8 +92,8 @@ def test_criterion_2_closed_form_spot_values():
 def test_criterion_3_floor_convergence():
     floor = math.exp(-25.0 * math.pi)
     p = _params(budget=1e6)
-    rel_bulk = abs(outage_bulk_disc(p, 1.0, 5.0) - floor) / floor
-    rel_ps = abs(outage_ps_disc(p, 1.0, 5.0) - floor) / floor
+    rel_bulk = abs(outage_bulk(p, Region.disc(5.0), 1.0) - floor) / floor
+    rel_ps = abs(outage_ps(p, Region.disc(5.0), 1.0) - floor) / floor
     # void-probability check: lambda * sigma**2 = 0.25 means lambda = 0.01
     est = estimate_outage_both(_params(), DISC, 0.01, trials=100_000,
                                seed=303)[Scheme.BULK]
@@ -114,8 +112,8 @@ def test_criterion_4_asymptotic_validity():
         warnings.simplefilter("ignore")
         for budget in (1e2, 1e4, 1e6):
             p = _params(budget=budget)
-            exact_b = outage_bulk_disc(p, 1.0, 5.0)
-            exact_p = outage_ps_disc(p, 1.0, 5.0)
+            exact_b = outage_bulk(p, Region.disc(5.0), 1.0)
+            exact_p = outage_ps(p, Region.disc(5.0), 1.0)
             errs_bulk.append(
                 abs(asymptotic_bulk_disc(p, 1.0, 5.0) - exact_b) / exact_b)
             errs_ps.append(

@@ -19,13 +19,9 @@ from relayfield import (
     log_outage_bulk,
     lower_incomplete_gamma,
     outage_bulk,
-    outage_bulk_disc,
-    outage_bulk_plane,
     outage_bulk_plane_freespace,
     outage_floor,
     outage_ps,
-    outage_ps_disc,
-    outage_ps_plane,
     outage_ps_plane_freespace,
     tau_alpha,
     u_disc,
@@ -176,14 +172,14 @@ def test_integrator_raises_with_its_estimate_past_the_cap():
 def test_bulk_outage_spot_values(params, disc):
     assert outage_bulk(params, disc, 1.0) == pytest.approx(
         2.7448191127058575e-08, rel=1e-8)
-    assert outage_bulk_disc(params, 1.0, 5.0) == pytest.approx(
+    assert outage_bulk(params, Region.disc(5.0), 1.0) == pytest.approx(
         math.exp(-2.0 * u_disc(5.0, 4.0, params)), rel=1e-12)
     assert log_outage_bulk(params, disc, 1.0) == pytest.approx(
         -2.0 * 8.705482784086396, rel=1e-9)
 
 
 def test_ps_outage_spot_value(params):
-    assert outage_ps_disc(params, 1.0, 5.0) == pytest.approx(
+    assert outage_ps(params, Region.disc(5.0), 1.0) == pytest.approx(
         1.2371493662280298e-21, rel=1e-6)
 
 
@@ -199,6 +195,8 @@ def test_ps_collapses_to_bulk_for_single_subcarrier(disc):
     for density in (0.02, 0.1, 0.5):
         assert outage_ps(p, disc, density) == pytest.approx(
             outage_bulk(p, disc, density), rel=1e-10)
+        assert outage_ps_plane_freespace(p, density) == pytest.approx(
+            outage_bulk_plane_freespace(p, density), rel=1e-10)
 
 
 def test_ps_below_bulk(params, disc):
@@ -211,9 +209,9 @@ def test_plane_quadrature_matches_freespace_closed_forms(params):
     # two independent routes to the same number: Gauss-Legendre
     # quadrature over the cut-off plane vs the alpha = 2 closed forms
     for density in (0.05, 0.3, 1.0):
-        assert outage_bulk_plane(params, density) == pytest.approx(
+        assert outage_bulk(params, Region.plane(), density) == pytest.approx(
             outage_bulk_plane_freespace(params, density), rel=1e-10)
-        assert outage_ps_plane(params, density) == pytest.approx(
+        assert outage_ps(params, Region.plane(), density) == pytest.approx(
             outage_ps_plane_freespace(params, density), rel=1e-8)
 
 
@@ -239,8 +237,8 @@ def test_asymptotics_converge_to_exact():
     for budget in (1e4, 1e6):
         p = SystemParams(snr_budget=budget, path_loss=2.0, threshold=1.0,
                          subcarriers=4, r_sd=5.0)
-        exact_b = outage_bulk_disc(p, 1.0, 5.0)
-        exact_p = outage_ps_disc(p, 1.0, 5.0)
+        exact_b = outage_bulk(p, Region.disc(5.0), 1.0)
+        exact_p = outage_ps(p, Region.disc(5.0), 1.0)
         rel_errors_bulk.append(
             abs(asymptotic_bulk_disc(p, 1.0, 5.0) - exact_b) / exact_b)
         rel_errors_ps.append(
@@ -282,6 +280,9 @@ def test_subcarrier_cap(disc):
                      subcarriers=65, r_sd=5.0)
     with pytest.raises(NumericalInstabilityError):
         outage_ps(p, disc, 0.1)
+    # the quadrature and the closed forms share the guard
+    with pytest.raises(NumericalInstabilityError):
+        outage_ps_plane_freespace(p, 0.1)
 
 
 def test_lower_incomplete_gamma_against_quadrature():

@@ -344,6 +344,23 @@ def test_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "asymptotic", "--alpha", "3"], "tabulated only"),
+    # phi is identically 1 at K = 1, so no density reaches phi <= 0.5;
+    # Delta(1) is rounding noise there, exactly 0.0 at SNR 1000
+    (["--mode", "ratio", "--K", "1", "--epsilon", "0.5"], "epsilon target"),
+    (["--mode", "ratio", "--K", "1", "--epsilon", "0.5", "--snr", "1000"],
+     "epsilon target"),
+    (["--mode", "diversity", "--snr", "100,100"], "increasing --snr"),
+])
+def test_model_errors_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_figure_mode_requires_figure():
     with pytest.raises(ValidationError, match="requires --figure"):
         parse_config(["--mode", "figure"])

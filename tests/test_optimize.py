@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy import optimize as sopt
 
+import relayfield.optimize
 from relayfield import (
     Region,
     SystemParams,
@@ -75,6 +76,21 @@ def test_relaxed_optimum_needs_few_kappa_evaluations(alpha, region, density):
 
     _relaxed_optimum(kappa)
     assert len(calls) <= 20
+    assert len(set(calls)) == len(calls)
+
+
+def test_unconstrained_evaluates_each_k_once(monkeypatch):
+    # on the plane at 1e-9 the relaxed optimum lies below 1, so the
+    # floor and the ceiling both round to K = 1
+    calls = []
+
+    def counting(k, *args):
+        calls.append(k)
+        return throughput(k, *args)
+
+    monkeypatch.setattr(relayfield.optimize, "throughput", counting)
+    res = optimize_K_unconstrained(_params(), Region.plane(), 1e-9)
+    assert res.k_relaxed < 1 and res.k_opt == 1
     assert len(set(calls)) == len(calls)
 
 
