@@ -4,10 +4,12 @@ The exact results are integrals of the relay kernel
 H(n) = r * exp(-c * (r**alpha + r_mD**alpha)), c = n*s/(P_t/N_0),
 over the half-disc (a symmetry factor 2 covers theta in [pi, 2pi)).
 `_integrate` evaluates them for a whole vector of c in one numpy pass,
-on a tensor Gauss-Legendre grid in (r, theta). Its radial range ends at
-the disc's radius, or where the kernel has fallen e**-40 below its peak
-bound with the neglected tail bounded in closed form, and its error
-estimate is the difference against the rule with twice the nodes.
+on a tensor Gauss-Legendre grid in (r, theta). The cs of a call share
+one cached grid of r**alpha + r_mD**alpha (`_grid`), whose radial range
+ends at the disc's radius, or at the call's largest cut, where the
+kernel has fallen e**-40 below its peak bound, with the neglected tail
+bounded in closed form; its error estimate is the difference against
+the rule with twice the nodes.
 The integrals u(n) of H(n) come from there or, on the plane at
 alpha = 2, from the closed form `_u_freespace`; both feed the same
 outage formulas, with one inclusion-exclusion sum over subcarriers
@@ -78,22 +80,24 @@ MAX_SUBCARRIERS_EXACT = 64
 
 
 # The radial range ends where exp(-c r**alpha) has fallen e**-_CUT_NATS
-# below the kernel's peak bound exp(-2c (r_sd/2)**alpha).
+# below the kernel's peak bound exp(-2c (r_sd/2)**alpha); the cs of a
+# call share one grid, cut at the largest cut, the smallest c's.
 _CUT_NATS = 40.0
 # Nodes per panel of the first coarse rule; the rule it is checked
 # against, whose value is returned, has twice as many.
 _FIRST_NODES = 16
-# Grid values evaluated at once: keeps each batch temporary near 256 kB.
+# Grid values evaluated at once over a call's shared grid: keeps each
+# batch temporary near 256 kB.
 _BATCH_NODES = 2**15
 
 
-def _success(c, r, cos_theta, alpha: float, r_sd: float):
-    """exp(-c * (r**alpha + r_mD**alpha)): with c = n*s/(P_t/N_0), the
-    probability that a relay at (r, theta) clears both hops on n
+def _exponent(r, cos_theta, alpha: float, r_sd: float):
+    """r**alpha + r_mD**alpha at (r, theta): times c = n*s/(P_t/N_0), minus
+    the log of the probability that a relay there clears both hops on n
     subcarriers. Broadcasts over arrays."""
     r2 = r * r
     rmd2 = np.maximum(r_sd * r_sd + r2 - 2.0 * r_sd * r * cos_theta, 0.0)
-    return np.exp(-c * (r2 ** (alpha / 2.0) + rmd2 ** (alpha / 2.0)))
+    return r2 ** (alpha / 2.0) + rmd2 ** (alpha / 2.0)
 
 
 def integrand_H(n: float, r, theta, params: SystemParams):
@@ -104,7 +108,8 @@ def integrand_H(n: float, r, theta, params: SystemParams):
     if np.any(np.asarray(r) < 0):
         raise ValueError("r must be >= 0")
     c = n * params.threshold / params.snr_budget
-    return r * _success(c, r, np.cos(theta), params.path_loss, params.r_sd)
+    return r * np.exp(-c * _exponent(r, np.cos(theta), params.path_loss,
+                                     params.r_sd))
 
 
 def _quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
@@ -125,22 +130,33 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, n per panel between the edges of each row;
-    panels of zero width in every row are left out."""
+    """Nodes and weights, n per panel between consecutive edges; panels of
+    zero width are left out."""
     x, w = _legendre(n)
-    width = edges[:, 1:] - edges[:, :-1]
-    keep = width.max(axis=0) > 0
-    start, width = edges[:, :-1][:, keep, None], width[:, keep, None]
-    return ((start + width * x).reshape(len(edges), -1),
-            (width * w).reshape(len(edges), -1))
+    width = edges[1:] - edges[:-1]
+    keep = width > 0
+    start, width = edges[:-1][keep, None], width[keep, None]
+    return (start + width * x).ravel(), (width * w).ravel()
 
 
 @lru_cache(maxsize=8)
-def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and weights on [0, pi], with more nodes towards
-    theta = 0, where the mass gathers as c grows."""
-    theta, w = _panel_rule(np.array([[0.0, math.pi / 4.0, math.pi]]), n)
-    return np.cos(theta[0]), w[0]
+def _grid(alpha: float, r_sd: float, outer: float,
+          n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent table r**alpha + r_mD**alpha on the (r, theta) tensor
+    grid of n nodes per panel over [0, outer] x [0, pi], radial weights
+    r * w_r and angular weights: the c-independent part of a rule, shared
+    read-only by every c and every call that ends at the same radius."""
+    # radial panel ends: the kernel peaks near r_sd/2 for large c,
+    # r_mD**alpha has its kink at r_sd, and outer/4 bounds the far-field
+    # panel at small c
+    r, w_r = _panel_rule(np.minimum(
+        [0.0, 0.5 * r_sd, r_sd, max(r_sd, 0.25 * outer), outer], outer), n)
+    # more angular nodes towards theta = 0, where the mass gathers as c grows
+    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
+    grid = _exponent(r[:, None], np.cos(theta), alpha, r_sd), r * w_r, w_theta
+    for part in grid:
+        part.flags.writeable = False
+    return grid
 
 
 def _integrate(region: Region, cs, params: SystemParams,
@@ -150,9 +166,10 @@ def _integrate(region: Region, cs, params: SystemParams,
     each c of cs, where g = exp(-c * (r**alpha + r_mD**alpha)).
 
     h maps grid values of g to those of one or more integrands, the j-th
-    at most slopes[j] * g. Returns shape (len(slopes), len(cs)). The
-    error estimate is the difference against the rule with half the
-    nodes plus the bound on the cut-off tail. While an integral is above
+    at most slopes[j] * g. Returns shape (len(slopes), len(cs)). All cs
+    share one grid, cut at the largest of their cuts. The error estimate
+    is the difference against the rule with half the nodes plus the
+    bound on the cut-off tail at that cut. While an integral is above
     tolerance the nodes are doubled, up to q.max_subdivisions per panel,
     beyond which QuadratureError is raised.
     """
@@ -161,31 +178,20 @@ def _integrate(region: Region, cs, params: SystemParams,
     cs = np.asarray(cs, dtype=float)
     with np.errstate(divide="ignore"):
         cut = (_CUT_NATS / cs + 2.0 * (0.5 * r_sd) ** alpha) ** (1.0 / alpha)
-        outer = np.minimum(radius, cut)
+        outer = float(np.minimum(radius, cut.max()))
         # pi * int_outer^inf r exp(-c r**alpha) dr, which is at most
         # pi outer**(2-alpha) exp(-c outer**alpha) / (alpha c) as 2/alpha <= 1
         tail = np.outer(slopes, np.where(
             outer < radius, math.pi * outer ** (2.0 - alpha)
             * np.exp(-cs * outer**alpha) / (alpha * cs), 0.0))
-    # radial panel ends: the kernel peaks near r_sd/2 for large c,
-    # r_mD**alpha has its kink at r_sd, and outer/4 bounds the far-field
-    # panel at small c
-    edges = np.empty((cs.size, 5))
-    edges[:, :3] = [0.0, 0.5 * r_sd, r_sd]
-    edges[:, 3] = np.maximum(r_sd, 0.25 * outer)
-    edges[:, 4] = outer
-    np.minimum(edges, outer[:, None], out=edges)
 
     def rule(n: int) -> np.ndarray:
-        r, w_r = _panel_rule(edges, n)
-        cos_theta, w_theta = _angular_rule(n)
-        rw = r * w_r
-        step = max(1, _BATCH_NODES // (r.shape[1] * w_theta.size))
+        exponent, rw, w_theta = _grid(alpha, r_sd, outer, n)
+        step = max(1, _BATCH_NODES // exponent.size)
         parts = []
         for at in (slice(i, i + step) for i in range(0, cs.size, step)):
-            g = _success(cs[at, None, None], r[at, :, None], cos_theta,
-                         alpha, r_sd)
-            parts.append([(v @ w_theta * rw[at]).sum(axis=-1) for v in h(g)])
+            g = np.exp(-cs[at, None, None] * exponent)
+            parts.append([(v @ w_theta * rw).sum(axis=-1) for v in h(g)])
         return np.concatenate(parts, axis=1)
 
     n, coarse = 2 * _FIRST_NODES, rule(_FIRST_NODES)
@@ -263,18 +269,24 @@ def _inclusion_exclusion(values) -> list[float]:
             for k, v in enumerate(values, start=1)]
 
 
-def _outage_ps_from_u(density: float, u) -> float:
+@lru_cache(maxsize=64)
+def _inner_sums(u: tuple[float, ...]) -> tuple[float, ...]:
+    """S(k), the inclusion-exclusion sum of u(1..k), for k = 1..len(u);
+    cached, as sweeps reuse them across densities."""
+    return tuple(math.fsum(_inclusion_exclusion(u[:k]))
+                 for k in range(1, len(u) + 1))
+
+
+def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
     """Per-subcarrier outage from u(1..K), guarded against cancellation:
-    the inclusion-exclusion sum of exp(-2 density S(k)) over k, where
-    S(k) is the inclusion-exclusion sum of u(1..k)."""
+    the inclusion-exclusion sum of exp(-2 density S(k)) over k."""
     big_k = len(u)
     if big_k > MAX_SUBCARRIERS_EXACT:
         raise NumericalInstabilityError(
             f"subcarrier count {big_k} exceeds the double-precision "
             f"cancellation limit {MAX_SUBCARRIERS_EXACT}")
-    terms = _inclusion_exclusion([
-        math.exp(-2.0 * density * math.fsum(_inclusion_exclusion(u[:k])))
-        for k in range(1, big_k + 1)])
+    terms = _inclusion_exclusion([math.exp(-2.0 * density * s)
+                                  for s in _inner_sums(u)])
     total = math.fsum(terms)
     slack = 1e-12 + 1e-15 * max(abs(t) for t in terms)
     if total < -slack or total > 1.0 + slack:
@@ -315,8 +327,8 @@ def outage_bulk_plane_freespace(params: SystemParams, density: float) -> float:
 
 def outage_ps_plane_freespace(params: SystemParams, density: float) -> float:
     """Free-space (alpha=2) closed form of the plane per-subcarrier outage."""
-    return _outage_ps_from_u(density, [
-        _u_freespace(params, n) for n in range(1, params.subcarriers + 1)])
+    return _outage_ps_from_u(density, tuple(
+        _u_freespace(params, n) for n in range(1, params.subcarriers + 1)))
 
 
 def tau_alpha(alpha: float, r_sd: float, sigma: float) -> float:

@@ -311,6 +311,8 @@ def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     region = cfg.region()
     rows = []
     meta = {}
+    if any(density <= 0 for density in cfg.densities):
+        raise ValidationError(["mode optimize-k needs every --lambda > 0"])
     for density in cfg.densities:
         if cfg.psi is not None:
             res = optimize.optimize_K_constrained(params, region, density,

@@ -27,7 +27,7 @@ from relayfield import (
     u_disc,
     u_plane,
 )
-from relayfield.analytic import _quad
+from relayfield.analytic import _grid, _quad, _u_freespace, _u_values
 
 
 def _mc_integral(kernel, r_max, samples, seed):
@@ -167,6 +167,40 @@ def test_integrator_raises_with_its_estimate_past_the_cap():
     assert caught.value.error > 1e-12 * caught.value.estimate
     assert u_plane(32.0, p) == pytest.approx(caught.value.estimate,
                                              rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha, big_k, snr", [
+    (4.0, 32, 10.0), (4.0, 32, 1000.0), (2.0, 16, 10.0), (2.0, 16, 1000.0)])
+def test_shared_grid_keeps_every_u_within_tolerance(alpha, big_k, snr):
+    # u(1..K) share the grid cut for u(1); each must still meet the
+    # default tolerances against a tight per-n integral, or at alpha = 2
+    # against the closed form
+    p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
+                     subcarriers=big_k, r_sd=5.0)
+    ns = tuple(range(1, big_k + 1))
+    batched = _u_values(Region.plane(), ns, p, DEFAULT_QUADRATURE)
+    if alpha == 2.0:
+        refs = [_u_freespace(p, n) for n in ns]
+    else:
+        tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12)
+        refs = [_u_values(Region.plane(), (n,), p, tight)[0] for n in ns]
+    q = DEFAULT_QUADRATURE
+    for got, ref in zip(batched, refs):
+        assert abs(got - ref) <= max(q.abs_tol, q.rel_tol * abs(ref))
+
+
+def test_cold_u_reuses_the_disc_grid():
+    # the disc's grid ends at its radius for every n, so only the first
+    # cold u builds it
+    p = SystemParams(snr_budget=37.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    _grid.cache_clear()
+    u_disc(5.0, 1.25, p)
+    built = _grid.cache_info()
+    assert built.misses > 0
+    u_disc(5.0, 2.5, p)
+    after = _grid.cache_info()
+    assert after.misses == built.misses and after.hits > built.hits
 
 
 def test_bulk_outage_spot_values(params, disc):

@@ -352,6 +352,9 @@ def test_exit_codes(tmp_path, capsys):
     (["--mode", "ratio", "--K", "1", "--epsilon", "0.5", "--snr", "1000"],
      "epsilon target"),
     (["--mode", "diversity", "--snr", "100,100"], "increasing --snr"),
+    (["--mode", "optimize-k", "--lambda", "0"], "--lambda > 0"),
+    (["--mode", "optimize-k", "--lambda", "0.5,0", "--psi", "1e-3"],
+     "--lambda > 0"),
 ])
 def test_model_errors_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"
