@@ -485,7 +485,7 @@ class _Option(NamedTuple):
         values = value if isinstance(value, list) else [value]
         if not all(_COMPARE[op](v, limit)
                    for op, limit in limits for v in values):
-            rule = " and ".join(f"{op} {limit:g}" for op, limit in limits)
+            rule = " and ".join(f"{op} {limit}" for op, limit in limits)
             raise ValueError(f"{label} must be {rule}, got {text}")
         return value
 
@@ -511,7 +511,7 @@ _OPTIONS = (
     _Option("threshold", "--s", float, "SNR threshold, linear",
             bounds=(">", 0)),
     _Option("trials", "--trials", int, bounds=(">=", 1)),
-    _Option("seed", "--seed", int),
+    _Option("seed", "--seed", int, bounds=(">=", 0, "<=", 2**64 - 1)),
     _Option("workers", "--workers", int, bounds=(">=", 1)),
     _Option("psi", "--psi", float, "outage ceiling for optimize-k",
             bounds=(">", 0, "<=", 1)),

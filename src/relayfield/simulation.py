@@ -1,48 +1,57 @@
 """Monte Carlo estimation of outage and throughput under relay selection.
 
 Both selection schemes operate on a realised relay-by-subcarrier SNR
-matrix. Only relays that clear their first hop on at least one
-subcarrier can serve either scheme. With c = s/(P_t/N_0), a relay at
-distance r clears it on one subcarrier with probability p = exp(-c r^a),
-so by the Poisson marking and thinning theorems the sampler draws relays
-from the dominating intensity lambda * min(1, K p) and thins them
-exactly. That intensity is lambda inside r* = (ln K / c)^(1/a) and
-integrable beyond it, so the plane needs no truncation: the sampled
-region has outer radius R, the disc radius sigma, or infinity on the
-plane.
+matrix, and a relay serves a subcarrier only if both of its hops clear
+the threshold there. With c = s/(P_t/N_0), a relay at distance r from
+the source and r_md from the destination does so with probability
+g = p q, p = exp(-c r^a) and q = exp(-c r_md^a), independently on each
+subcarrier, so one uniform below g decides both hops. Relays that serve
+no subcarrier cannot serve either scheme, and by the Poisson marking
+and thinning theorems the sampler draws the others exactly. With
+q_hat = exp(-c |r - r_sd|^a) >= q, all relays inside r_in are drawn,
+where r_in is the outer root of K p q_hat = 1, and beyond it only
+proposals of the radial intensity lambda K p q_hat < lambda, thinned.
+So the plane needs no truncation: the sampled region has outer radius
+R, the disc radius sigma, or infinity on the plane.
 
 A run of n trials is cut into blocks of block_length(...) consecutive
 trials, and block b draws from one counter-based Philox stream keyed by
 (seed, b), in this order:
 
-* inner part, r < min(r*, R), a uniform Poisson disc: the relay counts
-  of all the block's trials, then the radii, the angles and the
-  (2, N, K) hop uniforms of all N relays, trial after trial. A disc with
-  r* >= sigma has only this part and keeps the draws of the brute-force
-  sampler that preceded the thinning.
-* tail part, r* < r < R, drawn only when that annulus is not empty: the
-  point counts of all trials, then for every point t = c r^a, whose law
-  is Gamma(2/a) truncated to the annulus, a forced subcarrier, K
-  first-hop uniforms and one acceptance uniform. A point clears its
-  first hop on the forced subcarrier and on each other one with
-  probability p, and is kept with probability 1/j, where j counts its
-  successes; the kept points are then the relays with at least one
-  first-hop success, each with its exact conditional first-hop pattern.
-  The kept points draw their angles and (N_kept, K) second-hop
-  uniforms.
+* inner part, r < r_in (at most R), a uniform Poisson disc: the relay
+  counts of all the block's trials, then the radii and the angles of all
+  N relays, trial after trial, then K uniforms per relay, relay after
+  relay. A relay serves subcarrier k iff its k-th uniform is below g.
+  r_in is 0 where K p q_hat < 1 everywhere, as at K = 1.
+* tail part, r_in < r < R, drawn only when that annulus is not empty:
+  the proposal counts of all trials, then one uniform per proposal that
+  inverts t = c r^a from the envelope t^(a-1) on [t_in, 1) and
+  t_b^(a-1) exp(-t) on [t_b, T], with a = 2/alpha, t_in = c r_in^alpha,
+  t_b = max(t_in, 1) and T = c R^alpha (the split of Ahrens and
+  Dieter's GS algorithm), then one acceptance uniform per proposal,
+  which must stay below (exp(-t) or (t/t_b)^(a-1)) * q_hat. The
+  survivors draw their angles, then a forced subcarrier each, then K
+  uniforms each, survivor after survivor: the forced subcarrier is
+  served with probability q/q_hat and every other one with probability
+  g. A survivor whose forced subcarrier is served is kept with
+  probability 1/j, where j counts its served subcarriers, by its
+  acceptance uniform again (given acceptance, that uniform over its
+  bound is uniform). Each success pattern S then has intensity exactly
+  lambda g^|S| (1 - g)^(K - |S|).
 * on a disc with a tail, last: how many of the trials with no inner
   and no kept relay are empty, Binomial(n, v), where v is the
-  probability that the annulus holds no relay that failed every first
-  hop. On the unbounded plane no trial is empty.
+  probability that the annulus holds no relay given that none of its
+  relays serves a subcarrier, exp(-lambda * integral over the annulus
+  of (1 - g)^K). On the unbounded plane no trial is empty.
 
 The block length depends only on the expected drawn relays per trial and
 K, and workers always receive whole blocks, so results depend on the
 seed and the trial count but are bitwise identical for any number of
 workers.
 
-The vectorised kernel reduces each block with segment reductions over
-the trials' relays. The tests hold it to a per-trial object pipeline
-(tests/reference.py) replayed on the same block streams.
+The vectorised kernel reduces each block with K row passes and segment
+reductions over the trials' relays. The tests hold it to a per-trial
+object pipeline (tests/reference.py) replayed on the same block streams.
 """
 from __future__ import annotations
 
@@ -51,17 +60,19 @@ import math
 from contextlib import nullcontext
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
+from scipy.optimize import brentq
 
 from .channel import SystemParams
 from .geometry import Region
 
-# Expected relay-subcarrier pairs per block. A block's hop gains then
-# take about 2 * 8 * DRAWS_PER_BLOCK bytes (512 KiB) whatever the
-# density, which measured faster than larger blocks, and a sparse field
-# still gets thousands of trials per numpy call.
+# Expected relay-subcarrier pairs per block. A block's uniforms then
+# take about 8 * DRAWS_PER_BLOCK bytes (256 KiB) whatever the density,
+# which measured faster than larger blocks, and a sparse field still
+# gets thousands of trials per numpy call.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
 
@@ -86,20 +97,25 @@ class OutageEstimate:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """Per-trial constants of the thinned sampler for one grid point.
+    """Per-trial constants of the two-hop thinned sampler at one grid point.
 
-    With a = 2/alpha, the tail's t = c r^alpha has the Gamma(a) law
-    truncated to [ln K, c R^alpha]; q_hi and q_span are the regularised
-    upper incomplete gamma Q(a, ln K) and Q(a, ln K) - Q(a, c R^alpha).
+    The tail proposes t = c r^alpha from an envelope of two segments:
+    t^(a-1) on [t_in, 1), of weight w_pow, and t_b^(a-1) exp(-t) on
+    [t_b, T], of weight w_exp, with a = 2/alpha, t_in = c r_in^alpha,
+    t_b = max(t_in, 1) and T = c R^alpha. Each proposal stands for the
+    radial intensity lambda K (2 pi / (alpha c^a)) times its envelope,
+    so tail_mean is that constant times w_pow + w_exp.
     """
 
     params: SystemParams
-    inner_radius: float  # min(r*, R)
+    inner_radius: float  # r_in, at most R
     inner_mean: float    # expected inner relays
-    tail_mean: float     # expected tail points before thinning; 0: no tail
-    q_hi: float = 0.0
-    q_span: float = 0.0
-    void: float = 0.0    # P(no relay in the annulus fails every first hop)
+    tail_mean: float     # expected tail proposals; 0: no tail
+    t_in: float = 0.0
+    t_top: float = math.inf
+    w_pow: float = 0.0
+    w_exp: float = 0.0
+    void: float = 0.0    # P(annulus empty | none of its relays serves)
 
     @property
     def length(self) -> int:
@@ -110,54 +126,96 @@ class _Sampler:
         return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
                        MAX_BLOCK))
 
-    def tail_t(self, u: np.ndarray) -> np.ndarray:
-        """c r^alpha of tail points, by inversion of uniforms u in [0, 1).
+    def propose(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tail proposals t = c r^alpha by inversion of the envelope at
+        uniforms u in [0, 1), and their envelope factor, exp(-t) or
+        (t/t_b)^(a-1). The share w_exp / (w_pow + w_exp) of u nearest 0
+        inverts the exponential segment, from T down; the rest inverts
+        the power-law segment, from t_in up."""
+        a = 2.0 / self.params.path_loss
+        t_b = max(self.t_in, 1.0)
+        w = u * (self.w_pow + self.w_exp)
+        on_exp = w < self.w_exp
+        # both segments' inversions for every u (cheaper than masked
+        # gathers), each finite where the other segment is drawn
+        t = np.where(on_exp,
+                     -np.log(math.exp(-self.t_top) + w * t_b ** (1.0 - a)),
+                     (self.t_in ** a + a * np.maximum(w - self.w_exp, 0.0))
+                     ** (1.0 / a))
+        return t, np.where(on_exp, (t / t_b) ** (a - 1.0), np.exp(-t))
 
-        For alpha 2, Q(1, t) = exp(-t) inverts over a thousand times
-        faster than gammainccinv.
-        """
-        q = self.q_hi - u * self.q_span
-        if self.params.path_loss == 2.0:
-            return -np.log(q)
-        return special.gammainccinv(2.0 / self.params.path_loss, q)
+
+def _inner_radius(params: SystemParams) -> float:
+    """r_in: the outer root of c (r^alpha + |r - r_sd|^alpha) = ln K, or 0
+    where the left side exceeds ln K everywhere (always at K = 1)."""
+    alpha, r_sd = params.path_loss, params.r_sd
+    level = math.log(params.subcarriers) * params.snr_budget / params.threshold
+
+    def excess(r: float) -> float:
+        return r ** alpha + abs(r - r_sd) ** alpha - level
+
+    if excess(0.5 * r_sd) >= 0:
+        return 0.0
+    if alpha == 2:
+        return 0.5 * (r_sd + math.sqrt(2.0 * level - r_sd * r_sd))
+    return brentq(excess, 0.5 * r_sd, level ** (1.0 / alpha), xtol=1e-12,
+                  rtol=1e-14)
 
 
+def _annulus_void(params: SystemParams, density: float, inner: float,
+                  outer: float) -> float:
+    """exp(-density * integral of (1 - g)^K over inner < r < outer): the
+    probability that the annulus holds no relay, given that none of its
+    relays serves a subcarrier."""
+    alpha, r_sd, k = params.path_loss, params.r_sd, params.subcarriers
+    c = params.threshold / params.snr_budget
+
+    def unserved(theta: float, r: float) -> float:
+        r_md2 = max(r_sd * r_sd + r * r - 2.0 * r_sd * r * math.cos(theta),
+                    0.0)
+        g = math.exp(-c * (r ** alpha + r_md2 ** (0.5 * alpha)))
+        return r * math.exp(k * math.log1p(-g))
+
+    # theta over [0, pi], doubled by symmetry
+    half, _ = integrate.dblquad(unserved, inner, outer, 0.0, math.pi,
+                                epsabs=0.0, epsrel=1e-10)
+    return math.exp(-2.0 * density * half)
+
+
+@lru_cache(maxsize=64)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """The sampler of one grid point; its void needs one quadrature."""
-    a = params.path_loss
-    k = params.subcarriers
+    """The sampler of one grid point; a disc with a tail needs one 2-D
+    quadrature for its void."""
+    alpha = params.path_loss
     c = params.threshold / params.snr_budget
     outer = region.outer_radius()
-    t_star = math.log(k)
-    radius = min((t_star / c) ** (1.0 / a), outer)
+    radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
     if density == 0 or radius == outer:
         return _Sampler(params, radius, inner_mean, 0.0)
-    shape = 2.0 / a
-    q_hi = float(special.gammaincc(shape, t_star))
-    q_span = q_hi - float(special.gammaincc(shape, c * outer ** a))
-    # lambda * K * integral of 2 pi r exp(-c r^a) dr over the annulus
-    tail_mean = (density * k * 2.0 * math.pi * math.gamma(shape)
-                 / (a * c ** shape) * q_span)
-    void = 0.0
-    if math.isfinite(outer):
-        # expected relays of the annulus that fail every first hop
-        failed, _ = integrate.quad(
-            lambda r: 2.0 * math.pi * r * (-math.expm1(-c * r ** a)) ** k,
-            radius, outer, epsabs=0.0, epsrel=1e-10, limit=200)
-        void = math.exp(-density * failed)
-    return _Sampler(params, radius, inner_mean, tail_mean, q_hi, q_span,
-                    void)
+    a = 2.0 / alpha
+    t_in = c * radius ** alpha
+    t_top = c * outer ** alpha
+    t_b = max(t_in, 1.0)
+    w_pow = (min(1.0, t_top) ** a - t_in ** a) / a if t_in < 1.0 else 0.0
+    w_exp = (t_b ** (a - 1.0) * (math.exp(-t_b) - math.exp(-t_top))
+             if t_b < t_top else 0.0)
+    tail_mean = (density * params.subcarriers * 2.0 * math.pi
+                 / (alpha * c ** a) * (w_pow + w_exp))
+    void = (_annulus_void(params, density, radius, outer)
+            if math.isfinite(outer) else 0.0)
+    return _Sampler(params, radius, inner_mean, tail_mean, t_in, t_top,
+                    w_pow, w_exp, void)
 
 
 def block_length(params: SystemParams, region: Region, density: float) -> int:
     """Trials per stream block at one grid point.
 
     A fixed function of the expected relays the sampler draws per trial
-    (inner and tail parts) and K, so that one block's hop draws stay
-    near DRAWS_PER_BLOCK values however dense the field is. It never
-    depends on the trial or worker count.
+    (inner relays and tail proposals) and K, so that one block's draws
+    stay near DRAWS_PER_BLOCK values however dense the field is. It
+    never depends on the trial or worker count.
     """
     return _sampler(params, region, density).length
 
@@ -176,37 +234,41 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _second_hop_bar(params: SystemParams, r: np.ndarray,
-                    theta: np.ndarray) -> np.ndarray:
-    """Per relay, the uniform a second-hop draw must reach to clear it.
-
-    A hop clears the threshold iff its gain -log1p(-u) is at least
-    c * dist**alpha, i.e. iff u >= -expm1(-c * dist**alpha): one expm1
-    per relay in place of one log per gain.
-    """
+def _second_hop(params: SystemParams, r: np.ndarray,
+                theta: np.ndarray) -> np.ndarray:
+    """c * r_md^alpha per relay, r_md its distance to the destination."""
     r_sd = params.r_sd
     r_md2 = np.maximum(
         r_sd * r_sd + r * r - 2.0 * r_sd * r * np.cos(theta), 0.0)
     c = params.threshold / params.snr_budget
-    return -np.expm1(-c * r_md2 ** (0.5 * params.path_loss))[:, None]
+    return c * r_md2 ** (0.5 * params.path_loss)
+
+
+def _uniforms(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """K uniforms for each of n relays, drawn relay after relay and
+    returned as a contiguous (K, n) array for the row passes."""
+    return np.ascontiguousarray(rng.random((n, k)).T)
 
 
 def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
-    """Per trial, whether one relay clears every subcarrier (bulk), and
-    per trial and subcarrier whether some relay clears it (ps).
+    """Per trial, whether one relay serves every subcarrier (bulk), and
+    per subcarrier and trial whether some relay serves it (ps, (K, n)).
 
-    ok holds the trials' relays one trial after another, counts[i] of
-    them for trial i.
+    ok is (K, N): its columns are the trials' relays one trial after
+    another, counts[i] of them for trial i.
     """
     bulk = np.zeros(len(counts), dtype=bool)
-    ps = np.zeros((len(counts), ok.shape[1]), dtype=bool)
-    if len(ok):
+    ps = np.zeros((ok.shape[0], len(counts)), dtype=bool)
+    if ok.shape[1]:
+        every = ok[0].copy()
+        for row in ok[1:]:
+            every &= row
         # segment starts of the non-empty trials; empty trials serve nobody
         nonempty = counts > 0
         starts = (np.cumsum(counts) - counts)[nonempty]
-        bulk[nonempty] = np.logical_or.reduceat(ok.all(axis=1), starts)
-        ps[nonempty] = np.logical_or.reduceat(ok, starts, axis=0)
+        bulk[nonempty] = np.logical_or.reduceat(every, starts)
+        ps[:, nonempty] = np.logical_or.reduceat(ok, starts, axis=1)
     return bulk, ps
 
 
@@ -215,41 +277,46 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     """(bulk outages, per-subcarrier outages, empty topologies) of one
     block, in the draw order of the module docstring."""
     params = s.params
-    a = params.path_loss
-    k = params.subcarriers
+    alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
     counts = rng.poisson(s.inner_mean, n_trials)
     n = int(counts.sum())
     r = s.inner_radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
-    u = rng.random((2, n, k))
-    ok = u[0] >= -np.expm1(-c * r ** a)[:, None]
-    ok &= u[1] >= _second_hop_bar(params, r, theta)
-    bulk, ps = _served(ok, counts)
+    g = np.exp(-c * r ** alpha - _second_hop(params, r, theta))
+    bulk, ps = _served(_uniforms(rng, n, k) < g, counts)
     if s.tail_mean == 0:
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
         tail_counts = rng.poisson(s.tail_mean, n_trials)
-        m = int(tail_counts.sum())
-        t = s.tail_t(rng.random(m))
+        owner = np.repeat(np.arange(n_trials), tail_counts)
+        t, envelope = s.propose(rng.random(len(owner)))
+        accept = rng.random(len(owner))
+        r = (t / c) ** (1.0 / alpha)
+        near = c * np.abs(r - params.r_sd) ** alpha  # -log q_hat
+        bound = envelope * np.exp(-near)
+        live = np.flatnonzero(accept < bound)
+        t, r, near, bound, accept, owner = (
+            t[live], r[live], near[live], bound[live], accept[live],
+            owner[live])
+        m = len(t)
+        theta = 2.0 * math.pi * rng.random(m)
         forced = rng.integers(k, size=m)
-        first = rng.random((m, k)) >= -np.expm1(-t)[:, None]
-        first[np.arange(m), forced] = True
-        keep = rng.random(m) * np.count_nonzero(first, axis=1) < 1.0
-        kept_counts = np.bincount(
-            np.repeat(np.arange(n_trials), tail_counts)[keep],
-            minlength=n_trials)
-        t, first = t[keep], first[keep]
-        r = (t / c) ** (1.0 / a)
-        theta = 2.0 * math.pi * rng.random(len(t))
-        first &= rng.random((len(t), k)) >= _second_hop_bar(params, r, theta)
-        bulk_tail, ps_tail = _served(first, kept_counts)
+        u = _uniforms(rng, m, k)
+        second = _second_hop(params, r, theta)
+        ok = u < np.exp(-t - second)
+        cols = np.arange(m)
+        ok[forced, cols] = u[forced, cols] < np.exp(near - second)
+        keep = np.flatnonzero(ok[forced, cols]
+                              & (accept * ok.sum(axis=0) < bound))
+        kept_counts = np.bincount(owner[keep], minlength=n_trials)
+        bulk_tail, ps_tail = _served(ok[:, keep], kept_counts)
         bulk |= bulk_tail
         ps |= ps_tail
         no_relay = np.count_nonzero((counts == 0) & (kept_counts == 0))
         n_empty = int(rng.binomial(no_relay, s.void))
     return (n_trials - int(np.count_nonzero(bulk)),
-            n_trials - int(np.count_nonzero(ps.all(axis=1))), n_empty)
+            n_trials - int(np.count_nonzero(ps.all(axis=0))), n_empty)
 
 
 def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,

@@ -441,11 +441,12 @@ def test_bounds_on_numeric_options():
         parse_config(["--mode", "ratio", "--abs-tol", "0",
                       "--rel-tol=-1e-8", "--epsilon", "0.5,1.5",
                       "--psi", "2", "--lambda", "0.1,-1", "--snr-db", "-4000",
-                      "--workers", "0", "--K", "2.5"])
+                      "--workers", "0", "--K", "2.5", "--seed", "-3"])
     assert exc.value.problems == [
         "--lambda must be >= 0, got 0.1,-1",
         "--snr-db must be > 0, got -4000",
         "--K: cannot parse '2.5'",
+        "--seed must be >= 0 and <= 18446744073709551615, got -3",
         "--workers must be >= 1, got 0",
         "--psi must be > 0 and <= 1, got 2",
         "--epsilon must be > 0 and <= 1, got 0.5,1.5",

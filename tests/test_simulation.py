@@ -22,9 +22,11 @@ from reference import (
     NoCandidateError,
     Topology,
     draw_fading,
+    relay_dest_distance,
     sample_topology,
     select_bulk,
     select_per_subcarrier,
+    snr_matrix,
     trial_outage,
 )
 
@@ -123,19 +125,56 @@ def test_block_rng_reproducible():
     assert not np.array_equal(a, d)
 
 
+def _hop_gains(params, r, theta, exponential):
+    """(2, N, K) hop gains that clear both hops iff exponential >=
+    c (r^alpha + r_md^alpha): each exponential split between the hops in
+    proportion to c r^alpha and c r_md^alpha."""
+    c = params.threshold / params.snr_budget
+    first = c * r ** params.path_loss
+    second = (c * relay_dest_distance(r, theta, params.r_sd)
+              ** params.path_loss)
+    total = (first + second)[:, None]
+    return np.stack([exponential * first[:, None] / total,
+                     exponential * second[:, None] / total])
+
+
+def _tail_proposal(s, u):
+    """(t, acceptance bound) of one tail proposal at uniform u: t = c r^a
+    by inversion of the envelope t^(a-1) on [t_in, 1) (weight w_pow) and
+    t_b^(a-1) exp(-t) on [t_b, T] (weight w_exp), and the bound
+    (exp(-t) or (t/t_b)^(a-1)) * exp(-c |r - r_sd|^alpha)."""
+    p = s.params
+    alpha = p.path_loss
+    a = 2.0 / alpha
+    c = p.threshold / p.snr_budget
+    t_b = max(s.t_in, 1.0)
+    w = u * (s.w_pow + s.w_exp)
+    if w < s.w_exp:
+        t = -math.log(math.exp(-s.t_top) + w * t_b ** (1.0 - a))
+        envelope = (t / t_b) ** (a - 1.0)
+    else:
+        t = (s.t_in ** a + a * (w - s.w_exp)) ** (1.0 / a)
+        envelope = math.exp(-t)
+    r = (t / c) ** (1.0 / alpha)
+    return t, envelope * math.exp(-c * abs(r - p.r_sd) ** alpha)
+
+
 def _trial_by_trial(params, region, density, seed, trials):
     """Slow reference on the kernel's block streams: each trial's inner
     and kept tail relays and their gains become a Topology and a
     FadingRealization for trial_outage.
 
-    A tail point's forced subcarrier gets the first-hop gain t plus an
-    exponential excess (the conditional law of a gain that clears t),
-    and the point is kept with probability 1/j, where j counts its
-    first-hop gains of at least t.
+    Every relay-subcarrier pair draws one uniform u, and E = -log u is
+    split into the two hop gains (_hop_gains), so the pair is served iff
+    u <= g. A tail survivor's forced subcarrier gets E = t + c |r -
+    r_sd|^alpha - log u instead, so it is served with probability
+    q / q_hat; the survivor is kept if that subcarrier is served and its
+    acceptance uniform times j, the subcarriers its SNR row serves, is
+    below its bound.
     """
     s = _sampler(params, region, density)
+    alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
-    k = params.subcarriers
     n_bulk = n_ps = n_empty = 0
     for b, first in enumerate(range(0, trials, s.length)):
         rng = block_rng(seed, b)
@@ -143,30 +182,38 @@ def _trial_by_trial(params, region, density, seed, trials):
         n = int(counts.sum())
         r = s.inner_radius * np.sqrt(rng.random(n))
         theta = 2.0 * math.pi * rng.random(n)
-        gains = -np.log1p(-rng.random((2, n, k)))
+        gains = _hop_gains(params, r, theta, -np.log(rng.random((n, k))))
         owner = np.repeat(np.arange(len(counts)), counts)
         if s.tail_mean > 0:
             tail_counts = rng.poisson(s.tail_mean, len(counts))
-            m = int(tail_counts.sum())
-            t = s.tail_t(rng.random(m))
-            forced = rng.integers(k, size=m)
-            g1 = -np.log1p(-rng.random((m, k)))
-            accept = rng.random(m)
-            keep = np.zeros(m, dtype=bool)
-            for i in range(m):
-                g1[i, forced[i]] += t[i]
-                keep[i] = accept[i] * np.sum(g1[i] >= t[i]) < 1.0
-            r_tail = (t[keep] / c) ** (1.0 / params.path_loss)
-            # tail relays lie in the annulus r* < r < R
+            proposals = np.array([_tail_proposal(s, u) for u in
+                                  rng.random(int(tail_counts.sum()))])
+            t, bound = proposals.reshape(-1, 2).T
+            accept = rng.random(len(t))
+            live = accept < bound
+            t, bound, accept = t[live], bound[live], accept[live]
+            m = len(t)
+            r_tail = (t / c) ** (1.0 / alpha)
+            # tail relays lie in the annulus r_in < r < R
             assert np.all(r_tail >= s.inner_radius * (1.0 - 1e-12))
             assert np.all(r_tail <= region.outer_radius() * (1.0 + 1e-12))
-            kept = len(r_tail)
-            r = np.concatenate([r, r_tail])
-            theta = np.concatenate([theta, 2.0 * math.pi * rng.random(kept)])
-            g2 = -np.log1p(-rng.random((kept, k)))
-            gains = np.concatenate([gains, np.stack([g1[keep], g2])], axis=1)
-            owner = np.concatenate(
-                [owner, np.repeat(np.arange(len(counts)), tail_counts)[keep]])
+            survivors = Topology(r_sm=r_tail,
+                                 theta=2.0 * math.pi * rng.random(m),
+                                 region=region, density=density)
+            forced = rng.integers(k, size=m)
+            exponential = -np.log(rng.random((m, k)))
+            exponential[np.arange(m), forced] += (
+                t + c * np.abs(r_tail - params.r_sd) ** alpha)
+            fading = FadingRealization(gains=_hop_gains(
+                params, r_tail, survivors.theta, exponential))
+            serves = snr_matrix(params, survivors, fading) >= params.threshold
+            keep = (serves[np.arange(m), forced]
+                    & (accept * serves.sum(axis=1) < bound))
+            r = np.concatenate([r, r_tail[keep]])
+            theta = np.concatenate([theta, survivors.theta[keep]])
+            gains = np.concatenate([gains, fading.gains[:, keep]], axis=1)
+            tail_owner = np.repeat(np.arange(len(counts)), tail_counts)
+            owner = np.concatenate([owner, tail_owner[live][keep]])
         no_relay = 0
         for trial in range(len(counts)):
             mine = owner == trial
@@ -176,8 +223,8 @@ def _trial_by_trial(params, region, density, seed, trials):
             no_relay += topo.n_relays == 0
             n_bulk += trial_outage(topo, fading, params, Scheme.BULK)
             n_ps += trial_outage(topo, fading, params, Scheme.PER_SUBCARRIER)
-        # relays that failed every first hop are not drawn: a trial
-        # without drawn relays is empty if the annulus holds none either
+        # relays that serve no subcarrier are not drawn: a trial without
+        # drawn relays is empty if the annulus holds none either
         n_empty += (no_relay if s.tail_mean == 0
                     else rng.binomial(no_relay, s.void))
     return n_bulk, n_ps, n_empty
@@ -195,6 +242,10 @@ def test_chunk_matches_object_path(params):
             replace(params, snr_budget=1000.0, path_loss=4.0,
                     subcarriers=8),
             Region.disc(8.0), 0.05, 300),
+        "alpha 3, K 2, disc 20": (
+            replace(params, snr_budget=1000.0, path_loss=3.0,
+                    subcarriers=2),
+            Region.disc(20.0), 0.01, 500),
     }
     n_blocks = {}
     for name, (p, region, density, trials) in cases.items():
@@ -209,17 +260,23 @@ def test_chunk_matches_object_path(params):
             # neither scheme's count is pinned at 0 or at trials
             assert 0 < expect[1] <= expect[0] < trials, name
     assert n_blocks["dense disc"] > 1
-    # the last two cases draw tail relays and the void count
+    # the last three cases draw tail relays and the void count
     assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
     assert 0 < _sampler(*cases["alpha 4, disc 8"][:3]).void < 1
+    # t_in < 1: the last case proposes from both envelope segments
+    both_segments = _sampler(*cases["alpha 3, K 2, disc 20"][:3])
+    assert both_segments.w_pow > 0 and both_segments.w_exp > 0
 
 
 def test_disc_without_tail_keeps_its_stream(params):
-    # with r* >= sigma the disc has no tail, and its counts are the ones
-    # the brute-force sampler drew before thinning, over several blocks
+    # with r_in >= sigma the disc has no tail: every relay is drawn, with
+    # one uniform per relay and subcarrier tested against g = p q, over
+    # several blocks. The pins were (990, 198, 6) and (134, 2, 0) while
+    # each pair drew two uniforms, one per hop; one uniform against g has
+    # the same law but is another stream.
     alpha_4 = replace(params, snr_budget=1000.0, path_loss=4.0)
-    for p, density, trials, pinned in ((params, 0.08, 4000, (990, 198, 6)),
-                                       (alpha_4, 0.3, 2000, (134, 2, 0))):
+    for p, density, trials, pinned in ((params, 0.08, 4000, (948, 227, 6)),
+                                       (alpha_4, 0.3, 2000, (107, 2, 0))):
         s = _sampler(p, Region.disc(5.0), density)
         assert s.tail_mean == 0 and s.inner_radius == 5.0
         n_blocks = -(-trials // s.length)
@@ -233,8 +290,10 @@ def _agrees(p_hat, p, trials):
 
 
 def test_thinned_sampler_agrees_with_quadrature(params):
-    # the plane at SNR 1000, K = 1 (r* = 0: every relay is a tail relay)
-    # and a disc of radius 20 whose annulus r* < r < 20 is drawn thinned
+    # the plane at SNR 1000, K = 1 (r_in = 0: every relay is a tail
+    # relay; at alpha 4 the power-law segment starts at t_in = 0), and
+    # discs of radius 8 and 20 whose annulus r_in < r < sigma is drawn
+    # thinned
     trials = 40_000
     cases = {
         "alpha 2, plane": (replace(params, snr_budget=1000.0),
@@ -242,8 +301,15 @@ def test_thinned_sampler_agrees_with_quadrature(params):
         "alpha 4, plane": (replace(params, snr_budget=1000.0, path_loss=4.0),
                            Region.plane(), 0.05),
         "K 1, plane": (replace(params, subcarriers=1), Region.plane(), 0.02),
+        "alpha 4, K 1, plane": (
+            replace(params, snr_budget=1000.0, path_loss=4.0, subcarriers=1),
+            Region.plane(), 0.05),
         "disc 20": (params, Region.disc(20.0), 0.005),
+        "alpha 3, disc 8": (replace(params, path_loss=3.0), Region.disc(8.0),
+                            0.05),
     }
+    power_law = _sampler(*cases["alpha 4, K 1, plane"])
+    assert power_law.t_in == 0 and power_law.w_pow > 0
     for name, (p, region, density) in cases.items():
         s = _sampler(p, region, density)
         assert 0 < s.tail_mean, name
@@ -259,16 +325,22 @@ def test_thinned_sampler_agrees_with_quadrature(params):
 
 
 def test_empty_fraction_with_a_thinned_tail(params):
-    # at SNR 10 r* = 3.7 < sigma = 5: the empty count must still follow
-    # the void probability of the whole disc
-    p = replace(params, snr_budget=10.0)
+    # the empty count must follow the void probability of the whole disc:
+    # at SNR 10 r_in = 3.3 < sigma = 5, and at alpha 4, K 2, SNR 100
+    # r_in = 0, so that every relay is a tail relay and the whole disc is
+    # the annulus of the two-hop void
     region = Region.disc(5.0)
-    assert _sampler(p, region, 0.02).tail_mean > 0
     trials = 40_000
-    est = estimate_outage(p, region, 0.02, Scheme.BULK, trials=trials,
-                          seed=37)
-    assert _agrees(est.empty_fraction, math.exp(-0.02 * region.area),
-                   trials)
+    for p, density, r_in in (
+            (replace(params, snr_budget=10.0), 0.02, 3.3),
+            (replace(params, path_loss=4.0, subcarriers=2), 0.02, 0.0)):
+        s = _sampler(p, region, density)
+        assert s.tail_mean > 0
+        assert s.inner_radius == pytest.approx(r_in, abs=0.05)
+        est = estimate_outage(p, region, density, Scheme.BULK,
+                              trials=trials, seed=37)
+        assert _agrees(est.empty_fraction,
+                       math.exp(-density * region.area), trials)
 
 
 def test_estimate_outage_zero_density(params):
