@@ -20,8 +20,9 @@ trials, and block b draws from one counter-based Philox stream keyed by
 
 * inner part, r < r_in (at most R), a uniform Poisson disc: the relay
   counts of all the block's trials, then the radii and the angles of all
-  N relays, trial after trial, then K uniforms per relay, relay after
-  relay. A relay serves subcarrier k iff its k-th uniform is below g.
+  N relays, trial after trial, then a (K, N) array of uniforms,
+  subcarrier after subcarrier, each row holding one uniform per relay.
+  A relay serves subcarrier k iff its uniform in row k is below g.
   r_in is 0 where K p q_hat < 1 everywhere, as at K = 1.
 * tail part, r_in < r < R, drawn only when that annulus is not empty:
   the proposal counts of all trials, then one uniform per proposal that
@@ -30,14 +31,14 @@ trials, and block b draws from one counter-based Philox stream keyed by
   t_b = max(t_in, 1) and T = c R^alpha (the split of Ahrens and
   Dieter's GS algorithm), then one acceptance uniform per proposal,
   which must stay below (exp(-t) or (t/t_b)^(a-1)) * q_hat. The
-  survivors draw their angles, then a forced subcarrier each, then K
-  uniforms each, survivor after survivor: the forced subcarrier is
-  served with probability q/q_hat and every other one with probability
-  g. A survivor whose forced subcarrier is served is kept with
-  probability 1/j, where j counts its served subcarriers, by its
-  acceptance uniform again (given acceptance, that uniform over its
-  bound is uniform). Each success pattern S then has intensity exactly
-  lambda g^|S| (1 - g)^(K - |S|).
+  survivors draw their angles, then a forced subcarrier each, then a
+  (K, M) array of uniforms in the same subcarrier-major order: the
+  forced subcarrier is served with probability q/q_hat and every other
+  one with probability g. A survivor whose forced subcarrier is served
+  is kept with probability 1/j, where j counts its served subcarriers,
+  by its acceptance uniform again (given acceptance, that uniform over
+  its bound is uniform). Each success pattern S then has intensity
+  exactly lambda g^|S| (1 - g)^(K - |S|).
 * on a disc with a tail, last: how many of the trials with no inner
   and no kept relay are empty, Binomial(n, v), where v is the
   probability that the annulus holds no relay given that none of its
@@ -49,9 +50,10 @@ K, and workers always receive whole blocks, so results depend on the
 seed and the trial count but are bitwise identical for any number of
 workers.
 
-The vectorised kernel reduces each block with K row passes and segment
-reductions over the trials' relays. The tests hold it to a per-trial
-object pipeline (tests/reference.py) replayed on the same block streams.
+The vectorised kernel reduces each block over the subcarrier axis of
+those (K, N) arrays and with segment reductions over the trials'
+relays. The tests hold it to a per-trial object pipeline
+(tests/reference.py) replayed on the same block streams.
 """
 from __future__ import annotations
 
@@ -156,8 +158,6 @@ def _inner_radius(params: SystemParams) -> float:
 
     if excess(0.5 * r_sd) >= 0:
         return 0.0
-    if alpha == 2:
-        return 0.5 * (r_sd + math.sqrt(2.0 * level - r_sd * r_sd))
     return brentq(excess, 0.5 * r_sd, level ** (1.0 / alpha), xtol=1e-12,
                   rtol=1e-14)
 
@@ -244,12 +244,6 @@ def _second_hop(params: SystemParams, r: np.ndarray,
     return c * r_md2 ** (0.5 * params.path_loss)
 
 
-def _uniforms(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """K uniforms for each of n relays, drawn relay after relay and
-    returned as a contiguous (K, n) array for the row passes."""
-    return np.ascontiguousarray(rng.random((n, k)).T)
-
-
 def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Per trial, whether one relay serves every subcarrier (bulk), and
@@ -261,13 +255,10 @@ def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     bulk = np.zeros(len(counts), dtype=bool)
     ps = np.zeros((ok.shape[0], len(counts)), dtype=bool)
     if ok.shape[1]:
-        every = ok[0].copy()
-        for row in ok[1:]:
-            every &= row
         # segment starts of the non-empty trials; empty trials serve nobody
         nonempty = counts > 0
         starts = (np.cumsum(counts) - counts)[nonempty]
-        bulk[nonempty] = np.logical_or.reduceat(every, starts)
+        bulk[nonempty] = np.logical_or.reduceat(ok.all(axis=0), starts)
         ps[:, nonempty] = np.logical_or.reduceat(ok, starts, axis=1)
     return bulk, ps
 
@@ -284,7 +275,7 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     r = s.inner_radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
     g = np.exp(-c * r ** alpha - _second_hop(params, r, theta))
-    bulk, ps = _served(_uniforms(rng, n, k) < g, counts)
+    bulk, ps = _served(rng.random((k, n)) < g, counts)
     if s.tail_mean == 0:
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
@@ -302,7 +293,7 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         m = len(t)
         theta = 2.0 * math.pi * rng.random(m)
         forced = rng.integers(k, size=m)
-        u = _uniforms(rng, m, k)
+        u = rng.random((k, m))
         second = _second_hop(params, r, theta)
         ok = u < np.exp(-t - second)
         cols = np.arange(m)
