@@ -190,11 +190,14 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
 
 
 def _sweep_pool(*cfgs: ExperimentConfig):
-    """Context of the one process pool the simulated points of cfgs share.
+    """The size and context of the one process pool the simulated points
+    of cfgs share.
 
-    The pool has as many processes as the point that uses the most,
-    since a forked pool starts all of its processes on the first task;
-    if that is one, there is no pool (None) and every point runs in this
+    The pool has as many processes as the point that uses the most
+    (simulation.workers_used: --workers is a ceiling, and a point is
+    split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
+    since a forked pool starts all of its processes on the first task.
+    If that is one, there is no pool (None) and every point runs in this
     process.
     """
     size = 1
@@ -207,12 +210,14 @@ def _sweep_pool(*cfgs: ExperimentConfig):
                 params = replace(cfg.system_params(), snr_budget=snr)
                 size = max(size, workers_used(params, region, density,
                                               cfg.trials, cfg.workers))
-    return ProcessPoolExecutor(size) if size > 1 else nullcontext()
+    return size, ProcessPoolExecutor(size) if size > 1 else nullcontext()
 
 
 def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
-    with _sweep_pool(cfg) as pool:
-        return _pooled_simulate_rows(cfg, pool)
+    size, lifetime = _sweep_pool(cfg)
+    with lifetime as pool:
+        columns, rows, meta = _pooled_simulate_rows(cfg, pool)
+    return columns, rows, {**meta, "pool_workers": size}
 
 
 def _pooled_simulate_rows(cfg: ExperimentConfig,
@@ -365,12 +370,13 @@ def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
                      verify=True)
             for alpha in (2.0, 4.0) for k in (2, 4)]
     rows = []
-    with _sweep_pool(*figs) as pool:
+    size, lifetime = _sweep_pool(*figs)
+    with lifetime as pool:
         for fig in figs:
             rows += [{**row, "p_sim": row["p_outage"]}
                      for row in _pooled_simulate_rows(fig, pool)[1]]
     return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
-            rows, {})
+            rows, {"pool_workers": size})
 
 
 def _fig5(cfg: ExperimentConfig) -> Sweep:

@@ -48,7 +48,8 @@ trials, and block b draws from one counter-based Philox stream keyed by
 The block length depends only on the expected drawn relays per trial and
 K, and workers always receive whole blocks, so results depend on the
 seed and the trial count but are bitwise identical for any number of
-workers.
+workers. A point is split across processes only where each gets at
+least MIN_BLOCKS_PER_WORKER blocks (workers_used).
 
 The vectorised kernel reduces each block over the subcarrier axis of
 those (K, N) arrays and with segment reductions over the trials'
@@ -77,6 +78,12 @@ from .geometry import Region
 # gets thousands of trials per numpy call.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
+# Fewest blocks worth a process of their own. A block costs about
+# 1.2-1.6 ms whatever the density, and starting and stopping a pool
+# costs 20-40 ms: on 2 cores, one point on 2 workers of a pool of its
+# own broke even with one process between 48 and 64 blocks, and was
+# faster in the median of three sweeps from 64 blocks up (BENCH_12.json).
+MIN_BLOCKS_PER_WORKER = 32
 
 
 class Scheme(enum.Enum):
@@ -222,10 +229,14 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
 
 def workers_used(params: SystemParams, region: Region, density: float,
                  trials: int, n_workers: int) -> int:
-    """Processes estimate_outage_both runs one grid point on: one per
-    block, at most n_workers."""
+    """Processes estimate_outage_both runs one grid point on.
+
+    n_workers is a ceiling: a point is split only so far that every
+    process gets at least MIN_BLOCKS_PER_WORKER blocks, and a point of
+    fewer than twice that runs in the calling process.
+    """
     n_blocks = -(-trials // block_length(params, region, density))
-    return max(1, min(n_workers, n_blocks))
+    return max(1, min(n_workers, n_blocks // MIN_BLOCKS_PER_WORKER))
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -336,16 +347,17 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     """Outage estimates for both schemes on a shared trial stream.
 
     Sharing realisations gives paired samples for ratio estimation and
-    halves the simulation cost when both schemes are wanted. Workers
-    receive whole blocks, so the result does not depend on n_workers.
-    Work for more than one worker goes to pool, or to a pool of this
+    halves the simulation cost when both schemes are wanted. The point
+    runs on workers_used(...) processes, at most n_workers, and each
+    receives whole blocks, so the result does not depend on n_workers.
+    Work for more than one process goes to pool, or to a pool of this
     call's own if none is given.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     s = _sampler(params, region, density)
     n_blocks = -(-trials // s.length)
-    n_chunks = max(1, min(n_workers, n_blocks))
+    n_chunks = workers_used(params, region, density, trials, n_workers)
     bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int).tolist()
     if n_chunks == 1:
         counts = [_simulate_chunk(s, seed, trials, 0, n_blocks)]

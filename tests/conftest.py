@@ -19,3 +19,30 @@ def disc():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools that run a task while the test runs, in order.
+
+    Each records its size (_max_workers) and whether it was shut down.
+    """
+    from relayfield import cli, simulation
+
+    launched = []
+
+    class Recorded(simulation.ProcessPoolExecutor):
+        # a pool starts its processes on its first task
+        def submit(self, *args, **kwargs):
+            if self not in launched:
+                self.stopped = False
+                launched.append(self)
+            return super().submit(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            self.stopped = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
+    return launched

@@ -140,45 +140,65 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_one_worker_pool_per_sweep(tmp_path, monkeypatch):
-    from relayfield import cli, simulation
+def test_one_worker_pool_per_sweep(tmp_path, pools):
+    from relayfield import Region, SystemParams, block_length, simulation
 
-    launched = []
-
-    class Recorded(simulation.ProcessPoolExecutor):
-        # a pool starts its processes on its first task
-        def submit(self, *args, **kwargs):
-            if self not in launched:
-                self.stopped = False
-                launched.append(self)
-            return super().submit(*args, **kwargs)
-
-        def shutdown(self, *args, **kwargs):
-            self.stopped = True
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
-    # two points of several blocks each on the plane
+    # two points of several blocks each on the plane; at SNR 1000 each of
+    # 2 workers gets more than the floor of blocks
     out = tmp_path / "plane.csv"
     assert main(["--mode", "simulate", "--scheme", "both",
                  "--region", "plane", "--lambda", "0.1",
                  "--snr", "100,1000", "--trials", "2000", "--workers", "2",
                  "--verify", "--output", str(out)]) == 0
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1"] * 4
-    assert len(launched) == 1 and launched[0].stopped
-    assert launched[0]._max_workers == 2
-    # points of at most 3 blocks start 3 of 8 workers
-    assert main(["--mode", "simulate", "--lambda", "0.05,0.1",
-                 "--trials", "2500", "--workers", "8",
+    assert len(pools) == 1 and pools[0].stopped
+    assert pools[0]._max_workers == 2
+    # a largest point of 3.5 floors of blocks starts 3 of 8 workers
+    params = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
+                          subcarriers=4, r_sd=5.0)
+    trials = (7 * simulation.MIN_BLOCKS_PER_WORKER
+              * block_length(params, Region.plane(), 0.1) // 2)
+    assert main(["--mode", "simulate", "--region", "plane",
+                 "--lambda", "0.1", "--snr", "100,1000",
+                 "--trials", str(trials), "--workers", "8",
                  "--output", str(tmp_path / "three.csv")]) == 0
-    assert len(launched) == 2 and launched[1].stopped
-    assert launched[1]._max_workers == 3
+    assert len(pools) == 2 and pools[1].stopped
+    assert pools[1]._max_workers == 3
     # every point fits in one block: no pool is started
     assert main(["--mode", "simulate", "--lambda", "0.1,0.2",
                  "--trials", "500", "--workers", "2",
                  "--output", str(tmp_path / "disc.csv")]) == 0
-    assert len(launched) == 2
+    assert len(pools) == 2
+    # points of 4 and 50 blocks, too few to pay for a pool: none is
+    # started, and the CSV is the one a single worker writes
+    dense = ["--mode", "simulate", "--scheme", "both", "--region", "plane",
+             "--lambda", "0.1", "--snr", "100,1000", "--trials", "400"]
+    for workers in (1, 2):
+        assert main([*dense, "--workers", str(workers),
+                     "--output", str(tmp_path / f"dense{workers}.csv")]) == 0
+    assert len(pools) == 2
+    assert ((tmp_path / "dense1.csv").read_bytes()
+            == (tmp_path / "dense2.csv").read_bytes())
+
+
+def test_meta_records_pool_workers(tmp_path):
+    # pool_workers is the size of the pool a sweep started, 1 if none;
+    # the CSV does not depend on it
+    def run(*argv):
+        out = tmp_path / "run.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        meta = (tmp_path / "run.csv.meta").read_text().splitlines()
+        return out.read_bytes(), [line for line in meta
+                                  if line.startswith("pool_workers")]
+
+    plane = ("--mode", "simulate", "--scheme", "both", "--region", "plane",
+             "--lambda", "0.1", "--snr", "100,1000", "--trials", "2000")
+    one = run(*plane, "--workers", "1")
+    assert one[1] == ["pool_workers = 1"]
+    assert run(*plane, "--workers", "2") == (one[0], ["pool_workers = 2"])
+    assert run("--mode", "simulate", "--lambda", "0.1,0.2", "--trials", "500",
+               "--workers", "2")[1] == ["pool_workers = 1"]
+    assert run("--mode", "analytic", "--lambda", "0.1")[1] == []
 
 
 def test_meta_records_r_max_only_for_truncated_simulation(tmp_path, capsys):
@@ -330,7 +350,11 @@ def test_figure_preset_smoke(tmp_path, figure):
     assert all("" not in row.values() for row in rows)
     if "alpha" in rows[0]:
         assert {row["alpha"] for row in rows} == {"2", "4"}
-    assert f"figure = {figure}" in (tmp_path / f"{figure}.csv.meta").read_text()
+    meta = (tmp_path / f"{figure}.csv.meta").read_text().splitlines()
+    assert f"figure = {figure}" in meta
+    # the presets that simulate record their pool; 200 trials need none
+    assert [line for line in meta if line.startswith("pool_workers")] == (
+        ["pool_workers = 1"] if figure in ("fig3", "fig4") else [])
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -16,7 +16,8 @@ from relayfield import (
     outage_bulk,
     outage_ps,
 )
-from relayfield.simulation import _sampler, _simulate_chunk
+from relayfield import simulation
+from relayfield.simulation import _sampler, _simulate_chunk, workers_used
 from reference import (
     FadingRealization,
     NoCandidateError,
@@ -365,7 +366,10 @@ def test_estimate_outage_matches_floor(params):
         floor * (1 - floor) / est.trials)
 
 
-def test_workers_do_not_change_results(params):
+def test_workers_do_not_change_results(params, pools, monkeypatch):
+    # 4 blocks on 3 processes: below the floor of blocks per worker, so
+    # the floor is lowered to 1 to make the point split at all
+    monkeypatch.setattr(simulation, "MIN_BLOCKS_PER_WORKER", 1)
     region = Region.disc(5.0)
     one = estimate_outage_both(params, region, 0.1, trials=4000, seed=5,
                                n_workers=1)
@@ -374,11 +378,15 @@ def test_workers_do_not_change_results(params):
     for scheme in Scheme:
         assert one[scheme].p_hat == three[scheme].p_hat
         assert one[scheme].empty_fraction == three[scheme].empty_fraction
+    assert [(pool._max_workers, pool.stopped) for pool in pools] == [
+        (3, True)]
 
 
-def test_worker_split_keeps_block_streams(params):
+def test_worker_split_keeps_block_streams(params, pools, monkeypatch):
     # trials not a multiple of the block length, and more workers than
-    # blocks: one block (no pool), and three blocks on 2 and 8 workers
+    # blocks: one block (no pool), and three blocks on 2 and 8 workers,
+    # split with the floor of blocks per worker lowered to 1
+    monkeypatch.setattr(simulation, "MIN_BLOCKS_PER_WORKER", 1)
     cases = ((params, Region.disc(5.0), 0.1, 1000, 1),
              (replace(params, snr_budget=10.0), Region.disc(5.0), 2.0, 150,
               3))
@@ -390,6 +398,25 @@ def test_worker_split_keeps_block_streams(params):
         for workers in (2, 8):
             assert estimate_outage_both(p, region, density, trials, seed=5,
                                         n_workers=workers) == one
+    assert [(pool._max_workers, pool.stopped) for pool in pools] == [
+        (2, True), (3, True)]
+
+
+def test_points_below_the_floor_run_in_process(params, pools):
+    # --workers is a ceiling: each process needs MIN_BLOCKS_PER_WORKER
+    # blocks, so 4 blocks stay in this process and 2.5 floors use 2 of 8
+    region = Region.disc(5.0)
+    length = block_length(params, region, 0.1)
+    floor = simulation.MIN_BLOCKS_PER_WORKER
+    for blocks, ceiling, used in ((4, 8, 1), (2 * floor - 1, 8, 1),
+                                  (2 * floor, 8, 2), (5 * floor // 2, 8, 2),
+                                  (3 * floor, 2, 2), (3 * floor, 1, 1)):
+        assert workers_used(params, region, 0.1, blocks * length,
+                            ceiling) == used
+    one = estimate_outage_both(params, region, 0.1, 4 * length, seed=5)
+    assert estimate_outage_both(params, region, 0.1, 4 * length, seed=5,
+                                n_workers=8) == one
+    assert pools == []
 
 
 def test_ps_outage_never_above_bulk(params):
