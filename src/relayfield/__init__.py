@@ -44,6 +44,7 @@ from .metrics import (
     outage_ratio_approx,
 )
 from .optimize import (
+    ConvergenceError,
     OptimizationResult,
     UnboundedOptimumError,
     cutoff_density,

@@ -9,7 +9,8 @@ one cached grid of r**alpha + r_mD**alpha (`_grid`), whose radial range
 ends at the disc's radius, or at the call's largest cut, where the
 kernel has fallen e**-40 below its peak bound, with the neglected tail
 bounded in closed form; its error estimate is the difference against
-the rule with twice the nodes.
+the rule with twice the nodes. The same pass can return the derivatives
+of u(n) in n (`_u_derivatives`), which the optimiser's Newton steps use.
 The integrals u(n) of H(n) come from there or, on the plane at
 alpha = 2, from the closed form `_u_freespace`; both feed the same
 outage formulas, with one inclusion-exclusion sum over subcarriers
@@ -161,37 +162,59 @@ def _grid(alpha: float, r_sd: float, outer: float,
 
 def _integrate(region: Region, cs, params: SystemParams,
                q: QuadratureSettings, what: str,
-               h=lambda g: (g,), slopes=(1.0,)) -> np.ndarray:
+               h=lambda g: (g,), slopes=(1.0,), moments: int = 0
+               ) -> np.ndarray:
     """Integrals of r * h(g) over the half region, [0, pi] in theta, for
-    each c of cs, where g = exp(-c * (r**alpha + r_mD**alpha)).
+    each c of cs, where g = exp(x) and x = -c * (r**alpha + r_mD**alpha).
 
     h maps grid values of g to those of one or more integrands, the j-th
-    at most slopes[j] * g. Returns shape (len(slopes), len(cs)). All cs
-    share one grid, cut at the largest of their cuts. The error estimate
-    is the difference against the rule with half the nodes plus the
-    bound on the cut-off tail at that cut. While an integral is above
-    tolerance the nodes are doubled, up to q.max_subdivisions per panel,
-    beyond which QuadratureError is raised.
+    at most slopes[j] * g. moments = m appends m rows, the integrals of
+    r * x**j * g for j = 1..m: c**j times the j-th derivative in c of
+    the integral of r * g. Returns shape (len(slopes) + m, len(cs)). All
+    cs share one grid, cut at the largest of their cuts. The error
+    estimate is the difference against the rule with half the nodes plus
+    a closed-form bound on the cut-off tail at that cut: slopes[j] times
+    that of g for the rows of h, and one from the upper incomplete gamma
+    function for the moment rows. Every row must meet the tolerance.
+    While one is above it the nodes are doubled, up to
+    q.max_subdivisions per panel, beyond which QuadratureError is raised.
     """
     alpha, r_sd = params.path_loss, params.r_sd
     radius = region.outer_radius()
     cs = np.asarray(cs, dtype=float)
     with np.errstate(divide="ignore"):
         cut = (_CUT_NATS / cs + 2.0 * (0.5 * r_sd) ** alpha) ** (1.0 / alpha)
-        outer = float(np.minimum(radius, cut.max()))
-        # pi * int_outer^inf r exp(-c r**alpha) dr, which is at most
-        # pi outer**(2-alpha) exp(-c outer**alpha) / (alpha c) as 2/alpha <= 1
-        tail = np.outer(slopes, np.where(
-            outer < radius, math.pi * outer ** (2.0 - alpha)
-            * np.exp(-cs * outer**alpha) / (alpha * cs), 0.0))
+    outer = float(np.minimum(radius, cut.max()))
+    tail = np.zeros((len(slopes) + moments, cs.size))
+    if outer < radius:
+        # Past the cut y = c (r**alpha + r_mD**alpha) >= c r**alpha >=
+        # X = c outer**alpha >= _CUT_NATS, where y**j e**-y falls with y,
+        # so the tail of |x**j| g is at most
+        # pi int_outer^inf r (c r**alpha)**j exp(-c r**alpha) dr
+        #     = pi Gamma(2/alpha + j, X) / (alpha c**(2/alpha)).
+        # As Gamma(a, X) <= X**(a-1) e**-X max(1, X / (X - a + 1)), the
+        # bound of g (j = 0, a <= 1) is pi outer**(2-alpha) e**-X / (alpha c)
+        # and that of x**j g is X**j X / (X - 2/alpha - j + 1) times it.
+        x_cut = cs * outer**alpha
+        g_tail = (math.pi * outer ** (2.0 - alpha) * np.exp(-x_cut)
+                  / (alpha * cs))
+        tail[:len(slopes)] = np.outer(slopes, g_tail)
+        for j in range(1, moments + 1):
+            tail[len(slopes) + j - 1] = (g_tail * x_cut ** (j + 1)
+                                         / (x_cut - 2.0 / alpha - j + 1.0))
 
     def rule(n: int) -> np.ndarray:
         exponent, rw, w_theta = _grid(alpha, r_sd, outer, n)
         step = max(1, _BATCH_NODES // exponent.size)
         parts = []
         for at in (slice(i, i + step) for i in range(0, cs.size, step)):
-            g = np.exp(-cs[at, None, None] * exponent)
-            parts.append([(v @ w_theta * rw).sum(axis=-1) for v in h(g)])
+            x = -cs[at, None, None] * exponent
+            g = np.exp(x)
+            rows, power = list(h(g)), g
+            for _ in range(moments):
+                power = x * power
+                rows.append(power)
+            parts.append([(v @ w_theta * rw).sum(axis=-1) for v in rows])
         return np.concatenate(parts, axis=1)
 
     n, coarse = 2 * _FIRST_NODES, rule(_FIRST_NODES)
@@ -219,6 +242,19 @@ def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
         raise DomainError("plane integral diverges for n <= 0")
     return tuple(_integrate(region, cs, params, q,
                             f"u over the {region.kind}")[0].tolist())
+
+
+@lru_cache(maxsize=4096)
+def _u_derivatives(region: Region, n: float, params: SystemParams,
+                   q: QuadratureSettings) -> tuple[float, float, float]:
+    """u(n), u'(n) and u''(n) from one integrator pass; cached, so that
+    repeated solves reuse them. With x = -c (r**alpha + r_mD**alpha),
+    u' = int r x g / n and u'' = int r x**2 g / n**2."""
+    c = n * params.threshold / params.snr_budget
+    u, first, second = _integrate(region, (c,), params, q,
+                                  f"u and its derivatives over the "
+                                  f"{region.kind}", moments=2)[:, 0]
+    return float(u), float(first) / n, float(second) / (n * n)
 
 
 def u_disc(sigma: float, n: float, params: SystemParams,

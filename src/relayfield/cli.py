@@ -670,8 +670,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (analytic.QuadratureError, analytic.NumericalInstabilityError,
-            optimize.UnboundedOptimumError, NumericalFailure,
-            ArithmeticError) as exc:
+            optimize.UnboundedOptimumError, optimize.ConvergenceError,
+            NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(rows)} rows to {cfg.output}")

@@ -1,26 +1,27 @@
 """Subcarrier-count optimisation for bulk selection.
 
-Throughput kappa(K, density) = K * (1 - Phi_bulk(K)) is unimodal in the
-relaxed real-valued subcarrier count, though not globally concave (its
-tail turns convex), so a doubling bracket followed by bounded Brent
-search finds the relaxed optimum; integer optima follow the stated
-rounding rules. A cut-off density marks where an outage ceiling becomes
-unattainable even at K = 1.
+Throughput kappa(K, density) = K * (1 - Phi_bulk(K)), with
+Phi_bulk = exp(-2 density u(K)), is unimodal in the relaxed real-valued
+subcarrier count, though not globally concave (its tail turns convex).
+A doubling bracket at integer K holds its maximum, and safeguarded
+Newton steps on kappa'(K) = 0 refine it, each from one integrator pass
+that returns u, u' and u'' together. Under an outage ceiling psi the
+relaxed optimum is the root of log u(K) = log(-log psi / (2 density)),
+found the same way. Integer optima follow the stated rounding rules and
+are evaluated at integer K only. A cut-off density marks where an
+outage ceiling becomes unattainable even at K = 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy import optimize as sopt
-
 from .analytic import (
     DEFAULT_QUADRATURE,
-    DomainError,
     QuadratureSettings,
+    _u_derivatives,
     _u_freespace,
     _u_region,
-    log_outage_bulk,
     outage_bulk,
     outage_floor,
 )
@@ -29,10 +30,22 @@ from .geometry import Region
 
 _K_CAP = 2**16
 _K_HI_START = 2.0  # first K of the doubling bracket
+# A Newton step of size d leaves an error near d**2 / K after it, as
+# kappa and log u vary on the scale of K; stopping once d**2 <= _STEP_SQ * K
+# leaves a few 1e-9 in K at most (1.5e-10 measured over the fig7, fig8 and
+# plane optimize-k grids), far below the 1e-6 the solves promise.
+_STEP_SQ = 1e-9
+# Bisection alone narrows the widest bracket, 2 * _K_CAP, below any
+# accepted step within about 40 halvings.
+_MAX_STEPS = 60
 
 
 class UnboundedOptimumError(RuntimeError):
     """Bracket expansion ran past the cap; parameters are degenerate."""
+
+
+class ConvergenceError(RuntimeError):
+    """A Newton search hit its step cap without converging."""
 
 
 @dataclass(frozen=True)
@@ -60,25 +73,71 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     return subcarriers * (1.0 - phi)
 
 
-def _relaxed_optimum(kappa) -> float:
-    """Maximise a unimodal kappa over K > 0 by bounded Brent search.
+def _newton(f, k: float, lo: float, hi: float, what: str) -> float:
+    """Root of a decreasing f inside (lo, hi), from k.
+
+    f(k) returns the value and slope of f at k, and each value narrows
+    the bracket. A step that leaves the bracket, or a slope that is not
+    negative, is replaced by bisection. Returns k plus the first step
+    short enough (_STEP_SQ) without evaluating f there, or k where f is
+    0. After _MAX_STEPS values without either, raises ConvergenceError.
+    """
+    for _ in range(_MAX_STEPS):
+        value, slope = f(k)
+        if value > 0:
+            lo = k
+        elif value < 0:
+            hi = k
+        else:
+            return k
+        step = -value / slope if slope < 0 else math.nan
+        if lo < k + step < hi:
+            if step * step <= _STEP_SQ * k:
+                return k + step
+            k += step
+        else:
+            k = 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"{what} did not converge in {_MAX_STEPS} Newton steps "
+        f"(bracket [{lo!r}, {hi!r}])")
+
+
+def _peak(params: SystemParams, region: Region, density: float,
+          q: QuadratureSettings) -> float:
+    """Relaxed maximiser of kappa over K > 0.
 
     Doubling at integer K brackets the maximum: once kappa(2 k_hi) <=
     kappa(k_hi) it lies below 2 k_hi, and above k_hi / 2 if the loop
-    doubled at least once (kappa(k_hi) > kappa(k_hi / 2)). Brent's
-    method (parabolic steps within golden section) then refines it to
-    1e-6.
+    doubled at least once (kappa(k_hi) > kappa(k_hi / 2)), else above
+    0, where kappa vanishes. Newton steps on kappa' = 0 start from the
+    vertex of the parabola through the bracket's three points, with
+    kappa' = 1 - Phi + 2 density K u' Phi and
+    kappa'' = Phi (4 density u' + 2 density K u'' - 4 density**2 K u'**2).
     """
-    lo, k_hi = 1e-9, _K_HI_START
+    def kappa(k: float) -> float:
+        return throughput(k, params, region, density, q)
+
+    lo, kappa_lo, k_hi = 0.0, 0.0, _K_HI_START
     best = kappa(k_hi)
     while (doubled := kappa(2.0 * k_hi)) > best:
-        lo, k_hi, best = k_hi, 2.0 * k_hi, doubled
+        lo, kappa_lo, k_hi, best = k_hi, best, 2.0 * k_hi, doubled
         if k_hi > _K_CAP:
             raise UnboundedOptimumError(
                 f"throughput still increasing past K = {_K_CAP}")
-    res = sopt.minimize_scalar(lambda k: -kappa(k), bounds=(lo, 2.0 * k_hi),
-                               method="bounded", options={"xatol": 1e-6})
-    return float(res.x)
+    hi = 2.0 * k_hi
+    w_lo, w_hi = k_hi - lo, hi - k_hi
+    d_lo, d_hi = best - kappa_lo, best - doubled
+    vertex = k_hi + 0.5 * (w_hi**2 * d_lo - w_lo**2 * d_hi) / (
+        w_hi * d_lo + w_lo * d_hi)
+
+    def slope(k: float) -> tuple[float, float]:
+        u, du, d2u = _u_derivatives(region, k, params, q)
+        phi = math.exp(-2.0 * density * u)
+        return (2.0 * density * k * du * phi - math.expm1(-2.0 * density * u),
+                phi * density * (4.0 * du + 2.0 * k * d2u
+                                 - 4.0 * density * k * du * du))
+
+    return _newton(slope, vertex, lo, hi, "throughput maximum")
 
 
 def optimize_K_unconstrained(params: SystemParams, region: Region,
@@ -96,7 +155,7 @@ def optimize_K_unconstrained(params: SystemParams, region: Region,
     def kappa(k: float) -> float:
         return throughput(k, params, region, density, q)
 
-    k_relaxed = _relaxed_optimum(kappa)
+    k_relaxed = _peak(params, region, density, q)
     k_floor = max(1, math.floor(k_relaxed))
     k_ceil = max(1, math.ceil(k_relaxed))
     kappa_ceil = kappa(k_ceil)
@@ -124,27 +183,28 @@ def optimize_K_constrained(params: SystemParams, region: Region,
     if density <= 0:
         raise ValueError("density must be > 0")
 
-    def phi(k: float) -> float:
-        return outage_bulk(params, region, density, q, subcarriers=k)
-
-    if region.kind == "disc" and psi < outage_floor(density, region.area):
-        return OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
-                                  feasible=False, psi=psi)
-    if phi(1.0) > psi:
+    # Phi <= psi where u >= target, and u falls with K
+    target = _neg_log_ceiling(psi) / (2.0 * density)
+    if ((region.kind == "disc" and psi < outage_floor(density, region.area))
+            or _u_region(region, 1.0, params, q) < target):
         return OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
                                   feasible=False, psi=psi)
 
-    unconstrained = optimize_K_unconstrained(params, region, density, q)
-    if phi(unconstrained.k_relaxed) <= psi:
-        k_relaxed = unconstrained.k_relaxed
-    else:
-        # Phi is increasing in the relaxed K, so the ceiling binds; log Phi
-        # is nearly linear in K, so brentq needs fewer steps on it
-        log_psi = math.log(psi)
-        k_relaxed = sopt.brentq(
-            lambda k: log_outage_bulk(params, region, density, q,
-                                      subcarriers=k) - log_psi,
-            1.0, max(unconstrained.k_relaxed, 1.0 + 1e-9), xtol=1e-9)
+    k_relaxed = _peak(params, region, density, q)
+    u_peak = _u_region(region, k_relaxed, params, q)
+    if u_peak < target:
+        # the ceiling binds; log u is nearly linear in K, so its chord
+        # through K = 1 and the peak starts Newton close to the root
+        log_target = math.log(target)
+        log_one = math.log(_u_region(region, 1.0, params, q))
+        chord = 1.0 + (k_relaxed - 1.0) * (log_one - log_target) / (
+            log_one - math.log(u_peak))
+
+        def gap(k: float) -> tuple[float, float]:
+            u, du, _ = _u_derivatives(region, k, params, q)
+            return math.log(u) - log_target, du / u
+
+        k_relaxed = _newton(gap, chord, 1.0, k_relaxed, "outage ceiling")
     k_opt = max(1, math.floor(k_relaxed))
     kappa_opt = throughput(k_opt, params, region, density, q)
     return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,

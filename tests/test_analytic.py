@@ -27,7 +27,15 @@ from relayfield import (
     u_disc,
     u_plane,
 )
-from relayfield.analytic import _grid, _quad, _u_freespace, _u_values
+from relayfield.analytic import (
+    _grid,
+    _quad,
+    _u_derivatives,
+    _u_freespace,
+    _u_values,
+)
+
+TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
 
 def _mc_integral(kernel, r_max, samples, seed):
@@ -201,6 +209,44 @@ def test_cold_u_reuses_the_disc_grid():
     u_disc(5.0, 2.5, p)
     after = _grid.cache_info()
     assert after.misses == built.misses and after.hits > built.hits
+
+
+@pytest.mark.parametrize("n", [0.3, 1.0, 4.0, 13.7])
+def test_derivative_rows_match_the_freespace_closed_form(params, n):
+    # u = pi P/(4 n s) exp(-B n) with B = s r_sd**2 / (2 P), P = P_t/N_0,
+    # so u' = -u (1/n + B) and u'' = u ((1/n + B)**2 + 1/n**2)
+    u, du, d2u = _u_derivatives(Region.plane(), n, params,
+                                DEFAULT_QUADRATURE)
+    ref = _u_freespace(params, n)
+    b = params.threshold * params.r_sd**2 / (2.0 * params.snr_budget)
+    rel = DEFAULT_QUADRATURE.rel_tol
+    assert u == pytest.approx(ref, rel=rel, abs=0.0)
+    assert du == pytest.approx(-ref * (1.0 / n + b), rel=rel, abs=0.0)
+    assert d2u == pytest.approx(ref * ((1.0 / n + b) ** 2 + 1.0 / n**2),
+                                rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha,region", [
+    (3.0, Region.disc(5.0)), (4.0, Region.disc(5.0)), (4.0, Region.plane())])
+@pytest.mark.parametrize("n", [0.5, 2.0, 9.3])
+def test_derivative_rows_match_central_differences(params, alpha, region, n):
+    # five-point differences of u at tight tolerances with h = 1e-3 n
+    # agree to about 3e-10; on the plane the moment rows carry their
+    # own cut-off tail bound
+    p = SystemParams(snr_budget=params.snr_budget, path_loss=alpha,
+                     threshold=params.threshold, subcarriers=4,
+                     r_sd=params.r_sd)
+    u, du, d2u = _u_derivatives(region, n, p, TIGHT)
+    h = 1e-3 * n
+    f = {i: _u_values(region, (n + i * h,), p, TIGHT)[0]
+         for i in (-2, -1, 0, 1, 2)}
+    assert u == pytest.approx(f[0], rel=1e-12, abs=0.0)
+    assert du == pytest.approx(
+        (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * h),
+        rel=1e-8, abs=0.0)
+    assert d2u == pytest.approx(
+        (16.0 * (f[-1] + f[1]) - f[-2] - f[2] - 30.0 * f[0]) / (12.0 * h * h),
+        rel=1e-8, abs=0.0)
 
 
 def test_bulk_outage_spot_values(params, disc):

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from relayfield import OutageEstimate
+import relayfield.optimize
+from relayfield import (
+    OutageEstimate,
+    Region,
+    SystemParams,
+    outage_bulk,
+    throughput,
+)
 from relayfield.cli import (
     _OPTIONS,
     FIGURES,
@@ -323,6 +330,55 @@ def test_unbounded_optimum_is_a_numerical_failure(tmp_path, capsys):
     assert ("numerical failure: throughput still increasing past K"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_newton_step_cap_is_a_numerical_failure(tmp_path, capsys,
+                                                monkeypatch):
+    # u' = 0 keeps kappa' > 0 and u'' < 0 keeps each Newton step near 3/K,
+    # so the bracket closes on its upper end before any step is short
+    # enough to stop on
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives",
+                        lambda *args: (1.0, 0.0, -1.0))
+    out = tmp_path / "opt.csv"
+    rc = main(["--mode", "optimize-k", "--lambda", "1", "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: throughput maximum did not converge in 60 "
+        "Newton steps (bracket [")
+    assert not out.exists()
+
+
+def test_figure_optima_match_exhaustive_search(tmp_path):
+    # every fig7 and fig8 row against kappa and Phi at each integer K in
+    # 1..64; u at integer K does not depend on lambda, so the cached u of
+    # each K and alpha serves every density
+    rows = {}
+    for figure in ("fig7", "fig8"):
+        out = tmp_path / f"{figure}.csv"
+        assert main(["--mode", "figure", "--figure", figure,
+                     "--output", str(out)]) == 0
+        rows[figure] = _read_rows(out)
+    assert len(rows["fig7"]) == 26 and len(rows["fig8"]) == 39
+    disc, ks = Region.disc(5.0), range(1, 65)
+
+    def caption(alpha):
+        return SystemParams(snr_budget=100.0, path_loss=alpha,
+                            threshold=1.0, subcarriers=4, r_sd=5.0)
+
+    k_relaxed = {}
+    for row in rows["fig7"]:
+        p, density = caption(float(row["alpha"])), float(row["lambda"])
+        assert int(row["K_opt"]) == max(
+            ks, key=lambda k: throughput(k, p, disc, density))
+        k_relaxed[row["alpha"], row["lambda"]] = float(row["K_relaxed"])
+    # fig8 is fig7's alpha = 2 grid under each ceiling
+    p = caption(2.0)
+    for row in rows["fig8"]:
+        density, psi = float(row["lambda"]), float(row["psi"])
+        meeting = [k for k in ks if k <= k_relaxed["2", row["lambda"]]
+                   and outage_bulk(p, disc, density, subcarriers=k) <= psi]
+        assert int(row["K_opt"]) == max(meeting, default=0)
+        assert row["feasible"] == ("1" if meeting else "0")
 
 
 # each preset's CSV header and row count

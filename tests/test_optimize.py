@@ -15,8 +15,7 @@ from relayfield import (
     outage_floor,
     throughput,
 )
-from relayfield.analytic import QuadratureSettings
-from relayfield.optimize import _relaxed_optimum
+from relayfield.analytic import QuadratureSettings, _u_derivatives
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
@@ -63,26 +62,50 @@ def test_relaxed_optimum_is_local_max(disc):
         assert throughput(k + step, p, disc, 1.0) <= peak + 1e-10
 
 
+def _record_passes(monkeypatch) -> list[float]:
+    """The K of every derivative pass the optimiser asks for, cached or
+    not, in order."""
+    passes = []
+
+    def recording(region, n, *args):
+        passes.append(n)
+        return _u_derivatives(region, n, *args)
+
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
+    return passes
+
+
 @pytest.mark.parametrize("alpha,region,density", FIG7_POINTS)
-def test_relaxed_optimum_needs_few_kappa_evaluations(alpha, region, density):
-    # Brent's parabolic steps; golden section to the same 1e-6 needed
-    # about 39 evaluations per solve
-    p = _params(alpha)
-    calls = []
+def test_relaxed_optimum_needs_few_kappa_evaluations(monkeypatch, alpha,
+                                                     region, density):
+    # each Newton step takes kappa' and kappa'' from one derivative pass
+    passes = _record_passes(monkeypatch)
+    optimize_K_unconstrained(_params(alpha), region, density)
+    assert 1 <= len(passes) <= 6
+    assert len(set(passes)) == len(passes)
 
-    def kappa(k):
-        calls.append(k)
-        return throughput(k, p, region, density)
 
-    _relaxed_optimum(kappa)
-    assert len(calls) <= 20
-    assert len(set(calls)) == len(calls)
+@pytest.mark.parametrize("psi", [1e-2, 1e-3, 1e-5])
+def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
+                                                      psi):
+    # the constrained solve repeats the unconstrained one's passes, then
+    # its root search on log u takes at most 6 more, none at a K seen
+    passes = _record_passes(monkeypatch)
+    p = _params()
+    optimize_K_unconstrained(p, disc, 1.0)
+    peak = passes.copy()
+    passes.clear()
+    optimize_K_constrained(p, disc, 1.0, psi)
+    assert passes[:len(peak)] == peak
+    assert 1 <= len(passes) - len(peak) <= 6
+    assert len(set(passes)) == len(passes)
 
 
 def test_unconstrained_evaluates_each_k_once(monkeypatch):
-    # on the plane at 1e-9 the relaxed optimum lies below 1, so the
-    # floor and the ceiling both round to K = 1
-    calls = []
+    # kappa at integer K and derivative passes at real K never meet; on
+    # the plane at 1e-9 the relaxed optimum lies below 1, so the floor
+    # and the ceiling both round to K = 1
+    calls = _record_passes(monkeypatch)
 
     def counting(k, *args):
         calls.append(k)
@@ -114,7 +137,7 @@ def test_relaxed_optimum_matches_a_tight_reference(alpha, region, density):
 
 
 def test_throughput_is_unimodal_in_relaxed_k(disc):
-    # unimodality is all the bracketed Brent search needs:
+    # unimodality is what the bracketed Newton search relies on:
     # first differences change sign exactly once over the grid
     p = _params()
     for density in (0.2, 1.0, 5.0):
@@ -224,6 +247,17 @@ def test_cutoff_density_plane():
     # feasibility flips exactly at the cutoff
     assert optimize_K_constrained(p, plane, 1.05 * cutoff, 0.01).feasible
     assert not optimize_K_constrained(p, plane, 0.95 * cutoff, 0.01).feasible
+
+
+@pytest.mark.parametrize("region", [Region.disc(5.0), Region.plane()])
+def test_constrained_root_at_the_cutoff_density(region):
+    # at the cut-off density K = 1 meets the ceiling with equality, so
+    # the root lies on the lower end of the Newton bracket
+    p = _params()
+    res = optimize_K_constrained(p, region, cutoff_density(0.01, p, region),
+                                 0.01)
+    assert res.feasible and res.k_opt == 1
+    assert res.k_relaxed == pytest.approx(1.0, abs=1e-9, rel=0)
 
 
 def test_cutoff_density_disc(disc):
