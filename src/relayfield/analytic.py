@@ -368,16 +368,11 @@ def outage_ps_plane_freespace(params: SystemParams, density: float) -> float:
 
 
 def tau_alpha(alpha: float, r_sd: float, sigma: float) -> float:
-    """Coefficient of the high-SNR expansion, tabulated for alpha in {2,4,6}."""
-    if alpha == 2:
-        return r_sd**2 + sigma**2
-    if alpha == 4:
-        return r_sd**4 + 2.0 * r_sd**2 * sigma**2 + (2.0 / 3.0) * sigma**4
-    if alpha == 6:
-        return 0.5 * (2.0 * r_sd**2 + sigma**2) * (
-            r_sd**4 + 4.0 * r_sd**2 * sigma**2 + sigma**4)
-    raise DomainError(f"asymptotic coefficient tabulated only for "
-                      f"alpha in {{2, 4, 6}}, got {alpha}")
+    """Coefficient of the high-SNR expansion: the mean of
+    r**alpha + r_mD**alpha over the disc of radius sigma, from the
+    shared grid's exponent table over the half-disc area pi sigma**2 / 2."""
+    exponent, rw, w_theta = _grid(alpha, r_sd, sigma, 2 * _FIRST_NODES)
+    return float((exponent @ w_theta * rw).sum()) / (0.5 * math.pi * sigma**2)
 
 
 def _asymptotic_correction(params: SystemParams, sigma: float) -> float:

@@ -19,6 +19,7 @@ from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +163,14 @@ def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
 Sweep = tuple[list[str], list[dict], dict]
 
 
+def _points(cfg: ExperimentConfig):
+    """The system parameters and density of each (lambda, SNR) point of
+    the grid, density-major."""
+    for density in cfg.densities:
+        for snr in cfg.snrs:
+            yield replace(cfg.system_params(), snr_budget=snr), density
+
+
 def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     """One row per (lambda, SNR, scheme) point of the grid.
 
@@ -169,19 +178,16 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     fields: p_outage and the extra columns.
     """
     rows = []
-    for density in cfg.densities:
-        for snr in cfg.snrs:
-            params = replace(cfg.system_params(), snr_budget=snr)
-            for scheme, fields in point(params, density).items():
-                row = {"lambda": density, "snr": snr,
-                       "snr_db": 10.0 * math.log10(snr),
-                       "K": params.subcarriers, "alpha": params.path_loss,
-                       "s": params.threshold, "scheme": scheme.value,
-                       **fields}
-                if cfg.connection:
-                    row["connection"] = connection_probability_view(
-                        min(max(row["p_outage"], 0.0), 1.0))
-                rows.append(row)
+    for params, density in _points(cfg):
+        for scheme, fields in point(params, density).items():
+            row = {"lambda": density, "snr": params.snr_budget,
+                   "snr_db": 10.0 * math.log10(params.snr_budget),
+                   "K": params.subcarriers, "alpha": params.path_loss,
+                   "s": params.threshold, "scheme": scheme.value, **fields}
+            if cfg.connection:
+                row["connection"] = connection_probability_view(
+                    min(max(row["p_outage"], 0.0), 1.0))
+            rows.append(row)
     columns = ["lambda", "snr", "snr_db", "K", "alpha", "s", "scheme",
                "p_outage", *extra]
     if cfg.connection:
@@ -189,64 +195,53 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     return columns, rows, {}
 
 
-def _sweep_pool(*cfgs: ExperimentConfig):
-    """The size and context of the one process pool the simulated points
-    of cfgs share.
+def _simulated_point(cfg: ExperimentConfig, pool: Executor | None,
+                     params: SystemParams, density: float) -> dict:
+    """The fields of one simulated point, per scheme of cfg.scheme; a
+    point of more than one block runs on pool."""
+    region = cfg.region()
+    both = estimate_outage_both(params, region, density, cfg.trials,
+                                cfg.seed, n_workers=cfg.workers, pool=pool)
+    fields = {}
+    for scheme in _SCHEMES[cfg.scheme]:
+        est = both[scheme]
+        fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
+                          "empty_fraction": est.empty_fraction}
+        if cfg.verify:
+            ref = _analytic_outage(params, region, density, scheme,
+                                   cfg.quadrature())
+            fields[scheme].update(p_analytic=ref,
+                                  verify_ok=_within_3_sigma(est, ref))
+    return fields
+
+
+def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
+    """Simulated rows of each of cfgs in turn, on one process pool.
 
     The pool has as many processes as the point that uses the most
     (simulation.workers_used: --workers is a ceiling, and a point is
     split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
     since a forked pool starts all of its processes on the first task.
-    If that is one, there is no pool (None) and every point runs in this
-    process.
+    If that is one, no pool is started and every point runs in this
+    process. The .meta records the size as pool_workers.
     """
-    size = 1
-    for cfg in cfgs:
-        if cfg.workers == 1:
-            continue
-        region = cfg.region()
-        for density in cfg.densities:
-            for snr in cfg.snrs:
-                params = replace(cfg.system_params(), snr_budget=snr)
-                size = max(size, workers_used(params, region, density,
-                                              cfg.trials, cfg.workers))
-    return size, ProcessPoolExecutor(size) if size > 1 else nullcontext()
-
-
-def _simulate_rows(cfg: ExperimentConfig) -> Sweep:
-    size, lifetime = _sweep_pool(cfg)
-    with lifetime as pool:
-        columns, rows, meta = _pooled_simulate_rows(cfg, pool)
-    return columns, rows, {**meta, "pool_workers": size}
-
-
-def _pooled_simulate_rows(cfg: ExperimentConfig,
-                          pool: Executor | None) -> Sweep:
-    """Simulated rows; points of more than one block run on pool."""
-    q, region = cfg.quadrature(), cfg.region()
-
-    def point(params, density):
-        both = estimate_outage_both(params, region, density, cfg.trials,
-                                    cfg.seed, n_workers=cfg.workers,
-                                    pool=pool)
-        fields = {}
-        for scheme in _SCHEMES[cfg.scheme]:
-            est = both[scheme]
-            fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
-                              "empty_fraction": est.empty_fraction}
+    size = max([workers_used(params, cfg.region(), density, cfg.trials,
+                             cfg.workers)
+                for cfg in cfgs if cfg.workers > 1
+                for params, density in _points(cfg)], default=1)
+    rows, meta = [], {}
+    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
+        for cfg in cfgs:
+            extra = ["stderr", "empty_fraction"]
             if cfg.verify:
-                ref = _analytic_outage(params, region, density, scheme, q)
-                fields[scheme].update(p_analytic=ref,
-                                      verify_ok=_within_3_sigma(est, ref))
-        return fields
-
-    extra = ["stderr", "empty_fraction"]
-    if cfg.verify:
-        extra += ["p_analytic", "verify_ok"]
-    columns, rows, meta = _grid_rows(cfg, point, extra)
-    if cfg.verify:
-        meta["verify_mismatches"] = sum(not row["verify_ok"] for row in rows)
-    return columns, rows, meta
+                extra += ["p_analytic", "verify_ok"]
+            columns, cfg_rows, _ = _grid_rows(
+                cfg, partial(_simulated_point, cfg, pool), extra)
+            rows += cfg_rows
+    if any(cfg.verify for cfg in cfgs):
+        meta["verify_mismatches"] = sum(not row["verify_ok"]
+                                        for row in rows if "verify_ok" in row)
+    return columns, rows, {**meta, "pool_workers": size}
 
 
 def _analytic_rows(cfg: ExperimentConfig) -> Sweep:
@@ -364,19 +359,15 @@ def _fig2(cfg: ExperimentConfig) -> Sweep:
 
 def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
     # fig3 (bulk) and fig4 (per-subcarrier): quadrature and simulation
-    # against P_t/N_0 at lambda = 1
-    figs = [_caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
-                     densities=[1.0], snrs=_log_grid(1.0, 1e4, 9),
-                     verify=True)
-            for alpha in (2.0, 4.0) for k in (2, 4)]
-    rows = []
-    size, lifetime = _sweep_pool(*figs)
-    with lifetime as pool:
-        for fig in figs:
-            rows += [{**row, "p_sim": row["p_outage"]}
-                     for row in _pooled_simulate_rows(fig, pool)[1]]
+    # against P_t/N_0 at lambda = 1; a figure plots a 3-sigma miss
+    # rather than failing on it, so its .meta keeps only pool_workers
+    _, rows, meta = _simulate_rows(*[
+        _caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
+                 densities=[1.0], snrs=_log_grid(1.0, 1e4, 9), verify=True)
+        for alpha in (2.0, 4.0) for k in (2, 4)])
     return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
-            rows, {"pool_workers": size})
+            [{**row, "p_sim": row["p_outage"]} for row in rows],
+            {"pool_workers": meta["pool_workers"]})
 
 
 def _fig5(cfg: ExperimentConfig) -> Sweep:

@@ -3,13 +3,14 @@
 Throughput kappa(K, density) = K * (1 - Phi_bulk(K)), with
 Phi_bulk = exp(-2 density u(K)), is unimodal in the relaxed real-valued
 subcarrier count, though not globally concave (its tail turns convex).
-A doubling bracket at integer K holds its maximum, and safeguarded
-Newton steps on kappa'(K) = 0 refine it, each from one integrator pass
-that returns u, u' and u'' together. Under an outage ceiling psi the
-relaxed optimum is the root of log u(K) = log(-log psi / (2 density)),
-found the same way. Integer optima follow the stated rounding rules and
-are evaluated at integer K only. A cut-off density marks where an
-outage ceiling becomes unattainable even at K = 1.
+Its slope alone finds the maximum: doubling K while kappa'(K) > 0
+brackets it, and safeguarded Newton steps on kappa'(K) = 0 refine it,
+each from one integrator pass that returns u, u' and u'' together.
+Under an outage ceiling psi the relaxed optimum is the root of
+log u(K) = log(-log psi / (2 density)), found the same way. Integer
+optima follow the stated rounding rules and are evaluated at integer K
+only. A cut-off density marks where an outage ceiling becomes
+unattainable even at K = 1.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .analytic import (
     _u_derivatives,
     _u_freespace,
     _u_region,
-    outage_bulk,
+    log_outage_bulk,
     outage_floor,
 )
 from .channel import SystemParams
@@ -69,8 +70,9 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     """kappa(K, density) for bulk selection; K may be real (relaxed)."""
     if subcarriers <= 0:
         raise ValueError("subcarriers must be > 0")
-    phi = outage_bulk(params, region, density, q, subcarriers=subcarriers)
-    return subcarriers * (1.0 - phi)
+    # 1 - Phi as -expm1(log Phi), exact where Phi is close to 1
+    return -subcarriers * math.expm1(log_outage_bulk(
+        params, region, density, q, subcarriers=subcarriers))
 
 
 def _newton(f, k: float, lo: float, hi: float, what: str) -> float:
@@ -106,30 +108,16 @@ def _peak(params: SystemParams, region: Region, density: float,
           q: QuadratureSettings) -> float:
     """Relaxed maximiser of kappa over K > 0.
 
-    Doubling at integer K brackets the maximum: once kappa(2 k_hi) <=
-    kappa(k_hi) it lies below 2 k_hi, and above k_hi / 2 if the loop
-    doubled at least once (kappa(k_hi) > kappa(k_hi / 2)), else above
-    0, where kappa vanishes. Newton steps on kappa' = 0 start from the
-    vertex of the parabola through the bracket's three points, with
+    kappa is unimodal, so the sign of its slope brackets the maximum: K
+    doubles from _K_HI_START while kappa'(K) > 0, which leaves a bracket
+    [lo, hi] with kappa'(lo) > 0 > kappa'(hi), or lo = 0, where kappa
+    vanishes, if kappa'(_K_HI_START) <= 0 already. Newton steps on
+    kappa' = 0 then start from hi / 2, which is lo unless lo = 0, with
     kappa' = 1 - Phi + 2 density K u' Phi and
     kappa'' = Phi (4 density u' + 2 density K u'' - 4 density**2 K u'**2).
+    The bracket's passes at K = 2, 4, 8, ... do not depend on the
+    density, so the derivative cache serves them across densities.
     """
-    def kappa(k: float) -> float:
-        return throughput(k, params, region, density, q)
-
-    lo, kappa_lo, k_hi = 0.0, 0.0, _K_HI_START
-    best = kappa(k_hi)
-    while (doubled := kappa(2.0 * k_hi)) > best:
-        lo, kappa_lo, k_hi, best = k_hi, best, 2.0 * k_hi, doubled
-        if k_hi > _K_CAP:
-            raise UnboundedOptimumError(
-                f"throughput still increasing past K = {_K_CAP}")
-    hi = 2.0 * k_hi
-    w_lo, w_hi = k_hi - lo, hi - k_hi
-    d_lo, d_hi = best - kappa_lo, best - doubled
-    vertex = k_hi + 0.5 * (w_hi**2 * d_lo - w_lo**2 * d_hi) / (
-        w_hi * d_lo + w_lo * d_hi)
-
     def slope(k: float) -> tuple[float, float]:
         u, du, d2u = _u_derivatives(region, k, params, q)
         phi = math.exp(-2.0 * density * u)
@@ -137,7 +125,13 @@ def _peak(params: SystemParams, region: Region, density: float,
                 phi * density * (4.0 * du + 2.0 * k * d2u
                                  - 4.0 * density * k * du * du))
 
-    return _newton(slope, vertex, lo, hi, "throughput maximum")
+    lo, hi = 0.0, _K_HI_START
+    while slope(hi)[0] > 0:
+        lo, hi = hi, 2.0 * hi
+        if hi > _K_CAP:
+            raise UnboundedOptimumError(
+                f"throughput still increasing past K = {_K_CAP}")
+    return _newton(slope, max(lo, hi / 2.0), lo, hi, "throughput maximum")
 
 
 def optimize_K_unconstrained(params: SystemParams, region: Region,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from relayfield import (
     DEFAULT_QUADRATURE,
@@ -304,12 +304,35 @@ def test_freespace_forms_reject_other_exponents():
         outage_ps_plane_freespace(p, 0.1)
 
 
+def _tau_table(alpha, r_sd, sigma):
+    """The closed forms of tau_alpha at alpha 2, 4 and 6: the oracle."""
+    if alpha == 2:
+        return r_sd**2 + sigma**2
+    if alpha == 4:
+        return r_sd**4 + 2.0 * r_sd**2 * sigma**2 + (2.0 / 3.0) * sigma**4
+    return 0.5 * (2.0 * r_sd**2 + sigma**2) * (
+        r_sd**4 + 4.0 * r_sd**2 * sigma**2 + sigma**4)
+
+
 def test_tau_alpha_table():
-    assert tau_alpha(2, 5.0, 5.0) == pytest.approx(50.0)
-    assert tau_alpha(4, 5.0, 5.0) == pytest.approx(6875.0 / 3.0)
-    assert tau_alpha(6, 5.0, 5.0) == pytest.approx(140625.0)
-    with pytest.raises(DomainError):
-        tau_alpha(3, 5.0, 5.0)
+    # the mean over the grid against the closed forms
+    for alpha in (2, 4, 6):
+        for r_sd, sigma in ((5.0, 5.0), (5.0, 2.0), (1.0, 10.0), (3.0, 7.0)):
+            assert tau_alpha(alpha, r_sd, sigma) == pytest.approx(
+                _tau_table(alpha, r_sd, sigma), rel=1e-14, abs=0)
+
+
+def test_tau_alpha_off_the_table():
+    # alpha 3, which has no closed form, against scipy's nested quad of
+    # the mean over the half-disc; the asymptotic mode's convergence at
+    # alpha 3 is checked in test_cli
+    def weighted(theta, r):
+        return r * (r**3 + (25.0 + r * r - 10.0 * r * math.cos(theta))**1.5)
+
+    total, _ = integrate.dblquad(weighted, 0.0, 5.0, 0.0, math.pi,
+                                 epsabs=0.0, epsrel=1e-13)
+    assert tau_alpha(3.0, 5.0, 5.0) == pytest.approx(
+        total / (12.5 * math.pi), rel=1e-12, abs=0)
 
 
 def test_asymptotics_converge_to_exact():

@@ -12,6 +12,7 @@ from relayfield import (
     SystemParams,
     outage_bulk,
     throughput,
+    u_plane,
 )
 from relayfield.cli import (
     _OPTIONS,
@@ -19,6 +20,7 @@ from relayfield.cli import (
     ExperimentConfig,
     ValidationError,
     _parse_float_list,
+    _simulate_rows,
     _within_3_sigma,
     connection_probability_view,
     main,
@@ -188,6 +190,22 @@ def test_one_worker_pool_per_sweep(tmp_path, pools):
             == (tmp_path / "dense2.csv").read_bytes())
 
 
+def test_configs_share_one_pool_sized_by_their_largest_point(pools):
+    # a figure's configs run on one pool, as large as the point that
+    # splits furthest in any of them, and give the rows each gives alone
+    small = parse_config(["--mode", "simulate", "--lambda", "0.1",
+                          "--trials", "500", "--workers", "2"])
+    plane = parse_config(["--mode", "simulate", "--scheme", "both",
+                          "--region", "plane", "--lambda", "0.1",
+                          "--snr", "100,1000", "--trials", "2000",
+                          "--workers", "2"])
+    _, rows, meta = _simulate_rows(small, plane)
+    assert meta == {"pool_workers": 2}
+    assert len(pools) == 1 and pools[0].stopped
+    assert pools[0]._max_workers == 2
+    assert rows == _simulate_rows(small)[1] + _simulate_rows(plane)[1]
+
+
 def test_meta_records_pool_workers(tmp_path):
     # pool_workers is the size of the pool a sweep started, 1 if none;
     # the CSV does not depend on it
@@ -332,19 +350,43 @@ def test_unbounded_optimum_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_optimum_at_tiny_densities(tmp_path):
+    # 1 - Phi cancels where x = 2 lambda u(K) nears the double epsilon,
+    # to 0 at 1e-18 and in the 5th digit at 1e-12; kappa = -K expm1(-x)
+    # is K x (1 - x / 2) to far below double precision here
+    out = tmp_path / "opt.csv"
+    assert main(["--mode", "optimize-k", "--region", "plane", "--alpha", "4",
+                 "--lambda", "1e-18,1e-12", "--output", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [row["K_opt"] for row in rows] == ["1", "1"]
+    p = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
+                     subcarriers=1, r_sd=5.0)
+    for row in rows:
+        x = 2.0 * float(row["lambda"]) * u_plane(1.0, p)
+        assert float(row["kappa_opt"]) == pytest.approx(x * (1.0 - 0.5 * x),
+                                                        rel=1e-14, abs=0)
+    assert float(rows[1]["kappa_opt"]) == pytest.approx(
+        2.7581931395532894e-12, rel=1e-14, abs=0)
+
+
 def test_newton_step_cap_is_a_numerical_failure(tmp_path, capsys,
                                                 monkeypatch):
-    # u' = 0 keeps kappa' > 0 and u'' < 0 keeps each Newton step near 3/K,
-    # so the bracket closes on its upper end before any step is short
-    # enough to stop on
-    monkeypatch.setattr(relayfield.optimize, "_u_derivatives",
-                        lambda *args: (1.0, 0.0, -1.0))
+    # with u' = 0, kappa' = -expm1(-2 u) changes sign where u does, at
+    # K = 3, so the doubling closes the bracket [2, 4]; u'' > 0 makes
+    # kappa'' > 0, which turns every step into a bisection, and no
+    # bisection is a step short enough to stop on
+    monkeypatch.setattr(
+        relayfield.optimize, "_u_derivatives",
+        lambda region, k, *args: (1.0 if k < 3.0 else -1.0, 0.0, 1.0))
     out = tmp_path / "opt.csv"
     rc = main(["--mode", "optimize-k", "--lambda", "1", "--output", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "numerical failure: throughput maximum did not converge in 60 "
         "Newton steps (bracket [")
+    lo, hi = map(float, re.search(r"\[(.*), (.*)\]", err).groups())
+    assert 2.0 < lo <= 3.0 <= hi < 4.0 and hi - lo < 1e-15
     assert not out.exists()
 
 
@@ -408,9 +450,11 @@ def test_figure_preset_smoke(tmp_path, figure):
         assert {row["alpha"] for row in rows} == {"2", "4"}
     meta = (tmp_path / f"{figure}.csv.meta").read_text().splitlines()
     assert f"figure = {figure}" in meta
-    # the presets that simulate record their pool; 200 trials need none
+    # the presets that simulate record their pool; 200 trials need none.
+    # A figure plots its 3-sigma misses rather than failing on them.
     assert [line for line in meta if line.startswith("pool_workers")] == (
         ["pool_workers = 1"] if figure in ("fig3", "fig4") else [])
+    assert not any(line.startswith("verify_mismatches") for line in meta)
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -425,7 +469,7 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--mode", "asymptotic", "--alpha", "3"], "tabulated only"),
+    (["--mode", "diversity", "--snr", "100"], "at least two"),
     # phi is identically 1 at K = 1, so no density reaches phi <= 0.5;
     # Delta(1) is rounding noise there, exactly 0.0 at SNR 1000
     (["--mode", "ratio", "--K", "1", "--epsilon", "0.5"], "epsilon target"),
@@ -576,6 +620,24 @@ def test_malformed_flags_exit_1(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "--snr-db" in capsys.readouterr().out
+
+
+def test_asymptotic_mode_converges_to_analytic_at_alpha_3(tmp_path):
+    # alpha 3 has no closed-form tau: the asymptotic rows must still
+    # approach the exact ones as 1/P**2, where an error in tau would
+    # leave a 1/P term
+    def p_outage(mode):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["--mode", mode, "--alpha", "3", "--scheme", "both",
+                     "--snr", "1e5,1e6", "--output", str(out)]) == 0
+        return [float(row["p_outage"]) for row in _read_rows(out)]
+
+    errors = [abs(a - e) / e for a, e in zip(p_outage("asymptotic"),
+                                             p_outage("analytic"))]
+    # rows: (1e5, bulk), (1e5, ps), (1e6, bulk), (1e6, ps)
+    for coarse, fine in zip(errors[:2], errors[2:]):
+        assert fine < 0.03 * coarse
+        assert fine < 2e-4
 
 
 def test_asymptotic_mode_is_disc_only(tmp_path, capsys):

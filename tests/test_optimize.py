@@ -15,7 +15,8 @@ from relayfield import (
     outage_floor,
     throughput,
 )
-from relayfield.analytic import QuadratureSettings, _u_derivatives
+from relayfield.analytic import (QuadratureSettings, _integrate,
+                                 _u_derivatives, _u_values)
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
@@ -62,14 +63,18 @@ def test_relaxed_optimum_is_local_max(disc):
         assert throughput(k + step, p, disc, 1.0) <= peak + 1e-10
 
 
-def _record_passes(monkeypatch) -> list[float]:
-    """The K of every derivative pass the optimiser asks for, cached or
-    not, in order."""
+def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
+    """The K of every derivative pass the optimiser asks for, in order,
+    each with whether it was cold, that is integrated rather than cached;
+    the derivative cache starts empty."""
+    _u_derivatives.cache_clear()
     passes = []
 
     def recording(region, n, *args):
-        passes.append(n)
-        return _u_derivatives(region, n, *args)
+        misses = _u_derivatives.cache_info().misses
+        result = _u_derivatives(region, n, *args)
+        passes.append((n, _u_derivatives.cache_info().misses > misses))
+        return result
 
     monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
     return passes
@@ -78,42 +83,65 @@ def _record_passes(monkeypatch) -> list[float]:
 @pytest.mark.parametrize("alpha,region,density", FIG7_POINTS)
 def test_relaxed_optimum_needs_few_kappa_evaluations(monkeypatch, alpha,
                                                      region, density):
-    # each Newton step takes kappa' and kappa'' from one derivative pass
+    # the bracket doubles K from 2 while kappa' > 0, in at most
+    # ceil(log2 K*) + 2 passes; Newton then starts from the
+    # bracket's lower end, a cache hit unless it is 0, and takes kappa'
+    # and kappa'' from one derivative pass per step
     passes = _record_passes(monkeypatch)
-    optimize_K_unconstrained(_params(alpha), region, density)
-    assert 1 <= len(passes) <= 6
-    assert len(set(passes)) == len(passes)
+    k_star = optimize_K_unconstrained(_params(alpha), region,
+                                      density).k_relaxed
+    ks = [k for k, _ in passes]
+    n_bracket = 1
+    while ks[n_bracket] == 2.0 * ks[n_bracket - 1]:
+        n_bracket += 1
+    assert ks[0] == 2.0 and n_bracket <= math.ceil(math.log2(k_star)) + 2
+    newton = [k for k in ks[n_bracket:] if k not in ks[:n_bracket]]
+    assert 1 <= len(newton) <= 6
+    # each K is integrated once; the only repeat is the start at lo > 0
+    cold = [k for k, is_cold in passes if is_cold]
+    assert cold == list(dict.fromkeys(ks))
+    assert len(ks) - len(cold) == (n_bracket > 1)
+    if n_bracket > 1:
+        assert ks[n_bracket] == ks[n_bracket - 2]
 
 
 @pytest.mark.parametrize("psi", [1e-2, 1e-3, 1e-5])
 def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
                                                       psi):
-    # the constrained solve repeats the unconstrained one's passes, then
-    # its root search on log u takes at most 6 more, none at a K seen
+    # the constrained solve repeats the unconstrained one's passes, all
+    # cache hits, then its root search on log u takes at most 6 more,
+    # each cold and none at a K seen
     passes = _record_passes(monkeypatch)
     p = _params()
     optimize_K_unconstrained(p, disc, 1.0)
-    peak = passes.copy()
+    peak = [k for k, _ in passes]
     passes.clear()
     optimize_K_constrained(p, disc, 1.0, psi)
-    assert passes[:len(peak)] == peak
-    assert 1 <= len(passes) - len(peak) <= 6
-    assert len(set(passes)) == len(passes)
+    ks = [k for k, _ in passes]
+    assert ks[:len(peak)] == peak
+    assert 1 <= len(ks) - len(peak) <= 6
+    root = [k for k, cold in passes if cold]
+    assert root == ks[len(peak):]
+    assert len(set(root)) == len(root) and not set(root) & set(peak)
 
 
 def test_unconstrained_evaluates_each_k_once(monkeypatch):
-    # kappa at integer K and derivative passes at real K never meet; on
-    # the plane at 1e-9 the relaxed optimum lies below 1, so the floor
-    # and the ceiling both round to K = 1
-    calls = _record_passes(monkeypatch)
+    # on the plane at 1e-9 the relaxed optimum lies far below the
+    # bracket's start, so kappa'(2) < 0 and Newton works down [0, 2];
+    # the floor and the ceiling both round to K = 1. No integrator pass,
+    # derivative or value, is repeated.
+    _u_values.cache_clear()
+    _u_derivatives.cache_clear()
+    calls = []
 
-    def counting(k, *args):
-        calls.append(k)
-        return throughput(k, *args)
+    def counting(region, cs, *args, moments=0, **kwargs):
+        calls.extend((moments, c) for c in cs)
+        return _integrate(region, cs, *args, moments=moments, **kwargs)
 
-    monkeypatch.setattr(relayfield.optimize, "throughput", counting)
+    monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
     res = optimize_K_unconstrained(_params(), Region.plane(), 1e-9)
     assert res.k_relaxed < 1 and res.k_opt == 1
+    assert len(calls) <= 16
     assert len(set(calls)) == len(calls)
 
 
