@@ -9,12 +9,12 @@ one cached grid of r**alpha + r_mD**alpha (`_grid`), whose radial range
 ends at the disc's radius, or at the call's largest cut, where the
 kernel has fallen e**-40 below its peak bound, with the neglected tail
 bounded in closed form; its error estimate is the difference against
-the rule with twice the nodes. The same pass can return the derivatives
-of u(n) in n (`_u_derivatives`), which the optimiser's Newton steps use.
-The integrals u(n) of H(n) come from there or, on the plane at
-alpha = 2, from the closed form `_u_freespace`; both feed the same
-outage formulas, with one inclusion-exclusion sum over subcarriers
-(`_inclusion_exclusion`).
+the rule with twice the nodes. It gives u(n), the integral of H(n), to
+the outage formulas (`_u_values`) and, with u' and u'' from the same
+pass, to the optimiser (`_u_derivatives`); Delta(k) to `metrics`; and
+the Monte Carlo void to `simulation._annulus_void`. On the plane at
+alpha = 2 u(n) has the closed form `_u_freespace`. The outage formulas
+share one inclusion-exclusion sum (`_inclusion_exclusion`).
 """
 from __future__ import annotations
 
@@ -260,8 +260,6 @@ def _u_derivatives(region: Region, n: float, params: SystemParams,
 def u_disc(sigma: float, n: float, params: SystemParams,
            q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Half-disc integral of H(n) over [0, sigma] x [0, pi]."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
     return _u_values(Region.disc(sigma), (n,), params, q)[0]
 
 
@@ -269,13 +267,6 @@ def u_plane(n: float, params: SystemParams,
             q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Semi-infinite integral of H(n) over [0, inf) x [0, pi]."""
     return _u_values(Region.plane(), (n,), params, q)[0]
-
-
-def _u_region(region: Region, n: float, params: SystemParams,
-              q: QuadratureSettings) -> float:
-    if region.kind == "disc":
-        return u_disc(region.radius, n, params, q)
-    return u_plane(n, params, q)
 
 
 def log_outage_bulk(params: SystemParams, region: Region, density: float,
@@ -288,7 +279,7 @@ def log_outage_bulk(params: SystemParams, region: Region, density: float,
     if density < 0:
         raise ValueError("density must be >= 0")
     n = params.subcarriers if subcarriers is None else subcarriers
-    return -2.0 * density * _u_region(region, n, params, q)
+    return -2.0 * density * _u_values(region, (n,), params, q)[0]
 
 
 def outage_bulk(params: SystemParams, region: Region, density: float,
@@ -380,6 +371,11 @@ def _asymptotic_correction(params: SystemParams, sigma: float) -> float:
     return params.subcarriers * params.threshold * tau / params.snr_budget
 
 
+def _out_of_range(corr: float) -> DomainError:
+    return DomainError("asymptotic expansion leaves double range at "
+                       f"K*s*tau/(P_t/N_0) = {corr:.3g}")
+
+
 def asymptotic_bulk_disc(params: SystemParams, density: float,
                          sigma: float) -> float:
     """High-SNR expansion of the disc bulk outage."""
@@ -387,23 +383,29 @@ def asymptotic_bulk_disc(params: SystemParams, density: float,
     if corr >= 1:
         warnings.warn("outside the asymptotic validity region "
                       f"(K*s*tau/(P_t/N_0) = {corr:.3g} >= 1)", stacklevel=2)
-    return math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
+    try:
+        return math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
+    except OverflowError:
+        raise _out_of_range(corr) from None
 
 
 def asymptotic_ps_disc(params: SystemParams, density: float,
                        sigma: float) -> float:
     """High-SNR expansion of the disc per-subcarrier outage.
 
-    Returned raw: outside the asymptotic region the expression can leave
-    [floor, 1]; a warning flags that, nothing is clamped.
+    Raw: outside its validity region it can leave [floor, 1], which a
+    warning flags, or double range, a DomainError; nothing is clamped.
     """
     tau = tau_alpha(params.path_loss, params.r_sd, sigma)
     area = math.pi * sigma**2
-    bracket = 1.0 - params.subcarriers * (
-        1.0 - math.exp(density * area * params.threshold * tau
-                       / params.snr_budget))
-    value = math.exp(-density * area) * bracket
     floor = math.exp(-density * area)
+    try:
+        value = floor * (1.0 - params.subcarriers * (1.0 - math.exp(
+            density * area * params.threshold * tau / params.snr_budget)))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _out_of_range(_asymptotic_correction(params, sigma))
     if not (floor <= value <= 1.0):
         warnings.warn(f"per-subcarrier asymptotic left [floor, 1] "
                       f"({value!r}); outside its validity region",

@@ -523,6 +523,7 @@ _OPTIONS = (
     _Option("connection", "--connection", _parse_bool,
             "emit connection probability (1 - outage) columns"),
 )
+_TAKES_VALUE = {opt.flag for opt in _OPTIONS if opt.cast is not _parse_bool}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -533,8 +534,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: only whole flags exist, so that
-    # _join_negative_values knows every flag that takes a value
+    # allow_abbrev=False: only whole flags exist, as _TAKES_VALUE assumes
     p = _ArgumentParser(
         prog="relayfield", allow_abbrev=False,
         description="Outage/throughput sweeps for two-hop OFDM networks "
@@ -549,6 +549,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(opt.flag, dest=opt.key, metavar=metavar,
                            help=opt.help)
     return p
+
+
+_PARSER = _build_parser()  # once: each add_argument reads the tty size
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -573,10 +576,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     '-1e-8' for a flag of its own; '--rel-tol=-1e-8' it reads as the
     value, so the bound checks can report it.
     """
-    takes_value = {opt.flag for opt in _OPTIONS if opt.cast is not _parse_bool}
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in takes_value and re.match(r"-\.?\d", arg):
+        if joined and joined[-1] in _TAKES_VALUE and re.match(r"-\.?\d", arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -590,7 +592,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     text are checked alike, and every problem found is reported in one
     ValidationError.
     """
-    ns = _build_parser().parse_args(_join_negative_values(argv))
+    ns = _PARSER.parse_args(_join_negative_values(argv))
     given = [(opt, opt.flag, getattr(ns, opt.key)) for opt in _OPTIONS
              if getattr(ns, opt.key) is not None]
     problems: list[str] = []
@@ -628,6 +630,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         problems.append("mode figure requires --figure")
     if cfg.mode == "asymptotic" and cfg.region_kind == "plane":
         problems.append("mode asymptotic has closed forms for the disc only")
+    if cfg.mode in ("ratio", "optimize-k") and len(cfg.snrs) > 1:
+        problems.append(f"mode {cfg.mode} takes one --snr or --snr-db value")
     if problems:
         raise ValidationError(problems)
     return cfg

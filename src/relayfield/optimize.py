@@ -5,12 +5,12 @@ Phi_bulk = exp(-2 density u(K)), is unimodal in the relaxed real-valued
 subcarrier count, though not globally concave (its tail turns convex).
 Its slope alone finds the maximum: doubling K while kappa'(K) > 0
 brackets it, and safeguarded Newton steps on kappa'(K) = 0 refine it,
-each from one integrator pass that returns u, u' and u'' together.
-Under an outage ceiling psi the relaxed optimum is the root of
-log u(K) = log(-log psi / (2 density)), found the same way. Integer
-optima follow the stated rounding rules and are evaluated at integer K
-only. A cut-off density marks where an outage ceiling becomes
-unattainable even at K = 1.
+each from one cached integrator pass that returns u, u' and u''; every u
+a solve reads comes from that cache. Under an outage ceiling psi the
+relaxed optimum is the root of log u(K) = log(-log psi / (2 density)),
+found the same way. Integer optima follow the stated rounding rules and
+are evaluated at integer K only. A cut-off density marks where an
+outage ceiling becomes unattainable even at K = 1.
 """
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from .analytic import (
     QuadratureSettings,
     _u_derivatives,
     _u_freespace,
-    _u_region,
-    log_outage_bulk,
     outage_floor,
 )
 from .channel import SystemParams
@@ -70,9 +68,11 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     """kappa(K, density) for bulk selection; K may be real (relaxed)."""
     if subcarriers <= 0:
         raise ValueError("subcarriers must be > 0")
+    if density < 0:
+        raise ValueError("density must be >= 0")
     # 1 - Phi as -expm1(log Phi), exact where Phi is close to 1
-    return -subcarriers * math.expm1(log_outage_bulk(
-        params, region, density, q, subcarriers=subcarriers))
+    u = _u_derivatives(region, subcarriers, params, q)[0]
+    return -subcarriers * math.expm1(-2.0 * density * u)
 
 
 def _newton(f, k: float, lo: float, hi: float, what: str) -> float:
@@ -146,14 +146,12 @@ def optimize_K_unconstrained(params: SystemParams, region: Region,
     if density <= 0:
         raise ValueError("density must be > 0")
 
-    def kappa(k: float) -> float:
-        return throughput(k, params, region, density, q)
-
     k_relaxed = _peak(params, region, density, q)
     k_floor = max(1, math.floor(k_relaxed))
     k_ceil = max(1, math.ceil(k_relaxed))
-    kappa_ceil = kappa(k_ceil)
-    kappa_floor = kappa(k_floor) if k_floor < k_ceil else kappa_ceil
+    kappa_ceil = throughput(k_ceil, params, region, density, q)
+    kappa_floor = (throughput(k_floor, params, region, density, q)
+                   if k_floor < k_ceil else kappa_ceil)
     if kappa_ceil >= kappa_floor:
         k_opt, kappa_opt = k_ceil, kappa_ceil
     else:
@@ -172,25 +170,23 @@ def optimize_K_constrained(params: SystemParams, region: Region,
     floor of a finite region) is reported via feasible=False and
     k_opt = 0, not an exception.
     """
-    if not 0 < psi <= 1:
-        raise ValueError("psi must be in (0, 1]")
     if density <= 0:
         raise ValueError("density must be > 0")
 
-    # Phi <= psi where u >= target, and u falls with K
+    # Phi <= psi where u >= target, and u falls with K; this checks psi
     target = _neg_log_ceiling(psi) / (2.0 * density)
     if ((region.kind == "disc" and psi < outage_floor(density, region.area))
-            or _u_region(region, 1.0, params, q) < target):
+            or _u_derivatives(region, 1.0, params, q)[0] < target):
         return OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
                                   feasible=False, psi=psi)
 
     k_relaxed = _peak(params, region, density, q)
-    u_peak = _u_region(region, k_relaxed, params, q)
+    u_peak = _u_derivatives(region, k_relaxed, params, q)[0]
     if u_peak < target:
         # the ceiling binds; log u is nearly linear in K, so its chord
         # through K = 1 and the peak starts Newton close to the root
         log_target = math.log(target)
-        log_one = math.log(_u_region(region, 1.0, params, q))
+        log_one = math.log(_u_derivatives(region, 1.0, params, q)[0])
         chord = 1.0 + (k_relaxed - 1.0) * (log_one - log_target) / (
             log_one - math.log(u_peak))
 
@@ -215,7 +211,8 @@ def _neg_log_ceiling(psi: float) -> float:
 def cutoff_density(psi: float, params: SystemParams, region: Region,
                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Density below which the ceiling psi cannot be met even at K = 1."""
-    return _neg_log_ceiling(psi) / (2.0 * _u_region(region, 1.0, params, q))
+    neg_log = _neg_log_ceiling(psi)
+    return neg_log / (2.0 * _u_derivatives(region, 1.0, params, q)[0])
 
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:

@@ -40,10 +40,10 @@ trials, and block b draws from one counter-based Philox stream keyed by
   its bound is uniform). Each success pattern S then has intensity
   exactly lambda g^|S| (1 - g)^(K - |S|).
 * on a disc with a tail, last: how many of the trials with no inner
-  and no kept relay are empty, Binomial(n, v), where v is the
-  probability that the annulus holds no relay given that none of its
-  relays serves a subcarrier, exp(-lambda * integral over the annulus
-  of (1 - g)^K). On the unbounded plane no trial is empty.
+  and no kept relay are empty, Binomial(n, v), where v = exp(-lambda *
+  integral over the annulus of (1 - g)^K) is the chance that it holds
+  no relay given that none of its relays serves a subcarrier, this
+  module's one use of `analytic`. On the plane no trial is empty.
 
 The block length depends only on the expected drawn relays per trial and
 K, and workers always receive whole blocks, so results depend on the
@@ -66,9 +66,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.optimize import brentq
 
+from .analytic import QuadratureSettings, _integrate
 from .channel import SystemParams
 from .geometry import Region
 
@@ -84,6 +84,8 @@ MAX_BLOCK = 8192
 # own broke even with one process between 48 and 64 blocks, and was
 # faster in the median of three sweeps from 64 blocks up (BENCH_12.json).
 MIN_BLOCKS_PER_WORKER = 32
+# Fixed, so that the empty count depends on the grid point alone
+_VOID_QUADRATURE = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10)
 
 
 class Scheme(enum.Enum):
@@ -171,29 +173,23 @@ def _inner_radius(params: SystemParams) -> float:
 
 def _annulus_void(params: SystemParams, density: float, inner: float,
                   outer: float) -> float:
-    """exp(-density * integral of (1 - g)^K over inner < r < outer): the
-    probability that the annulus holds no relay, given that none of its
-    relays serves a subcarrier."""
-    alpha, r_sd, k = params.path_loss, params.r_sd, params.subcarriers
-    c = params.threshold / params.snr_budget
-
-    def unserved(theta: float, r: float) -> float:
-        r_md2 = max(r_sd * r_sd + r * r - 2.0 * r_sd * r * math.cos(theta),
-                    0.0)
-        g = math.exp(-c * (r ** alpha + r_md2 ** (0.5 * alpha)))
-        return r * math.exp(k * math.log1p(-g))
-
-    # theta over [0, pi], doubled by symmetry
-    half, _ = integrate.dblquad(unserved, inner, outer, 0.0, math.pi,
-                                epsabs=0.0, epsrel=1e-10)
-    return math.exp(-2.0 * density * half)
+    """P(no relay in inner < r < outer | none there serves a subcarrier)
+    = exp(-density * integral there of (1 - g)^K): the integral is the
+    annulus area minus twice the half-disc integrals of 1 - (1 - g)^K
+    (at most K g) over the discs of radius outer and inner."""
+    k, c = params.subcarriers, params.threshold / params.snr_budget
+    served = [_integrate(Region.disc(radius), (c,), params, _VOID_QUADRATURE,
+                         "the annulus void",
+                         lambda g: (-np.expm1(k * np.log1p(-g)),), (k,))[0, 0]
+              if radius > 0 else 0.0 for radius in (outer, inner)]
+    return math.exp(-density * (math.pi * (outer**2 - inner**2)
+                                - 2.0 * (served[0] - served[1])))
 
 
 @lru_cache(maxsize=64)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """The sampler of one grid point; a disc with a tail needs one 2-D
-    quadrature for its void."""
+    """One grid point's sampler; a disc with a tail integrates its void."""
     alpha = params.path_loss
     c = params.threshold / params.snr_budget
     outer = region.outer_radius()

@@ -479,6 +479,15 @@ def test_exit_codes(tmp_path, capsys):
     (["--mode", "optimize-k", "--lambda", "0"], "--lambda > 0"),
     (["--mode", "optimize-k", "--lambda", "0.5,0", "--psi", "1e-3"],
      "--lambda > 0"),
+    # these modes solve at one SNR and write no snr column
+    (["--mode", "optimize-k", "--snr", "10,100", "--lambda", "0.1"],
+     "mode optimize-k takes one --snr"),
+    (["--mode", "ratio", "--snr-db", "10:20:2"], "mode ratio takes one --snr"),
+    # K s tau / P = 563: either expansion overflows a double
+    (["--mode", "asymptotic", "--alpha", "6", "--snr", "1000", "--lambda",
+      "1"], "leaves double range at K*s*tau/(P_t/N_0) = 563"),
+    (["--mode", "asymptotic", "--alpha", "6", "--snr", "1000", "--lambda",
+      "1", "--scheme", "ps"], "leaves double range at K*s*tau/(P_t/N_0)"),
 ])
 def test_model_errors_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"

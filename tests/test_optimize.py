@@ -64,9 +64,9 @@ def test_relaxed_optimum_is_local_max(disc):
 
 
 def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
-    """The K of every derivative pass the optimiser asks for, in order,
-    each with whether it was cold, that is integrated rather than cached;
-    the derivative cache starts empty."""
+    """The K of every derivative pass a solve asks for, in order, each
+    with whether it was cold, that is integrated rather than cached; the
+    derivative cache, the optimiser's one source of u, starts empty."""
     _u_derivatives.cache_clear()
     passes = []
 
@@ -80,49 +80,71 @@ def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
     return passes
 
 
+def _split_rounding(ks: list[float], k_relaxed: float) -> list[float]:
+    """The peak search's passes of an unconstrained solve's ks, which end
+    with the rounding's: kappa at the ceiling of k_relaxed, then at its
+    floor where that differs."""
+    rounding = sorted({max(1, math.floor(k_relaxed)),
+                       max(1, math.ceil(k_relaxed))}, reverse=True)
+    assert ks[-len(rounding):] == rounding
+    return ks[:-len(rounding)]
+
+
 @pytest.mark.parametrize("alpha,region,density", FIG7_POINTS)
 def test_relaxed_optimum_needs_few_kappa_evaluations(monkeypatch, alpha,
                                                      region, density):
     # the bracket doubles K from 2 while kappa' > 0, in at most
     # ceil(log2 K*) + 2 passes; Newton then starts from the
     # bracket's lower end, a cache hit unless it is 0, and takes kappa'
-    # and kappa'' from one derivative pass per step
+    # and kappa'' from one derivative pass per step; the rounding reads
+    # kappa from the same cache
     passes = _record_passes(monkeypatch)
     k_star = optimize_K_unconstrained(_params(alpha), region,
                                       density).k_relaxed
     ks = [k for k, _ in passes]
+    search = _split_rounding(ks, k_star)
     n_bracket = 1
-    while ks[n_bracket] == 2.0 * ks[n_bracket - 1]:
+    while search[n_bracket] == 2.0 * search[n_bracket - 1]:
         n_bracket += 1
-    assert ks[0] == 2.0 and n_bracket <= math.ceil(math.log2(k_star)) + 2
-    newton = [k for k in ks[n_bracket:] if k not in ks[:n_bracket]]
+    assert search[0] == 2.0
+    assert n_bracket <= math.ceil(math.log2(k_star)) + 2
+    newton = [k for k in search[n_bracket:] if k not in search[:n_bracket]]
     assert 1 <= len(newton) <= 6
-    # each K is integrated once; the only repeat is the start at lo > 0
+    # no K is integrated twice in the solve; the search repeats only its
+    # start at lo > 0, and rounding at a K it visited is a cache hit
     cold = [k for k, is_cold in passes if is_cold]
     assert cold == list(dict.fromkeys(ks))
-    assert len(ks) - len(cold) == (n_bracket > 1)
+    assert len(search) - len(set(search)) == (n_bracket > 1)
     if n_bracket > 1:
-        assert ks[n_bracket] == ks[n_bracket - 2]
+        assert search[n_bracket] == search[n_bracket - 2]
+    assert not any(is_cold for k, is_cold in passes[len(search):]
+                   if k in search)
 
 
 @pytest.mark.parametrize("psi", [1e-2, 1e-3, 1e-5])
 def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
                                                       psi):
-    # the constrained solve repeats the unconstrained one's passes, all
-    # cache hits, then its root search on log u takes at most 6 more,
-    # each cold and none at a K seen
-    passes = _record_passes(monkeypatch)
+    # the constrained solve reads u(1) for feasibility, runs the
+    # unconstrained solve's peak search and reads u at the peak; as the
+    # ceiling binds, the chord reads u(1) again, a cache hit, and the
+    # root search on log u takes at most 6 passes, each cold and at a K
+    # not seen; the rounding reads kappa at the floor of the root
     p = _params()
-    optimize_K_unconstrained(p, disc, 1.0)
-    peak = [k for k, _ in passes]
+    passes = _record_passes(monkeypatch)
+    peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
+    search = _split_rounding([k for k, _ in passes], peak)
+    _u_derivatives.cache_clear()
     passes.clear()
-    optimize_K_constrained(p, disc, 1.0, psi)
+    res = optimize_K_constrained(p, disc, 1.0, psi)
     ks = [k for k, _ in passes]
-    assert ks[:len(peak)] == peak
-    assert 1 <= len(ks) - len(peak) <= 6
-    root = [k for k, cold in passes if cold]
-    assert root == ks[len(peak):]
-    assert len(set(root)) == len(root) and not set(root) & set(peak)
+    n = len(search)
+    assert ks[0] == 1.0 and ks[1:n + 1] == search
+    assert ks[n + 1:n + 3] == [peak, 1.0] and ks[-1] == res.k_opt
+    root = ks[n + 3:-1]
+    assert 1 <= len(root) <= 6
+    assert len(set(root)) == len(root) and not set(root) & set(ks[:n + 3])
+    cold = [k for k, is_cold in passes if is_cold]
+    assert cold == list(dict.fromkeys(ks))
 
 
 def test_unconstrained_evaluates_each_k_once(monkeypatch):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from relayfield import (
     Region,
@@ -343,6 +344,30 @@ def test_empty_fraction_with_a_thinned_tail(params):
                               trials=trials, seed=37)
         assert _agrees(est.empty_fraction,
                        math.exp(-density * region.area), trials)
+
+
+@pytest.mark.parametrize("alpha,k,snr,r_in", [(4.0, 4, 10.0, 0.0),
+                                              (3.0, 2, 100.0, 4.09)])
+def test_annulus_void_matches_a_dblquad_oracle(alpha, k, snr, r_in):
+    # the void's exponent, the integral of (1 - g)^K over the annulus
+    # r_in < r < 8, against scipy's 2-D quadrature at epsrel 1e-13
+    p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
+                     subcarriers=k, r_sd=5.0)
+    inner = simulation._inner_radius(p)
+    assert inner == pytest.approx(r_in, abs=0.005)
+    c = p.threshold / p.snr_budget
+
+    def unserved(theta, r):
+        r_md2 = max(25.0 + r * r - 10.0 * r * math.cos(theta), 0.0)
+        g = math.exp(-c * (r ** alpha + r_md2 ** (0.5 * alpha)))
+        return r * math.exp(k * math.log1p(-g))
+
+    half, _ = integrate.dblquad(unserved, inner, 8.0, 0.0, math.pi,
+                                epsabs=0.0, epsrel=1e-13)
+    density = 0.01
+    void = simulation._annulus_void(p, density, inner, 8.0)
+    assert -math.log(void) / density == pytest.approx(2.0 * half, rel=1e-10,
+                                                       abs=0)
 
 
 def test_estimate_outage_zero_density(params):
