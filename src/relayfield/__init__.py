@@ -17,7 +17,6 @@ from .analytic import (
     asymptotic_bulk_disc,
     asymptotic_ps_disc,
     exp_integral_E,
-    integrand_H,
     log_outage_bulk,
     lower_incomplete_gamma,
     outage_bulk,
@@ -30,7 +29,7 @@ from .analytic import (
     u_plane,
 )
 from .channel import SystemParams
-from .geometry import ConfigurationError, InfiniteAreaError, Region, region_area
+from .geometry import ConfigurationError, InfiniteAreaError, Region
 from .metrics import (
     DiversityEstimate,
     MinDensityResult,
@@ -60,7 +59,6 @@ from .simulation import (
     block_rng,
     estimate_outage,
     estimate_outage_both,
-    estimate_throughput,
 )
 
 __version__ = "0.1.0"

@@ -23,9 +23,8 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .channel import SystemParams
 from .geometry import Region
@@ -60,8 +59,7 @@ class QuadratureSettings:
 
     An integral is accepted once its error estimate is at most
     max(abs_tol, rel_tol * |integral|). max_subdivisions caps the
-    Gauss-Legendre nodes per panel of the region integrals (the first
-    level, of 32, always runs) and the subintervals of scipy's quad.
+    Gauss-Legendre nodes per panel (the first level, of 32, always runs).
     """
 
     abs_tol: float = 1e-10
@@ -99,28 +97,6 @@ def _exponent(r, cos_theta, alpha: float, r_sd: float):
     r2 = r * r
     rmd2 = np.maximum(r_sd * r_sd + r2 - 2.0 * r_sd * r * cos_theta, 0.0)
     return r2 ** (alpha / 2.0) + rmd2 ** (alpha / 2.0)
-
-
-def integrand_H(n: float, r, theta, params: SystemParams):
-    """Kernel of all outage integrals, r * exp(-c (r**alpha + r_mD**alpha)).
-
-    Accepts real n (relaxed K) and arrays of r and theta.
-    """
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("r must be >= 0")
-    c = n * params.threshold / params.snr_budget
-    return r * np.exp(-c * _exponent(r, np.cos(theta), params.path_loss,
-                                     params.r_sd))
-
-
-def _quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
-    val, err, info, *msg = integrate.quad(
-        f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol,
-        limit=q.max_subdivisions, full_output=True)
-    if msg:
-        raise QuadratureError(f"quadrature did not converge in {what}",
-                              val, err)
-    return val
 
 
 @lru_cache(maxsize=8)
@@ -380,13 +356,14 @@ def asymptotic_bulk_disc(params: SystemParams, density: float,
                          sigma: float) -> float:
     """High-SNR expansion of the disc bulk outage."""
     corr = _asymptotic_correction(params, sigma)
+    try:
+        value = math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
+    except OverflowError:
+        raise _out_of_range(corr) from None
     if corr >= 1:
         warnings.warn("outside the asymptotic validity region "
                       f"(K*s*tau/(P_t/N_0) = {corr:.3g} >= 1)", stacklevel=2)
-    try:
-        return math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
-    except OverflowError:
-        raise _out_of_range(corr) from None
+    return value
 
 
 def asymptotic_ps_disc(params: SystemParams, density: float,
@@ -432,11 +409,17 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
 
 
 def exp_integral_E(nu: float, x: float) -> float:
-    """Generalised exponential integral integral_1^inf e**(-x t) / t**nu dt.
-
-    Real order nu is supported (fractional orders (alpha-2)/alpha arise
-    in the diversity bound).
+    """Generalised exponential integral integral_1^inf e**(-x t) / t**nu dt
+    for real order nu <= 1 (the diversity bound takes (alpha-2)/alpha)
+    and x > 0. For nu < 1 it is x**(nu-1) * Gamma(1-nu) * Q(1-nu, x), Q
+    the regularised upper incomplete gamma function. Values below double
+    range (x beyond about 708) may read 0.
     """
     if x <= 0:
         raise ValueError("x must be > 0")
-    return float(mpmath.expint(nu, x))
+    if nu > 1:
+        raise DomainError(f"exp_integral_E takes orders nu <= 1, got {nu}")
+    if nu == 1:
+        return float(special.exp1(x))
+    return float(x ** (nu - 1.0) * special.gamma(1.0 - nu)
+                 * special.gammaincc(1.0 - nu, x))

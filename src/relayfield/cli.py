@@ -453,8 +453,9 @@ class _Option(NamedTuple):
     """One setting: the ExperimentConfig field it sets and its flag.
 
     Flag text and config-file text alike go through cast, the choices
-    check and bounds, a flat sequence of (comparison, limit) pairs that
-    every value must meet. A config file may use the field name or key.
+    check, a finiteness check of every float value, and bounds, a flat
+    sequence of (comparison, limit) pairs that every value must meet. A
+    config file may use the field name or key.
     """
 
     name: str
@@ -480,6 +481,8 @@ class _Option(NamedTuple):
                              f"{', '.join(self.choices)}, got {text!r}")
         limits = list(zip(self.bounds[::2], self.bounds[1::2]))
         values = value if isinstance(value, list) else [value]
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ValueError(f"{label} must be finite, got {text}")
         if not all(_COMPARE[op](v, limit)
                    for op, limit in limits for v in values):
             rule = " and ".join(f"{op} {limit}" for op, limit in limits)

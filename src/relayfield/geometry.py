@@ -40,20 +40,15 @@ class Region:
 
     @property
     def area(self) -> float:
-        """Area of the region; an error for the infinite plane."""
-        return region_area(self)
+        """pi * radius**2 for a disc; an error for the infinite plane."""
+        if self.kind != "disc":
+            raise InfiniteAreaError("the infinite plane has no finite area")
+        return math.pi * self.radius**2
 
     def outer_radius(self) -> float:
         """Distance from the source to the region's edge: the disc
         radius, or inf for the plane."""
         return float(self.radius) if self.kind == "disc" else math.inf
-
-
-def region_area(region: Region) -> float:
-    """Return pi * radius**2 for a disc; error for the plane."""
-    if region.kind != "disc":
-        raise InfiniteAreaError("the infinite plane has no finite area")
-    return math.pi * region.radius**2
 
 
 def default_truncation_radius(snr_budget: float, threshold: float,

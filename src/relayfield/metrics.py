@@ -21,7 +21,6 @@ from .analytic import (
     QuadratureSettings,
     _inclusion_exclusion,
     _integrate,
-    _quad,
     exp_integral_E,
     lower_incomplete_gamma,
     outage_bulk,
@@ -206,13 +205,3 @@ def appendix_bound_T1(params: SystemParams) -> float:
     term2 = (r**2 / a) * exp_integral_E((a - 2.0) / a, (1.0 + 2.0**a) * c * r**a)
     return term1 + term2
 
-
-def appendix_bound_T1_quadrature(params: SystemParams,
-                                 q: QuadratureSettings = DEFAULT_QUADRATURE
-                                 ) -> float:
-    """Direct quadrature of the defining integral (cross-check path)."""
-    a = params.path_loss
-    c = params.subcarriers * params.threshold / params.snr_budget
-    r_sd = params.r_sd
-    return _quad(lambda r: r * math.exp(-c * (r**a + (2.0 * max(r, r_sd))**a)),
-                 0.0, math.inf, q, "appendix_bound_T1")

@@ -387,11 +387,3 @@ def estimate_outage(params: SystemParams, region: Region, density: float,
                                 n_workers=n_workers)
     return both[scheme]
 
-
-def estimate_throughput(params: SystemParams, region: Region, density: float,
-                        scheme: Scheme, trials: int, seed: int,
-                        n_workers: int = 1) -> float:
-    """Average successfully decoded subcarriers per transmission, K*(1-p)."""
-    est = estimate_outage(params, region, density, scheme, trials, seed,
-                          n_workers=n_workers)
-    return params.subcarriers * (1.0 - est.p_hat)

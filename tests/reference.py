@@ -1,11 +1,17 @@
-"""Per-trial object pipeline: the oracle the vectorised kernel is tested against.
+"""Oracles the package is tested against; no package code calls them.
 
-One trial is a Topology of relays (sample_topology), a FadingRealization
-of hop gains (draw_fading), their relay-by-subcarrier end-to-end SNR
-matrix (snr_matrix) and a selection (select_bulk or
+The per-trial object pipeline is the oracle of the vectorised Monte
+Carlo kernel. One trial is a Topology of relays (sample_topology), a
+FadingRealization of hop gains (draw_fading), their relay-by-subcarrier
+end-to-end SNR matrix (snr_matrix) and a selection (select_bulk or
 select_per_subcarrier); trial_outage decides the trial. It is written
-for clarity, one relay and one trial at a time, and no package code
-calls it.
+for clarity, one relay and one trial at a time.
+
+The quadrature oracles check the Gauss-Legendre integrals and closed
+forms of `relayfield.analytic` and `relayfield.metrics`: quad, adaptive
+scipy quadrature at given tolerances; integrand_H, the relay kernel at
+points (r, theta); and appendix_bound_T1_quadrature, the diversity
+bound's defining integral.
 """
 from __future__ import annotations
 
@@ -13,8 +19,55 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
-from relayfield import ConfigurationError, Region, Scheme, SystemParams
+from relayfield import (
+    DEFAULT_QUADRATURE,
+    ConfigurationError,
+    QuadratureError,
+    QuadratureSettings,
+    Region,
+    Scheme,
+    SystemParams,
+)
+from relayfield.analytic import _exponent
+
+
+def quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
+    """scipy's adaptive quad of f over [lo, hi] at q's tolerances, with
+    q.max_subdivisions subintervals; QuadratureError if it warns."""
+    val, err, info, *msg = integrate.quad(
+        f, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol,
+        limit=q.max_subdivisions, full_output=True)
+    if msg:
+        raise QuadratureError(f"quadrature did not converge in {what}",
+                              val, err)
+    return val
+
+
+def integrand_H(n: float, r, theta, params: SystemParams):
+    """Kernel of all outage integrals, r * exp(-c (r**alpha + r_mD**alpha)),
+    c = n*s/(P_t/N_0), from the package's exponent table formula.
+
+    Accepts real n (relaxed K) and arrays of r and theta.
+    """
+    if np.any(np.asarray(r) < 0):
+        raise ValueError("r must be >= 0")
+    c = n * params.threshold / params.snr_budget
+    return r * np.exp(-c * _exponent(r, np.cos(theta), params.path_loss,
+                                     params.r_sd))
+
+
+def appendix_bound_T1_quadrature(params: SystemParams,
+                                 q: QuadratureSettings = DEFAULT_QUADRATURE
+                                 ) -> float:
+    """Direct quadrature of the defining integral of
+    metrics.appendix_bound_T1."""
+    a = params.path_loss
+    c = params.subcarriers * params.threshold / params.snr_budget
+    r_sd = params.r_sd
+    return quad(lambda r: r * math.exp(-c * (r**a + (2.0 * max(r, r_sd))**a)),
+                0.0, math.inf, q, "appendix_bound_T1")
 
 
 @dataclass(frozen=True)

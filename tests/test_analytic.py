@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import relayfield
 from relayfield import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -15,7 +20,6 @@ from relayfield import (
     asymptotic_bulk_disc,
     asymptotic_ps_disc,
     exp_integral_E,
-    integrand_H,
     log_outage_bulk,
     lower_incomplete_gamma,
     outage_bulk,
@@ -29,11 +33,11 @@ from relayfield import (
 )
 from relayfield.analytic import (
     _grid,
-    _quad,
     _u_derivatives,
     _u_freespace,
     _u_values,
 )
+from reference import integrand_H, quad
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
@@ -128,11 +132,11 @@ def test_tiny_u_keeps_its_relative_accuracy(c):
 
     def angular(theta):
         # the kernel is below exp(-3000) beyond r = 10
-        return _quad(lambda r: r * math.exp(-c * (
+        return quad(lambda r: r * math.exp(-c * (
             r**4 + (25.0 + r * r - 10.0 * r * math.cos(theta)) ** 2)),
             0.0, 10.0, tight, "radial")
 
-    oracle = _quad(angular, 0.0, math.pi, tight, "angular")
+    oracle = quad(angular, 0.0, math.pi, tight, "angular")
     assert u_plane(c, p) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
@@ -142,7 +146,7 @@ def test_u_disc_matches_the_bessel_oracle(params, n):
     # leaves a 1-D radial integral; n = 320 gives u near 1e-18
     c = n * params.threshold / params.snr_budget
     tight = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
-    oracle = _quad(lambda r: math.pi * r
+    oracle = quad(lambda r: math.pi * r
                    * math.exp(-c * (r * r + (r - 5.0) ** 2))
                    * special.i0e(2.0 * c * r * 5.0),
                    0.0, 5.0, tight, "bessel oracle")
@@ -363,6 +367,18 @@ def test_asymptotics_warn_outside_validity(params):
         assert asymptotic_ps_disc(p, 0.05, 5.0) > 1.0
 
 
+def test_asymptotics_raise_without_warning():
+    # K s tau / P = 563 at alpha 6, P 1000: both expansions leave double
+    # range, which the error alone reports
+    p = SystemParams(snr_budget=1000.0, path_loss=6.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    for expansion in (asymptotic_bulk_disc, asymptotic_ps_disc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leaves double range"):
+                expansion(p, 1.0, 5.0)
+
+
 def test_outage_floor():
     assert outage_floor(0.001, math.pi * 25.0) == pytest.approx(
         math.exp(-0.025 * math.pi), rel=1e-12)
@@ -390,7 +406,7 @@ def test_subcarrier_cap(disc):
 
 def test_lower_incomplete_gamma_against_quadrature():
     for a, x in ((0.5, 1.0), (1.0, 2.0), (2.5, 0.7)):
-        oracle = _quad(lambda t: t ** (a - 1) * math.exp(-t), 0.0, x,
+        oracle = quad(lambda t: t ** (a - 1) * math.exp(-t), 0.0, x,
                        DEFAULT_QUADRATURE, "gamma oracle")
         assert lower_incomplete_gamma(a, x) == pytest.approx(
             oracle, rel=1e-10)
@@ -402,13 +418,37 @@ def test_lower_incomplete_gamma_against_quadrature():
 
 def test_exp_integral_against_quadrature():
     for nu, x in ((1.0, 1.0), (0.5, 0.3), (1.0 / 3.0, 2.0)):
-        oracle = _quad(lambda t: math.exp(-x * t) / t**nu, 1.0, 200.0,
+        oracle = quad(lambda t: math.exp(-x * t) / t**nu, 1.0, 200.0,
                        DEFAULT_QUADRATURE, "expint oracle")
         assert exp_integral_E(nu, x) == pytest.approx(oracle, rel=1e-8)
     assert exp_integral_E(1.0, 1.0) == pytest.approx(
         0.21938393439552029, rel=1e-12)
+    # the orders (alpha-2)/alpha at alpha 2, 4 and 6, at a small and a
+    # large x, where E is near 1e-133
+    for nu in (0.0, 0.5, 2.0 / 3.0):
+        for x in (1e-3, 300.0):
+            oracle = quad(lambda t: math.exp(-x * t) / t**nu, 1.0, math.inf,
+                          TIGHT, "expint oracle")
+            assert exp_integral_E(nu, x) == pytest.approx(oracle, rel=1e-12)
+    for x in (1e-3, 2.0, 300.0):
+        assert exp_integral_E(0.0, x) == pytest.approx(math.exp(-x) / x,
+                                                       rel=1e-14)
     with pytest.raises(ValueError):
         exp_integral_E(0.5, 0.0)
+    with pytest.raises(DomainError):
+        exp_integral_E(1.5, 1.0)
+
+
+def test_import_loads_no_mpmath_and_no_scipy_integrate():
+    # analytic._integrate is the package's one quadrature engine
+    src = os.path.dirname(os.path.dirname(relayfield.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, relayfield, relayfield.cli; print([m for m in "
+            "('mpmath', 'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "[]"
 
 
 def test_quadrature_settings_validation():

@@ -488,6 +488,16 @@ def test_exit_codes(tmp_path, capsys):
       "1"], "leaves double range at K*s*tau/(P_t/N_0) = 563"),
     (["--mode", "asymptotic", "--alpha", "6", "--snr", "1000", "--lambda",
       "1", "--scheme", "ps"], "leaves double range at K*s*tau/(P_t/N_0)"),
+    # inf meets every lower bound; the model then fails or writes rows
+    (["--mode", "simulate", "--snr", "inf"], "--snr must be finite, got inf"),
+    (["--mode", "simulate", "--lambda", "0.1,inf"],
+     "--lambda must be finite, got 0.1,inf"),
+    (["--mode", "analytic", "--rsd", "inf"], "--rsd must be finite, got inf"),
+    (["--mode", "analytic", "--sigma", "inf"],
+     "--sigma must be finite, got inf"),
+    (["--mode", "analytic", "--alpha", "inf"],
+     "--alpha must be finite, got inf"),
+    (["--mode", "analytic", "--s", "inf"], "--s must be finite, got inf"),
 ])
 def test_model_errors_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"
@@ -558,6 +568,12 @@ def test_snr_flag_overrides_file_and_excludes_snr_db(tmp_path):
     ("scheme", "Both", True),
     ("verify", "ture", False),
     ("connection", "2", False),
+    ("snr", "inf", True),
+    ("lambda", "inf", True),
+    ("rsd", "inf", True),
+    ("sigma", "inf", True),
+    ("alpha", "inf", True),
+    ("s", "inf", True),
 ])
 def test_file_values_get_the_flag_checks(tmp_path, key, text, flag_fails):
     conf = tmp_path / "run.conf"

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from relayfield import ConfigurationError, InfiniteAreaError, Region, region_area
+from relayfield import ConfigurationError, InfiniteAreaError, Region
 from relayfield.geometry import default_truncation_radius
 from reference import relay_dest_distance, sample_topology
 
 
 def test_disc_area():
-    assert region_area(Region.disc(5.0)) == pytest.approx(78.5398, abs=1e-4)
-    assert region_area(Region.disc(1.0)) == pytest.approx(3.14159, abs=1e-5)
+    assert Region.disc(5.0).area == pytest.approx(78.5398, abs=1e-4)
+    assert Region.disc(1.0).area == pytest.approx(3.14159, abs=1e-5)
 
 
 def test_plane_area_is_an_error():
     with pytest.raises(InfiniteAreaError):
-        region_area(Region.plane())
+        Region.plane().area
 
 
 def test_invalid_regions():

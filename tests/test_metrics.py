@@ -21,7 +21,7 @@ from relayfield import (
     outage_ratio,
     outage_ratio_approx,
 )
-from relayfield.metrics import appendix_bound_T1_quadrature
+from reference import appendix_bound_T1_quadrature
 
 
 def test_delta_values(params, disc):

@@ -13,7 +13,6 @@ from relayfield import (
     block_rng,
     estimate_outage,
     estimate_outage_both,
-    estimate_throughput,
     outage_bulk,
     outage_ps,
 )
@@ -459,14 +458,6 @@ def test_outage_grows_with_subcarriers():
         p_hats.append(estimate_outage(p, region, 0.1, Scheme.BULK,
                                       trials=20_000, seed=23).p_hat)
     assert p_hats[0] < p_hats[1] < p_hats[2]
-
-
-def test_estimate_throughput(params):
-    est = estimate_outage(params, Region.disc(5.0), 0.1, Scheme.BULK,
-                          trials=10_000, seed=29)
-    kappa = estimate_throughput(params, Region.disc(5.0), 0.1, Scheme.BULK,
-                                trials=10_000, seed=29)
-    assert kappa == pytest.approx(params.subcarriers * (1 - est.p_hat))
 
 
 def test_trials_must_be_positive(params):
