@@ -7,13 +7,13 @@ codes: 0 success, 1 validation or domain error, 2 numerical failure.
 Three tables drive the module: `_MODES` maps each mode to the function
 that computes its rows, `_FIGURES` maps each figure preset to its own,
 and `_OPTIONS` gives each setting's flag, config-file keys and parsing.
+Flags and a config file are only split into text, which `parse_config`
+checks alike before it checks the settings together.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import operator
-import re
 import sys
 from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -82,28 +82,32 @@ class ExperimentConfig:
                                            rel_tol=self.rel_tol)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    """Comma list, or lo:hi:n for a log-spaced grid."""
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        if int(n) < 1:
-            raise ValueError(f"a grid needs n >= 1, got {n}")
-        return _log_grid(float(lo), float(hi), int(n))
-    return [float(x) for x in text.split(",")]
+def _parse_float_list(text: str,
+                      scale: Callable[[float], float] = float) -> list[float]:
+    """Comma list, or lo:hi:n for n log-spaced values from lo to hi, each
+    number given mapped by scale; a ValidationError says why a grid fails.
+    """
+    if ":" not in text:
+        return [scale(float(x)) for x in text.split(",")]
+    lo, hi, n = text.split(":")
+    lo, hi, n = scale(float(lo)), scale(float(hi)), int(n)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(["must be finite"])
+    if min(lo, hi) <= 0 or n < 1:
+        raise ValidationError(["must have lo, hi > 0 and n >= 1 in lo:hi:n"])
+    return _log_grid(lo, hi, n)
 
 
 def _parse_db_list(text: str) -> list[float]:
-    """A `_parse_float_list` of dB values, converted to linear."""
-    return [10.0 ** (db / 10.0) for db in _parse_float_list(text)]
+    """dB values converted to linear; lo:hi:n is evenly spaced in dB."""
+    return _parse_float_list(text, lambda db: 10.0 ** (db / 10.0))
 
 
 def _parse_bool(text: str) -> bool:
     word = text.strip().lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes")
 
 
 def connection_probability_view(p_outage: float) -> float:
@@ -291,9 +295,6 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     region = cfg.region()
     rows = []
-    if len(cfg.snrs) < 2 or (np.diff(cfg.snrs) <= 0).any():
-        raise ValidationError(["mode diversity needs at least two increasing "
-                               "--snr points"])
     for density in cfg.densities:
         for lo, hi in zip(cfg.snrs[:-1], cfg.snrs[1:]):
             def log_curve(snr: float) -> float:
@@ -311,8 +312,6 @@ def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     region = cfg.region()
     rows = []
     meta = {}
-    if any(density <= 0 for density in cfg.densities):
-        raise ValidationError(["mode optimize-k needs every --lambda > 0"])
     for density in cfg.densities:
         if cfg.psi is not None:
             res = optimize.optimize_K_constrained(params, region, density,
@@ -428,10 +427,7 @@ FIGURES = tuple(_FIGURES)
 
 
 def _figure_rows(cfg: ExperimentConfig) -> Sweep:
-    preset = _FIGURES.get(cfg.figure)
-    if preset is None:
-        raise ValidationError([f"unknown figure preset {cfg.figure!r}"])
-    columns, rows, meta = preset(cfg)
+    columns, rows, meta = _FIGURES[cfg.figure](cfg)
     return columns, rows, {"figure": cfg.figure, **meta}
 
 
@@ -461,19 +457,21 @@ class _Option(NamedTuple):
     name: str
     flag: str
     cast: Callable[[str], object] = str
-    help: str | None = None
+    help: str = ""
     choices: tuple = ()
     bounds: tuple = ()
 
     @property
     def key(self) -> str:
-        """The flag without dashes: its argparse dest and config-file key."""
+        """The flag without dashes: its config-file key."""
         return self.flag[2:].replace("-", "_")
 
     def parse(self, text: str, label: str):
         """The value a text gives; a ValueError says what is wrong."""
         try:
             value = self.cast(text)
+        except ValidationError as exc:  # a grid's own reason
+            raise ValueError(f"{label} {exc}, got {text}") from None
         except (ValueError, OverflowError):
             raise ValueError(f"{label}: cannot parse {text!r}") from None
         if self.choices and value not in self.choices:
@@ -500,7 +498,7 @@ _OPTIONS = (
             "P_t/N_0 values, linear (comma list or lo:hi:n)",
             bounds=(">", 0)),
     _Option("snrs", "--snr-db", _parse_db_list,
-            "P_t/N_0 values in dB (converted to linear)", bounds=(">", 0)),
+            "P_t/N_0 values in dB (comma list or lo:hi:n)", bounds=(">", 0)),
     _Option("region_kind", "--region", choices=("disc", "plane")),
     _Option("sigma", "--sigma", float, "disc radius", bounds=(">", 0)),
     _Option("rsd", "--rsd", float, "source-destination distance",
@@ -526,35 +524,6 @@ _OPTIONS = (
     _Option("connection", "--connection", _parse_bool,
             "emit connection probability (1 - outage) columns"),
 )
-_TAKES_VALUE = {opt.flag for opt in _OPTIONS if opt.cast is not _parse_bool}
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # a malformed flag is a configuration problem: exit 1, not the
-        # exit 2 of argparse, which the CLI reserves for numerical failure
-        raise ValidationError([message])
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: only whole flags exist, as _TAKES_VALUE assumes
-    p = _ArgumentParser(
-        prog="relayfield", allow_abbrev=False,
-        description="Outage/throughput sweeps for two-hop OFDM networks "
-                    "over Poisson relay fields")
-    p.add_argument("--config", help="key = value config file; flags override")
-    for opt in _OPTIONS:
-        if opt.cast is _parse_bool:
-            p.add_argument(opt.flag, dest=opt.key, action="store_const",
-                           const="true", help=opt.help)
-        else:
-            metavar = "{%s}" % ",".join(opt.choices) if opt.choices else None
-            p.add_argument(opt.flag, dest=opt.key, metavar=metavar,
-                           help=opt.help)
-    return p
-
-
-_PARSER = _build_parser()  # once: each add_argument reads the tty size
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -572,20 +541,43 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each negative number that follows a flag joined to it.
+def _usage() -> str:
+    """The --help text: each flag, the values it takes and its help."""
+    rows = [("--config FILE", "key = value config file; flags override")]
+    for opt in _OPTIONS:
+        value = ("{%s}" % ",".join(opt.choices) if opt.choices else
+                 "" if opt.cast is _parse_bool else opt.key.upper())
+        rows.append((f"{opt.flag} {value}", opt.help))
+    return "\n".join(
+        ["usage: relayfield --mode MODE [--flag value | --flag=value] ...", "",
+         *(f"  {flag:<22} {text}".rstrip() for flag, text in rows)])
 
-    argparse reads '-1' and '-0.5' after a flag as its value, but takes
-    '-1e-8' for a flag of its own; '--rel-tol=-1e-8' it reads as the
-    value, so the bound checks can report it.
+
+def _read_argv(argv: list[str]) -> tuple[dict[str, str | None], list[str]]:
+    """The text each flag of argv gives (None where argv ends first), and
+    the arguments that are neither a flag nor a flag's value.
+
+    Like `_read_config_file`, this only splits text. A whole flag takes
+    the next argument, whatever it starts with, or the text of
+    --flag=text; a boolean flag takes none and gives "true". A repeated
+    flag keeps its last value. --help prints the usage and exits 0.
     """
-    joined: list[str] = []
-    for arg in argv:
-        if joined and joined[-1] in _TAKES_VALUE and re.match(r"-\.?\d", arg):
-            joined[-1] += "=" + arg
+    switches = {opt.flag for opt in _OPTIONS if opt.cast is _parse_bool}
+    takes_value = {"--config", *(opt.flag for opt in _OPTIONS)} - switches
+    texts, unknown = {}, []
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_usage())
+            raise SystemExit(0)
+        flag, eq, text = arg.partition("=")
+        if flag in takes_value:
+            texts[flag] = text if eq else next(args, None)
+        elif arg in switches:
+            texts[arg] = "true"
         else:
-            joined.append(arg)
-    return joined
+            unknown.append(arg)
+    return texts, unknown
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -595,13 +587,16 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     text are checked alike, and every problem found is reported in one
     ValidationError.
     """
-    ns = _PARSER.parse_args(_join_negative_values(argv))
-    given = [(opt, opt.flag, getattr(ns, opt.key)) for opt in _OPTIONS
-             if getattr(ns, opt.key) is not None]
-    problems: list[str] = []
-    if ns.config:
+    texts, unknown = _read_argv(argv)
+    problems = ([f"unrecognized arguments: {' '.join(unknown)}"]
+                if unknown else [])
+    problems += [f"{flag} needs a value" for flag, text in texts.items()
+                 if text is None]
+    given = [(opt, opt.flag, texts[opt.flag]) for opt in _OPTIONS
+             if texts.get(opt.flag) is not None]
+    if texts.get("--config"):
         try:
-            file_values = _read_config_file(ns.config)
+            file_values = _read_config_file(texts["--config"])
         except OSError as exc:
             raise ValidationError([f"cannot read config file: {exc}"])
         flagged = {opt.name for opt, _, _ in given}
@@ -635,6 +630,12 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         problems.append("mode asymptotic has closed forms for the disc only")
     if cfg.mode in ("ratio", "optimize-k") and len(cfg.snrs) > 1:
         problems.append(f"mode {cfg.mode} takes one --snr or --snr-db value")
+    if cfg.mode == "diversity" and (len(cfg.snrs) < 2 or any(
+            lo >= hi for lo, hi in zip(cfg.snrs, cfg.snrs[1:]))):
+        problems.append("mode diversity needs at least two increasing --snr "
+                        "points")
+    if cfg.mode == "optimize-k" and any(d <= 0 for d in cfg.densities):
+        problems.append("mode optimize-k needs every --lambda > 0")
     if problems:
         raise ValidationError(problems)
     return cfg
@@ -642,10 +643,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Execute the configured sweep and write CSV plus .meta sidecar."""
-    sweep = _MODES.get(cfg.mode)
-    if sweep is None:
-        raise ValidationError([f"unknown mode {cfg.mode!r}"])
-    columns, rows, meta = sweep(cfg)
+    columns, rows, meta = _MODES[cfg.mode](cfg)
     _write_csv(cfg.output, columns, rows)
     _write_meta(cfg.output, cfg, meta)
     if meta.get("verify_mismatches"):

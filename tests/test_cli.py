@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,32 @@ def test_parse_float_list():
         _parse_float_list("a,b")
     with pytest.raises(ValueError):
         _parse_float_list("1:10:0")
+
+
+def test_snr_db_grid_is_evenly_spaced_in_db():
+    # lo:hi:n spaces the linear values geometrically from 10^(lo/10) to
+    # 10^(hi/10); either end may be 0 or negative in dB
+    def snrs(text):
+        return parse_config(["--mode", "analytic", "--snr-db", text]).snrs
+
+    assert snrs("0:40:5") == pytest.approx([1.0, 10.0, 100.0, 1e3, 1e4])
+    assert snrs("-10:10:3") == pytest.approx([0.1, 1.0, 10.0])
+    assert snrs("10,20") == pytest.approx([10.0, 100.0])
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1:inf:3", "must be finite"),
+    ("1:2:0", "must have lo, hi > 0 and n >= 1 in lo:hi:n"),
+    ("0:1:3", "must have lo, hi > 0 and n >= 1 in lo:hi:n"),
+])
+def test_grid_errors_give_their_reason(capsys, text, reason):
+    # a log grid cannot reach 0, although --lambda may be 0; each grid is
+    # checked before numpy spaces it, so no numpy warning comes first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--mode", "analytic", "--lambda", text]) == 1
+    assert capsys.readouterr().err == f"error: --lambda {reason}, got {text}\n"
+    assert caught == []
 
 
 def test_parse_defaults():
@@ -92,6 +119,34 @@ def test_validation_collects_all_problems():
     text = str(exc.value)
     assert "alpha" in text and "s must" in text and "trials" in text
     assert len(exc.value.problems) == 3
+    # the checks of a mode's settings are reported with the others
+    with pytest.raises(ValidationError) as exc:
+        parse_config(["--mode", "optimize-k", "--lambda", "0",
+                      "--snr", "10,100"])
+    assert exc.value.problems == [
+        "mode optimize-k takes one --snr or --snr-db value",
+        "mode optimize-k needs every --lambda > 0"]
+    with pytest.raises(ValidationError) as exc:
+        parse_config(["--mode", "diversity", "--snr", "100", "--alpha", "1"])
+    assert exc.value.problems == [
+        "--alpha must be >= 2, got 1",
+        "mode diversity needs at least two increasing --snr points"]
+
+
+def test_argv_is_read_flag_by_flag():
+    # a flag takes the next argument whatever it starts with, and the
+    # last of a repeated flag wins
+    cfg = parse_config(["--mode", "analytic", "--K", "2", "--output",
+                        "--K", "--K=8", "--connection", "--connection"])
+    assert (cfg.subcarriers, cfg.output, cfg.connection) == (8, "--K", True)
+    # arguments that are no flag or its value make one problem, reported
+    # with the others; a boolean flag takes no value
+    with pytest.raises(ValidationError) as exc:
+        parse_config(["--mode", "analytic", "x", "--verify=true", "--K=0",
+                      "-K", "2", "--seed"])
+    assert exc.value.problems == [
+        "unrecognized arguments: x --verify=true -K 2", "--seed needs a value",
+        "--K must be >= 1, got 0"]
 
 
 def test_unknown_config_key(tmp_path):
@@ -106,10 +161,17 @@ def test_mode_is_required():
         parse_config([])
 
 
-def test_connection_probability_view():
+def test_connection_probability_view(tmp_path):
     assert connection_probability_view(0.25) == 0.75
     with pytest.raises(ValueError):
         connection_probability_view(1.5)
+    out = tmp_path / "conn.csv"
+    assert main(["--mode", "analytic", "--scheme", "both", "--lambda",
+                 "0.01,1", "--connection", "--output", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["connection"]) == 1.0 - float(row["p_outage"])
 
 
 def test_analytic_sweep_csv_roundtrip(tmp_path):
@@ -498,6 +560,11 @@ def test_exit_codes(tmp_path, capsys):
     (["--mode", "analytic", "--alpha", "inf"],
      "--alpha must be finite, got inf"),
     (["--mode", "analytic", "--s", "inf"], "--s must be finite, got inf"),
+    # a value may begin with "-"
+    (["--mode", "analytic", "--lambda", "-inf"],
+     "--lambda must be finite, got -inf"),
+    (["--mode", "analytic", "--lambda", "-inf:1:3"],
+     "--lambda must be finite, got -inf:1:3"),
 ])
 def test_model_errors_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"
@@ -604,7 +671,7 @@ def test_bounds_on_numeric_options():
 
 
 def test_negative_exponent_values_reach_the_bound_checks(capsys):
-    # argparse alone takes "-1e-8" after a flag for a flag of its own
+    # a flag takes the next argument as its value, whatever it starts with
     for flag, text, rule in (("--rel-tol", "-1e-8", "> 0"),
                              ("--lambda", "-1e-3", ">= 0"),
                              ("--snr", "-1E+2,10", "> 0")):
@@ -644,7 +711,9 @@ def test_malformed_flags_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "--snr-db" in capsys.readouterr().out
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")}
+    assert listed == {"--config", *(opt.flag for opt in _OPTIONS)}
 
 
 def test_asymptotic_mode_converges_to_analytic_at_alpha_3(tmp_path):
