@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -98,9 +99,17 @@ def _parse_float_list(text: str,
     return _log_grid(lo, hi, n)
 
 
+def _db_to_linear(db: float) -> float:
+    """10^(db/10), infinite above double range (about 3083 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_db_list(text: str) -> list[float]:
     """dB values converted to linear; lo:hi:n is evenly spaced in dB."""
-    return _parse_float_list(text, lambda db: 10.0 ** (db / 10.0))
+    return _parse_float_list(text, _db_to_linear)
 
 
 def _parse_bool(text: str) -> bool:
@@ -636,6 +645,11 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
                         "points")
     if cfg.mode == "optimize-k" and any(d <= 0 for d in cfg.densities):
         problems.append("mode optimize-k needs every --lambda > 0")
+    # the CSV is written after the whole sweep, so its path is checked first
+    if (not cfg.output or os.path.isdir(cfg.output)
+            or not os.path.isdir(os.path.dirname(cfg.output) or ".")):
+        problems.append(f"--output must name a file in an existing "
+                        f"directory, got {cfg.output!r}")
     if problems:
         raise ValidationError(problems)
     return cfg

@@ -5,7 +5,7 @@ matrix, and a relay serves a subcarrier only if both of its hops clear
 the threshold there. With c = s/(P_t/N_0), a relay at distance r from
 the source and r_md from the destination does so with probability
 g = p q, p = exp(-c r^a) and q = exp(-c r_md^a), independently on each
-subcarrier, so one uniform below g decides both hops. Relays that serve
+subcarrier, so one event of chance g decides both hops. Relays that serve
 no subcarrier cannot serve either scheme, and by the Poisson marking
 and thinning theorems the sampler draws the others exactly. With
 q_hat = exp(-c |r - r_sd|^a) >= q, all relays inside r_in are drawn,
@@ -20,9 +20,17 @@ trials, and block b draws from one counter-based Philox stream keyed by
 
 * inner part, r < r_in (at most R), a uniform Poisson disc: the relay
   counts of all the block's trials, then the radii and the angles of all
-  N relays, trial after trial, then a (K, N) array of uniforms,
-  subcarrier after subcarrier, each row holding one uniform per relay.
-  A relay serves subcarrier k iff its uniform in row k is below g.
+  N relays, trial after trial, then one uniform v per trial. Only cos
+  theta enters g, and the field is symmetric about the S-D axis, so the
+  angles are drawn on [0, pi). Given the positions, the relays serve
+  each subcarrier independently with chance g, so no inner relay serves
+  a given subcarrier with chance z = prod(1 - g), and none serves all K
+  with chance n_b = prod(1 - g^K); both are sums of log1p over the
+  trial's relays. Bulk succeeds iff a kept tail relay (below) serves all
+  K or v < 1 - n_b, and ps iff bulk does or v < (1 - z)^m, where m
+  counts the subcarriers that no kept tail relay serves. The inner
+  relays serve those m with chance (1 - z)^m, which is at least
+  1 - n_b, so one v gives the pair of outcomes its exact joint law.
   r_in is 0 where K p q_hat < 1 everywhere, as at K = 1.
 * tail part, r_in < r < R, drawn only when that annulus is not empty:
   the proposal counts of all trials, then one uniform per proposal that
@@ -38,10 +46,11 @@ trials, and block b draws from one counter-based Philox stream keyed by
   is kept with probability 1/j, where j counts its served subcarriers,
   by its acceptance uniform again (given acceptance, that uniform over
   its bound is uniform). Each success pattern S then has intensity
-  exactly lambda g^|S| (1 - g)^(K - |S|).
+  exactly lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on
+  [0, pi) too.
 * on a disc with a tail, last: how many of the trials with no inner
-  and no kept relay are empty, Binomial(n, v), where v = exp(-lambda *
-  integral over the annulus of (1 - g)^K) is the chance that it holds
+  and no kept relay are empty, Binomial(n, void), where void = exp(-lambda
+  * integral over the annulus of (1 - g)^K) is the chance that it holds
   no relay given that none of its relays serves a subcarrier, this
   module's one use of `analytic`. On the plane no trial is empty.
 
@@ -51,10 +60,12 @@ seed and the trial count but are bitwise identical for any number of
 workers. A point is split across processes only where each gets at
 least MIN_BLOCKS_PER_WORKER blocks (workers_used).
 
-The vectorised kernel reduces each block over the subcarrier axis of
-those (K, N) arrays and with segment reductions over the trials'
-relays. The tests hold it to a per-trial object pipeline
-(tests/reference.py) replayed on the same block streams.
+The vectorised kernel sums each trial's inner logs with bincount and
+reduces the tail's (K, M) array over its subcarrier axis and with
+segment reductions over the trials' relays. The tests hold it to a
+per-trial oracle replayed on the same block streams: inner chances one
+relay at a time, and the object pipeline of tests/reference.py for the
+tail.
 """
 from __future__ import annotations
 
@@ -72,17 +83,21 @@ from .analytic import QuadratureSettings, _integrate
 from .channel import SystemParams
 from .geometry import Region
 
-# Expected relay-subcarrier pairs per block. A block's uniforms then
-# take about 8 * DRAWS_PER_BLOCK bytes (256 KiB) whatever the density,
-# which measured faster than larger blocks, and a sparse field still
-# gets thousands of trials per numpy call.
+# Expected drawn relays times K per block. While every relay drew K
+# uniforms, a block's uniforms took about 8 * DRAWS_PER_BLOCK bytes
+# (256 KiB) whatever the density, which measured faster than larger
+# blocks, and a sparse field still gets thousands of trials per numpy
+# call. Inner relays now draw no subcarrier uniforms, but the rule is
+# kept so that streams split into blocks where they did.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
-# Fewest blocks worth a process of their own. A block costs about
-# 1.2-1.6 ms whatever the density, and starting and stopping a pool
-# costs 20-40 ms: on 2 cores, one point on 2 workers of a pool of its
-# own broke even with one process between 48 and 64 blocks, and was
-# faster in the median of three sweeps from 64 blocks up (BENCH_12.json).
+# Fewest blocks worth a process of their own. A block cost about
+# 1.2-1.6 ms whatever the density when this was measured (0.8-1.4 ms
+# since inner relays draw one uniform per trial, BENCH_18.json), and
+# starting and stopping a pool costs 20-40 ms: on 2 cores, one point on
+# 2 workers of a pool of its own broke even with one process between 48
+# and 64 blocks, and was faster in the median of three sweeps from 64
+# blocks up (BENCH_12.json).
 MIN_BLOCKS_PER_WORKER = 32
 # Fixed, so that the empty count depends on the grid point alone
 _VOID_QUADRATURE = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10)
@@ -130,9 +145,10 @@ class _Sampler:
 
     @property
     def length(self) -> int:
-        """Trials per block: about DRAWS_PER_BLOCK drawn relay-subcarrier
-        pairs, whatever the density; never dependent on the trial or
-        worker count."""
+        """Trials per block: about DRAWS_PER_BLOCK expected drawn relays
+        times K, whatever the density (still that product, although inner
+        relays draw no subcarrier uniforms, so that streams split where
+        they did); never dependent on the trial or worker count."""
         pairs = (self.inner_mean + self.tail_mean) * self.params.subcarriers
         return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
                        MAX_BLOCK))
@@ -254,20 +270,21 @@ def _second_hop(params: SystemParams, r: np.ndarray,
 def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Per trial, whether one relay serves every subcarrier (bulk), and
-    per subcarrier and trial whether some relay serves it (ps, (K, n)).
+    how many subcarriers some relay serves.
 
     ok is (K, N): its columns are the trials' relays one trial after
     another, counts[i] of them for trial i.
     """
     bulk = np.zeros(len(counts), dtype=bool)
-    ps = np.zeros((ok.shape[0], len(counts)), dtype=bool)
+    served = np.zeros(len(counts), dtype=int)
     if ok.shape[1]:
         # segment starts of the non-empty trials; empty trials serve nobody
         nonempty = counts > 0
         starts = (np.cumsum(counts) - counts)[nonempty]
         bulk[nonempty] = np.logical_or.reduceat(ok.all(axis=0), starts)
-        ps[:, nonempty] = np.logical_or.reduceat(ok, starts, axis=1)
-    return bulk, ps
+        served[nonempty] = np.count_nonzero(
+            np.logical_or.reduceat(ok, starts, axis=1), axis=0)
+    return bulk, served
 
 
 def _block_outages(s: _Sampler, rng: np.random.Generator,
@@ -280,9 +297,17 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     counts = rng.poisson(s.inner_mean, n_trials)
     n = int(counts.sum())
     r = s.inner_radius * np.sqrt(rng.random(n))
-    theta = 2.0 * math.pi * rng.random(n)
-    g = np.exp(-c * r ** alpha - _second_hop(params, r, theta))
-    bulk, ps = _served(rng.random((k, n)) < g, counts)
+    theta = math.pi * rng.random(n)
+    v = rng.random(n_trials)
+    # per trial, log z = sum log(1 - g) and log n_b = sum log(1 - g^K)
+    # over its inner relays, g = exp(-x)
+    x = c * r ** alpha + _second_hop(params, r, theta)
+    owner = np.repeat(np.arange(n_trials), counts)
+    log_z, log_nb = (np.bincount(owner, np.log1p(-np.exp(-exponent)),
+                                 minlength=n_trials)
+                     for exponent in (x, k * x))
+    bulk = np.zeros(n_trials, dtype=bool)
+    unserved = k  # subcarriers that no kept tail relay serves
     if s.tail_mean == 0:
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
@@ -298,7 +323,7 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
             t[live], r[live], near[live], bound[live], accept[live],
             owner[live])
         m = len(t)
-        theta = 2.0 * math.pi * rng.random(m)
+        theta = math.pi * rng.random(m)
         forced = rng.integers(k, size=m)
         u = rng.random((k, m))
         second = _second_hop(params, r, theta)
@@ -308,13 +333,17 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         keep = np.flatnonzero(ok[forced, cols]
                               & (accept * ok.sum(axis=0) < bound))
         kept_counts = np.bincount(owner[keep], minlength=n_trials)
-        bulk_tail, ps_tail = _served(ok[:, keep], kept_counts)
-        bulk |= bulk_tail
-        ps |= ps_tail
+        bulk, served = _served(ok[:, keep], kept_counts)
+        unserved = k - served
         no_relay = np.count_nonzero((counts == 0) & (kept_counts == 0))
         n_empty = int(rng.binomial(no_relay, s.void))
+    # the inner relays serve all K with chance 1 - n_b, and the unserved
+    # subcarriers with chance (1 - z)^unserved >= 1 - n_b (0^0 = 1), so
+    # one uniform decides both with their exact joint law
+    bulk |= v < -np.expm1(log_nb)
+    ps = bulk | (v < (-np.expm1(log_z)) ** unserved)
     return (n_trials - int(np.count_nonzero(bulk)),
-            n_trials - int(np.count_nonzero(ps.all(axis=0))), n_empty)
+            n_trials - int(np.count_nonzero(ps)), n_empty)
 
 
 def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,

@@ -61,15 +61,38 @@ def test_snr_db_grid_is_evenly_spaced_in_db():
     ("1:inf:3", "must be finite"),
     ("1:2:0", "must have lo, hi > 0 and n >= 1 in lo:hi:n"),
     ("0:1:3", "must have lo, hi > 0 and n >= 1 in lo:hi:n"),
+    # 10^(dB/10) leaves double range above about 3083 dB, and rounds to
+    # 0 below about -3240 dB
+    ("--snr-db 0:4000:3", "must be finite"),
+    ("--snr-db 4000", "must be finite"),
+    ("--snr-db -4000", "must be > 0"),
 ])
 def test_grid_errors_give_their_reason(capsys, text, reason):
-    # a log grid cannot reach 0, although --lambda may be 0; each grid is
-    # checked before numpy spaces it, so no numpy warning comes first
+    # text is a --lambda value, or another flag and its value. A log grid
+    # cannot reach 0, although --lambda may be 0; each grid is checked
+    # before numpy spaces it, so no numpy warning comes first
+    flag, value = text.split() if " " in text else ("--lambda", text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["--mode", "analytic", "--lambda", text]) == 1
-    assert capsys.readouterr().err == f"error: --lambda {reason}, got {text}\n"
+        assert main(["--mode", "analytic", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} {reason}, got {value}\n"
     assert caught == []
+
+
+def test_output_outside_a_directory_fails_before_the_sweep(tmp_path, capsys,
+                                                           monkeypatch):
+    # a missing directory, an empty path or a directory gives an error:
+    # line from parse_config, before any point is computed
+    computed = []
+    monkeypatch.setattr(relayfield.analytic, "outage_bulk",
+                        lambda *args: computed.append(args))
+    for output in (str(tmp_path / "missing" / "x.csv"), "", str(tmp_path)):
+        assert main(["--mode", "analytic", "--lambda", "0.1",
+                     "--output", output]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --output must name a file in an existing directory, "
+            f"got {output!r}\n")
+    assert computed == [] and list(tmp_path.iterdir()) == []
 
 
 def test_parse_defaults():

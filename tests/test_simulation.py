@@ -160,18 +160,41 @@ def _tail_proposal(s, u):
     return t, envelope * math.exp(-c * abs(r - p.r_sd) ** alpha)
 
 
-def _trial_by_trial(params, region, density, seed, trials):
-    """Slow reference on the kernel's block streams: each trial's inner
-    and kept tail relays and their gains become a Topology and a
-    FadingRealization for trial_outage.
+def _inner_chances(params, r, theta):
+    """(1 - n_b, 1 - z) of one trial's inner relays at radii r and angles
+    theta, one relay at a time: n_b = prod(1 - g^K) is the chance that
+    none serves all K subcarriers, and z = prod(1 - g) that none serves a
+    given one, with g = exp(-c (r^alpha + r_md^alpha))."""
+    alpha, k = params.path_loss, params.subcarriers
+    c = params.threshold / params.snr_budget
+    log_nb = log_z = 0.0
+    for r_sm, angle in zip(r, theta):
+        r_md = relay_dest_distance(r_sm, angle, params.r_sd)
+        x = c * (r_sm ** alpha + r_md ** alpha)
+        log_nb += math.log1p(-math.exp(-k * x))
+        log_z += math.log1p(-math.exp(-x))
+    return -math.expm1(log_nb), -math.expm1(log_z)
 
-    Every relay-subcarrier pair draws one uniform u, and E = -log u is
-    split into the two hop gains (_hop_gains), so the pair is served iff
-    u <= g. A tail survivor's forced subcarrier gets E = t + c |r -
-    r_sd|^alpha - log u instead, so it is served with probability
-    q / q_hat; the survivor is kept if that subcarrier is served and its
-    acceptance uniform times j, the subcarriers its SNR row serves, is
-    below its bound.
+
+def _trial_by_trial(params, region, density, seed, trials):
+    """Slow reference on the kernel's block streams, one trial at a time.
+
+    A trial's inner relays serve all K subcarriers with chance
+    1 - n_b and each other subcarrier with chance 1 - z, independently
+    (_inner_chances). Its kept tail relays and their gains become a
+    Topology and a FadingRealization, whose SNR matrix says whether one
+    of them serves all K (select_bulk) and which subcarriers m of them
+    leave unserved (select_per_subcarrier). The trial's uniform v then
+    decides: bulk succeeds iff a kept tail relay serves all K or
+    v < 1 - n_b, and ps iff bulk does or v < (1 - z)^m.
+
+    Every tail relay-subcarrier pair draws one uniform u, and
+    E = -log u is split into the two hop gains (_hop_gains), so the pair
+    is served iff u <= g. A tail survivor's forced subcarrier gets
+    E = t + c |r - r_sd|^alpha - log u instead, so it is served with
+    probability q / q_hat; the survivor is kept if that subcarrier is
+    served and its acceptance uniform times j, the subcarriers its SNR
+    row serves, is below its bound.
     """
     s = _sampler(params, region, density)
     alpha, k = params.path_loss, params.subcarriers
@@ -182,9 +205,13 @@ def _trial_by_trial(params, region, density, seed, trials):
         counts = rng.poisson(s.inner_mean, min(s.length, trials - first))
         n = int(counts.sum())
         r = s.inner_radius * np.sqrt(rng.random(n))
-        theta = 2.0 * math.pi * rng.random(n)
-        gains = _hop_gains(params, r, theta, -np.log(rng.random((k, n))).T)
+        theta = math.pi * rng.random(n)
+        v = rng.random(len(counts))
         owner = np.repeat(np.arange(len(counts)), counts)
+        tail = Topology(r_sm=np.empty(0), theta=np.empty(0), region=region,
+                        density=density)
+        gains = np.empty((2, 0, k))
+        tail_owner = np.empty(0, dtype=int)
         if s.tail_mean > 0:
             tail_counts = rng.poisson(s.tail_mean, len(counts))
             proposals = np.array([_tail_proposal(s, u) for u in
@@ -199,7 +226,7 @@ def _trial_by_trial(params, region, density, seed, trials):
             assert np.all(r_tail >= s.inner_radius * (1.0 - 1e-12))
             assert np.all(r_tail <= region.outer_radius() * (1.0 + 1e-12))
             survivors = Topology(r_sm=r_tail,
-                                 theta=2.0 * math.pi * rng.random(m),
+                                 theta=math.pi * rng.random(m),
                                  region=region, density=density)
             forced = rng.integers(k, size=m)
             exponential = -np.log(rng.random((k, m))).T
@@ -210,20 +237,31 @@ def _trial_by_trial(params, region, density, seed, trials):
             serves = snr_matrix(params, survivors, fading) >= params.threshold
             keep = (serves[np.arange(m), forced]
                     & (accept * serves.sum(axis=1) < bound))
-            r = np.concatenate([r, r_tail[keep]])
-            theta = np.concatenate([theta, survivors.theta[keep]])
-            gains = np.concatenate([gains, fading.gains[:, keep]], axis=1)
-            tail_owner = np.repeat(np.arange(len(counts)), tail_counts)
-            owner = np.concatenate([owner, tail_owner[live][keep]])
+            tail = Topology(r_sm=r_tail[keep], theta=survivors.theta[keep],
+                            region=region, density=density)
+            gains = fading.gains[:, keep]
+            tail_owner = np.repeat(np.arange(len(counts)),
+                                   tail_counts)[live][keep]
         no_relay = 0
         for trial in range(len(counts)):
-            mine = owner == trial
-            topo = Topology(r_sm=r[mine], theta=theta[mine],
+            mine = tail_owner == trial
+            kept = Topology(r_sm=tail.r_sm[mine], theta=tail.theta[mine],
                             region=region, density=density)
-            fading = FadingRealization(gains=gains[:, mine])
-            no_relay += topo.n_relays == 0
-            n_bulk += trial_outage(topo, fading, params, Scheme.BULK)
-            n_ps += trial_outage(topo, fading, params, Scheme.PER_SUBCARRIER)
+            bulk, unserved = False, k
+            if kept.n_relays:
+                snr = snr_matrix(params, kept,
+                                 FadingRealization(gains=gains[:, mine]))
+                bulk = select_bulk(snr).achieved.min() >= params.threshold
+                unserved = int(np.count_nonzero(
+                    select_per_subcarrier(snr).achieved < params.threshold))
+            inner = owner == trial
+            served_all, served_one = _inner_chances(params, r[inner],
+                                                    theta[inner])
+            bulk = bulk or v[trial] < served_all
+            ps = bulk or v[trial] < served_one ** unserved
+            no_relay += kept.n_relays == 0 and not inner.any()
+            n_bulk += not bulk
+            n_ps += not ps
         # relays that serve no subcarrier are not drawn: a trial without
         # drawn relays is empty if the annulus holds none either
         n_empty += (no_relay if s.tail_mean == 0
@@ -232,8 +270,8 @@ def _trial_by_trial(params, region, density, seed, trials):
 
 
 def test_chunk_matches_object_path(params):
-    # the block kernel must reproduce the object-level pipeline exactly,
-    # trial by trial, on the same block streams
+    # the block kernel must reproduce the per-trial oracle exactly, trial
+    # by trial, on the same block streams
     cases = {
         "no relays": (params, Region.disc(5.0), 0.0, 300),
         "sparse disc": (params, Region.disc(5.0), 0.08, 400),
@@ -269,16 +307,48 @@ def test_chunk_matches_object_path(params):
     assert both_segments.w_pow > 0 and both_segments.w_exp > 0
 
 
+def test_empty_inner_with_a_covering_tail_serves_every_subcarrier(params):
+    # at alpha 4, K 2, SNR 100 r_in = 0, so no trial has an inner relay
+    # (z = 1): a trial whose kept tail relays cover both subcarriers, but
+    # no one of them both, is a ps success only through (1 - z)^0 = 1,
+    # which must not read 0^0 as NaN
+    p = replace(params, path_loss=4.0, subcarriers=2)
+    region = Region.disc(5.0)
+    s = _sampler(p, region, 0.3)
+    assert s.inner_mean == 0 and s.tail_mean > 0
+    trials = 3000
+    got = _simulate_chunk(s, 99, trials, 0, -(-trials // s.length))
+    assert got == _trial_by_trial(p, region, 0.3, 99, trials)
+    assert got[1] < got[0] < trials
+
+
+def test_one_subcarrier_gives_equal_scheme_counts(params):
+    # at K = 1 the two schemes are one event: n_b = z for the inner relays
+    # and m = 1 exactly when no kept tail relay serves, so both counts are
+    # equal trial by trial. r_in = 0 at K = 1, so the disc drawn whole is
+    # built by hand to give the inner part relays.
+    p = replace(params, subcarriers=1)
+    whole = simulation._Sampler(p, 5.0, 0.1 * math.pi * 25.0, 0.0)
+    samplers = [_sampler(p, Region.disc(5.0), 0.1),
+                _sampler(p, Region.plane(), 0.02), whole]
+    assert [s.tail_mean > 0 for s in samplers] == [True, True, False]
+    for s in samplers:
+        bulk, ps, _ = _simulate_chunk(s, 7, 5000, 0, -(-5000 // s.length))
+        assert 0 < bulk == ps < 5000
+
+
 def test_disc_without_tail_keeps_its_stream(params):
-    # with r_in >= sigma the disc has no tail: every relay is drawn, with
-    # one uniform per relay and subcarrier tested against g = p q, over
-    # several blocks. The pins were (990, 198, 6) and (134, 2, 0) while
-    # each pair drew two uniforms, one per hop; one uniform against g,
-    # drawn as a (K, N) array subcarrier after subcarrier, has the same
-    # law but is another stream.
+    # with r_in >= sigma the disc has no tail: every relay is drawn, and
+    # one uniform per trial decides its outcomes, over several blocks.
+    # The pins were (990, 198, 6) and (134, 2, 0) while each pair drew
+    # two uniforms, one per hop, and (998, 203, 6) and (111, 1, 0) while
+    # each relay drew one uniform per subcarrier against g = p q on
+    # angles in [0, 2 pi). One uniform per trial against the inner
+    # relays' joint chances, on angles in [0, pi), has the same law but
+    # is another stream.
     alpha_4 = replace(params, snr_budget=1000.0, path_loss=4.0)
-    for p, density, trials, pinned in ((params, 0.08, 4000, (998, 203, 6)),
-                                       (alpha_4, 0.3, 2000, (111, 1, 0))):
+    for p, density, trials, pinned in ((params, 0.08, 4000, (971, 204, 6)),
+                                       (alpha_4, 0.3, 2000, (120, 3, 0))):
         s = _sampler(p, Region.disc(5.0), density)
         assert s.tail_mean == 0 and s.inner_radius == 5.0
         n_blocks = -(-trials // s.length)
