@@ -1,8 +1,9 @@
 """Command-line sweeps: config parsing, CSV emission, figure presets.
 
 Runs are batch-style: a mode, a parameter grid, a CSV output with a
-`.meta` text sidecar recording the fully resolved configuration. Exit
-codes: 0 success, 1 validation or domain error, 2 numerical failure.
+`.meta` text sidecar recording the fully resolved configuration and the
+versions of relayfield, numpy, scipy and Python. Exit codes: 0 success,
+1 validation or domain error, 2 numerical failure.
 
 Three tables drive the module: `_MODES` maps each mode to the function
 that computes its rows, `_FIGURES` maps each figure preset to its own,
@@ -24,6 +25,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
@@ -143,7 +145,10 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_meta(path: str, cfg: ExperimentConfig, extra: dict) -> None:
-    items = {"tool_version": __version__, **vars(cfg), **extra}
+    items = {"tool_version": __version__, "numpy_version": np.__version__,
+             "scipy_version": scipy.__version__,
+             "python_version": "{}.{}.{}".format(*sys.version_info),
+             **vars(cfg), **extra}
     with open(path + ".meta", "w", encoding="utf-8") as fh:
         for key, val in items.items():
             fh.write(f"{key} = {val}\n")

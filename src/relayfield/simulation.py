@@ -10,7 +10,7 @@ no subcarrier cannot serve either scheme, and by the Poisson marking
 and thinning theorems the sampler draws the others exactly. With
 q_hat = exp(-c |r - r_sd|^a) >= q, all relays inside r_in are drawn,
 where r_in is the outer root of K p q_hat = 1, and beyond it only
-proposals of the radial intensity lambda K p q_hat < lambda, thinned.
+relays of the intensity lambda K p q_hat < lambda, which are thinned.
 So the plane needs no truncation: the sampled region has outer radius
 R, the disc radius sigma, or infinity on the plane.
 
@@ -34,20 +34,22 @@ trials, and block b draws from one counter-based Philox stream keyed by
   r_in is 0 where K p q_hat < 1 everywhere, as at K = 1.
 * tail part, r_in < r < R, drawn only when that annulus is not empty:
   the proposal counts of all trials, then one uniform per proposal that
-  inverts t = c r^a from the envelope t^(a-1) on [t_in, 1) and
-  t_b^(a-1) exp(-t) on [t_b, T], with a = 2/alpha, t_in = c r_in^alpha,
-  t_b = max(t_in, 1) and T = c R^alpha (the split of Ahrens and
-  Dieter's GS algorithm), then one acceptance uniform per proposal,
-  which must stay below (exp(-t) or (t/t_b)^(a-1)) * q_hat. The
-  survivors draw their angles, then a forced subcarrier each, then a
-  (K, M) array of uniforms in the same subcarrier-major order: the
-  forced subcarrier is served with probability q/q_hat and every other
-  one with probability g. A survivor whose forced subcarrier is served
-  is kept with probability 1/j, where j counts its served subcarriers,
-  by its acceptance uniform again (given acceptance, that uniform over
-  its bound is uniform). Each success pattern S then has intensity
-  exactly lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on
-  [0, pi) too.
+  picks a piece of the envelope e >= h (below) and inverts inside it,
+  then one acceptance uniform per proposal, which must stay below
+  h(r)/e(r). Here h(r) = r p q_hat = r exp(-c (r^alpha + |r - r_sd|^alpha)),
+  so that the survivors have the radial intensity lambda K 2 pi h. h is
+  log-concave for alpha >= 2, so tangents of log h lie above it, and e is
+  the least of a few of them: piecewise exponential, with pieces that
+  meet where neighbouring tangents cross (adaptive rejection sampling of
+  Gilks and Wild, with fixed tangent points). The survivors draw their
+  angles, then a forced subcarrier each, then a (K, M) array of uniforms
+  in the same subcarrier-major order: the forced subcarrier is served
+  with probability q/q_hat and every other one with probability g. A
+  survivor whose forced subcarrier is served is kept with probability
+  1/j, where j counts its served subcarriers, by its acceptance uniform
+  again (given acceptance, that uniform over its bound is uniform). Each
+  success pattern S then has intensity exactly
+  lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on [0, pi) too.
 * on a disc with a tail, last: how many of the trials with no inner
   and no kept relay are empty, Binomial(n, void), where void = exp(-lambda
   * integral over the annulus of (1 - g)^K) is the chance that it holds
@@ -83,22 +85,29 @@ from .analytic import QuadratureSettings, _integrate
 from .channel import SystemParams
 from .geometry import Region
 
-# Expected drawn relays times K per block. While every relay drew K
-# uniforms, a block's uniforms took about 8 * DRAWS_PER_BLOCK bytes
-# (256 KiB) whatever the density, which measured faster than larger
-# blocks, and a sparse field still gets thousands of trials per numpy
-# call. Inner relays now draw no subcarrier uniforms, but the rule is
-# kept so that streams split into blocks where they did.
+# Expected drawn relays (inner relays and tail proposals) times K per
+# block. While every relay drew K uniforms, a block's uniforms took about
+# 8 * DRAWS_PER_BLOCK bytes (256 KiB) whatever the density, which
+# measured faster than larger blocks, and a sparse field still gets
+# thousands of trials per numpy call. Inner relays now draw no subcarrier
+# uniforms, but the rule is kept so that tail-free streams split into
+# blocks where they did.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
 # Fewest blocks worth a process of their own. A block cost about
 # 1.2-1.6 ms whatever the density when this was measured (0.8-1.4 ms
-# since inner relays draw one uniform per trial, BENCH_18.json), and
-# starting and stopping a pool costs 20-40 ms: on 2 cores, one point on
-# 2 workers of a pool of its own broke even with one process between 48
-# and 64 blocks, and was faster in the median of three sweeps from 64
-# blocks up (BENCH_12.json).
+# since inner relays draw one uniform per trial, BENCH_18.json; 0.5-1.8
+# ms at K = 4 and 8 since the tail is proposed from its tangent envelope,
+# BENCH_19.json), and starting and stopping a pool costs 20-40 ms: on 2
+# cores, one point on 2 workers of a pool of its own broke even with one
+# process between 48 and 64 blocks, and was faster in the median of three
+# sweeps from 64 blocks up (BENCH_12.json).
 MIN_BLOCKS_PER_WORKER = 32
+# Drops of log h below its maximum at which the tail envelope touches it
+# on each side: for a Gaussian, tangents every 3/4 of a standard
+# deviation out to 4.5 of them, which waste about 2 % of the proposals
+# (1-6 % over the grid of test_tail_envelope_bounds_the_density)
+TANGENT_DROPS = tuple(0.5 * (0.75 * k) ** 2 for k in range(1, 7))
 # Fixed, so that the empty count depends on the grid point alone
 _VOID_QUADRATURE = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10)
 
@@ -121,26 +130,28 @@ class OutageEstimate:
     empty_fraction: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Sampler:
     """Per-trial constants of the two-hop thinned sampler at one grid point.
 
-    The tail proposes t = c r^alpha from an envelope of two segments:
-    t^(a-1) on [t_in, 1), of weight w_pow, and t_b^(a-1) exp(-t) on
-    [t_b, T], of weight w_exp, with a = 2/alpha, t_in = c r_in^alpha,
-    t_b = max(t_in, 1) and T = c R^alpha. Each proposal stands for the
-    radial intensity lambda K (2 pi / (alpha c^a)) times its envelope,
-    so tail_mean is that constant times w_pow + w_exp.
+    The tail proposes r from the envelope e of h(r) = r p q_hat, whose
+    piece i covers cuts[i] <= r < cuts[i + 1] (cuts[-1] = R, inf on the
+    plane) with log e = levels[i] + slopes[i] (r - cuts[i]). cumulative
+    holds the share of the envelope's mass below each cut, and scales[i]
+    turns a share inside piece i into the width a flat piece would need
+    for it. Each proposal stands for the radial intensity lambda K 2 pi
+    e(r), so tail_mean is lambda K 2 pi times the envelope's mass.
     """
 
     params: SystemParams
     inner_radius: float  # r_in, at most R
     inner_mean: float    # expected inner relays
     tail_mean: float     # expected tail proposals; 0: no tail
-    t_in: float = 0.0
-    t_top: float = math.inf
-    w_pow: float = 0.0
-    w_exp: float = 0.0
+    cuts: np.ndarray | None = None
+    levels: np.ndarray | None = None
+    slopes: np.ndarray | None = None
+    cumulative: np.ndarray | None = None
+    scales: np.ndarray | None = None
     void: float = 0.0    # P(annulus empty | none of its relays serves)
 
     @property
@@ -154,22 +165,16 @@ class _Sampler:
                        MAX_BLOCK))
 
     def propose(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tail proposals t = c r^alpha by inversion of the envelope at
-        uniforms u in [0, 1), and their envelope factor, exp(-t) or
-        (t/t_b)^(a-1). The share w_exp / (w_pow + w_exp) of u nearest 0
-        inverts the exponential segment, from T down; the rest inverts
-        the power-law segment, from t_in up."""
-        a = 2.0 / self.params.path_loss
-        t_b = max(self.t_in, 1.0)
-        w = u * (self.w_pow + self.w_exp)
-        on_exp = w < self.w_exp
-        # both segments' inversions for every u (cheaper than masked
-        # gathers), each finite where the other segment is drawn
-        t = np.where(on_exp,
-                     -np.log(math.exp(-self.t_top) + w * t_b ** (1.0 - a)),
-                     (self.t_in ** a + a * np.maximum(w - self.w_exp, 0.0))
-                     ** (1.0 / a))
-        return t, np.where(on_exp, (t / t_b) ** (a - 1.0), np.exp(-t))
+        """Tail proposals r by inversion of the envelope at uniforms u in
+        [0, 1), and log e(r). u picks the piece whose share of the mass
+        holds it and, by the rest of its share, the point inside."""
+        piece = np.searchsorted(self.cumulative, u, side="right") - 1
+        slope = self.slopes[piece]
+        # the step past the piece's start that a flat piece would take,
+        # kept where the slope is 0 (the limit of the exponential one)
+        step = (u - self.cumulative[piece]) * self.scales[piece]
+        np.divide(np.log1p(slope * step), slope, out=step, where=slope != 0)
+        return self.cuts[piece] + step, self.levels[piece] + slope * step
 
 
 def _inner_radius(params: SystemParams) -> float:
@@ -202,30 +207,104 @@ def _annulus_void(params: SystemParams, density: float, inner: float,
                                 - 2.0 * (served[0] - served[1])))
 
 
+def _log_density(params: SystemParams, r: float) -> tuple[float, float]:
+    """log h(r) and its derivative at r > 0, for the tail's radial density
+    h(r) = r exp(-c (r^alpha + |r - r_sd|^alpha))."""
+    alpha, c = params.path_loss, params.threshold / params.snr_budget
+    d = r - params.r_sd
+    far = abs(d) ** (alpha - 1.0)
+    return (math.log(r) - c * (r ** alpha + abs(d) * far),
+            1.0 / r - c * alpha * (r ** (alpha - 1.0) + math.copysign(far, d)))
+
+
+def _tangent_points(params: SystemParams, lo: float,
+                    hi: float) -> list[float]:
+    """Where the tail envelope touches log h on [lo, hi]: the mode, and on
+    each side of it the radii where log h has dropped by TANGENT_DROPS,
+    or the end of [lo, hi] if log h has dropped by less there. A point
+    within half the first drop of an end on its side is left out, so that
+    no two tangents nearly coincide, and so is an end that lies deeper
+    than every drop, so that every piece holds a share of the mass."""
+    def f(r: float) -> float:
+        return _log_density(params, r)[0] if 0 < r < math.inf else -math.inf
+
+    def df(r: float) -> float:
+        return _log_density(params, r)[1]
+
+    alpha, c = params.path_loss, params.threshold / params.snr_budget
+    # d log h > 0 below min(r_sd, scale) and < 0 beyond max(r_sd, scale)
+    scale = (c * alpha) ** (-1.0 / alpha)
+    if lo > 0 and df(lo) <= 0:
+        mode = lo
+    elif hi < math.inf and df(hi) >= 0:
+        mode = hi
+    else:
+        mode = brentq(df, lo if lo > 0 else 0.5 * min(params.r_sd, scale),
+                      min(hi, 2.0 * max(params.r_sd, scale)), rtol=1e-3)
+    top, margin = f(mode), 0.5 * TANGENT_DROPS[0]
+    deepest = top - TANGENT_DROPS[-1]
+    f_lo, f_hi = f(lo), f(hi)
+    points = {end for end, f_end in ((lo, f_lo), (hi, f_hi))
+              if f_end >= deepest}
+    if max(f_lo, f_hi) < top - margin:
+        points.add(mode)
+    # brackets of every drop's radii: log h < log r < deepest below
+    # exp(deepest), and log h falls beyond the mode
+    left = lo if lo > 0 else 0.5 * min(mode, math.exp(deepest))
+    right = hi
+    if right == math.inf:
+        right = 2.0 * mode
+        while f(right) >= deepest:
+            right *= 2.0
+    for drop in TANGENT_DROPS:
+        for end, f_end in ((left, f_lo), (right, f_hi)):
+            if f_end < top - drop - margin:
+                points.add(brentq(lambda r, level: f(r) - level,
+                                  *sorted((end, mode)), args=(top - drop,),
+                                  rtol=1e-3))
+    return sorted(points)
+
+
+def _tail_envelope(params: SystemParams, lo: float, hi: float,
+                   ) -> tuple[float, dict[str, np.ndarray]]:
+    """The envelope's mass and its _Sampler fields on lo < r < hi: the
+    least of the tangents of log h at _tangent_points."""
+    x = np.array(_tangent_points(params, lo, hi))
+    value, slope = np.array([_log_density(params, r) for r in x]).T
+    # neighbouring tangents cross between their points; clipping keeps
+    # every piece under one tangent, which lies above log h anyway
+    cross = ((value[:-1] - slope[:-1] * x[:-1])
+             - (value[1:] - slope[1:] * x[1:])) / (slope[1:] - slope[:-1])
+    cuts = np.concatenate(([lo], np.clip(cross, x[:-1], x[1:]), [hi]))
+    top = value.max()
+    level = value - top + slope * (cuts[:-1] - x)  # log e - top at each cut
+    # mass of each piece over e^top, as in _Sampler.propose: its width
+    # where flat, and -1/slope on the unbounded last piece
+    width = np.diff(cuts)
+    mass = np.exp(level) * np.divide(np.expm1(slope * width), slope,
+                                     out=width.copy(), where=slope != 0)
+    total = mass.sum()
+    cumulative = np.concatenate(([0.0], np.cumsum(mass[:-1]) / total))
+    return math.exp(top) * total, {
+        "cuts": cuts, "levels": level + top, "slopes": slope,
+        "cumulative": cumulative, "scales": total * np.exp(-level)}
+
+
 @lru_cache(maxsize=64)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
     """One grid point's sampler; a disc with a tail integrates its void."""
-    alpha = params.path_loss
-    c = params.threshold / params.snr_budget
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
     if density == 0 or radius == outer:
         return _Sampler(params, radius, inner_mean, 0.0)
-    a = 2.0 / alpha
-    t_in = c * radius ** alpha
-    t_top = c * outer ** alpha
-    t_b = max(t_in, 1.0)
-    w_pow = (min(1.0, t_top) ** a - t_in ** a) / a if t_in < 1.0 else 0.0
-    w_exp = (t_b ** (a - 1.0) * (math.exp(-t_b) - math.exp(-t_top))
-             if t_b < t_top else 0.0)
-    tail_mean = (density * params.subcarriers * 2.0 * math.pi
-                 / (alpha * c ** a) * (w_pow + w_exp))
+    mass, envelope = _tail_envelope(params, radius, outer)
+    tail_mean = density * params.subcarriers * 2.0 * math.pi * mass
     void = (_annulus_void(params, density, radius, outer)
             if math.isfinite(outer) else 0.0)
-    return _Sampler(params, radius, inner_mean, tail_mean, t_in, t_top,
-                    w_pow, w_exp, void)
+    return _Sampler(params, radius, inner_mean, tail_mean, void=void,
+                    **envelope)
 
 
 def block_length(params: SystemParams, region: Region, density: float) -> int:
@@ -267,13 +346,14 @@ def _second_hop(params: SystemParams, r: np.ndarray,
     return c * r_md2 ** (0.5 * params.path_loss)
 
 
-def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
-                                                          np.ndarray]:
+def _served(ok: np.ndarray, j: np.ndarray,
+            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, whether one relay serves every subcarrier (bulk), and
     how many subcarriers some relay serves.
 
     ok is (K, N): its columns are the trials' relays one trial after
-    another, counts[i] of them for trial i.
+    another, counts[i] of them for trial i; j[n] counts the subcarriers
+    that relay n serves.
     """
     bulk = np.zeros(len(counts), dtype=bool)
     served = np.zeros(len(counts), dtype=int)
@@ -281,7 +361,7 @@ def _served(ok: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
         # segment starts of the non-empty trials; empty trials serve nobody
         nonempty = counts > 0
         starts = (np.cumsum(counts) - counts)[nonempty]
-        bulk[nonempty] = np.logical_or.reduceat(ok.all(axis=0), starts)
+        bulk[nonempty] = np.logical_or.reduceat(j == len(ok), starts)
         served[nonempty] = np.count_nonzero(
             np.logical_or.reduceat(ok, starts, axis=1), axis=0)
     return bulk, served
@@ -313,11 +393,11 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     else:
         tail_counts = rng.poisson(s.tail_mean, n_trials)
         owner = np.repeat(np.arange(n_trials), tail_counts)
-        t, envelope = s.propose(rng.random(len(owner)))
+        r, log_envelope = s.propose(rng.random(len(owner)))
         accept = rng.random(len(owner))
-        r = (t / c) ** (1.0 / alpha)
+        t = c * r ** alpha
         near = c * np.abs(r - params.r_sd) ** alpha  # -log q_hat
-        bound = envelope * np.exp(-near)
+        bound = np.exp(np.log(r) - t - near - log_envelope)  # h / e
         live = np.flatnonzero(accept < bound)
         t, r, near, bound, accept, owner = (
             t[live], r[live], near[live], bound[live], accept[live],
@@ -330,10 +410,10 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         ok = u < np.exp(-t - second)
         cols = np.arange(m)
         ok[forced, cols] = u[forced, cols] < np.exp(near - second)
-        keep = np.flatnonzero(ok[forced, cols]
-                              & (accept * ok.sum(axis=0) < bound))
+        j = ok.sum(axis=0)
+        keep = np.flatnonzero(ok[forced, cols] & (accept * j < bound))
         kept_counts = np.bincount(owner[keep], minlength=n_trials)
-        bulk, served = _served(ok[:, keep], kept_counts)
+        bulk, served = _served(ok[:, keep], j[keep], kept_counts)
         unserved = k - served
         no_relay = np.count_nonzero((counts == 0) & (kept_counts == 0))
         n_empty = int(rng.binomial(no_relay, s.void))

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import platform
 import re
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import relayfield.optimize
 from relayfield import (
@@ -263,8 +266,13 @@ def test_one_worker_pool_per_sweep(tmp_path, pools):
                  "--trials", "500", "--workers", "2",
                  "--output", str(tmp_path / "disc.csv")]) == 0
     assert len(pools) == 2
-    # points of 4 and 50 blocks, too few to pay for a pool: none is
-    # started, and the CSV is the one a single worker writes
+    # points of too few blocks to pay for a pool: none is started, and
+    # the CSV is the one a single worker writes
+    for snr in (100.0, 1000.0):
+        point = SystemParams(snr_budget=snr, path_loss=2.0, threshold=1.0,
+                             subcarriers=4, r_sd=5.0)
+        blocks = -(-400 // block_length(point, Region.plane(), 0.1))
+        assert blocks < 2 * simulation.MIN_BLOCKS_PER_WORKER
     dense = ["--mode", "simulate", "--scheme", "both", "--region", "plane",
              "--lambda", "0.1", "--snr", "100,1000", "--trials", "400"]
     for workers in (1, 2):
@@ -289,6 +297,23 @@ def test_configs_share_one_pool_sized_by_their_largest_point(pools):
     assert len(pools) == 1 and pools[0].stopped
     assert pools[0]._max_workers == 2
     assert rows == _simulate_rows(small)[1] + _simulate_rows(plane)[1]
+
+
+def test_meta_records_the_versions_and_leaves_the_csv_alone(tmp_path):
+    # the .meta names the numpy, scipy and Python that ran; the CSV, a
+    # tail-free disc sweep, has the bytes it had before the .meta carried
+    # them (and before the tail's envelope changed)
+    out = tmp_path / "run.csv"
+    assert main(["--mode", "simulate", "--scheme", "both", "--lambda",
+                 "0.05,0.1", "--trials", "2000", "--seed", "4",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8e4bd9357d976852cfd7eb363bbf5611ab88042c421f2ce8eb684cb93dc1280a")
+    meta = (tmp_path / "run.csv.meta").read_text().splitlines()
+    assert meta[:4] == [f"tool_version = {relayfield.__version__}",
+                        f"numpy_version = {numpy.__version__}",
+                        f"scipy_version = {scipy.__version__}",
+                        f"python_version = {platform.python_version()}"]
 
 
 def test_meta_records_pool_workers(tmp_path):

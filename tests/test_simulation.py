@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -140,24 +141,24 @@ def _hop_gains(params, r, theta, exponential):
 
 
 def _tail_proposal(s, u):
-    """(t, acceptance bound) of one tail proposal at uniform u: t = c r^a
-    by inversion of the envelope t^(a-1) on [t_in, 1) (weight w_pow) and
-    t_b^(a-1) exp(-t) on [t_b, T] (weight w_exp), and the bound
-    (exp(-t) or (t/t_b)^(a-1)) * exp(-c |r - r_sd|^alpha)."""
+    """(r, acceptance bound) of one tail proposal at uniform u: the
+    envelope piece i whose share of the mass holds u, found by a linear
+    scan, inverted at the rest of that share, and the bound h(r)/e(r) with
+    h(r) = r exp(-c (r^alpha + |r - r_sd|^alpha)) and
+    log e(r) = levels[i] + slopes[i] (r - cuts[i])."""
     p = s.params
-    alpha = p.path_loss
-    a = 2.0 / alpha
     c = p.threshold / p.snr_budget
-    t_b = max(s.t_in, 1.0)
-    w = u * (s.w_pow + s.w_exp)
-    if w < s.w_exp:
-        t = -math.log(math.exp(-s.t_top) + w * t_b ** (1.0 - a))
-        envelope = (t / t_b) ** (a - 1.0)
-    else:
-        t = (s.t_in ** a + a * (w - s.w_exp)) ** (1.0 / a)
-        envelope = math.exp(-t)
-    r = (t / c) ** (1.0 / alpha)
-    return t, envelope * math.exp(-c * abs(r - p.r_sd) ** alpha)
+    i = 0
+    while i + 1 < len(s.slopes) and s.cumulative[i + 1] <= u:
+        i += 1
+    slope = s.slopes[i]
+    step = (u - s.cumulative[i]) * s.scales[i]  # a flat piece's step
+    if slope != 0:
+        step = math.log1p(slope * step) / slope
+    r = s.cuts[i] + step
+    log_h = math.log(r) - c * (r ** p.path_loss
+                               + abs(r - p.r_sd) ** p.path_loss)
+    return r, math.exp(log_h - (s.levels[i] + slope * step))
 
 
 def _inner_chances(params, r, theta):
@@ -191,10 +192,10 @@ def _trial_by_trial(params, region, density, seed, trials):
     Every tail relay-subcarrier pair draws one uniform u, and
     E = -log u is split into the two hop gains (_hop_gains), so the pair
     is served iff u <= g. A tail survivor's forced subcarrier gets
-    E = t + c |r - r_sd|^alpha - log u instead, so it is served with
-    probability q / q_hat; the survivor is kept if that subcarrier is
-    served and its acceptance uniform times j, the subcarriers its SNR
-    row serves, is below its bound.
+    E = c (r^alpha + |r - r_sd|^alpha) - log u instead, so it is served
+    with probability q / q_hat; the survivor is kept if that subcarrier
+    is served and its acceptance uniform times j, the subcarriers its
+    SNR row serves, is below its bound.
     """
     s = _sampler(params, region, density)
     alpha, k = params.path_loss, params.subcarriers
@@ -216,12 +217,11 @@ def _trial_by_trial(params, region, density, seed, trials):
             tail_counts = rng.poisson(s.tail_mean, len(counts))
             proposals = np.array([_tail_proposal(s, u) for u in
                                   rng.random(int(tail_counts.sum()))])
-            t, bound = proposals.reshape(-1, 2).T
-            accept = rng.random(len(t))
+            r_tail, bound = proposals.reshape(-1, 2).T
+            accept = rng.random(len(r_tail))
             live = accept < bound
-            t, bound, accept = t[live], bound[live], accept[live]
-            m = len(t)
-            r_tail = (t / c) ** (1.0 / alpha)
+            r_tail, bound, accept = r_tail[live], bound[live], accept[live]
+            m = len(r_tail)
             # tail relays lie in the annulus r_in < r < R
             assert np.all(r_tail >= s.inner_radius * (1.0 - 1e-12))
             assert np.all(r_tail <= region.outer_radius() * (1.0 + 1e-12))
@@ -230,8 +230,8 @@ def _trial_by_trial(params, region, density, seed, trials):
                                  region=region, density=density)
             forced = rng.integers(k, size=m)
             exponential = -np.log(rng.random((k, m))).T
-            exponential[np.arange(m), forced] += (
-                t + c * np.abs(r_tail - params.r_sd) ** alpha)
+            exponential[np.arange(m), forced] += c * (
+                r_tail ** alpha + np.abs(r_tail - params.r_sd) ** alpha)
             fading = FadingRealization(gains=_hop_gains(
                 params, r_tail, survivors.theta, exponential))
             serves = snr_matrix(params, survivors, fading) >= params.threshold
@@ -285,6 +285,10 @@ def test_chunk_matches_object_path(params):
             replace(params, snr_budget=1000.0, path_loss=3.0,
                     subcarriers=2),
             Region.disc(20.0), 0.01, 500),
+        "alpha 4, K 1, plane": (
+            replace(params, snr_budget=1000.0, path_loss=4.0,
+                    subcarriers=1),
+            Region.plane(), 0.05, 300),
     }
     n_blocks = {}
     for name, (p, region, density, trials) in cases.items():
@@ -299,12 +303,17 @@ def test_chunk_matches_object_path(params):
             # neither scheme's count is pinned at 0 or at trials
             assert 0 < expect[1] <= expect[0] < trials, name
     assert n_blocks["dense disc"] > 1
-    # the last three cases draw tail relays and the void count
+    # the last four cases draw tail relays, the discs the void count
     assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
     assert 0 < _sampler(*cases["alpha 4, disc 8"][:3]).void < 1
-    # t_in < 1: the last case proposes from both envelope segments
-    both_segments = _sampler(*cases["alpha 3, K 2, disc 20"][:3])
-    assert both_segments.w_pow > 0 and both_segments.w_exp > 0
+    # the disc's last envelope piece ends at sigma; the plane's tail
+    # starts at r = 0 with a rising piece, and its last piece is
+    # unbounded and falls
+    disc = _sampler(*cases["alpha 3, K 2, disc 20"][:3])
+    assert disc.inner_radius > 0 and disc.cuts[-1] == 20.0
+    plane = _sampler(*cases["alpha 4, K 1, plane"][:3])
+    assert plane.cuts[0] == 0 and plane.slopes[0] > 0
+    assert plane.cuts[-1] == math.inf and plane.slopes[-1] < 0
 
 
 def test_empty_inner_with_a_covering_tail_serves_every_subcarrier(params):
@@ -363,9 +372,8 @@ def _agrees(p_hat, p, trials):
 
 def test_thinned_sampler_agrees_with_quadrature(params):
     # the plane at SNR 1000, K = 1 (r_in = 0: every relay is a tail
-    # relay; at alpha 4 the power-law segment starts at t_in = 0), and
-    # discs of radius 8 and 20 whose annulus r_in < r < sigma is drawn
-    # thinned
+    # relay, and the envelope's first piece starts at r = 0), and discs
+    # of radius 8 and 20 whose annulus r_in < r < sigma is drawn thinned
     trials = 40_000
     cases = {
         "alpha 2, plane": (replace(params, snr_budget=1000.0),
@@ -380,8 +388,8 @@ def test_thinned_sampler_agrees_with_quadrature(params):
         "alpha 3, disc 8": (replace(params, path_loss=3.0), Region.disc(8.0),
                             0.05),
     }
-    power_law = _sampler(*cases["alpha 4, K 1, plane"])
-    assert power_law.t_in == 0 and power_law.w_pow > 0
+    from_zero = _sampler(*cases["alpha 4, K 1, plane"])
+    assert from_zero.cuts[0] == 0 and from_zero.slopes[0] > 0
     for name, (p, region, density) in cases.items():
         s = _sampler(p, region, density)
         assert 0 < s.tail_mean, name
@@ -394,6 +402,82 @@ def test_thinned_sampler_agrees_with_quadrature(params):
             assert _agrees(both[scheme].p_hat, ref, trials), (name, scheme)
         if region.outer_radius() == math.inf:
             assert both[Scheme.BULK].empty_fraction == 0.0
+
+
+def _log_h(p, r):
+    c = p.threshold / p.snr_budget
+    return np.log(r) - c * (r ** p.path_loss
+                            + np.abs(r - p.r_sd) ** p.path_loss)
+
+
+def test_tail_envelope_bounds_the_density():
+    # the pieces tile r_in < r < R, meet where they change, each holds
+    # mass, and together they hold tail_mean / (lambda K 2 pi); on a
+    # dense grid of every piece h/e lies in (0, 1]
+    flattest = math.inf
+    for alpha, k, snr, region in itertools.product(
+            (2.0, 3.0, 4.0), (1, 4, 32), (10.0, 100.0, 1000.0),
+            (Region.disc(8.0), Region.disc(20.0), Region.plane())):
+        p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
+                         subcarriers=k, r_sd=5.0)
+        s = _sampler(p, region, 0.1)
+        name = (alpha, k, snr, region)
+        if s.tail_mean == 0:
+            assert s.inner_radius == region.outer_radius(), name
+            continue
+        cuts, levels, slopes = s.cuts, s.levels, s.slopes
+        assert cuts[0] == s.inner_radius, name
+        assert cuts[-1] == region.outer_radius(), name
+        assert np.all(np.diff(cuts) > 0), name
+        assert np.allclose(levels[:-1] + slopes[:-1] * np.diff(cuts[:-1]),
+                           levels[1:], rtol=0, atol=1e-9), name
+        assert np.all(np.diff(np.append(s.cumulative, 1.0)) > 0), name
+        if cuts[-1] == math.inf:
+            assert slopes[-1] < 0, name
+        mass = [integrate.quad(lambda r: math.exp(level + slope * (r - lo)),
+                               lo, hi, epsabs=0, epsrel=1e-12)[0]
+                for lo, hi, level, slope in zip(cuts, cuts[1:], levels,
+                                                slopes)]
+        assert s.tail_mean == pytest.approx(
+            0.1 * k * 2.0 * math.pi * sum(mass), rel=1e-9), name
+        assert np.allclose(s.cumulative, np.cumsum([0.0] + mass[:-1])
+                           / sum(mass), rtol=0, atol=1e-12), name
+        ends = cuts[1:].copy()
+        ends[-1] = min(ends[-1], cuts[-2] + 40.0 / abs(slopes[-1]))
+        r = np.linspace(cuts[:-1], ends, 400)[1:].T  # row i in piece i
+        log_e = levels[:, None] + slopes[:, None] * (r - cuts[:-1, None])
+        ratio = np.exp(_log_h(p, r) - log_e)
+        assert np.all(ratio > 0) and ratio.max() <= 1.0 + 1e-12, name
+        widths = np.diff(cuts)
+        flattest = min(flattest, np.min(np.abs(
+            slopes * np.where(np.isinf(widths), 1.0, widths))))
+    # some tangent touches log h at its maximum
+    assert flattest < 1e-4
+
+
+def test_tail_envelope_inverts_flat_and_falling_pieces(params):
+    # a flat piece on [0, 2) of mass 2 and the unbounded piece e^-(r - 2)
+    # of mass 1: the share 1/3 lies halfway along the flat piece, the
+    # share 2/3 + (1 - e^-1) / 3 one unit into the falling one
+    s = simulation._Sampler(
+        params, 0.0, 0.0, 1.0, cuts=np.array([0.0, 2.0, math.inf]),
+        levels=np.zeros(2), slopes=np.array([0.0, -1.0]),
+        cumulative=np.array([0.0, 2.0 / 3.0]), scales=np.full(2, 3.0))
+    r, log_e = s.propose(np.array([0.0, 1.0 / 3.0, 2.0 / 3.0,
+                                   2.0 / 3.0 + (1.0 - math.exp(-1.0)) / 3.0]))
+    assert r == pytest.approx([0.0, 1.0, 2.0, 3.0], rel=1e-14)
+    assert log_e == pytest.approx([0.0, 0.0, 0.0, -1.0], abs=1e-14)
+
+
+def test_tail_envelope_wastes_few_proposals():
+    # mc_dense's SNR 1000 point: the thinned tail used to propose 683
+    # relays per trial and accept a quarter of them
+    p = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    s = _sampler(p, Region.plane(), 0.1)
+    assert s.tail_mean <= 200
+    r, log_e = s.propose(block_rng(19, 0).random(100_000))
+    assert np.exp(_log_h(p, r) - log_e).mean() >= 0.9
 
 
 def test_empty_fraction_with_a_thinned_tail(params):
