@@ -30,8 +30,8 @@ import scipy
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region
-from .simulation import (OutageEstimate, Scheme, estimate_outage_both,
-                         workers_used)
+from .simulation import (OutageEstimate, Scheme, _Sampler, _sampler,
+                         estimate_outage_both)
 
 
 class ValidationError(ValueError):
@@ -214,12 +214,15 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
 
 
 def _simulated_point(cfg: ExperimentConfig, pool: Executor | None,
-                     params: SystemParams, density: float) -> dict:
+                     samplers: dict[tuple, _Sampler], params: SystemParams,
+                     density: float) -> dict:
     """The fields of one simulated point, per scheme of cfg.scheme; a
-    point of more than one block runs on pool."""
+    point of more than one block runs on pool. samplers maps
+    (params, region, density) to the point's sampler."""
     region = cfg.region()
     both = estimate_outage_both(params, region, density, cfg.trials,
-                                cfg.seed, n_workers=cfg.workers, pool=pool)
+                                cfg.seed, n_workers=cfg.workers, pool=pool,
+                                sampler=samplers[params, region, density])
     fields = {}
     for scheme in _SCHEMES[cfg.scheme]:
         est = both[scheme]
@@ -241,12 +244,15 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
     since a forked pool starts all of its processes on the first task.
     If that is one, no pool is started and every point runs in this
-    process. The .meta records the size as pool_workers.
+    process. The .meta records the size as pool_workers. Each point's
+    sampler is built once, here, and kept for its run, since a sweep may
+    hold more points than simulation._sampler caches.
     """
-    size = max([workers_used(params, cfg.region(), density, cfg.trials,
-                             cfg.workers)
-                for cfg in cfgs if cfg.workers > 1
-                for params, density in _points(cfg)], default=1)
+    points = [(cfg, (params, cfg.region(), density))
+              for cfg in cfgs for params, density in _points(cfg)]
+    samplers = {key: _sampler(*key) for _, key in points}
+    size = max(samplers[key].workers(cfg.trials, cfg.workers)
+               for cfg, key in points)
     rows, meta = [], {}
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         for cfg in cfgs:
@@ -254,7 +260,7 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
             if cfg.verify:
                 extra += ["p_analytic", "verify_ok"]
             columns, cfg_rows, _ = _grid_rows(
-                cfg, partial(_simulated_point, cfg, pool), extra)
+                cfg, partial(_simulated_point, cfg, pool, samplers), extra)
             rows += cfg_rows
     if any(cfg.verify for cfg in cfgs):
         meta["verify_mismatches"] = sum(not row["verify_ok"]

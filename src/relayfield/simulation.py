@@ -26,16 +26,21 @@ trials, and block b draws from one counter-based Philox stream keyed by
   each subcarrier independently with chance g, so no inner relay serves
   a given subcarrier with chance z = prod(1 - g), and none serves all K
   with chance n_b = prod(1 - g^K); both are sums of log1p over the
-  trial's relays. Bulk succeeds iff a kept tail relay (below) serves all
-  K or v < 1 - n_b, and ps iff bulk does or v < (1 - z)^m, where m
+  trial's relays. Bulk succeeds iff v < 1 - n_b or a kept tail relay
+  (below) serves all K, and ps iff bulk does or v < (1 - z)^m, where m
   counts the subcarriers that no kept tail relay serves. The inner
   relays serve those m with chance (1 - z)^m, which is at least
   1 - n_b, so one v gives the pair of outcomes its exact joint law.
-  r_in is 0 where K p q_hat < 1 everywhere, as at K = 1.
-* tail part, r_in < r < R, drawn only when that annulus is not empty:
-  the proposal counts of all trials, then one uniform per proposal that
-  picks a piece of the envelope e >= h (below) and inverts inside it,
-  then one acceptance uniform per proposal, which must stay below
+  A trial with v < 1 - n_b therefore succeeds in both schemes whatever
+  its tail holds, and the trials left open are those with
+  v >= 1 - n_b. r_in is 0 where K p q_hat < 1 everywhere, as at K = 1,
+  and then every trial is open.
+* tail part, r_in < r < R, drawn only when that annulus is not empty,
+  and only for the open trials, in their order (the tail is independent
+  of the inner part and of v): the proposal counts of the open trials,
+  then one uniform per proposal that picks a piece of the envelope
+  e >= h (below) and inverts inside it, then one acceptance uniform
+  per proposal, which must stay below
   h(r)/e(r). Here h(r) = r p q_hat = r exp(-c (r^alpha + |r - r_sd|^alpha)),
   so that the survivors have the radial intensity lambda K 2 pi h. h is
   log-concave for alpha >= 2, so tangents of log h lie above it, and e is
@@ -51,7 +56,8 @@ trials, and block b draws from one counter-based Philox stream keyed by
   success pattern S then has intensity exactly
   lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on [0, pi) too.
 * on a disc with a tail, last: how many of the trials with no inner
-  and no kept relay are empty, Binomial(n, void), where void = exp(-lambda
+  and no kept relay (all of them open, since a closed trial has an
+  inner relay) are empty, Binomial(n, void), where void = exp(-lambda
   * integral over the annulus of (1 - g)^K) is the chance that it holds
   no relay given that none of its relays serves a subcarrier, this
   module's one use of `analytic`. On the plane no trial is empty.
@@ -64,7 +70,9 @@ least MIN_BLOCKS_PER_WORKER blocks (workers_used).
 
 The vectorised kernel sums each trial's inner logs with bincount and
 reduces the tail's (K, M) array over its subcarrier axis and with
-segment reductions over the trials' relays. The tests hold it to a
+segment reductions over the trials' relays. As only open trials draw a
+tail, its cost follows the chance that the inner relays give no bulk
+success, about the bulk outage. The tests hold it to a
 per-trial oracle replayed on the same block streams: inner chances one
 relay at a time, and the object pipeline of tests/reference.py for the
 tail.
@@ -90,8 +98,10 @@ from .geometry import Region
 # 8 * DRAWS_PER_BLOCK bytes (256 KiB) whatever the density, which
 # measured faster than larger blocks, and a sparse field still gets
 # thousands of trials per numpy call. Inner relays now draw no subcarrier
-# uniforms, but the rule is kept so that tail-free streams split into
-# blocks where they did.
+# uniforms, and only the trials that the inner relays leave open draw
+# tail proposals, so a block draws fewer where the bulk outage is small,
+# but the rule (tail proposals counted for every trial) is kept so that
+# streams split into blocks where they did.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
 # Fewest blocks worth a process of their own. A block cost about
@@ -101,7 +111,11 @@ MAX_BLOCK = 8192
 # BENCH_19.json), and starting and stopping a pool costs 20-40 ms: on 2
 # cores, one point on 2 workers of a pool of its own broke even with one
 # process between 48 and 64 blocks, and was faster in the median of three
-# sweeps from 64 blocks up (BENCH_12.json).
+# sweeps from 64 blocks up (BENCH_12.json). Since only open trials draw a
+# tail, a block costs 0.34-0.62 ms on the plane at K = 4, SNR 1000 and
+# 0.45-0.82 ms at SNR 100, and 0.53-0.94 ms on the tail-free disc 5 at
+# lambda 0.1 (BENCH_20.json), so a pool of a point's own now breaks even
+# between about 64 and 128 blocks; a sweep's shared pool starts once.
 MIN_BLOCKS_PER_WORKER = 32
 # Drops of log h below its maximum at which the tail envelope touches it
 # on each side: for a Gaussian, tangents every 3/4 of a standard
@@ -163,6 +177,13 @@ class _Sampler:
         pairs = (self.inner_mean + self.tail_mean) * self.params.subcarriers
         return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
                        MAX_BLOCK))
+
+    def workers(self, trials: int, n_workers: int) -> int:
+        """Processes a run of `trials` trials is split over: n_workers is
+        a ceiling, every process gets at least MIN_BLOCKS_PER_WORKER
+        blocks, and a run of fewer than twice that stays in one."""
+        n_blocks = -(-trials // self.length)
+        return max(1, min(n_workers, n_blocks // MIN_BLOCKS_PER_WORKER))
 
     def propose(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tail proposals r by inversion of the envelope at uniforms u in
@@ -326,8 +347,7 @@ def workers_used(params: SystemParams, region: Region, density: float,
     process gets at least MIN_BLOCKS_PER_WORKER blocks, and a point of
     fewer than twice that runs in the calling process.
     """
-    n_blocks = -(-trials // block_length(params, region, density))
-    return max(1, min(n_workers, n_blocks // MIN_BLOCKS_PER_WORKER))
+    return _sampler(params, region, density).workers(trials, n_workers)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -386,13 +406,21 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     log_z, log_nb = (np.bincount(owner, np.log1p(-np.exp(-exponent)),
                                  minlength=n_trials)
                      for exponent in (x, k * x))
-    bulk = np.zeros(n_trials, dtype=bool)
+    # the inner relays serve all K with chance 1 - n_b, and the unserved
+    # subcarriers with chance (1 - z)^unserved >= 1 - n_b (0^0 = 1), so
+    # one uniform decides both with their exact joint law
+    bulk = v < -np.expm1(log_nb)
     unserved = k  # subcarriers that no kept tail relay serves
     if s.tail_mean == 0:
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
-        tail_counts = rng.poisson(s.tail_mean, n_trials)
-        owner = np.repeat(np.arange(n_trials), tail_counts)
+        # a trial that bulk already serves succeeds in both schemes
+        # whatever its independent tail holds, and has an inner relay, so
+        # only the open trials draw one
+        open_ = np.flatnonzero(~bulk)
+        n_open = len(open_)
+        tail_counts = rng.poisson(s.tail_mean, n_open)
+        owner = np.repeat(np.arange(n_open), tail_counts)
         r, log_envelope = s.propose(rng.random(len(owner)))
         accept = rng.random(len(owner))
         t = c * r ** alpha
@@ -412,15 +440,12 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         ok[forced, cols] = u[forced, cols] < np.exp(near - second)
         j = ok.sum(axis=0)
         keep = np.flatnonzero(ok[forced, cols] & (accept * j < bound))
-        kept_counts = np.bincount(owner[keep], minlength=n_trials)
-        bulk, served = _served(ok[:, keep], j[keep], kept_counts)
-        unserved = k - served
-        no_relay = np.count_nonzero((counts == 0) & (kept_counts == 0))
+        kept_counts = np.bincount(owner[keep], minlength=n_open)
+        bulk[open_], served = _served(ok[:, keep], j[keep], kept_counts)
+        unserved = np.full(n_trials, k)
+        unserved[open_] -= served
+        no_relay = np.count_nonzero((counts[open_] == 0) & (kept_counts == 0))
         n_empty = int(rng.binomial(no_relay, s.void))
-    # the inner relays serve all K with chance 1 - n_b, and the unserved
-    # subcarriers with chance (1 - z)^unserved >= 1 - n_b (0^0 = 1), so
-    # one uniform decides both with their exact joint law
-    bulk |= v < -np.expm1(log_nb)
     ps = bulk | (v < (-np.expm1(log_z)) ** unserved)
     return (n_trials - int(np.count_nonzero(bulk)),
             n_trials - int(np.count_nonzero(ps)), n_empty)
@@ -448,6 +473,7 @@ def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,
 def estimate_outage_both(params: SystemParams, region: Region, density: float,
                          trials: int, seed: int, n_workers: int = 1,
                          pool: Executor | None = None,
+                         sampler: _Sampler | None = None,
                          ) -> dict[Scheme, OutageEstimate]:
     """Outage estimates for both schemes on a shared trial stream.
 
@@ -456,13 +482,15 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     runs on workers_used(...) processes, at most n_workers, and each
     receives whole blocks, so the result does not depend on n_workers.
     Work for more than one process goes to pool, or to a pool of this
-    call's own if none is given.
+    call's own if none is given. sampler is the point's
+    _sampler(params, region, density), for a caller that holds it
+    already; it is built (or found in the cache) if None.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    s = _sampler(params, region, density)
+    s = _sampler(params, region, density) if sampler is None else sampler
     n_blocks = -(-trials // s.length)
-    n_chunks = workers_used(params, region, density, trials, n_workers)
+    n_chunks = s.workers(trials, n_workers)
     bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int).tolist()
     if n_chunks == 1:
         counts = [_simulate_chunk(s, seed, trials, 0, n_blocks)]

@@ -299,6 +299,25 @@ def test_configs_share_one_pool_sized_by_their_largest_point(pools):
     assert rows == _simulate_rows(small)[1] + _simulate_rows(plane)[1]
 
 
+def test_each_point_builds_its_sampler_once(tmp_path):
+    # sizing the pool needs every point's sampler before the first point
+    # runs, and 70 points overflow simulation._sampler's cache, so the
+    # sweep keeps the samplers it builds: one miss per point at any
+    # --workers, and the CSV the other worker count writes
+    from relayfield.simulation import _sampler
+
+    sweep = ["--mode", "simulate", "--sigma", "8", "--alpha", "4",
+             "--K", "8", "--snr", "1000", "--lambda", "0.01:1:70",
+             "--trials", "50"]
+    for workers in ("1", "2"):
+        _sampler.cache_clear()
+        assert main([*sweep, "--workers", workers,
+                     "--output", str(tmp_path / f"sweep{workers}.csv")]) == 0
+        assert _sampler.cache_info().misses == 70
+    assert ((tmp_path / "sweep1.csv").read_bytes()
+            == (tmp_path / "sweep2.csv").read_bytes())
+
+
 def test_meta_records_the_versions_and_leaves_the_csv_alone(tmp_path):
     # the .meta names the numpy, scipy and Python that ran; the CSV, a
     # tail-free disc sweep, has the bytes it had before the .meta carried

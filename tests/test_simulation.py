@@ -177,17 +177,20 @@ def _inner_chances(params, r, theta):
     return -math.expm1(log_nb), -math.expm1(log_z)
 
 
-def _trial_by_trial(params, region, density, seed, trials):
+def _trial_by_trial(params, region, density, seed, trials,
+                    streams=block_rng):
     """Slow reference on the kernel's block streams, one trial at a time.
 
     A trial's inner relays serve all K subcarriers with chance
     1 - n_b and each other subcarrier with chance 1 - z, independently
-    (_inner_chances). Its kept tail relays and their gains become a
-    Topology and a FadingRealization, whose SNR matrix says whether one
-    of them serves all K (select_bulk) and which subcarriers m of them
-    leave unserved (select_per_subcarrier). The trial's uniform v then
-    decides: bulk succeeds iff a kept tail relay serves all K or
-    v < 1 - n_b, and ps iff bulk does or v < (1 - z)^m.
+    (_inner_chances). Its uniform v decides first: bulk succeeds if
+    v < 1 - n_b, and then ps does too, whatever the tail holds. Only the
+    other, open, trials draw tail relays. Their kept tail relays and
+    gains become a Topology and a FadingRealization, whose SNR matrix
+    says whether one of them serves all K (select_bulk) and which
+    subcarriers m of them leave unserved (select_per_subcarrier). Then
+    bulk succeeds iff a kept tail relay serves all K, and ps iff bulk
+    does or v < (1 - z)^m.
 
     Every tail relay-subcarrier pair draws one uniform u, and
     E = -log u is split into the two hop gains (_hop_gains), so the pair
@@ -195,26 +198,32 @@ def _trial_by_trial(params, region, density, seed, trials):
     E = c (r^alpha + |r - r_sd|^alpha) - log u instead, so it is served
     with probability q / q_hat; the survivor is kept if that subcarrier
     is served and its acceptance uniform times j, the subcarriers its
-    SNR row serves, is below its bound.
+    SNR row serves, is below its bound. streams(seed, b) gives block b's
+    Generator.
     """
     s = _sampler(params, region, density)
     alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
     n_bulk = n_ps = n_empty = 0
     for b, first in enumerate(range(0, trials, s.length)):
-        rng = block_rng(seed, b)
+        rng = streams(seed, b)
         counts = rng.poisson(s.inner_mean, min(s.length, trials - first))
         n = int(counts.sum())
         r = s.inner_radius * np.sqrt(rng.random(n))
         theta = math.pi * rng.random(n)
         v = rng.random(len(counts))
         owner = np.repeat(np.arange(len(counts)), counts)
+        chances = [_inner_chances(params, r[owner == trial],
+                                  theta[owner == trial])
+                   for trial in range(len(counts))]
+        open_trials = [trial for trial in range(len(counts))
+                       if not v[trial] < chances[trial][0]]
         tail = Topology(r_sm=np.empty(0), theta=np.empty(0), region=region,
                         density=density)
         gains = np.empty((2, 0, k))
         tail_owner = np.empty(0, dtype=int)
         if s.tail_mean > 0:
-            tail_counts = rng.poisson(s.tail_mean, len(counts))
+            tail_counts = rng.poisson(s.tail_mean, len(open_trials))
             proposals = np.array([_tail_proposal(s, u) for u in
                                   rng.random(int(tail_counts.sum()))])
             r_tail, bound = proposals.reshape(-1, 2).T
@@ -240,26 +249,22 @@ def _trial_by_trial(params, region, density, seed, trials):
             tail = Topology(r_sm=r_tail[keep], theta=survivors.theta[keep],
                             region=region, density=density)
             gains = fading.gains[:, keep]
-            tail_owner = np.repeat(np.arange(len(counts)),
+            tail_owner = np.repeat(np.array(open_trials, dtype=int),
                                    tail_counts)[live][keep]
         no_relay = 0
-        for trial in range(len(counts)):
+        for trial, (served_all, served_one) in enumerate(chances):
             mine = tail_owner == trial
             kept = Topology(r_sm=tail.r_sm[mine], theta=tail.theta[mine],
                             region=region, density=density)
-            bulk, unserved = False, k
-            if kept.n_relays:
+            bulk, unserved = v[trial] < served_all, k
+            if not bulk and kept.n_relays:
                 snr = snr_matrix(params, kept,
                                  FadingRealization(gains=gains[:, mine]))
                 bulk = select_bulk(snr).achieved.min() >= params.threshold
                 unserved = int(np.count_nonzero(
                     select_per_subcarrier(snr).achieved < params.threshold))
-            inner = owner == trial
-            served_all, served_one = _inner_chances(params, r[inner],
-                                                    theta[inner])
-            bulk = bulk or v[trial] < served_all
             ps = bulk or v[trial] < served_one ** unserved
-            no_relay += kept.n_relays == 0 and not inner.any()
+            no_relay += kept.n_relays == 0 and not (owner == trial).any()
             n_bulk += not bulk
             n_ps += not ps
         # relays that serve no subcarrier are not drawn: a trial without
@@ -289,8 +294,10 @@ def test_chunk_matches_object_path(params):
             replace(params, snr_budget=1000.0, path_loss=4.0,
                     subcarriers=1),
             Region.plane(), 0.05, 300),
+        "K 2, disc 10": (replace(params, subcarriers=2), Region.disc(10.0),
+                         0.006, 500),
     }
-    n_blocks = {}
+    n_blocks, outcomes = {}, {}
     for name, (p, region, density, trials) in cases.items():
         s = _sampler(p, region, density)
         # every run ends in a partly filled block
@@ -299,13 +306,19 @@ def test_chunk_matches_object_path(params):
         expect = _trial_by_trial(p, region, density, 99, trials)
         got = _simulate_chunk(s, 99, trials, 0, n_blocks[name])
         assert got == expect, name
+        outcomes[name] = expect
         if density > 0:
             # neither scheme's count is pinned at 0 or at trials
             assert 0 < expect[1] <= expect[0] < trials, name
     assert n_blocks["dense disc"] > 1
-    # the last four cases draw tail relays, the discs the void count
+    # the last five cases draw tail relays, the discs the void count
     assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
     assert 0 < _sampler(*cases["alpha 4, disc 8"][:3]).void < 1
+    # about a third of the trials have no inner relay, and a third are
+    # decided by it, so the void count must pair each open trial's inner
+    # relays with its own kept tail relays
+    assert 0.2 < _sampler(*cases["K 2, disc 10"][:3]).void < 0.8
+    assert outcomes["K 2, disc 10"][2] > 50
     # the disc's last envelope piece ends at sigma; the plane's tail
     # starts at r = 0 with a rising piece, and its last piece is
     # unbounded and falls
@@ -314,6 +327,50 @@ def test_chunk_matches_object_path(params):
     plane = _sampler(*cases["alpha 4, K 1, plane"][:3])
     assert plane.cuts[0] == 0 and plane.slopes[0] > 0
     assert plane.cuts[-1] == math.inf and plane.slopes[-1] < 0
+
+
+class _PoissonSizes:
+    """A block Generator that records the size of each Poisson draw of
+    mean lam in sizes, and draws as the Generator it wraps."""
+
+    def __init__(self, rng, lam, sizes):
+        self._rng, self._lam, self._sizes = rng, lam, sizes
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def poisson(self, lam, size):
+        if lam == self._lam:
+            self._sizes.append(size)
+        return self._rng.poisson(lam, size)
+
+
+def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
+        params, monkeypatch):
+    # tail counts are drawn once per block, for the trials whose inner
+    # relays give no bulk success. At mc_dense's SNR 1000 point the bulk
+    # outage of the inner relays is 6e-17, so no trial draws a tail; at
+    # alpha 2, K 4, SNR 100, lambda 0.0316 about half of them do, the
+    # same trials as the oracle's
+    cases = ((replace(params, snr_budget=1000.0), 0.1, 400, (0, 0)),
+             (params, 0.0316, 300, (0.3, 0.7)))
+    for p, density, trials, (low, high) in cases:
+        s = _sampler(p, Region.plane(), density)
+        assert s.tail_mean > 0
+        n_blocks = -(-trials // s.length)
+        drawn = {"kernel": [], "oracle": []}
+
+        def streams(who):
+            return lambda seed, b: _PoissonSizes(block_rng(seed, b),
+                                                 s.tail_mean, drawn[who])
+
+        monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
+        got = _simulate_chunk(s, 8, trials, 0, n_blocks)
+        assert got == _trial_by_trial(p, Region.plane(), density, 8, trials,
+                                      streams("oracle"))
+        assert len(drawn["kernel"]) == n_blocks
+        assert drawn["kernel"] == drawn["oracle"]
+        assert low <= sum(drawn["kernel"]) / trials <= high
 
 
 def test_empty_inner_with_a_covering_tail_serves_every_subcarrier(params):
@@ -372,8 +429,10 @@ def _agrees(p_hat, p, trials):
 
 def test_thinned_sampler_agrees_with_quadrature(params):
     # the plane at SNR 1000, K = 1 (r_in = 0: every relay is a tail
-    # relay, and the envelope's first piece starts at r = 0), and discs
-    # of radius 8 and 20 whose annulus r_in < r < sigma is drawn thinned
+    # relay, and the envelope's first piece starts at r = 0), the plane
+    # at SNR 100, K 4, lambda 0.0316, where the inner relays leave about
+    # half the trials open to draw a tail, and discs of radius 8 and 20
+    # whose annulus r_in < r < sigma is drawn thinned
     trials = 40_000
     cases = {
         "alpha 2, plane": (replace(params, snr_budget=1000.0),
@@ -381,6 +440,7 @@ def test_thinned_sampler_agrees_with_quadrature(params):
         "alpha 4, plane": (replace(params, snr_budget=1000.0, path_loss=4.0),
                            Region.plane(), 0.05),
         "K 1, plane": (replace(params, subcarriers=1), Region.plane(), 0.02),
+        "alpha 2, K 4, plane": (params, Region.plane(), 0.0316),
         "alpha 4, K 1, plane": (
             replace(params, snr_budget=1000.0, path_loss=4.0, subcarriers=1),
             Region.plane(), 0.05),
