@@ -11,10 +11,9 @@ kernel has fallen e**-40 below its peak bound, with the neglected tail
 bounded in closed form; its error estimate is the difference against
 the rule with twice the nodes. It gives u(n), the integral of H(n), to
 the outage formulas (`_u_values`) and, with u' and u'' from the same
-pass, to the optimiser (`_u_derivatives`); Delta(k) to `metrics`; and
-the Monte Carlo void to `simulation._annulus_void`. On the plane at
-alpha = 2 u(n) has the closed form `_u_freespace`. The outage formulas
-share one inclusion-exclusion sum (`_inclusion_exclusion`).
+pass, to the optimiser (`_u_derivatives`); and Delta(k) to `metrics`.
+On the plane at alpha = 2 u(n) has the closed form `_u_freespace`. The
+outage formulas share one sum (`_inclusion_exclusion`).
 """
 from __future__ import annotations
 

@@ -240,7 +240,7 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     """Simulated rows of each of cfgs in turn, on one process pool.
 
     The pool has as many processes as the point that uses the most
-    (simulation.workers_used: --workers is a ceiling, and a point is
+    (simulation._Sampler.workers: --workers is a ceiling, and a point is
     split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
     since a forked pool starts all of its processes on the first task.
     If that is one, no pool is started and every point runs in this

@@ -36,11 +36,11 @@ trials, and block b draws from one counter-based Philox stream keyed by
   v >= 1 - n_b. r_in is 0 where K p q_hat < 1 everywhere, as at K = 1,
   and then every trial is open.
 * tail part, r_in < r < R, drawn only when that annulus is not empty,
-  and only for the open trials, in their order (the tail is independent
-  of the inner part and of v): the proposal counts of the open trials,
-  then one uniform per proposal that picks a piece of the envelope
-  e >= h (below) and inverts inside it, then one acceptance uniform
-  per proposal, which must stay below
+  and only for the open trials, in their order, so not at all in a block
+  without them (the tail is independent of the inner part and of v):
+  the proposal counts of the open trials, then one uniform per proposal
+  that picks a piece of the envelope e >= h (below) and inverts inside
+  it, then one acceptance uniform per proposal, which must stay below
   h(r)/e(r). Here h(r) = r p q_hat = r exp(-c (r^alpha + |r - r_sd|^alpha)),
   so that the survivors have the radial intensity lambda K 2 pi h. h is
   log-concave for alpha >= 2, so tangents of log h lie above it, and e is
@@ -55,18 +55,22 @@ trials, and block b draws from one counter-based Philox stream keyed by
   again (given acceptance, that uniform over its bound is uniform). Each
   success pattern S then has intensity exactly
   lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on [0, pi) too.
-* on a disc with a tail, last: how many of the trials with no inner
-  and no kept relay (all of them open, since a closed trial has an
-  inner relay) are empty, Binomial(n, void), where void = exp(-lambda
-  * integral over the annulus of (1 - g)^K) is the chance that it holds
-  no relay given that none of its relays serves a subcarrier, this
-  module's one use of `analytic`. On the plane no trial is empty.
+* on a disc with a tail, last, for the trials with no inner and no
+  kept relay (all open), if any: the void walk. The annulus's relays
+  that serve nothing form a Poisson field of intensity lambda (1 - g)^K,
+  independent of the others, so each such trial draws N ~ Poisson(lambda
+  pi (R^2 - r_in^2)) uniform candidates and is empty iff none has a
+  uniform w < (1 - g)^K. After the counts come the first candidates of
+  the trials with N >= 1, then the other N - 1 of those whose first
+  failed, each round drawing radii, angles on [0, pi), then w: at most
+  e^-x (1 + x) <= 1 candidates per trial, x = lambda * integral over the
+  annulus of 1 - (1 - g)^K. On the plane no trial is empty.
 
 The block length depends only on the expected drawn relays per trial and
 K, and workers always receive whole blocks, so results depend on the
 seed and the trial count but are bitwise identical for any number of
 workers. A point is split across processes only where each gets at
-least MIN_BLOCKS_PER_WORKER blocks (workers_used).
+least MIN_BLOCKS_PER_WORKER blocks (_Sampler.workers).
 
 The vectorised kernel sums each trial's inner logs with bincount and
 reduces the tail's (K, M) array over its subcarrier axis and with
@@ -74,8 +78,8 @@ segment reductions over the trials' relays. As only open trials draw a
 tail, its cost follows the chance that the inner relays give no bulk
 success, about the bulk outage. The tests hold it to a
 per-trial oracle replayed on the same block streams: inner chances one
-relay at a time, and the object pipeline of tests/reference.py for the
-tail.
+relay at a time, the object pipeline of tests/reference.py for the
+tail, and the walk one candidate at a time.
 """
 from __future__ import annotations
 
@@ -89,7 +93,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .analytic import QuadratureSettings, _integrate
 from .channel import SystemParams
 from .geometry import Region
 
@@ -122,8 +125,6 @@ MIN_BLOCKS_PER_WORKER = 32
 # deviation out to 4.5 of them, which waste about 2 % of the proposals
 # (1-6 % over the grid of test_tail_envelope_bounds_the_density)
 TANGENT_DROPS = tuple(0.5 * (0.75 * k) ** 2 for k in range(1, 7))
-# Fixed, so that the empty count depends on the grid point alone
-_VOID_QUADRATURE = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10)
 
 
 class Scheme(enum.Enum):
@@ -166,7 +167,7 @@ class _Sampler:
     slopes: np.ndarray | None = None
     cumulative: np.ndarray | None = None
     scales: np.ndarray | None = None
-    void: float = 0.0    # P(annulus empty | none of its relays serves)
+    annulus_mean: float = 0.0  # expected relays in r_in < r < R (inf)
 
     @property
     def length(self) -> int:
@@ -211,21 +212,6 @@ def _inner_radius(params: SystemParams) -> float:
         return 0.0
     return brentq(excess, 0.5 * r_sd, level ** (1.0 / alpha), xtol=1e-12,
                   rtol=1e-14)
-
-
-def _annulus_void(params: SystemParams, density: float, inner: float,
-                  outer: float) -> float:
-    """P(no relay in inner < r < outer | none there serves a subcarrier)
-    = exp(-density * integral there of (1 - g)^K): the integral is the
-    annulus area minus twice the half-disc integrals of 1 - (1 - g)^K
-    (at most K g) over the discs of radius outer and inner."""
-    k, c = params.subcarriers, params.threshold / params.snr_budget
-    served = [_integrate(Region.disc(radius), (c,), params, _VOID_QUADRATURE,
-                         "the annulus void",
-                         lambda g: (-np.expm1(k * np.log1p(-g)),), (k,))[0, 0]
-              if radius > 0 else 0.0 for radius in (outer, inner)]
-    return math.exp(-density * (math.pi * (outer**2 - inner**2)
-                                - 2.0 * (served[0] - served[1])))
 
 
 def _log_density(params: SystemParams, r: float) -> tuple[float, float]:
@@ -314,7 +300,7 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
 @lru_cache(maxsize=64)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """One grid point's sampler; a disc with a tail integrates its void."""
+    """One grid point's sampler."""
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
@@ -322,10 +308,9 @@ def _sampler(params: SystemParams, region: Region,
         return _Sampler(params, radius, inner_mean, 0.0)
     mass, envelope = _tail_envelope(params, radius, outer)
     tail_mean = density * params.subcarriers * 2.0 * math.pi * mass
-    void = (_annulus_void(params, density, radius, outer)
-            if math.isfinite(outer) else 0.0)
-    return _Sampler(params, radius, inner_mean, tail_mean, void=void,
-                    **envelope)
+    annulus_mean = density * math.pi * (outer * outer - radius * radius)
+    return _Sampler(params, radius, inner_mean, tail_mean,
+                    annulus_mean=annulus_mean, **envelope)
 
 
 def block_length(params: SystemParams, region: Region, density: float) -> int:
@@ -337,17 +322,6 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
     never depends on the trial or worker count.
     """
     return _sampler(params, region, density).length
-
-
-def workers_used(params: SystemParams, region: Region, density: float,
-                 trials: int, n_workers: int) -> int:
-    """Processes estimate_outage_both runs one grid point on.
-
-    n_workers is a ceiling: a point is split only so far that every
-    process gets at least MIN_BLOCKS_PER_WORKER blocks, and a point of
-    fewer than twice that runs in the calling process.
-    """
-    return _sampler(params, region, density).workers(trials, n_workers)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -387,6 +361,30 @@ def _served(ok: np.ndarray, j: np.ndarray,
     return bulk, served
 
 
+def _void_walk(s: _Sampler, rng: np.random.Generator, n_trials: int) -> int:
+    """Empty trials of n_trials with no drawn relay: the void walk."""
+    params = s.params
+    c = params.threshold / params.snr_budget
+    inner = s.inner_radius * s.inner_radius
+    spread = s.cuts[-1] * s.cuts[-1] - inner  # R^2 - r_in^2
+    candidates = rng.poisson(s.annulus_mean, n_trials)
+
+    def found(sizes: np.ndarray) -> np.ndarray:
+        # per trial, whether one of its sizes[i] candidates is a relay
+        m = int(sizes.sum())
+        r = np.sqrt(inner + spread * rng.random(m))
+        theta = math.pi * rng.random(m)
+        x = c * r ** params.path_loss + _second_hop(params, r, theta)
+        relay = rng.random(m) < (-np.expm1(-x)) ** params.subcarriers
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        return np.bincount(owner[relay], minlength=len(sizes)) > 0
+
+    walked = candidates[candidates > 0]
+    rejected = walked[~found(np.ones_like(walked))]
+    return (n_trials - len(walked)
+            + int(np.count_nonzero(~found(rejected - 1))))
+
+
 def _block_outages(s: _Sampler, rng: np.random.Generator,
                    n_trials: int) -> tuple[int, int, int]:
     """(bulk outages, per-subcarrier outages, empty topologies) of one
@@ -411,12 +409,12 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     # one uniform decides both with their exact joint law
     bulk = v < -np.expm1(log_nb)
     unserved = k  # subcarriers that no kept tail relay serves
-    if s.tail_mean == 0:
+    # a trial that bulk already serves succeeds in both schemes whatever
+    # its independent tail holds, and has an inner relay, so only the
+    # open trials draw one, and a block without them draws no more
+    if s.tail_mean == 0 or bulk.all():
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
-        # a trial that bulk already serves succeeds in both schemes
-        # whatever its independent tail holds, and has an inner relay, so
-        # only the open trials draw one
         open_ = np.flatnonzero(~bulk)
         n_open = len(open_)
         tail_counts = rng.poisson(s.tail_mean, n_open)
@@ -445,7 +443,9 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         unserved = np.full(n_trials, k)
         unserved[open_] -= served
         no_relay = np.count_nonzero((counts[open_] == 0) & (kept_counts == 0))
-        n_empty = int(rng.binomial(no_relay, s.void))
+        # an empty walk would cost about 80 us (2-core x86-64 VM)
+        n_empty = (_void_walk(s, rng, no_relay)
+                   if no_relay and math.isfinite(s.annulus_mean) else 0)
     ps = bulk | (v < (-np.expm1(log_z)) ** unserved)
     return (n_trials - int(np.count_nonzero(bulk)),
             n_trials - int(np.count_nonzero(ps)), n_empty)
@@ -479,8 +479,8 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
 
     Sharing realisations gives paired samples for ratio estimation and
     halves the simulation cost when both schemes are wanted. The point
-    runs on workers_used(...) processes, at most n_workers, and each
-    receives whole blocks, so the result does not depend on n_workers.
+    runs on sampler.workers(trials, n_workers) processes, each with
+    whole blocks, so the result does not depend on n_workers.
     Work for more than one process goes to pool, or to a pool of this
     call's own if none is given. sampler is the point's
     _sampler(params, region, density), for a caller that holds it

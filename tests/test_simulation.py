@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from relayfield import (
     outage_ps,
 )
 from relayfield import simulation
-from relayfield.simulation import _sampler, _simulate_chunk, workers_used
+from relayfield.simulation import _sampler, _simulate_chunk
 from reference import (
     FadingRealization,
     NoCandidateError,
@@ -177,8 +179,42 @@ def _inner_chances(params, r, theta):
     return -math.expm1(log_nb), -math.expm1(log_z)
 
 
+def _void_walk(s, rng, trials, walks):
+    """How many of `trials` trials with no drawn relay are empty, one
+    candidate at a time. Each draws N ~ Poisson(annulus_mean) candidates
+    uniform on the annulus r_in < r < R, a candidate is a relay iff its
+    uniform w < (1 - g)^K, and a trial is empty iff none is. The first
+    candidates of the trials with N >= 1 are drawn first, then the other
+    N - 1 of those whose first was no relay; each round draws all its
+    radii, then all its angles, then all its w. walks gets (trials,
+    first-round candidates, second-round candidates)."""
+    p = s.params
+    c = p.threshold / p.snr_budget
+    inner, outer = s.inner_radius ** 2, s.cuts[-1] ** 2
+
+    def found(sizes):
+        # per trial, whether one of its sizes[i] candidates is a relay
+        m = sum(sizes)
+        u, theta, w = rng.random(m), math.pi * rng.random(m), rng.random(m)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        hits = [False] * len(sizes)
+        for n in range(m):
+            r = math.sqrt(inner + (outer - inner) * u[n])
+            r_md = relay_dest_distance(r, theta[n], p.r_sd)
+            x = c * (r ** p.path_loss + r_md ** p.path_loss)
+            hits[owner[n]] |= w[n] < (-math.expm1(-x)) ** p.subcarriers
+        return hits
+
+    walked = [n for n in rng.poisson(s.annulus_mean, trials) if n > 0]
+    rest = [n - 1 for n, hit in zip(walked, found([1] * len(walked)))
+            if not hit]
+    empty = trials - len(walked) + found(rest).count(False)
+    walks.append((trials, len(walked), sum(rest)))
+    return empty
+
+
 def _trial_by_trial(params, region, density, seed, trials,
-                    streams=block_rng):
+                    streams=block_rng, walks=None):
     """Slow reference on the kernel's block streams, one trial at a time.
 
     A trial's inner relays serve all K subcarriers with chance
@@ -198,13 +234,16 @@ def _trial_by_trial(params, region, density, seed, trials,
     E = c (r^alpha + |r - r_sd|^alpha) - log u instead, so it is served
     with probability q / q_hat; the survivor is kept if that subcarrier
     is served and its acceptance uniform times j, the subcarriers its
-    SNR row serves, is below its bound. streams(seed, b) gives block b's
-    Generator.
+    SNR row serves, is below its bound. A block without open trials draws
+    no tail. On a disc, the trials without inner or kept tail relays, if
+    any, then walk their void (_void_walk, which appends to walks if
+    given). streams(seed, b) gives block b's Generator.
     """
     s = _sampler(params, region, density)
     alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
     n_bulk = n_ps = n_empty = 0
+    walks = [] if walks is None else walks
     for b, first in enumerate(range(0, trials, s.length)):
         rng = streams(seed, b)
         counts = rng.poisson(s.inner_mean, min(s.length, trials - first))
@@ -222,7 +261,8 @@ def _trial_by_trial(params, region, density, seed, trials,
                         density=density)
         gains = np.empty((2, 0, k))
         tail_owner = np.empty(0, dtype=int)
-        if s.tail_mean > 0:
+        has_tail = s.tail_mean > 0 and len(open_trials) > 0
+        if has_tail:
             tail_counts = rng.poisson(s.tail_mean, len(open_trials))
             proposals = np.array([_tail_proposal(s, u) for u in
                                   rng.random(int(tail_counts.sum()))])
@@ -269,8 +309,10 @@ def _trial_by_trial(params, region, density, seed, trials,
             n_ps += not ps
         # relays that serve no subcarrier are not drawn: a trial without
         # drawn relays is empty if the annulus holds none either
-        n_empty += (no_relay if s.tail_mean == 0
-                    else rng.binomial(no_relay, s.void))
+        if not has_tail:
+            n_empty += no_relay
+        elif no_relay and math.isfinite(s.annulus_mean):
+            n_empty += _void_walk(s, rng, no_relay, walks)
     return n_bulk, n_ps, n_empty
 
 
@@ -297,13 +339,15 @@ def test_chunk_matches_object_path(params):
         "K 2, disc 10": (replace(params, subcarriers=2), Region.disc(10.0),
                          0.006, 500),
     }
-    n_blocks, outcomes = {}, {}
+    n_blocks, outcomes, walks = {}, {}, {}
     for name, (p, region, density, trials) in cases.items():
         s = _sampler(p, region, density)
         # every run ends in a partly filled block
         assert trials % s.length, name
         n_blocks[name] = -(-trials // s.length)
-        expect = _trial_by_trial(p, region, density, 99, trials)
+        walks[name] = []
+        expect = _trial_by_trial(p, region, density, 99, trials,
+                                 walks=walks[name])
         got = _simulate_chunk(s, 99, trials, 0, n_blocks[name])
         assert got == expect, name
         outcomes[name] = expect
@@ -311,14 +355,15 @@ def test_chunk_matches_object_path(params):
             # neither scheme's count is pinned at 0 or at trials
             assert 0 < expect[1] <= expect[0] < trials, name
     assert n_blocks["dense disc"] > 1
-    # the last five cases draw tail relays, the discs the void count
+    # the last five cases draw tail relays, the discs walk their void
     assert _sampler(*cases["dense disc"][:3]).tail_mean > 0
-    assert 0 < _sampler(*cases["alpha 4, disc 8"][:3]).void < 1
     # about a third of the trials have no inner relay, and a third are
-    # decided by it, so the void count must pair each open trial's inner
-    # relays with its own kept tail relays
-    assert 0.2 < _sampler(*cases["K 2, disc 10"][:3]).void < 0.8
-    assert outcomes["K 2, disc 10"][2] > 50
+    # decided by it, so the walk must pair each open trial's inner
+    # relays with its own kept tail relays. Both of its rounds draw, and
+    # it finds some of the trials without relays empty and some not
+    no_relay, first, rest = np.sum(walks["K 2, disc 10"], axis=0)
+    assert first > 0 and rest > 0
+    assert 50 < outcomes["K 2, disc 10"][2] < no_relay
     # the disc's last envelope piece ends at sigma; the plane's tail
     # starts at r = 0 with a rising piece, and its last piece is
     # unbounded and falls
@@ -347,11 +392,11 @@ class _PoissonSizes:
 
 def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
         params, monkeypatch):
-    # tail counts are drawn once per block, for the trials whose inner
-    # relays give no bulk success. At mc_dense's SNR 1000 point the bulk
-    # outage of the inner relays is 6e-17, so no trial draws a tail; at
-    # alpha 2, K 4, SNR 100, lambda 0.0316 about half of them do, the
-    # same trials as the oracle's
+    # tail counts are drawn once per block with open trials, for the
+    # trials whose inner relays give no bulk success. At mc_dense's SNR
+    # 1000 point the bulk outage of the inner relays is 6e-17, so no
+    # block draws a tail; at alpha 2, K 4, SNR 100, lambda 0.0316 about
+    # half of the trials do, the same trials as the oracle's
     cases = ((replace(params, snr_budget=1000.0), 0.1, 400, (0, 0)),
              (params, 0.0316, 300, (0.3, 0.7)))
     for p, density, trials, (low, high) in cases:
@@ -368,9 +413,38 @@ def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
         got = _simulate_chunk(s, 8, trials, 0, n_blocks)
         assert got == _trial_by_trial(p, Region.plane(), density, 8, trials,
                                       streams("oracle"))
-        assert len(drawn["kernel"]) == n_blocks
+        assert len(drawn["kernel"]) == (n_blocks if high else 0)
         assert drawn["kernel"] == drawn["oracle"]
         assert low <= sum(drawn["kernel"]) / trials <= high
+
+
+def test_void_walk_counts_are_drawn_for_the_trials_without_relays(
+        params, monkeypatch):
+    # the walk's candidate counts are drawn once per block, for the
+    # trials with no inner and no kept tail relay, the same trials as the
+    # oracle's; short blocks give the run several, each with such trials
+    monkeypatch.setattr(simulation, "DRAWS_PER_BLOCK", 1 << 9)
+    p, region, density = (replace(params, subcarriers=2), Region.disc(10.0),
+                          0.006)
+    s = _sampler(p, region, density)
+    trials = 500
+    n_blocks = -(-trials // s.length)
+    assert n_blocks > 2
+    drawn = {"kernel": [], "oracle": []}
+
+    def streams(who):
+        return lambda seed, b: _PoissonSizes(block_rng(seed, b),
+                                             s.annulus_mean, drawn[who])
+
+    monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
+    walks = []
+    got = _simulate_chunk(s, 8, trials, 0, n_blocks)
+    assert got == _trial_by_trial(p, region, density, 8, trials,
+                                  streams("oracle"), walks)
+    assert len(drawn["kernel"]) == n_blocks
+    assert drawn["kernel"] == drawn["oracle"] == [w[0] for w in walks]
+    # about a third of the trials hold no relay
+    assert 0.2 <= sum(drawn["kernel"]) / trials <= 0.5
 
 
 def test_empty_inner_with_a_covering_tail_serves_every_subcarrier(params):
@@ -542,14 +616,17 @@ def test_tail_envelope_wastes_few_proposals():
 
 def test_empty_fraction_with_a_thinned_tail(params):
     # the empty count must follow the void probability of the whole disc:
-    # at SNR 10 r_in = 3.3 < sigma = 5, and at alpha 4, K 2, SNR 100
-    # r_in = 0, so that every relay is a tail relay and the whole disc is
-    # the annulus of the two-hop void
-    region = Region.disc(5.0)
+    # at SNR 10 r_in = 3.3 < sigma = 5, at alpha 4, K 2, SNR 100 r_in = 0,
+    # so that every relay is a tail relay and the whole disc is the
+    # annulus that the void walk covers, and at K 2 r_in = 7.8 < sigma =
+    # 10, with an empty chance of 0.152
     trials = 40_000
-    for p, density, r_in in (
-            (replace(params, snr_budget=10.0), 0.02, 3.3),
-            (replace(params, path_loss=4.0, subcarriers=2), 0.02, 0.0)):
+    for p, region, density, r_in in (
+            (replace(params, snr_budget=10.0), Region.disc(5.0), 0.02, 3.3),
+            (replace(params, path_loss=4.0, subcarriers=2), Region.disc(5.0),
+             0.02, 0.0),
+            (replace(params, subcarriers=2), Region.disc(10.0), 0.006,
+             7.83)):
         s = _sampler(p, region, density)
         assert s.tail_mean > 0
         assert s.inner_radius == pytest.approx(r_in, abs=0.05)
@@ -559,28 +636,25 @@ def test_empty_fraction_with_a_thinned_tail(params):
                        math.exp(-density * region.area), trials)
 
 
-@pytest.mark.parametrize("alpha,k,snr,r_in", [(4.0, 4, 10.0, 0.0),
-                                              (3.0, 2, 100.0, 4.09)])
-def test_annulus_void_matches_a_dblquad_oracle(alpha, k, snr, r_in):
-    # the void's exponent, the integral of (1 - g)^K over the annulus
-    # r_in < r < 8, against scipy's 2-D quadrature at epsrel 1e-13
-    p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
-                     subcarriers=k, r_sd=5.0)
-    inner = simulation._inner_radius(p)
-    assert inner == pytest.approx(r_in, abs=0.005)
-    c = p.threshold / p.snr_budget
-
-    def unserved(theta, r):
-        r_md2 = max(25.0 + r * r - 10.0 * r * math.cos(theta), 0.0)
-        g = math.exp(-c * (r ** alpha + r_md2 ** (0.5 * alpha)))
-        return r * math.exp(k * math.log1p(-g))
-
-    half, _ = integrate.dblquad(unserved, inner, 8.0, 0.0, math.pi,
-                                epsabs=0.0, epsrel=1e-13)
-    density = 0.01
-    void = simulation._annulus_void(p, density, inner, 8.0)
-    assert -math.log(void) / density == pytest.approx(2.0 * half, rel=1e-10,
-                                                       abs=0)
+def test_simulation_imports_nothing_from_the_analytic_route():
+    # the Monte Carlo route checks the quadrature route, so it must not
+    # import anything from analytic, metrics or optimize
+    forbidden = {"analytic", "metrics", "optimize"}
+    tree = ast.parse(Path(simulation.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # absolute dotted names, the package's own under relayfield
+            parts = (["relayfield"] * (node.level > 0)
+                     + (node.module.split(".") if node.module else []))
+            names = [".".join(parts + [alias.name]) for alias in node.names]
+        else:
+            continue
+        for name in names:
+            package, *modules = name.split(".")
+            assert not (package == "relayfield" and modules
+                        and modules[0] in forbidden), (node.lineno, name)
 
 
 def test_estimate_outage_zero_density(params):
@@ -649,8 +723,8 @@ def test_points_below_the_floor_run_in_process(params, pools):
     for blocks, ceiling, used in ((4, 8, 1), (2 * floor - 1, 8, 1),
                                   (2 * floor, 8, 2), (5 * floor // 2, 8, 2),
                                   (3 * floor, 2, 2), (3 * floor, 1, 1)):
-        assert workers_used(params, region, 0.1, blocks * length,
-                            ceiling) == used
+        assert _sampler(params, region, 0.1).workers(
+            blocks * length, ceiling) == used
     one = estimate_outage_both(params, region, 0.1, 4 * length, seed=5)
     assert estimate_outage_both(params, region, 0.1, 4 * length, seed=5,
                                 n_workers=8) == one
