@@ -30,8 +30,7 @@ import scipy
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region
-from .simulation import (OutageEstimate, Scheme, _Sampler, _sampler,
-                         estimate_outage_both)
+from .simulation import OutageEstimate, Scheme, _sampler, estimate_outage_both
 
 
 class ValidationError(ValueError):
@@ -214,15 +213,12 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
 
 
 def _simulated_point(cfg: ExperimentConfig, pool: Executor | None,
-                     samplers: dict[tuple, _Sampler], params: SystemParams,
-                     density: float) -> dict:
+                     params: SystemParams, density: float) -> dict:
     """The fields of one simulated point, per scheme of cfg.scheme; a
-    point of more than one block runs on pool. samplers maps
-    (params, region, density) to the point's sampler."""
+    point of more than one block runs on pool."""
     region = cfg.region()
     both = estimate_outage_both(params, region, density, cfg.trials,
-                                cfg.seed, n_workers=cfg.workers, pool=pool,
-                                sampler=samplers[params, region, density])
+                                cfg.seed, n_workers=cfg.workers, pool=pool)
     fields = {}
     for scheme in _SCHEMES[cfg.scheme]:
         est = both[scheme]
@@ -244,15 +240,11 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
     since a forked pool starts all of its processes on the first task.
     If that is one, no pool is started and every point runs in this
-    process. The .meta records the size as pool_workers. Each point's
-    sampler is built once, here, and kept for its run, since a sweep may
-    hold more points than simulation._sampler caches.
+    process. The .meta records the size as pool_workers.
     """
-    points = [(cfg, (params, cfg.region(), density))
-              for cfg in cfgs for params, density in _points(cfg)]
-    samplers = {key: _sampler(*key) for _, key in points}
-    size = max(samplers[key].workers(cfg.trials, cfg.workers)
-               for cfg, key in points)
+    size = max(_sampler(params, cfg.region(), density).workers(
+        cfg.trials, cfg.workers)
+        for cfg in cfgs for params, density in _points(cfg))
     rows, meta = [], {}
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         for cfg in cfgs:
@@ -260,11 +252,17 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
             if cfg.verify:
                 extra += ["p_analytic", "verify_ok"]
             columns, cfg_rows, _ = _grid_rows(
-                cfg, partial(_simulated_point, cfg, pool, samplers), extra)
+                cfg, partial(_simulated_point, cfg, pool), extra)
             rows += cfg_rows
     if any(cfg.verify for cfg in cfgs):
+        checked = [row for row in rows if "verify_ok" in row]
         meta["verify_mismatches"] = sum(not row["verify_ok"]
-                                        for row in rows if "verify_ok" in row)
+                                        for row in checked)
+        # p_hat = 0 agrees whenever ref lies within 3 se of 0, so such a
+        # row would pass whatever the run drew: it tests nothing
+        meta["verify_unchecked"] = sum(row["verify_ok"]
+                                       and row["p_outage"] == 0
+                                       for row in checked)
     return columns, rows, {**meta, "pool_workers": size}
 
 
@@ -614,7 +612,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
                  if text is None]
     given = [(opt, opt.flag, texts[opt.flag]) for opt in _OPTIONS
              if texts.get(opt.flag) is not None]
-    if texts.get("--config"):
+    if texts.get("--config") is not None:
         try:
             file_values = _read_config_file(texts["--config"])
         except OSError as exc:

@@ -97,28 +97,16 @@ from .channel import SystemParams
 from .geometry import Region
 
 # Expected drawn relays (inner relays and tail proposals) times K per
-# block. While every relay drew K uniforms, a block's uniforms took about
-# 8 * DRAWS_PER_BLOCK bytes (256 KiB) whatever the density, which
-# measured faster than larger blocks, and a sparse field still gets
-# thousands of trials per numpy call. Inner relays now draw no subcarrier
-# uniforms, and only the trials that the inner relays leave open draw
-# tail proposals, so a block draws fewer where the bulk outage is small,
-# but the rule (tail proposals counted for every trial) is kept so that
-# streams split into blocks where they did.
+# block, counted for every trial although only open trials draw a tail,
+# so that streams split into blocks where they did. It bounds a block's
+# arrays, which measured faster than larger blocks, and still gives a
+# sparse field thousands of trials per numpy call.
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
-# Fewest blocks worth a process of their own. A block cost about
-# 1.2-1.6 ms whatever the density when this was measured (0.8-1.4 ms
-# since inner relays draw one uniform per trial, BENCH_18.json; 0.5-1.8
-# ms at K = 4 and 8 since the tail is proposed from its tangent envelope,
-# BENCH_19.json), and starting and stopping a pool costs 20-40 ms: on 2
-# cores, one point on 2 workers of a pool of its own broke even with one
-# process between 48 and 64 blocks, and was faster in the median of three
-# sweeps from 64 blocks up (BENCH_12.json). Since only open trials draw a
-# tail, a block costs 0.34-0.62 ms on the plane at K = 4, SNR 1000 and
-# 0.45-0.82 ms at SNR 100, and 0.53-0.94 ms on the tail-free disc 5 at
-# lambda 0.1 (BENCH_20.json), so a pool of a point's own now breaks even
-# between about 64 and 128 blocks; a sweep's shared pool starts once.
+# Fewest blocks worth a process of their own: starting and stopping a
+# pool costs 20-40 ms. With blocks of 0.34-0.94 ms, one point on a pool
+# of its own broke even with one process between 64 and 128 blocks on 2
+# cores (BENCH_20.json); a sweep's shared pool starts once.
 MIN_BLOCKS_PER_WORKER = 32
 # Drops of log h below its maximum at which the tail envelope touches it
 # on each side: for a Gaussian, tangents every 3/4 of a standard
@@ -297,7 +285,7 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
         "cumulative": cumulative, "scales": total * np.exp(-level)}
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4096)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
     """One grid point's sampler."""
@@ -473,22 +461,19 @@ def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,
 def estimate_outage_both(params: SystemParams, region: Region, density: float,
                          trials: int, seed: int, n_workers: int = 1,
                          pool: Executor | None = None,
-                         sampler: _Sampler | None = None,
                          ) -> dict[Scheme, OutageEstimate]:
     """Outage estimates for both schemes on a shared trial stream.
 
     Sharing realisations gives paired samples for ratio estimation and
     halves the simulation cost when both schemes are wanted. The point
-    runs on sampler.workers(trials, n_workers) processes, each with
-    whole blocks, so the result does not depend on n_workers.
-    Work for more than one process goes to pool, or to a pool of this
-    call's own if none is given. sampler is the point's
-    _sampler(params, region, density), for a caller that holds it
-    already; it is built (or found in the cache) if None.
+    runs on _sampler(params, region, density).workers(trials, n_workers)
+    processes, each with whole blocks, so the result does not depend on
+    n_workers. Work for more than one process goes to pool, or to a pool
+    of this call's own if none is given.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    s = _sampler(params, region, density) if sampler is None else sampler
+    s = _sampler(params, region, density)
     n_blocks = -(-trials // s.length)
     n_chunks = s.workers(trials, n_workers)
     bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int).tolist()

@@ -182,6 +182,14 @@ def test_unknown_config_key(tmp_path):
         parse_config(["--config", str(conf)])
 
 
+def test_empty_config_path_is_reported(capsys):
+    # an empty --config names no file, as an empty --output does
+    for argv in (["--config="], ["--config", ""]):
+        assert main(["--mode", "analytic", *argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read config file: ")
+
+
 def test_mode_is_required():
     with pytest.raises(ValidationError, match="--mode is required"):
         parse_config([])
@@ -301,9 +309,10 @@ def test_configs_share_one_pool_sized_by_their_largest_point(pools):
 
 def test_each_point_builds_its_sampler_once(tmp_path):
     # sizing the pool needs every point's sampler before the first point
-    # runs, and 70 points overflow simulation._sampler's cache, so the
-    # sweep keeps the samplers it builds: one miss per point at any
-    # --workers, and the CSV the other worker count writes
+    # runs, and each point's run finds it again in simulation._sampler's
+    # cache, which holds all 70 points (past its old bound of 64): one
+    # miss per point at any --workers, and the CSV the other worker
+    # count writes
     from relayfield.simulation import _sampler
 
     sweep = ["--mode", "simulate", "--sigma", "8", "--alpha", "4",
@@ -319,15 +328,36 @@ def test_each_point_builds_its_sampler_once(tmp_path):
 
 
 def test_meta_records_the_versions_and_leaves_the_csv_alone(tmp_path):
-    # the .meta names the numpy, scipy and Python that ran; the CSV, a
-    # tail-free disc sweep, has the bytes it had before the .meta carried
-    # them (and before the tail's envelope changed)
+    # the .meta names the numpy, scipy and Python that ran, and each CSV
+    # keeps its pinned bytes: a tail-free disc sweep, as it was before the
+    # .meta carried the versions (and before the tail's envelope changed),
+    # a plane point whose inner relays leave about a tenth of the trials
+    # open, and a disc point with a tail and the void walk. A tail case
+    # checks first that its point still draws a tail; at seed 5 the plane
+    # CSV changes if the tail is left out (at seed 4 it does not)
+    from relayfield.simulation import _sampler
+
+    cases = [
+        (["--lambda", "0.05,0.1", "--seed", "4"], None,
+         "8e4bd9357d976852cfd7eb363bbf5611ab88042c421f2ce8eb684cb93dc1280a"),
+        (["--region", "plane", "--snr", "100", "--lambda", "0.1",
+          "--seed", "5"], Region.plane(),
+         "19ece989f6fd44c8c4f5ddced56c0998c669a3829043f592b7e83423f5481afb"),
+        (["--snr", "10", "--lambda", "0.1", "--seed", "4"], Region.disc(5.0),
+         "4a1264af3dcbf5510629dc8069af9175f40fa66aedef2571850ff4f8fbdecae5"),
+    ]
     out = tmp_path / "run.csv"
-    assert main(["--mode", "simulate", "--scheme", "both", "--lambda",
-                 "0.05,0.1", "--trials", "2000", "--seed", "4",
-                 "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "8e4bd9357d976852cfd7eb363bbf5611ab88042c421f2ce8eb684cb93dc1280a")
+    for argv, region, digest in cases:
+        if region is not None:
+            snr = float(argv[argv.index("--snr") + 1])
+            s = _sampler(SystemParams(snr_budget=snr, path_loss=2.0,
+                                      threshold=1.0, subcarriers=4,
+                                      r_sd=5.0), region, 0.1)
+            assert s.tail_mean > 0
+            assert math.isfinite(s.annulus_mean) == (region.kind == "disc")
+        assert main(["--mode", "simulate", "--scheme", "both", *argv,
+                     "--trials", "2000", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     meta = (tmp_path / "run.csv.meta").read_text().splitlines()
     assert meta[:4] == [f"tool_version = {relayfield.__version__}",
                         f"numpy_version = {numpy.__version__}",
@@ -417,6 +447,24 @@ def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
                  "--trials", "1000", "--seed", "1", "--verify",
                  "--output", str(out)]) == 0
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1", "1"]
+
+
+def test_verify_counts_the_rows_it_cannot_test(tmp_path):
+    # p_hat = 0 agrees whenever ref lies within 3 se of 0, whatever the
+    # run drew. On the plane at SNR 1000 both exact outages (6.0e-17 bulk,
+    # 1.7e-67 ps) lie far below 1/400, so neither row is tested; on the
+    # disc at SNR 10 (0.997 and 0.965) both are
+    def meta(*argv):
+        out = tmp_path / "run.csv"
+        assert main(["--mode", "simulate", "--scheme", "both", "--K", "4",
+                     "--lambda", "0.1", "--trials", "400", "--verify", *argv,
+                     "--output", str(out)]) == 0
+        return (tmp_path / "run.csv.meta").read_text().splitlines()
+
+    plane = meta("--region", "plane", "--snr", "1000")
+    assert "verify_mismatches = 0" in plane
+    assert "verify_unchecked = 2" in plane
+    assert "verify_unchecked = 0" in meta("--snr", "10")
 
 
 def test_ratio_mode(tmp_path):
@@ -583,7 +631,8 @@ def test_figure_preset_smoke(tmp_path, figure):
     # A figure plots its 3-sigma misses rather than failing on them.
     assert [line for line in meta if line.startswith("pool_workers")] == (
         ["pool_workers = 1"] if figure in ("fig3", "fig4") else [])
-    assert not any(line.startswith("verify_mismatches") for line in meta)
+    assert not any(line.startswith(("verify_mismatches", "verify_unchecked"))
+                   for line in meta)
 
 
 def test_exit_codes(tmp_path, capsys):
