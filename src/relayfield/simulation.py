@@ -19,12 +19,11 @@ trials, and block b draws from one counter-based Philox stream keyed by
 (seed, b), in this order:
 
 * inner part, r < r_in (at most R), a uniform Poisson disc: the relay
-  counts of all the block's trials, then the radii and the angles of all
-  N relays, trial after trial, then one uniform v per trial. Only cos
-  theta enters g, and the field is symmetric about the S-D axis, so the
-  angles are drawn on [0, pi). Given the positions, the relays serve
-  each subcarrier independently with chance g, so no inner relay serves
-  a given subcarrier with chance z = prod(1 - g), and none serves all K
+  counts of all the block's trials, one uniform each, inverted on a
+  table of the Poisson CDF, then one uniform v per trial, then the
+  positions in rounds. Given the positions, the relays serve each
+  subcarrier independently with chance g, so no inner relay serves a
+  given subcarrier with chance z = prod(1 - g), and none serves all K
   with chance n_b = prod(1 - g^K); both are sums of log1p over the
   trial's relays. Bulk succeeds iff v < 1 - n_b or a kept tail relay
   (below) serves all K, and ps iff bulk does or v < (1 - z)^m, where m
@@ -32,9 +31,19 @@ trials, and block b draws from one counter-based Philox stream keyed by
   relays serve those m with chance (1 - z)^m, which is at least
   1 - n_b, so one v gives the pair of outcomes its exact joint law.
   A trial with v < 1 - n_b therefore succeeds in both schemes whatever
-  its tail holds, and the trials left open are those with
-  v >= 1 - n_b. r_in is 0 where K p q_hat < 1 everywhere, as at K = 1,
-  and then every trial is open.
+  else it holds. n_b only falls as relays are added, and given its
+  count a Poisson field's points are i.i.d. (Kingman, Poisson
+  Processes, 1993, 5.1), so any prefix of them is a fair sample: round
+  j draws 2^(j-1) s relays, or those left, for each trial still open,
+  all their radii, then all their angles, trial after trial, and a
+  trial leaves once its relays run out or v < 1 - n_b on those drawn.
+  s is 2, or more where the inner relays rarely decide a trial
+  (_Sampler.first_round). The
+  trials left open are those with v >= 1 - n_b over all their relays.
+  Only cos theta enters g, and the field is symmetric about the S-D
+  axis, so the angles are drawn on [0, pi). r_in is 0 where
+  K p q_hat < 1 everywhere, as at K = 1, and then no count or position
+  is drawn and every trial is open.
 * tail part, r_in < r < R, drawn only when that annulus is not empty,
   and only for the open trials, in their order, so not at all in a block
   without them (the tail is independent of the inner part and of v):
@@ -66,20 +75,22 @@ trials, and block b draws from one counter-based Philox stream keyed by
   e^-x (1 + x) <= 1 candidates per trial, x = lambda * integral over the
   annulus of 1 - (1 - g)^K. On the plane no trial is empty.
 
-The block length depends only on the expected drawn relays per trial and
-K, and workers always receive whole blocks, so results depend on the
-seed and the trial count but are bitwise identical for any number of
-workers. A point is split across processes only where each gets at
-least MIN_BLOCKS_PER_WORKER blocks (_Sampler.workers).
+The block length depends only on the grid point, through the expected
+relays a trial processes and K, and workers always receive whole blocks,
+so results depend on the seed and the trial count but are bitwise
+identical for any number of workers. A point is split across processes
+only where each gets at least MIN_BLOCKS_PER_WORKER blocks
+(_Sampler.workers).
 
-The vectorised kernel sums each trial's inner logs with bincount and
+The vectorised kernel sums each round's inner logs with bincount and
 reduces the tail's (K, M) array over its subcarrier axis and with
-segment reductions over the trials' relays. As only open trials draw a
-tail, its cost follows the chance that the inner relays give no bulk
-success, about the bulk outage. The tests hold it to a
-per-trial oracle replayed on the same block streams: inner chances one
-relay at a time, the object pipeline of tests/reference.py for the
-tail, and the walk one candidate at a time.
+segment reductions over the trials' relays. As only open trials draw
+more relays, the inner cost follows the relays it takes to decide a
+trial, and the tail's the chance that the inner relays give no bulk
+success, about the bulk outage. The tests hold it to a per-trial oracle
+replayed on the same block streams: the inner rounds one relay at a
+time, the object pipeline of tests/reference.py for the tail, and the
+walk one candidate at a time.
 """
 from __future__ import annotations
 
@@ -88,25 +99,26 @@ import math
 from contextlib import nullcontext
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import pdtr
 
 from .channel import SystemParams
 from .geometry import Region
 
-# Expected drawn relays (inner relays and tail proposals) times K per
-# block, counted for every trial although only open trials draw a tail,
-# so that streams split into blocks where they did. It bounds a block's
-# arrays, which measured faster than larger blocks, and still gives a
-# sparse field thousands of trials per numpy call.
+# Expected processed relays (inner relays until v decides the trial, and
+# the open trials' tail proposals) times K per block (_Sampler.length).
+# It bounds a block's arrays and gives even a dense field's block about
+# a thousand trials per numpy call, about 1 ms of work (BENCH_23.json).
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
 # Fewest blocks worth a process of their own: starting and stopping a
-# pool costs 20-40 ms. With blocks of 0.34-0.94 ms, one point on a pool
-# of its own broke even with one process between 64 and 128 blocks on 2
-# cores (BENCH_20.json); a sweep's shared pool starts once.
+# pool costs 20-40 ms. With blocks of 0.9-1.5 ms, one point on 2
+# processes of a pool of its own broke even with one process at about
+# 48 blocks and ran faster from 56 on 2 cores (BENCH_23.json); a sweep's
+# shared pool starts once.
 MIN_BLOCKS_PER_WORKER = 32
 # Drops of log h below its maximum at which the tail envelope touches it
 # on each side: for a Gaussian, tangents every 3/4 of a standard
@@ -157,13 +169,61 @@ class _Sampler:
     scales: np.ndarray | None = None
     annulus_mean: float = 0.0  # expected relays in r_in < r < R (inf)
 
+    @cached_property
+    def inner_chance(self) -> float:
+        """beta, the mean of g^K over a uniform point of the inner disc,
+        by the midpoint rule on 64 rings of equal area by 64 angles in
+        [0, pi): a function of the grid point alone, computed once per
+        sampler."""
+        params = self.params
+        mid = (np.arange(64) + 0.5) / 64
+        r = self.inner_radius * np.sqrt(mid)[:, None]
+        theta = math.pi * mid
+        x = (params.threshold / params.snr_budget * r ** params.path_loss
+             + _second_hop(params, r, theta))
+        return float(np.exp(-params.subcarriers * x).mean())
+
+    @cached_property
+    def count_table(self) -> np.ndarray:
+        """The Poisson(inner_mean) CDF at 0, 1, ..., up to its first value
+        that rounds to 1, past every uniform's 1 - 2^-53, built once per
+        sampler."""
+        size = int(self.inner_mean + 10.0 * math.sqrt(self.inner_mean)) + 40
+        while (cdf := pdtr(np.arange(size), self.inner_mean))[-1] < 1.0:
+            size *= 2
+        return cdf[:np.searchsorted(cdf, 1.0) + 1]
+
+    @property
+    def first_round(self) -> int:
+        """Inner relays per open trial in the first round: at least 2, and
+        mu e^(-mu beta) where that is more, the mean relays per trial of
+        the trials that the inner relays leave open, which are processed
+        whatever v says. A round costs about 40 numpy calls whatever its
+        size, and where the inner relays rarely decide a trial (K 8 to
+        16), blocks hold a few dozen trials, and rounds from 2 took up
+        to 1.7 times as long per trial (BENCH_23.json)."""
+        mu = self.inner_mean
+        return max(2, int(mu * math.exp(-mu * self.inner_chance))) if mu else 2
+
     @property
     def length(self) -> int:
-        """Trials per block: about DRAWS_PER_BLOCK expected drawn relays
-        times K, whatever the density (still that product, although inner
-        relays draw no subcarrier uniforms, so that streams split where
-        they did); never dependent on the trial or worker count."""
-        pairs = (self.inner_mean + self.tail_mean) * self.params.subcarriers
+        """Trials per block: about DRAWS_PER_BLOCK expected processed
+        relays times K, whatever the density; never dependent on the
+        seed, the trial or the worker count.
+
+        Inner relays are processed until the trial's uniform decides it,
+        and a trial stays open after j of them with chance (1 - beta)^j
+        (inner_chance), so a trial processes (1 - e^(-mu beta)) / beta of
+        them on average with mu = inner_mean (one at a time; the rounds'
+        overshoot is left out), and draws tail_mean tail proposals with
+        the chance e^(-mu beta) that they leave it open, by the Poisson
+        probability generating functional.
+        """
+        mu = self.inner_mean
+        closed = -math.expm1(-mu * self.inner_chance) if mu else 0.0
+        inner = closed / self.inner_chance if closed else mu
+        pairs = ((inner + (1.0 - closed) * self.tail_mean)
+                 * self.params.subcarriers)
         return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
                        MAX_BLOCK))
 
@@ -304,10 +364,11 @@ def _sampler(params: SystemParams, region: Region,
 def block_length(params: SystemParams, region: Region, density: float) -> int:
     """Trials per stream block at one grid point.
 
-    A fixed function of the expected relays the sampler draws per trial
-    (inner relays and tail proposals) and K, so that one block's draws
-    stay near DRAWS_PER_BLOCK values however dense the field is. It
-    never depends on the trial or worker count.
+    A fixed function of the expected relays the sampler processes per
+    trial (inner relays until v decides it, and tail proposals) and K,
+    so that one block's work stays near DRAWS_PER_BLOCK values however
+    dense the field is (_Sampler.length). It never depends on the seed,
+    the trial or the worker count.
     """
     return _sampler(params, region, density).length
 
@@ -380,21 +441,36 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     params = s.params
     alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
-    counts = rng.poisson(s.inner_mean, n_trials)
-    n = int(counts.sum())
-    r = s.inner_radius * np.sqrt(rng.random(n))
-    theta = math.pi * rng.random(n)
+    counts = (np.searchsorted(s.count_table, rng.random(n_trials), "right")
+              if s.inner_mean else np.zeros(n_trials, dtype=int))
     v = rng.random(n_trials)
     # per trial, log z = sum log(1 - g) and log n_b = sum log(1 - g^K)
-    # over its inner relays, g = exp(-x)
-    x = c * r ** alpha + _second_hop(params, r, theta)
-    owner = np.repeat(np.arange(n_trials), counts)
-    log_z, log_nb = (np.bincount(owner, np.log1p(-np.exp(-exponent)),
-                                 minlength=n_trials)
-                     for exponent in (x, k * x))
+    # over its processed inner relays, g = exp(-x), in rounds of doubling
+    # size for the trials whose uniform has not decided them yet
+    log_z, log_nb = np.zeros(n_trials), np.zeros(n_trials)
+    live = np.flatnonzero(counts)
+    left = counts[live]
+    size = s.first_round
+    while len(live):
+        take = np.minimum(left, size)
+        n = int(take.sum())
+        r = s.inner_radius * np.sqrt(rng.random(n))
+        theta = math.pi * rng.random(n)
+        x = c * r ** alpha + _second_hop(params, r, theta)
+        owner = np.repeat(np.arange(len(live)), take)
+        log_z[live] += np.bincount(owner, np.log1p(-np.exp(-x)),
+                                   minlength=len(live))
+        log_nb[live] += np.bincount(owner, np.log1p(-np.exp(-k * x)),
+                                    minlength=len(live))
+        left -= take
+        # n_b only falls as relays are added, so a trial with
+        # v < 1 - n_b on a prefix has it on all its relays
+        still = (left > 0) & (v[live] >= -np.expm1(log_nb[live]))
+        live, left, size = live[still], left[still], 2 * size
     # the inner relays serve all K with chance 1 - n_b, and the unserved
     # subcarriers with chance (1 - z)^unserved >= 1 - n_b (0^0 = 1), so
-    # one uniform decides both with their exact joint law
+    # one uniform decides both with their exact joint law; a trial left
+    # open has processed all its relays
     bulk = v < -np.expm1(log_nb)
     unserved = k  # subcarriers that no kept tail relay serves
     # a trial that bulk already serves succeeds in both schemes whatever

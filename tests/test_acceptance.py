@@ -222,7 +222,7 @@ def test_criterion_8_diversity_ternary():
 
 
 def test_criterion_9_reproducibility(tmp_path, pools):
-    # the lambda = 1 points (162 and 193 blocks) are split across the
+    # the lambda = 1, SNR 10 point (153 blocks) is split across the
     # processes of each multi-worker sweep's pool, so the digests compare
     # split runs with the single-process one
     digests = []

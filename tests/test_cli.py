@@ -248,18 +248,19 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
 def test_one_worker_pool_per_sweep(tmp_path, pools):
     from relayfield import Region, SystemParams, block_length, simulation
 
-    # two points of several blocks each on the plane; at SNR 1000 each of
+    # two points of several blocks each on the plane; at SNR 100 each of
     # 2 workers gets more than the floor of blocks
     out = tmp_path / "plane.csv"
     assert main(["--mode", "simulate", "--scheme", "both",
                  "--region", "plane", "--lambda", "0.1",
-                 "--snr", "100,1000", "--trials", "2000", "--workers", "2",
+                 "--snr", "100,1000", "--trials", "40000", "--workers", "2",
                  "--verify", "--output", str(out)]) == 0
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1"] * 4
     assert len(pools) == 1 and pools[0].stopped
     assert pools[0]._max_workers == 2
-    # a largest point of 3.5 floors of blocks starts 3 of 8 workers
-    params = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
+    # a largest point of 3.5 floors of blocks starts 3 of 8 workers (SNR
+    # 100's blocks are the shorter)
+    params = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
                           subcarriers=4, r_sd=5.0)
     trials = (7 * simulation.MIN_BLOCKS_PER_WORKER
               * block_length(params, Region.plane(), 0.1) // 2)
@@ -298,7 +299,7 @@ def test_configs_share_one_pool_sized_by_their_largest_point(pools):
                           "--trials", "500", "--workers", "2"])
     plane = parse_config(["--mode", "simulate", "--scheme", "both",
                           "--region", "plane", "--lambda", "0.1",
-                          "--snr", "100,1000", "--trials", "2000",
+                          "--snr", "100,1000", "--trials", "40000",
                           "--workers", "2"])
     _, rows, meta = _simulate_rows(small, plane)
     assert meta == {"pool_workers": 2}
@@ -329,22 +330,22 @@ def test_each_point_builds_its_sampler_once(tmp_path):
 
 def test_meta_records_the_versions_and_leaves_the_csv_alone(tmp_path):
     # the .meta names the numpy, scipy and Python that ran, and each CSV
-    # keeps its pinned bytes: a tail-free disc sweep, as it was before the
-    # .meta carried the versions (and before the tail's envelope changed),
-    # a plane point whose inner relays leave about a tenth of the trials
-    # open, and a disc point with a tail and the void walk. A tail case
-    # checks first that its point still draws a tail; at seed 5 the plane
-    # CSV changes if the tail is left out (at seed 4 it does not)
+    # keeps its pinned bytes: a tail-free disc sweep, a plane point whose
+    # inner relays leave about a tenth of the trials open, and a disc
+    # point with a tail and the void walk. A tail case checks first that
+    # its point still draws a tail, and the plane CSV changes if the tail
+    # is left out. The digests began 8e4bd935, 19ece989 and 4a1264af
+    # while every inner relay was drawn
     from relayfield.simulation import _sampler
 
     cases = [
         (["--lambda", "0.05,0.1", "--seed", "4"], None,
-         "8e4bd9357d976852cfd7eb363bbf5611ab88042c421f2ce8eb684cb93dc1280a"),
+         "c58889fcc133edbd57102079abe45447ba41cd8509b19e19763d33ca6fbf1b7a"),
         (["--region", "plane", "--snr", "100", "--lambda", "0.1",
           "--seed", "5"], Region.plane(),
-         "19ece989f6fd44c8c4f5ddced56c0998c669a3829043f592b7e83423f5481afb"),
+         "1b207002284ded5aa219f405759bbaaea606c0e532d287900cf0390639e15dae"),
         (["--snr", "10", "--lambda", "0.1", "--seed", "4"], Region.disc(5.0),
-         "4a1264af3dcbf5510629dc8069af9175f40fa66aedef2571850ff4f8fbdecae5"),
+         "4d0c9e4b132ca3caaa70366bc9519345ca257c1146a4094ed4568dcc4796c8d6"),
     ]
     out = tmp_path / "run.csv"
     for argv, region, digest in cases:
@@ -376,7 +377,7 @@ def test_meta_records_pool_workers(tmp_path):
                                   if line.startswith("pool_workers")]
 
     plane = ("--mode", "simulate", "--scheme", "both", "--region", "plane",
-             "--lambda", "0.1", "--snr", "100,1000", "--trials", "2000")
+             "--lambda", "0.1", "--snr", "100,1000", "--trials", "40000")
     one = run(*plane, "--workers", "1")
     assert one[1] == ["pool_workers = 1"]
     assert run(*plane, "--workers", "2") == (one[0], ["pool_workers = 2"])

@@ -1,4 +1,5 @@
 import ast
+import bisect
 import itertools
 import math
 from dataclasses import replace
@@ -163,11 +164,11 @@ def _tail_proposal(s, u):
     return r, math.exp(log_h - (s.levels[i] + slope * step))
 
 
-def _inner_chances(params, r, theta):
-    """(1 - n_b, 1 - z) of one trial's inner relays at radii r and angles
-    theta, one relay at a time: n_b = prod(1 - g^K) is the chance that
-    none serves all K subcarriers, and z = prod(1 - g) that none serves a
-    given one, with g = exp(-c (r^alpha + r_md^alpha))."""
+def _inner_logs(params, r, theta):
+    """(log n_b, log z) of a run of inner relays at radii r and angles
+    theta, summed one relay at a time from 0: n_b = prod(1 - g^K) is the
+    chance that none serves all K subcarriers, and z = prod(1 - g) that
+    none serves a given one, with g = exp(-c (r^alpha + r_md^alpha))."""
     alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
     log_nb = log_z = 0.0
@@ -176,7 +177,44 @@ def _inner_chances(params, r, theta):
         x = c * (r_sm ** alpha + r_md ** alpha)
         log_nb += math.log1p(-math.exp(-k * x))
         log_z += math.log1p(-math.exp(-x))
-    return -math.expm1(log_nb), -math.expm1(log_z)
+    return log_nb, log_z
+
+
+def _inner_chances(s, rng, trials):
+    """(inner relay counts, uniforms v, (1 - n_b, 1 - z) per trial) of
+    one block's trials, one trial at a time.
+
+    Each trial's count is the number of CDF table entries at or below its
+    uniform (none drawn where inner_mean is 0), then every trial draws
+    its v. Then come rounds of s, 2 s, 4 s, ... relays (s = first_round)
+    for the trials still open, each drawing all its radii, then all its
+    angles, trial after trial. A trial leaves once its relays run out or v < 1 - n_b over
+    those processed so far. Each round's logs are summed from 0
+    (_inner_logs) and then added to the trial's.
+    """
+    counts = ([bisect.bisect_right(s.count_table, u)
+               for u in rng.random(trials)] if s.inner_mean else [0] * trials)
+    v = rng.random(trials)
+    logs = [[0.0, 0.0] for _ in range(trials)]
+    done = [0] * trials
+    live = [trial for trial in range(trials) if counts[trial]]
+    size = s.first_round
+    while live:
+        takes = [min(size, counts[trial] - done[trial]) for trial in live]
+        r = s.inner_radius * np.sqrt(rng.random(sum(takes)))
+        theta = math.pi * rng.random(sum(takes))
+        ends = np.cumsum(takes)
+        for trial, take, end in zip(live, takes, ends):
+            for i, log in enumerate(_inner_logs(
+                    s.params, r[end - take:end], theta[end - take:end])):
+                logs[trial][i] += log
+            done[trial] += take
+        live = [trial for trial in live if done[trial] < counts[trial]
+                and not v[trial] < -math.expm1(logs[trial][0])]
+        size *= 2
+    chances = [(-math.expm1(log_nb), -math.expm1(log_z))
+               for log_nb, log_z in logs]
+    return np.array(counts), v, chances
 
 
 def _void_walk(s, rng, trials, walks):
@@ -219,12 +257,13 @@ def _trial_by_trial(params, region, density, seed, trials,
 
     A trial's inner relays serve all K subcarriers with chance
     1 - n_b and each other subcarrier with chance 1 - z, independently
-    (_inner_chances). Its uniform v decides first: bulk succeeds if
-    v < 1 - n_b, and then ps does too, whatever the tail holds. Only the
-    other, open, trials draw tail relays. Their kept tail relays and
-    gains become a Topology and a FadingRealization, whose SNR matrix
-    says whether one of them serves all K (select_bulk) and which
-    subcarriers m of them leave unserved (select_per_subcarrier). Then
+    (_inner_chances, which stops drawing them once v decides). Its
+    uniform v decides first: bulk succeeds if v < 1 - n_b, and then ps
+    does too, whatever the tail holds. Only the other, open, trials draw
+    tail relays. Their kept tail relays and gains become a Topology and
+    a FadingRealization, whose SNR matrix says whether one of them
+    serves all K (select_bulk) and which subcarriers m of them leave
+    unserved (select_per_subcarrier). Then
     bulk succeeds iff a kept tail relay serves all K, and ps iff bulk
     does or v < (1 - z)^m.
 
@@ -246,15 +285,8 @@ def _trial_by_trial(params, region, density, seed, trials,
     walks = [] if walks is None else walks
     for b, first in enumerate(range(0, trials, s.length)):
         rng = streams(seed, b)
-        counts = rng.poisson(s.inner_mean, min(s.length, trials - first))
-        n = int(counts.sum())
-        r = s.inner_radius * np.sqrt(rng.random(n))
-        theta = math.pi * rng.random(n)
-        v = rng.random(len(counts))
-        owner = np.repeat(np.arange(len(counts)), counts)
-        chances = [_inner_chances(params, r[owner == trial],
-                                  theta[owner == trial])
-                   for trial in range(len(counts))]
+        counts, v, chances = _inner_chances(s, rng,
+                                            min(s.length, trials - first))
         open_trials = [trial for trial in range(len(counts))
                        if not v[trial] < chances[trial][0]]
         tail = Topology(r_sm=np.empty(0), theta=np.empty(0), region=region,
@@ -304,7 +336,7 @@ def _trial_by_trial(params, region, density, seed, trials,
                 unserved = int(np.count_nonzero(
                     select_per_subcarrier(snr).achieved < params.threshold))
             ps = bulk or v[trial] < served_one ** unserved
-            no_relay += kept.n_relays == 0 and not (owner == trial).any()
+            no_relay += kept.n_relays == 0 and counts[trial] == 0
             n_bulk += not bulk
             n_ps += not ps
         # relays that serve no subcarrier are not drawn: a trial without
@@ -390,19 +422,117 @@ class _PoissonSizes:
         return self._rng.poisson(lam, size)
 
 
+class _RandomSizes:
+    """A block Generator that records the size of each uniform draw in
+    sizes, and draws as the Generator it wraps."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        self._sizes.append(size)
+        return self._rng.random(size)
+
+
+def test_inner_relays_stop_once_the_uniform_decides(params, monkeypatch):
+    # mc_dense's SNR 1000 point has 259 inner relays per trial, and its
+    # bulk outage is 6e-17, so no trial draws a tail: after the counts
+    # and v, one uniform per trial each, the block draws radii and angles
+    # of rounds of 2, 4, 8, ... relays per open trial, the same as the
+    # oracle's, about 10 relays per trial in all
+    p = replace(params, snr_budget=1000.0)
+    s = _sampler(p, Region.plane(), 0.1)
+    assert s.inner_mean > 250 and s.tail_mean > 0 and s.first_round == 2
+    trials = 400
+    n_blocks = -(-trials // s.length)
+    assert n_blocks == 1
+    drawn = {"kernel": [], "oracle": []}
+
+    def streams(who):
+        return lambda seed, b: _RandomSizes(block_rng(seed, b), drawn[who])
+
+    monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
+    got = _simulate_chunk(s, 8, trials, 0, n_blocks)
+    assert got == _trial_by_trial(p, Region.plane(), 0.1, 8, trials,
+                                  streams("oracle"))
+    assert got[:2] == (0, 0)
+    sizes = drawn["kernel"]
+    assert sizes == drawn["oracle"]
+    assert sizes[:2] == [trials, trials]
+    # each round draws its radii, then as many angles: round j draws 2^j
+    # for each trial still open (none runs out of its relays this soon),
+    # every trial is open in the first, and fewer in each later one
+    radii, angles = sizes[2::2], sizes[3::2]
+    assert radii == angles
+    open_ = [n / 2 ** j for j, n in enumerate(radii, 1)]
+    assert open_[0] == trials and all(n == int(n) for n in open_)
+    assert all(later < first for first, later in zip(open_, open_[1:]))
+    assert 5 <= sum(radii) / trials <= 20
+
+
+def test_block_length_follows_the_relays_processed(params):
+    # inner_chance is beta, the mean of g^K over the inner disc, and a
+    # trial processes (1 - e^(-mu beta)) / beta inner relays and, left
+    # open with chance e^(-mu beta), tail_mean tail proposals on average;
+    # a block holds DRAWS_PER_BLOCK of these times K. At mc_dense's SNR
+    # 1000 point that is about 1,200 trials, against 19 while a block
+    # held every inner relay. The first round takes the mean relays of
+    # the open trials, mu e^(-mu beta), 2 if that is less: 2 there, 23
+    # at K 8 and SNR 100
+    c = params.threshold / 1000.0
+    p = replace(params, snr_budget=1000.0)
+    s = _sampler(p, Region.plane(), 0.1)
+
+    def g_k(r, theta):
+        r_md = relay_dest_distance(r, theta, p.r_sd)
+        return r * math.exp(-p.subcarriers * c * (r * r + r_md * r_md))
+
+    mean = integrate.dblquad(g_k, 0.0, math.pi, 0.0, s.inner_radius,
+                             epsabs=0, epsrel=1e-10)[0]
+    beta = mean / (math.pi * s.inner_radius ** 2 / 2.0)
+    assert s.inner_chance == pytest.approx(beta, rel=1e-3)
+    open_ = math.exp(-s.inner_mean * s.inner_chance)
+    draws = (1.0 - open_) / s.inner_chance + open_ * s.tail_mean
+    assert s.length == int(simulation.DRAWS_PER_BLOCK
+                           // (draws * p.subcarriers))
+    assert 1000 < s.length < 1400
+    assert s.first_round == 2
+    k_8 = _sampler(replace(params, subcarriers=8), Region.plane(), 0.1)
+    open_ = math.exp(-k_8.inner_mean * k_8.inner_chance)
+    assert k_8.first_round == int(k_8.inner_mean * open_) == 23
+
+
+def test_inner_counts_invert_a_poisson_table(params):
+    # the inner counts invert the Poisson CDF, which the table holds up
+    # to its first value that rounds to 1, past every uniform's 1 - 2^-53
+    for density in (0.02, 0.1, 2.0):
+        s = _sampler(params, Region.disc(5.0), density)
+        mean, table = s.inner_mean, s.count_table
+        assert table[-1] == 1.0 and table[-2] < 1.0
+        pmf = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+               for n in range(len(table))]
+        assert np.allclose(table, np.cumsum(pmf), rtol=1e-12, atol=1e-15)
+
+
 def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
         params, monkeypatch):
     # tail counts are drawn once per block with open trials, for the
     # trials whose inner relays give no bulk success. At mc_dense's SNR
     # 1000 point the bulk outage of the inner relays is 6e-17, so no
     # block draws a tail; at alpha 2, K 4, SNR 100, lambda 0.0316 about
-    # half of the trials do, the same trials as the oracle's
+    # half of the trials do, the same trials as the oracle's. Short
+    # blocks give each run several
+    monkeypatch.setattr(simulation, "DRAWS_PER_BLOCK", 1 << 12)
     cases = ((replace(params, snr_budget=1000.0), 0.1, 400, (0, 0)),
              (params, 0.0316, 300, (0.3, 0.7)))
     for p, density, trials, (low, high) in cases:
         s = _sampler(p, Region.plane(), density)
         assert s.tail_mean > 0
         n_blocks = -(-trials // s.length)
+        assert n_blocks > 2
         drawn = {"kernel": [], "oracle": []}
 
         def streams(who):
@@ -478,22 +608,41 @@ def test_one_subcarrier_gives_equal_scheme_counts(params):
 
 
 def test_disc_without_tail_keeps_its_stream(params):
-    # with r_in >= sigma the disc has no tail: every relay is drawn, and
+    # with r_in >= sigma the disc has no tail: the relays are drawn until
     # one uniform per trial decides its outcomes, over several blocks.
     # The pins were (990, 198, 6) and (134, 2, 0) while each pair drew
-    # two uniforms, one per hop, and (998, 203, 6) and (111, 1, 0) while
+    # two uniforms, one per hop, (998, 203, 6) and (111, 1, 0) while
     # each relay drew one uniform per subcarrier against g = p q on
-    # angles in [0, 2 pi). One uniform per trial against the inner
-    # relays' joint chances, on angles in [0, pi), has the same law but
-    # is another stream.
+    # angles in [0, 2 pi), and (971, 204, 6) and (120, 3, 0) while every
+    # inner relay was drawn, before v, and the counts by rng.poisson.
+    # Counts by inversion, v right after them and positions in rounds
+    # that stop once v decides have the same law but are another stream.
     alpha_4 = replace(params, snr_budget=1000.0, path_loss=4.0)
-    for p, density, trials, pinned in ((params, 0.08, 4000, (971, 204, 6)),
-                                       (alpha_4, 0.3, 2000, (120, 3, 0))):
+    for p, density, trials, pinned in ((params, 0.08, 4000, (951, 209, 6)),
+                                       (alpha_4, 0.3, 2000, (132, 0, 0))):
         s = _sampler(p, Region.disc(5.0), density)
         assert s.tail_mean == 0 and s.inner_radius == 5.0
         n_blocks = -(-trials // s.length)
         assert n_blocks > 1
         assert _simulate_chunk(s, 99, trials, 0, n_blocks) == pinned
+
+
+def test_points_without_inner_relays_keep_their_stream(params):
+    # where r_in = 0, at K = 1 and on the alpha 4, K 2 disc, no trial has
+    # an inner relay and none draws an inner count or position, so the
+    # stream is the one of the kernel that drew every inner relay: the
+    # pins are that kernel's counts
+    k_1, alpha_4 = (replace(params, subcarriers=1),
+                    replace(params, path_loss=4.0, subcarriers=2))
+    for p, region, density, pinned in (
+            (k_1, Region.plane(), 0.02, (1301, 1301, 0)),
+            (k_1, Region.disc(5.0), 0.1, (144, 144, 12)),
+            (alpha_4, Region.disc(5.0), 0.1, (18680, 18030, 8)),
+            (alpha_4, Region.disc(5.0), 0.3, (16363, 12782, 0))):
+        s = _sampler(p, region, density)
+        assert s.inner_mean == 0 and s.tail_mean > 0
+        assert _simulate_chunk(s, 6, 20_000, 0, -(-20_000 // s.length)) == (
+            pinned)
 
 
 def _agrees(p_hat, p, trials):
@@ -683,9 +832,10 @@ def test_workers_do_not_change_results(params, pools, monkeypatch):
     # the floor is lowered to 1 to make the point split at all
     monkeypatch.setattr(simulation, "MIN_BLOCKS_PER_WORKER", 1)
     region = Region.disc(5.0)
-    one = estimate_outage_both(params, region, 0.1, trials=4000, seed=5,
+    assert -(-8000 // block_length(params, region, 0.1)) == 4
+    one = estimate_outage_both(params, region, 0.1, trials=8000, seed=5,
                                n_workers=1)
-    three = estimate_outage_both(params, region, 0.1, trials=4000, seed=5,
+    three = estimate_outage_both(params, region, 0.1, trials=8000, seed=5,
                                  n_workers=3)
     for scheme in Scheme:
         assert one[scheme].p_hat == three[scheme].p_hat
