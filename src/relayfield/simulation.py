@@ -38,10 +38,10 @@ trials, and block b draws from one counter-based Philox stream keyed by
   all their radii, then all their angles, trial after trial, and a
   trial leaves once its relays run out or v < 1 - n_b on those drawn.
   s is 2, or more where the inner relays rarely decide a trial
-  (_Sampler.first_round). The
-  trials left open are those with v >= 1 - n_b over all their relays.
-  Only cos theta enters g, and the field is symmetric about the S-D
-  axis, so the angles are drawn on [0, pi). r_in is 0 where
+  (_Sampler.first_round). The trials left open are those with
+  v >= 1 - n_b over all their relays. Only cos theta enters g, and the
+  field is symmetric about the S-D axis, so the angles are drawn on
+  [0, pi). r_in is 0 where
   K p q_hat < 1 everywhere, as at K = 1, and then no count or position
   is drawn and every trial is open.
 * tail part, r_in < r < R, drawn only when that annulus is not empty,
@@ -195,13 +195,13 @@ class _Sampler:
 
     @property
     def first_round(self) -> int:
-        """Inner relays per open trial in the first round: at least 2, and
-        mu e^(-mu beta) where that is more, the mean relays per trial of
-        the trials that the inner relays leave open, which are processed
-        whatever v says. A round costs about 40 numpy calls whatever its
-        size, and where the inner relays rarely decide a trial (K 8 to
-        16), blocks hold a few dozen trials, and rounds from 2 took up
-        to 1.7 times as long per trial (BENCH_23.json)."""
+        """Inner relays per trial in the first round: 2, or mu e^(-mu
+        beta) where that is more, the relays per trial of the trials
+        that the inner relays leave open, which are processed whatever v
+        says. A round costs about 40 numpy calls whatever its size, and
+        where the inner relays rarely decide a trial (K 8 to 16), blocks
+        hold a few dozen trials, which rounds from 2 slowed by up to 1.7
+        times (BENCH_23.json)."""
         mu = self.inner_mean
         return max(2, int(mu * math.exp(-mu * self.inner_chance))) if mu else 2
 

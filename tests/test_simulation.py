@@ -188,9 +188,9 @@ def _inner_chances(s, rng, trials):
     uniform (none drawn where inner_mean is 0), then every trial draws
     its v. Then come rounds of s, 2 s, 4 s, ... relays (s = first_round)
     for the trials still open, each drawing all its radii, then all its
-    angles, trial after trial. A trial leaves once its relays run out or v < 1 - n_b over
-    those processed so far. Each round's logs are summed from 0
-    (_inner_logs) and then added to the trial's.
+    angles, trial after trial. A trial leaves once its relays run out or
+    v < 1 - n_b over those processed so far. Each round's logs are
+    summed from 0 (_inner_logs) and then added to the trial's.
     """
     counts = ([bisect.bisect_right(s.count_table, u)
                for u in rng.random(trials)] if s.inner_mean else [0] * trials)
@@ -406,12 +406,13 @@ def test_chunk_matches_object_path(params):
     assert plane.cuts[-1] == math.inf and plane.slopes[-1] < 0
 
 
-class _PoissonSizes:
-    """A block Generator that records the size of each Poisson draw of
-    mean lam in sizes, and draws as the Generator it wraps."""
+class _DrawSizes:
+    """A block Generator that records in sizes the size of each Poisson
+    draw of mean lam, or of each uniform draw if lam is None, and draws
+    as the Generator it wraps."""
 
-    def __init__(self, rng, lam, sizes):
-        self._rng, self._lam, self._sizes = rng, lam, sizes
+    def __init__(self, rng, sizes, lam=None):
+        self._rng, self._sizes, self._lam = rng, sizes, lam
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -421,19 +422,9 @@ class _PoissonSizes:
             self._sizes.append(size)
         return self._rng.poisson(lam, size)
 
-
-class _RandomSizes:
-    """A block Generator that records the size of each uniform draw in
-    sizes, and draws as the Generator it wraps."""
-
-    def __init__(self, rng, sizes):
-        self._rng, self._sizes = rng, sizes
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
     def random(self, size):
-        self._sizes.append(size)
+        if self._lam is None:
+            self._sizes.append(size)
         return self._rng.random(size)
 
 
@@ -452,7 +443,7 @@ def test_inner_relays_stop_once_the_uniform_decides(params, monkeypatch):
     drawn = {"kernel": [], "oracle": []}
 
     def streams(who):
-        return lambda seed, b: _RandomSizes(block_rng(seed, b), drawn[who])
+        return lambda seed, b: _DrawSizes(block_rng(seed, b), drawn[who])
 
     monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
     got = _simulate_chunk(s, 8, trials, 0, n_blocks)
@@ -536,8 +527,8 @@ def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
         drawn = {"kernel": [], "oracle": []}
 
         def streams(who):
-            return lambda seed, b: _PoissonSizes(block_rng(seed, b),
-                                                 s.tail_mean, drawn[who])
+            return lambda seed, b: _DrawSizes(block_rng(seed, b),
+                                              drawn[who], s.tail_mean)
 
         monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
         got = _simulate_chunk(s, 8, trials, 0, n_blocks)
@@ -563,8 +554,8 @@ def test_void_walk_counts_are_drawn_for_the_trials_without_relays(
     drawn = {"kernel": [], "oracle": []}
 
     def streams(who):
-        return lambda seed, b: _PoissonSizes(block_rng(seed, b),
-                                             s.annulus_mean, drawn[who])
+        return lambda seed, b: _DrawSizes(block_rng(seed, b), drawn[who],
+                                          s.annulus_mean)
 
     monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
     walks = []
