@@ -186,7 +186,8 @@ def diversity_slope(outage_curve: Callable[[float], float],
             raise OutageUnderflowError(
                 "outage underflowed to zero; evaluate in log domain")
         log_lo, log_hi = math.log(lo), math.log(hi)
-    slope = -(log_hi - log_lo) / (math.log(snr_hi) - math.log(snr_lo))
+    # log_lo - log_hi, not -(log_hi - log_lo): a flat curve gives 0, not -0
+    slope = (log_lo - log_hi) / (math.log(snr_hi) - math.log(snr_lo))
     return DiversityEstimate(slope=slope, snr_window=(snr_lo, snr_hi))
 
 

@@ -14,36 +14,38 @@ relays of the intensity lambda K p q_hat < lambda, which are thinned.
 So the plane needs no truncation: the sampled region has outer radius
 R, the disc radius sigma, or infinity on the plane.
 
+Candidates uniform on an annulus are drawn for each trial in rounds, by
+one loop (_rounds) that serves the inner relays and the disc's void:
+round j takes sizes[j] candidates of each trial still open, or those it
+has left, and draws all their radii, then all their angles, trial after
+trial; a trial leaves once its candidates run out or the candidates
+drawn so far decide it. Given its count, a Poisson field's points are
+i.i.d. (Kingman, Poisson Processes, 1993, 5.1), so any prefix of them
+is a fair sample, and each decision below, once made on a prefix,
+holds on all of them. Only cos theta enters g, and the field is
+symmetric about the S-D axis, so angles are drawn on [0, pi).
+
 A run of n trials is cut into blocks of block_length(...) consecutive
 trials, and block b draws from one counter-based Philox stream keyed by
 (seed, b), in this order:
 
 * inner part, r < r_in (at most R), a uniform Poisson disc: the relay
   counts of all the block's trials, one uniform each, inverted on a
-  table of the Poisson CDF, then one uniform v per trial, then the
-  positions in rounds. Given the positions, the relays serve each
-  subcarrier independently with chance g, so no inner relay serves a
-  given subcarrier with chance z = prod(1 - g), and none serves all K
-  with chance n_b = prod(1 - g^K); both are sums of log1p over the
-  trial's relays. Bulk succeeds iff v < 1 - n_b or a kept tail relay
+  table of the Poisson CDF (from its last exact zero), then one uniform
+  v per trial, then the relays in rounds of s 2^j (s is 2, or more where
+  the inner relays rarely decide a trial: _Sampler.first_round). No
+  inner relay serves a given subcarrier with chance z = prod(1 - g), and
+  none serves all K with chance n_b = prod(1 - g^K), sums of log1p over
+  the trial's relays. Bulk succeeds iff v < 1 - n_b or a kept tail relay
   (below) serves all K, and ps iff bulk does or v < (1 - z)^m, where m
   counts the subcarriers that no kept tail relay serves. The inner
-  relays serve those m with chance (1 - z)^m, which is at least
-  1 - n_b, so one v gives the pair of outcomes its exact joint law.
-  A trial with v < 1 - n_b therefore succeeds in both schemes whatever
-  else it holds. n_b only falls as relays are added, and given its
-  count a Poisson field's points are i.i.d. (Kingman, Poisson
-  Processes, 1993, 5.1), so any prefix of them is a fair sample: round
-  j draws 2^(j-1) s relays, or those left, for each trial still open,
-  all their radii, then all their angles, trial after trial, and a
-  trial leaves once its relays run out or v < 1 - n_b on those drawn.
-  s is 2, or more where the inner relays rarely decide a trial
-  (_Sampler.first_round). The trials left open are those with
-  v >= 1 - n_b over all their relays. Only cos theta enters g, and the
-  field is symmetric about the S-D axis, so the angles are drawn on
-  [0, pi). r_in is 0 where
-  K p q_hat < 1 everywhere, as at K = 1, and then no count or position
-  is drawn and every trial is open.
+  relays serve those m with chance (1 - z)^m >= 1 - n_b, so one v gives
+  the pair of outcomes its exact joint law, and v < 1 - n_b decides a
+  trial: it succeeds in both schemes whatever else it holds, and n_b
+  only falls as relays are added. The trials left open are those with
+  v >= 1 - n_b over all their relays. r_in is 0 where K p q_hat < 1
+  everywhere, as at K = 1, and then no count or position is drawn and
+  every trial is open.
 * tail part, r_in < r < R, drawn only when that annulus is not empty,
   and only for the open trials, in their order, so not at all in a block
   without them (the tail is independent of the inner part and of v):
@@ -63,17 +65,17 @@ trials, and block b draws from one counter-based Philox stream keyed by
   1/j, where j counts its served subcarriers, by its acceptance uniform
   again (given acceptance, that uniform over its bound is uniform). Each
   success pattern S then has intensity exactly
-  lambda g^|S| (1 - g)^(K - |S|). Tail angles are drawn on [0, pi) too.
+  lambda g^|S| (1 - g)^(K - |S|).
 * on a disc with a tail, last, for the trials with no inner and no
   kept relay (all open), if any: the void walk. The annulus's relays
   that serve nothing form a Poisson field of intensity lambda (1 - g)^K,
   independent of the others, so each such trial draws N ~ Poisson(lambda
-  pi (R^2 - r_in^2)) uniform candidates and is empty iff none has a
-  uniform w < (1 - g)^K. After the counts come the first candidates of
-  the trials with N >= 1, then the other N - 1 of those whose first
-  failed, each round drawing radii, angles on [0, pi), then w: at most
-  e^-x (1 + x) <= 1 candidates per trial, x = lambda * integral over the
-  annulus of 1 - (1 - g)^K. On the plane no trial is empty.
+  pi (R^2 - r_in^2)) candidates, uniform on the annulus, and is empty
+  iff none has a uniform w < (1 - g)^K. After the counts come the
+  candidates in two rounds, of 1 and then all the rest, each drawing w
+  after the angles; a trial leaves once a candidate passes. That is at
+  most e^-x (1 + x) <= 1 candidates per trial, x = lambda * integral
+  over the annulus of 1 - (1 - g)^K. On the plane no trial is empty.
 
 The block length depends only on the grid point, through the expected
 relays a trial processes and K, and workers always receive whole blocks,
@@ -82,19 +84,19 @@ identical for any number of workers. A point is split across processes
 only where each gets at least MIN_BLOCKS_PER_WORKER blocks
 (_Sampler.workers).
 
-The vectorised kernel sums each round's inner logs with bincount and
-reduces the tail's (K, M) array over its subcarrier axis and with
-segment reductions over the trials' relays. As only open trials draw
-more relays, the inner cost follows the relays it takes to decide a
-trial, and the tail's the chance that the inner relays give no bulk
-success, about the bulk outage. The tests hold it to a per-trial oracle
-replayed on the same block streams: the inner rounds one relay at a
-time, the object pipeline of tests/reference.py for the tail, and the
-walk one candidate at a time.
+Per-trial results are reductions over the relays' owners: bincount
+sums the inner logs and finds the kept tail relays that serve all K,
+and a scatter into a (K, open trials) mask finds the subcarriers they
+cover. The tests hold the kernel to a per-trial oracle replayed on the
+same block streams: the inner rounds one relay at a time, the object
+pipeline of tests/reference.py for the tail, and the walk one
+candidate at a time.
 """
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 from contextlib import nullcontext
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -184,12 +186,25 @@ class _Sampler:
         return float(np.exp(-params.subcarriers * x).mean())
 
     @cached_property
+    def count_start(self) -> int:
+        """Where count_table starts: the last count whose Poisson(inner_mean)
+        CDF is exactly 0, found by bisection, or 0 where none is (inner_mean
+        below about 745)."""
+        positive = bisect.bisect(range(int(self.inner_mean) + 1), 0.0,
+                                 key=lambda n: pdtr(n, self.inner_mean))
+        return max(positive - 1, 0)
+
+    @cached_property
     def count_table(self) -> np.ndarray:
-        """The Poisson(inner_mean) CDF at 0, 1, ..., up to its first value
-        that rounds to 1, past every uniform's 1 - 2^-53, built once per
-        sampler."""
-        size = int(self.inner_mean + 10.0 * math.sqrt(self.inner_mean)) + 40
-        while (cdf := pdtr(np.arange(size), self.inner_mean))[-1] < 1.0:
+        """The Poisson(inner_mean) CDF at count_start, count_start + 1, ...,
+        up to its first value that rounds to 1, past every uniform's
+        1 - 2^-53, built once per sampler: about 47 standard deviations of
+        counts, not inner_mean of zeros. As the values left out are 0, a
+        uniform u inverts to count_start + searchsorted(table, u, "right").
+        """
+        mu, start = self.inner_mean, self.count_start
+        size = int(mu - start + 10.0 * math.sqrt(mu)) + 40
+        while (cdf := pdtr(np.arange(start, start + size), mu))[-1] < 1.0:
             size *= 2
         return cdf[:np.searchsorted(cdf, 1.0) + 1]
 
@@ -389,49 +404,32 @@ def _second_hop(params: SystemParams, r: np.ndarray,
     return c * r_md2 ** (0.5 * params.path_loss)
 
 
-def _served(ok: np.ndarray, j: np.ndarray,
-            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial, whether one relay serves every subcarrier (bulk), and
-    how many subcarriers some relay serves.
+def _rounds(s: _Sampler, rng: np.random.Generator, counts: np.ndarray,
+            radius, sizes, decide) -> None:
+    """Draw the candidates of each trial with counts[i] > 0 in rounds,
+    for the trials still open, until each is decided or has drawn all
+    its counts[i].
 
-    ok is (K, N): its columns are the trials' relays one trial after
-    another, counts[i] of them for trial i; j[n] counts the subcarriers
-    that relay n serves.
+    Round j takes the next value of the iterator sizes in candidates per
+    open trial, or those it has left, and draws all their radii,
+    radius(u) for uniforms u, then all their angles on [0, pi), trial
+    after trial. decide(live, owner, x) gets the open trials' indices,
+    each candidate's position in live and its x = -log g, and returns
+    which of live it leaves open.
     """
-    bulk = np.zeros(len(counts), dtype=bool)
-    served = np.zeros(len(counts), dtype=int)
-    if ok.shape[1]:
-        # segment starts of the non-empty trials; empty trials serve nobody
-        nonempty = counts > 0
-        starts = (np.cumsum(counts) - counts)[nonempty]
-        bulk[nonempty] = np.logical_or.reduceat(j == len(ok), starts)
-        served[nonempty] = np.count_nonzero(
-            np.logical_or.reduceat(ok, starts, axis=1), axis=0)
-    return bulk, served
-
-
-def _void_walk(s: _Sampler, rng: np.random.Generator, n_trials: int) -> int:
-    """Empty trials of n_trials with no drawn relay: the void walk."""
     params = s.params
-    c = params.threshold / params.snr_budget
-    inner = s.inner_radius * s.inner_radius
-    spread = s.cuts[-1] * s.cuts[-1] - inner  # R^2 - r_in^2
-    candidates = rng.poisson(s.annulus_mean, n_trials)
-
-    def found(sizes: np.ndarray) -> np.ndarray:
-        # per trial, whether one of its sizes[i] candidates is a relay
-        m = int(sizes.sum())
-        r = np.sqrt(inner + spread * rng.random(m))
-        theta = math.pi * rng.random(m)
-        x = c * r ** params.path_loss + _second_hop(params, r, theta)
-        relay = rng.random(m) < (-np.expm1(-x)) ** params.subcarriers
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        return np.bincount(owner[relay], minlength=len(sizes)) > 0
-
-    walked = candidates[candidates > 0]
-    rejected = walked[~found(np.ones_like(walked))]
-    return (n_trials - len(walked)
-            + int(np.count_nonzero(~found(rejected - 1))))
+    live = np.flatnonzero(counts)
+    left = counts[live]
+    while len(live):
+        take = np.minimum(left, next(sizes))
+        r = radius(rng.random(int(take.sum())))
+        theta = math.pi * rng.random(len(r))
+        x = (params.threshold / params.snr_budget * r ** params.path_loss
+             + _second_hop(params, r, theta))
+        left -= take
+        still = (left > 0) & decide(
+            live, np.repeat(np.arange(len(live)), take), x)
+        live, left = live[still], left[still]
 
 
 def _block_outages(s: _Sampler, rng: np.random.Generator,
@@ -441,32 +439,25 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     params = s.params
     alpha, k = params.path_loss, params.subcarriers
     c = params.threshold / params.snr_budget
-    counts = (np.searchsorted(s.count_table, rng.random(n_trials), "right")
-              if s.inner_mean else np.zeros(n_trials, dtype=int))
+    counts = (s.count_start + np.searchsorted(
+        s.count_table, rng.random(n_trials), "right")
+        if s.inner_mean else np.zeros(n_trials, dtype=int))
     v = rng.random(n_trials)
     # per trial, log z = sum log(1 - g) and log n_b = sum log(1 - g^K)
-    # over its processed inner relays, g = exp(-x), in rounds of doubling
-    # size for the trials whose uniform has not decided them yet
+    # over its processed inner relays, g = exp(-x)
     log_z, log_nb = np.zeros(n_trials), np.zeros(n_trials)
-    live = np.flatnonzero(counts)
-    left = counts[live]
-    size = s.first_round
-    while len(live):
-        take = np.minimum(left, size)
-        n = int(take.sum())
-        r = s.inner_radius * np.sqrt(rng.random(n))
-        theta = math.pi * rng.random(n)
-        x = c * r ** alpha + _second_hop(params, r, theta)
-        owner = np.repeat(np.arange(len(live)), take)
+
+    def undecided(live, owner, x):
         log_z[live] += np.bincount(owner, np.log1p(-np.exp(-x)),
                                    minlength=len(live))
         log_nb[live] += np.bincount(owner, np.log1p(-np.exp(-k * x)),
                                     minlength=len(live))
-        left -= take
         # n_b only falls as relays are added, so a trial with
         # v < 1 - n_b on a prefix has it on all its relays
-        still = (left > 0) & (v[live] >= -np.expm1(log_nb[live]))
-        live, left, size = live[still], left[still], 2 * size
+        return v[live] >= -np.expm1(log_nb[live])
+
+    _rounds(s, rng, counts, lambda u: s.inner_radius * np.sqrt(u),
+            (s.first_round << j for j in itertools.count()), undecided)
     # the inner relays serve all K with chance 1 - n_b, and the unserved
     # subcarriers with chance (1 - z)^unserved >= 1 - n_b (0^0 = 1), so
     # one uniform decides both with their exact joint law; a trial left
@@ -480,9 +471,8 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
         open_ = np.flatnonzero(~bulk)
-        n_open = len(open_)
-        tail_counts = rng.poisson(s.tail_mean, n_open)
-        owner = np.repeat(np.arange(n_open), tail_counts)
+        # the trial of each proposal
+        owner = np.repeat(open_, rng.poisson(s.tail_mean, len(open_)))
         r, log_envelope = s.propose(rng.random(len(owner)))
         accept = rng.random(len(owner))
         t = c * r ** alpha
@@ -502,14 +492,36 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
         ok[forced, cols] = u[forced, cols] < np.exp(near - second)
         j = ok.sum(axis=0)
         keep = np.flatnonzero(ok[forced, cols] & (accept * j < bound))
-        kept_counts = np.bincount(owner[keep], minlength=n_open)
-        bulk[open_], served = _served(ok[:, keep], j[keep], kept_counts)
-        unserved = np.full(n_trials, k)
-        unserved[open_] -= served
-        no_relay = np.count_nonzero((counts[open_] == 0) & (kept_counts == 0))
+        # per trial, whether a kept relay serves all K, and which
+        # subcarriers some kept relay serves
+        owner = owner[keep]
+        bulk |= np.bincount(owner, j[keep] == k, minlength=n_trials) > 0
+        cover = np.zeros((k, n_trials), dtype=bool)
+        sub, col = np.nonzero(ok[:, keep])
+        cover[sub, owner[col]] = True
+        unserved = k - np.count_nonzero(cover, axis=0)
+        # trials with no inner and no kept relay: every kept relay serves
+        # its forced subcarrier, so one that kept none has all K unserved
+        no_relay = np.count_nonzero((counts == 0) & (unserved == k))
+        n_empty = 0
         # an empty walk would cost about 80 us (2-core x86-64 VM)
-        n_empty = (_void_walk(s, rng, no_relay)
-                   if no_relay and math.isfinite(s.annulus_mean) else 0)
+        if no_relay and math.isfinite(s.annulus_mean):
+            # the annulus's relays that serve nothing, among uniform
+            # candidates, each one with chance (1 - g)^K
+            inner = s.inner_radius * s.inner_radius
+            spread = s.cuts[-1] * s.cuts[-1] - inner  # R^2 - r_in^2
+            candidates = rng.poisson(s.annulus_mean, no_relay)
+            found = []
+
+            def unfound(live, owner, x):
+                passed = rng.random(len(x)) < (-np.expm1(-x)) ** k
+                hit = np.bincount(owner[passed], minlength=len(live)) > 0
+                found.append(int(np.count_nonzero(hit)))
+                return ~hit
+
+            _rounds(s, rng, candidates, lambda u: np.sqrt(inner + spread * u),
+                    iter((1, int(candidates.max()))), unfound)
+            n_empty = no_relay - sum(found)
     ps = bulk | (v < (-np.expm1(log_z)) ** unserved)
     return (n_trials - int(np.count_nonzero(bulk)),
             n_trials - int(np.count_nonzero(ps)), n_empty)

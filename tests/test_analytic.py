@@ -33,6 +33,7 @@ from relayfield import (
 )
 from relayfield.analytic import (
     _grid,
+    _outage_ps_from_u,
     _u_derivatives,
     _u_freespace,
     _u_values,
@@ -402,6 +403,14 @@ def test_subcarrier_cap(disc):
     # the quadrature and the closed forms share the guard
     with pytest.raises(NumericalInstabilityError):
         outage_ps_plane_freespace(p, 0.1)
+
+
+def test_alternating_sum_outside_the_unit_interval_raises():
+    # u(n) falls with n for every relay kernel, so u = (1, 5) is no
+    # kernel's table: at lambda 1 its inclusion-exclusion sum comes to
+    # -403, which the guard must report, not clip into [0, 1]
+    with pytest.raises(NumericalInstabilityError, match=r"left \[0, 1\]"):
+        _outage_ps_from_u(1.0, (1.0, 5.0))
 
 
 def test_lower_incomplete_gamma_against_quadrature():

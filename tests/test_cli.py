@@ -9,6 +9,7 @@ import numpy
 import pytest
 import scipy
 
+import relayfield.cli
 import relayfield.optimize
 from relayfield import (
     OutageEstimate,
@@ -138,6 +139,22 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.seed == 11
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    # blank lines and whole-line comments are skipped; a line that is
+    # neither and has no '=' is reported with its line number, exit 1
+    conf = tmp_path / "run.conf"
+    conf.write_text("# a sweep\n\nmode = analytic\n   \n  # K = 64\n"
+                    "K = 8\n")
+    cfg = parse_config(["--config", str(conf)])
+    assert (cfg.mode, cfg.subcarriers) == ("analytic", 8)
+    conf.write_text("mode = analytic\n\nK 8\n")
+    out = tmp_path / "run.csv"
+    assert main(["--config", str(conf), "--output", str(out)]) == 1
+    assert (f"error: {conf}:3: expected 'key = value'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_validation_collects_all_problems():
     with pytest.raises(ValidationError) as exc:
         parse_config(["--mode", "analytic", "--alpha", "1.5",
@@ -243,6 +260,27 @@ def test_simulate_verify_and_worker_invariance(tmp_path):
         rows = _read_rows(out)
         assert all(row["verify_ok"] == "1" for row in rows)
     assert digests[0] == digests[1]
+
+
+def test_verify_mismatch_exits_2_and_keeps_the_csv(tmp_path, capsys,
+                                                   monkeypatch):
+    # against a reference outage of 0.5, both rows of a point whose
+    # estimates lie near 0.1 fail the 3-sigma check: the sweep still
+    # writes its CSV and .meta, then exits 2 with the count
+    monkeypatch.setattr(relayfield.cli, "_analytic_outage",
+                        lambda *args: 0.5)
+    out = tmp_path / "sim.csv"
+    rc = main(["--mode", "simulate", "--scheme", "both",
+               "--lambda", "0.1", "--snr", "10", "--trials", "4000",
+               "--seed", "3", "--verify", "--output", str(out)])
+    assert rc == 2
+    assert ("numerical failure: 2 grid point(s) failed the 3-sigma "
+            "agreement check" in capsys.readouterr().err)
+    rows = _read_rows(out)
+    assert [row["verify_ok"] for row in rows] == ["0", "0"]
+    assert all(abs(float(row["p_outage"]) - 0.5) > 0.1 for row in rows)
+    meta = (tmp_path / "sim.csv.meta").read_text().splitlines()
+    assert "verify_mismatches = 2" in meta
 
 
 def test_one_worker_pool_per_sweep(tmp_path, pools):
@@ -493,6 +531,15 @@ def test_diversity_mode(tmp_path):
     assert len(rows) == 2
     slopes = [float(r["slope"]) for r in rows]
     assert slopes[0] < slopes[1]
+
+
+def test_flat_diversity_slope_is_zero_not_minus_zero(tmp_path):
+    # without relays the outage is 1 at every SNR and its log is -0.0,
+    # so the slope is 0, which the CSV must not write as -0
+    out = tmp_path / "div.csv"
+    assert main(["--mode", "diversity", "--snr", "10,100", "--lambda", "0",
+                 "--output", str(out)]) == 0
+    assert [row["slope"] for row in _read_rows(out)] == ["0"]
 
 
 def test_optimize_mode(tmp_path):

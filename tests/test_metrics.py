@@ -21,6 +21,7 @@ from relayfield import (
     outage_ratio,
     outage_ratio_approx,
 )
+from relayfield import metrics
 from reference import appendix_bound_T1_quadrature
 
 
@@ -65,6 +66,18 @@ def test_ratio_identity_with_direct_quotient(params, disc):
         quotient = (outage_ps(params, disc, density)
                     / outage_bulk(params, disc, density))
         assert phi == pytest.approx(quotient, rel=1e-6)
+
+
+def test_ratio_cross_check_catches_a_wrong_quotient(params, disc,
+                                                    monkeypatch):
+    # outage_ratio computes phi twice, by the Delta sum and as the
+    # quotient of the two outages: a ps outage off by 1e-4 of itself,
+    # ten times the check's tolerance, must fail it
+    right = metrics.outage_ps
+    monkeypatch.setattr(metrics, "outage_ps",
+                        lambda *args: right(*args) * (1.0 + 1e-4))
+    with pytest.raises(ArithmeticError, match="ratio cross-check failed"):
+        outage_ratio(params, disc, 0.1)
 
 
 def test_ratio_spot_values(params, disc):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import pdtr
 
 from relayfield import (
     Region,
@@ -506,6 +507,35 @@ def test_inner_counts_invert_a_poisson_table(params):
         pmf = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
                for n in range(len(table))]
         assert np.allclose(table, np.cumsum(pmf), rtol=1e-12, atol=1e-15)
+
+
+def test_count_table_starts_at_its_last_exact_zero(params):
+    # past inner_mean 745 the head of the Poisson CDF is exact zeros: the
+    # table starts at the last of them, count_start, and a uniform u
+    # inverts to count_start plus its place in the table, the count the
+    # full table from 0 gives, for u = 0, 2^-53 and on both sides of
+    # every table entry too. At plane, alpha 2, lambda 0.1, SNR 1e4
+    # (inner_mean 2,308) the last zero is at 751
+    s = _sampler(replace(params, snr_budget=1e4), Region.plane(), 0.1)
+    start, table = s.count_start, s.count_table
+    assert 2300 < s.inner_mean < 2320 and start == 751
+    full = pdtr(np.arange(start + len(table)), s.inner_mean)
+    assert full[-1] == 1.0 and full[-2] < 1.0
+    assert not full[:start + 1].any() and full[start + 1] > 0
+    assert np.array_equal(full[start:], table)
+    inside = table[1:-1]
+    u = np.concatenate((np.random.default_rng(3).random(10 ** 6),
+                        [0.0, 2.0 ** -53], np.nextafter(inside, 0.0),
+                        inside, np.nextafter(inside, 1.0)))
+    assert np.array_equal(start + np.searchsorted(table, u, "right"),
+                          np.searchsorted(full, u, "right"))
+    # at lambda 1, SNR 1e7 (inner_mean 2.2e7) it holds about 47 standard
+    # deviations of counts, not 2.2e7 entries
+    s = _sampler(replace(params, snr_budget=1e7), Region.plane(), 1.0)
+    assert s.inner_mean > 2e7
+    assert len(s.count_table) <= 60 * math.sqrt(s.inner_mean) + 100
+    assert s.count_table[0] == 0 < s.count_table[1]
+    assert s.count_table[-1] == 1.0 and s.count_table[-2] < 1.0
 
 
 def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
