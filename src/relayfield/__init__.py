@@ -49,6 +49,7 @@ from .optimize import (
     cutoff_density,
     cutoff_density_freespace,
     optimize_K_constrained,
+    optimize_K_sweep,
     optimize_K_unconstrained,
     throughput,
 )

@@ -10,17 +10,20 @@ ends at the disc's radius, or at the call's largest cut, where the
 kernel has fallen e**-40 below its peak bound, with the neglected tail
 bounded in closed form; its error estimate is the difference against
 the rule with twice the nodes. It gives u(n), the integral of H(n), to
-the outage formulas (`_u_values`) and, with u' and u'' from the same
-pass, to the optimiser (`_u_derivatives`); and Delta(k) to `metrics`.
-On the plane at alpha = 2 u(n) has the closed form `_u_freespace`. The
-outage formulas share one sum (`_inclusion_exclusion`).
+the outage formulas (`_u_values`) and Delta(k) to `metrics`, reducing
+each row over the grid. The optimiser's derivative pass
+(`_u_derivatives`) gets u, u' and u'' for a vector of n instead from one
+product of exp(-c e), e the exponent table, with the table
+[w, e w, e**2 w] that the grid's cache entry builds beside it. On the
+plane at alpha = 2 u(n) has the closed form `_u_freespace`. The outage
+formulas share one sum (`_inclusion_exclusion`).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -115,13 +118,34 @@ def _panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (start + width * x).ravel(), (width * w).ravel()
 
 
+class _Rule:
+    """One tensor rule over [0, outer] x [0, pi]: the exponent table
+    r**alpha + r_mD**alpha on its (r, theta) grid, radial weights
+    r * w_r and angular weights; the c-independent part of a rule,
+    shared read-only by every c and every call that ends at the same
+    radius."""
+
+    def __init__(self, exponent: np.ndarray, rw: np.ndarray,
+                 w_theta: np.ndarray):
+        self.exponent, self.rw, self.w_theta = exponent, rw, w_theta
+        for part in (exponent, rw, w_theta):
+            part.flags.writeable = False
+
+    @cached_property
+    def moment_table(self) -> np.ndarray:
+        """[w, e w, e**2 w] over the flattened grid, e the exponent and
+        w the product weight: the derivative pass's rows are one product
+        of exp(-c e) with it. Built on first use, from the same entry."""
+        e = self.exponent.ravel()
+        w = np.multiply.outer(self.rw, self.w_theta).ravel()
+        table = np.stack([w, e * w, e * e * w])
+        table.flags.writeable = False
+        return table
+
+
 @lru_cache(maxsize=8)
-def _grid(alpha: float, r_sd: float, outer: float,
-          n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponent table r**alpha + r_mD**alpha on the (r, theta) tensor
-    grid of n nodes per panel over [0, outer] x [0, pi], radial weights
-    r * w_r and angular weights: the c-independent part of a rule, shared
-    read-only by every c and every call that ends at the same radius."""
+def _grid(alpha: float, r_sd: float, outer: float, n: int) -> _Rule:
+    """The rule of n nodes per panel over [0, outer] x [0, pi]."""
     # radial panel ends: the kernel peaks near r_sd/2 for large c,
     # r_mD**alpha has its kink at r_sd, and outer/4 bounds the far-field
     # panel at small c
@@ -129,10 +153,8 @@ def _grid(alpha: float, r_sd: float, outer: float,
         [0.0, 0.5 * r_sd, r_sd, max(r_sd, 0.25 * outer), outer], outer), n)
     # more angular nodes towards theta = 0, where the mass gathers as c grows
     theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
-    grid = _exponent(r[:, None], np.cos(theta), alpha, r_sd), r * w_r, w_theta
-    for part in grid:
-        part.flags.writeable = False
-    return grid
+    return _Rule(_exponent(r[:, None], np.cos(theta), alpha, r_sd),
+                 r * w_r, w_theta)
 
 
 def _integrate(region: Region, cs, params: SystemParams,
@@ -143,9 +165,12 @@ def _integrate(region: Region, cs, params: SystemParams,
     each c of cs, where g = exp(x) and x = -c * (r**alpha + r_mD**alpha).
 
     h maps grid values of g to those of one or more integrands, the j-th
-    at most slopes[j] * g. moments = m appends m rows, the integrals of
-    r * x**j * g for j = 1..m: c**j times the j-th derivative in c of
-    the integral of r * g. Returns shape (len(slopes) + m, len(cs)). All
+    at most slopes[j] * g. moments = m (at most 2) asks for the
+    derivative pass instead: the row of g and m more, the integrals of
+    r * x**j * g for j = 1..m, c**j times the j-th derivative in c of
+    the integral of r * g, all from one product of exp(-c e), e the
+    exponent, with the rule's table [w, e w, e**2 w]; h and slopes keep
+    their defaults there. Returns shape (len(slopes) + m, len(cs)). All
     cs share one grid, cut at the largest of their cuts. The error
     estimate is the difference against the rule with half the nodes plus
     a closed-form bound on the cut-off tail at that cut: slopes[j] times
@@ -178,18 +203,22 @@ def _integrate(region: Region, cs, params: SystemParams,
             tail[len(slopes) + j - 1] = (g_tail * x_cut ** (j + 1)
                                          / (x_cut - 2.0 / alpha - j + 1.0))
 
+    powers = np.arange(moments + 1)[:, None]
+
     def rule(n: int) -> np.ndarray:
-        exponent, rw, w_theta = _grid(alpha, r_sd, outer, n)
-        step = max(1, _BATCH_NODES // exponent.size)
+        grid = _grid(alpha, r_sd, outer, n)
+        step = max(1, _BATCH_NODES // grid.exponent.size)
         parts = []
         for at in (slice(i, i + step) for i in range(0, cs.size, step)):
-            x = -cs[at, None, None] * exponent
-            g = np.exp(x)
-            rows, power = list(h(g)), g
-            for _ in range(moments):
-                power = x * power
-                rows.append(power)
-            parts.append([(v @ w_theta * rw).sum(axis=-1) for v in rows])
+            if moments:
+                # row j: (-c)**j times the weighted sum of e**j g
+                g = np.exp(-cs[at, None] * grid.exponent.ravel())
+                parts.append(grid.moment_table[:moments + 1] @ g.T
+                             * (-cs[at]) ** powers)
+            else:
+                g = np.exp(-cs[at, None, None] * grid.exponent)
+                parts.append([(v @ grid.w_theta * grid.rw).sum(axis=-1)
+                              for v in h(g)])
         return np.concatenate(parts, axis=1)
 
     n, coarse = 2 * _FIRST_NODES, rule(_FIRST_NODES)
@@ -219,17 +248,18 @@ def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
                             f"u over the {region.kind}")[0].tolist())
 
 
-@lru_cache(maxsize=4096)
-def _u_derivatives(region: Region, n: float, params: SystemParams,
-                   q: QuadratureSettings) -> tuple[float, float, float]:
-    """u(n), u'(n) and u''(n) from one integrator pass; cached, so that
-    repeated solves reuse them. With x = -c (r**alpha + r_mD**alpha),
-    u' = int r x g / n and u'' = int r x**2 g / n**2."""
-    c = n * params.threshold / params.snr_budget
-    u, first, second = _integrate(region, (c,), params, q,
+def _u_derivatives(region: Region, ns, params: SystemParams,
+                   q: QuadratureSettings) -> np.ndarray:
+    """u(n), u'(n) and u''(n) for each n of ns from one integrator pass,
+    shape (3, len(ns)); not cached here, as the optimiser keeps them per
+    n. With x = -c (r**alpha + r_mD**alpha), u' = int r x g / n and
+    u'' = int r x**2 g / n**2."""
+    ns = np.asarray(ns, dtype=float)
+    u, first, second = _integrate(region, ns * params.threshold
+                                  / params.snr_budget, params, q,
                                   f"u and its derivatives over the "
-                                  f"{region.kind}", moments=2)[:, 0]
-    return float(u), float(first) / n, float(second) / (n * n)
+                                  f"{region.kind}", moments=2)
+    return np.stack([u, first / ns, second / (ns * ns)])
 
 
 def u_disc(sigma: float, n: float, params: SystemParams,
@@ -337,8 +367,9 @@ def tau_alpha(alpha: float, r_sd: float, sigma: float) -> float:
     """Coefficient of the high-SNR expansion: the mean of
     r**alpha + r_mD**alpha over the disc of radius sigma, from the
     shared grid's exponent table over the half-disc area pi sigma**2 / 2."""
-    exponent, rw, w_theta = _grid(alpha, r_sd, sigma, 2 * _FIRST_NODES)
-    return float((exponent @ w_theta * rw).sum()) / (0.5 * math.pi * sigma**2)
+    grid = _grid(alpha, r_sd, sigma, 2 * _FIRST_NODES)
+    return (float((grid.exponent @ grid.w_theta * grid.rw).sum())
+            / (0.5 * math.pi * sigma**2))
 
 
 def _asymptotic_correction(params: SystemParams, sigma: float) -> float:

@@ -328,17 +328,12 @@ def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     q = cfg.quadrature()
     params = cfg.system_params()
     region = cfg.region()
-    rows = []
     meta = {}
-    for density in cfg.densities:
-        if cfg.psi is not None:
-            res = optimize.optimize_K_constrained(params, region, density,
-                                                  cfg.psi, q)
-        else:
-            res = optimize.optimize_K_unconstrained(params, region, density, q)
-        rows.append({"lambda": density, "K_relaxed": res.k_relaxed,
-                     "K_opt": res.k_opt, "kappa_opt": res.kappa_opt,
-                     "feasible": res.feasible})
+    rows = [{"lambda": density, "K_relaxed": res.k_relaxed,
+             "K_opt": res.k_opt, "kappa_opt": res.kappa_opt,
+             "feasible": res.feasible}
+            for density, res in zip(cfg.densities, optimize.optimize_K_sweep(
+                params, region, cfg.densities, cfg.psi, q))]
     if cfg.psi is not None:
         meta["cutoff_density"] = optimize.cutoff_density(cfg.psi, params,
                                                          region, q)

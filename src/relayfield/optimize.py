@@ -4,13 +4,21 @@ Throughput kappa(K, density) = K * (1 - Phi_bulk(K)), with
 Phi_bulk = exp(-2 density u(K)), is unimodal in the relaxed real-valued
 subcarrier count, though not globally concave (its tail turns convex).
 Its slope alone finds the maximum: doubling K while kappa'(K) > 0
-brackets it, and safeguarded Newton steps on kappa'(K) = 0 refine it,
-each from one cached integrator pass that returns u, u' and u''; every u
-a solve reads comes from that cache. Under an outage ceiling psi the
-relaxed optimum is the root of log u(K) = log(-log psi / (2 density)),
-found the same way. Integer optima follow the stated rounding rules and
+brackets it, and safeguarded Newton steps on kappa'(K) = 0 refine it.
+Under an outage ceiling psi the relaxed optimum is the root of
+log u(K) = log(-log psi / (2 density)), found the same way; whether the
+ceiling binds is read from u at the peak, a Taylor step from the peak
+search's last pass. Integer optima follow the stated rounding rules and
 are evaluated at integer K only. A cut-off density marks where an
 outage ceiling becomes unattainable even at K = 1.
+
+Each density's solve is a generator (`_solve`) that yields the Ks whose
+u, u' and u'' it needs next. `optimize_K_sweep` runs a sweep's solves in
+lockstep: each round gathers the Ks of every open solve, and the per-K
+store (`_derivatives`), the optimiser's one source of u, integrates
+those it lacks in one pass of `analytic._u_derivatives` and keeps every
+K for later rounds, solves and sweeps. The one-density solvers are
+sweeps of one density.
 """
 from __future__ import annotations
 
@@ -62,6 +70,39 @@ class OptimizationResult:
     psi: float | None = None
 
 
+# u, u' and u'' by (region, params, q, K): the optimiser's one source of
+# u. Kept per K, so that a sweep's later solves (fig8's ceilings share
+# each density's peak search) and later sweeps reuse every pass; the
+# oldest entries go once it holds _STORE_SIZE.
+_STORE: dict = {}
+_STORE_SIZE = 4096
+
+
+def _derivatives(region: Region, ks, params: SystemParams,
+                 q: QuadratureSettings) -> list[tuple[float, float, float]]:
+    """u(K), u'(K) and u''(K) for each K of ks; the Ks not in the store
+    are integrated together, in one pass."""
+    keys = [(region, params, q, k) for k in ks]
+    missing = list(dict.fromkeys(key for key in keys if key not in _STORE))
+    if missing:
+        rows = _u_derivatives(region, [key[-1] for key in missing],
+                              params, q)
+        _STORE.update(zip(missing, zip(*rows.tolist())))
+    values = [_STORE[key] for key in keys]
+    while len(_STORE) > _STORE_SIZE:
+        del _STORE[next(iter(_STORE))]
+    return values
+
+
+# as on an lru_cache'd function, so that a reset of every cache reaches it
+_derivatives.cache_clear = _STORE.clear
+
+
+def _kappa(k: float, density: float, u: float) -> float:
+    # 1 - Phi as -expm1(log Phi), exact where Phi is close to 1
+    return -k * math.expm1(-2.0 * density * u)
+
+
 def throughput(subcarriers: float, params: SystemParams, region: Region,
                density: float,
                q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
@@ -70,32 +111,35 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
         raise ValueError("subcarriers must be > 0")
     if density < 0:
         raise ValueError("density must be >= 0")
-    # 1 - Phi as -expm1(log Phi), exact where Phi is close to 1
-    u = _u_derivatives(region, subcarriers, params, q)[0]
-    return -subcarriers * math.expm1(-2.0 * density * u)
+    u = _derivatives(region, (subcarriers,), params, q)[0][0]
+    return _kappa(subcarriers, density, u)
 
 
-def _newton(f, k: float, lo: float, hi: float, what: str) -> float:
-    """Root of a decreasing f inside (lo, hi), from k.
+def _newton(f, k: float, lo: float, hi: float, what: str):
+    """Root of a decreasing f inside (lo, hi), from k, as solve steps.
 
-    f(k) returns the value and slope of f at k, and each value narrows
-    the bracket. A step that leaves the bracket, or a slope that is not
-    negative, is replaced by bisection. Returns k plus the first step
-    short enough (_STEP_SQ) without evaluating f there, or k where f is
-    0. After _MAX_STEPS values without either, raises ConvergenceError.
+    Yields (k,) for u, u' and u'' at each k it visits, and f maps k and
+    them to the value and slope of f there; each value narrows the
+    bracket. A step that leaves the bracket, or a slope that is not
+    negative, is replaced by bisection. Returns k plus the first step d
+    short enough (_STEP_SQ), without a pass there, or k where f is 0;
+    with it, u there, by the Taylor step u + d u' + d**2 u'' / 2 from
+    the last pass, whose error is O(d**3). After _MAX_STEPS values
+    without either, raises ConvergenceError.
     """
     for _ in range(_MAX_STEPS):
-        value, slope = f(k)
+        [(u, du, d2u)] = yield (k,)
+        value, slope = f(k, u, du, d2u)
         if value > 0:
             lo = k
         elif value < 0:
             hi = k
         else:
-            return k
+            return k, u
         step = -value / slope if slope < 0 else math.nan
         if lo < k + step < hi:
             if step * step <= _STEP_SQ * k:
-                return k + step
+                return k + step, u + step * (du + 0.5 * step * d2u)
             k += step
         else:
             k = 0.5 * (lo + hi)
@@ -104,9 +148,8 @@ def _newton(f, k: float, lo: float, hi: float, what: str) -> float:
         f"(bracket [{lo!r}, {hi!r}])")
 
 
-def _peak(params: SystemParams, region: Region, density: float,
-          q: QuadratureSettings) -> float:
-    """Relaxed maximiser of kappa over K > 0.
+def _peak(density: float):
+    """Relaxed maximiser of kappa over K > 0, and u there, as solve steps.
 
     kappa is unimodal, so the sign of its slope brackets the maximum: K
     doubles from _K_HI_START while kappa'(K) > 0, which leaves a bracket
@@ -116,48 +159,115 @@ def _peak(params: SystemParams, region: Region, density: float,
     kappa' = 1 - Phi + 2 density K u' Phi and
     kappa'' = Phi (4 density u' + 2 density K u'' - 4 density**2 K u'**2).
     The bracket's passes at K = 2, 4, 8, ... do not depend on the
-    density, so the derivative cache serves them across densities.
+    density, so the store serves them across densities.
     """
-    def slope(k: float) -> tuple[float, float]:
-        u, du, d2u = _u_derivatives(region, k, params, q)
+    def slope(k, u, du, d2u):
         phi = math.exp(-2.0 * density * u)
         return (2.0 * density * k * du * phi - math.expm1(-2.0 * density * u),
                 phi * density * (4.0 * du + 2.0 * k * d2u
                                  - 4.0 * density * k * du * du))
 
     lo, hi = 0.0, _K_HI_START
-    while slope(hi)[0] > 0:
+    while True:
+        [at_hi] = yield (hi,)
+        if slope(hi, *at_hi)[0] <= 0:
+            break
         lo, hi = hi, 2.0 * hi
         if hi > _K_CAP:
             raise UnboundedOptimumError(
                 f"throughput still increasing past K = {_K_CAP}")
-    return _newton(slope, max(lo, hi / 2.0), lo, hi, "throughput maximum")
+    return (yield from _newton(slope, max(lo, hi / 2.0), lo, hi,
+                               "throughput maximum"))
+
+
+def _solve(region: Region, density: float, psi: float | None):
+    """One density's solve, as a generator of solve steps.
+
+    Each step yields the tuple of Ks whose u, u' and u'' the solve needs
+    next and is sent them as a list of triples; the generator returns
+    the OptimizationResult.
+    Unconstrained, kappa is maximised over the relaxed K, which is then
+    rounded; the ceiling wins the tie: k_opt = ceil if
+    kappa(ceil) >= kappa(floor), else floor. Under the ceiling psi the
+    relaxed optimum is the peak, or where the ceiling binds the root of
+    log u(K) = log(-log psi / (2 density)), and k_opt is its floor.
+    """
+    if psi is None:
+        k_relaxed, _ = yield from _peak(density)
+        ks = tuple(sorted({max(1, math.ceil(k_relaxed)),
+                           max(1, math.floor(k_relaxed))}, reverse=True))
+        kappas = [_kappa(k, density, u)
+                  for k, (u, _, _) in zip(ks, (yield ks))]
+        best = 1 if len(ks) > 1 and kappas[1] > kappas[0] else 0
+        return OptimizationResult(k_relaxed=k_relaxed, k_opt=ks[best],
+                                  kappa_opt=kappas[best], feasible=True)
+
+    # Phi <= psi where u >= target, and u falls with K
+    target = _neg_log_ceiling(psi) / (2.0 * density)
+    infeasible = OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
+                                    feasible=False, psi=psi)
+    if region.kind == "disc" and psi < outage_floor(density, region.area):
+        return infeasible
+    [(u_one, _, _)] = yield (1.0,)
+    if u_one < target:
+        return infeasible
+
+    k_relaxed, u_peak = yield from _peak(density)
+    if u_peak < target:
+        # the ceiling binds; log u is nearly linear in K, so its chord
+        # through K = 1 and the peak starts Newton close to the root
+        log_target, log_one = math.log(target), math.log(u_one)
+        chord = 1.0 + (k_relaxed - 1.0) * (log_one - log_target) / (
+            log_one - math.log(u_peak))
+        k_relaxed, _ = yield from _newton(
+            lambda k, u, du, d2u: (math.log(u) - log_target, du / u),
+            chord, 1.0, k_relaxed, "outage ceiling")
+    k_opt = max(1, math.floor(k_relaxed))
+    [(u, _, _)] = yield (k_opt,)
+    return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
+                              kappa_opt=_kappa(k_opt, density, u),
+                              feasible=True, psi=psi)
+
+
+def optimize_K_sweep(params: SystemParams, region: Region, densities,
+                     psi: float | None = None,
+                     q: QuadratureSettings = DEFAULT_QUADRATURE
+                     ) -> list[OptimizationResult]:
+    """The optimum of each density, without a ceiling if psi is None.
+
+    The solves run in lockstep: each round takes every open solve's next
+    step at once, and the Ks they ask for that the store lacks are
+    integrated in one pass. Infeasibility under psi (even K = 1 violates
+    it, or psi is below the outage floor of a finite region) is reported
+    via feasible=False and k_opt = 0, not an exception.
+    """
+    if any(density <= 0 for density in densities):
+        raise ValueError("density must be > 0")
+    if psi is not None:
+        _neg_log_ceiling(psi)
+    solves = [_solve(region, density, psi) for density in densities]
+    results: list[OptimizationResult | None] = [None] * len(solves)
+    sent = dict.fromkeys(range(len(solves)))
+    while True:
+        asks = {}
+        for i, values in sent.items():
+            try:
+                asks[i] = solves[i].send(values)
+            except StopIteration as done:
+                results[i] = done.value
+        if not asks:
+            return results
+        got = iter(_derivatives(
+            region, [k for ks in asks.values() for k in ks], params, q))
+        sent = {i: [next(got) for _ in ks] for i, ks in asks.items()}
 
 
 def optimize_K_unconstrained(params: SystemParams, region: Region,
                              density: float,
                              q: QuadratureSettings = DEFAULT_QUADRATURE
                              ) -> OptimizationResult:
-    """Maximise kappa over the relaxed K, then round.
-
-    The ceiling wins the rounding tie: k_opt = ceil if
-    kappa(ceil) >= kappa(floor), else floor.
-    """
-    if density <= 0:
-        raise ValueError("density must be > 0")
-
-    k_relaxed = _peak(params, region, density, q)
-    k_floor = max(1, math.floor(k_relaxed))
-    k_ceil = max(1, math.ceil(k_relaxed))
-    kappa_ceil = throughput(k_ceil, params, region, density, q)
-    kappa_floor = (throughput(k_floor, params, region, density, q)
-                   if k_floor < k_ceil else kappa_ceil)
-    if kappa_ceil >= kappa_floor:
-        k_opt, kappa_opt = k_ceil, kappa_ceil
-    else:
-        k_opt, kappa_opt = k_floor, kappa_floor
-    return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
-                              kappa_opt=kappa_opt, feasible=True)
+    """Maximise kappa over the relaxed K, then round (`_solve`)."""
+    return optimize_K_sweep(params, region, [density], None, q)[0]
 
 
 def optimize_K_constrained(params: SystemParams, region: Region,
@@ -166,39 +276,9 @@ def optimize_K_constrained(params: SystemParams, region: Region,
                            ) -> OptimizationResult:
     """Maximise kappa subject to Phi_bulk(K) <= psi; k_opt = floor(relaxed).
 
-    Infeasibility (even K = 1 violates psi, or psi is below the outage
-    floor of a finite region) is reported via feasible=False and
-    k_opt = 0, not an exception.
+    Infeasibility is reported via feasible=False and k_opt = 0.
     """
-    if density <= 0:
-        raise ValueError("density must be > 0")
-
-    # Phi <= psi where u >= target, and u falls with K; this checks psi
-    target = _neg_log_ceiling(psi) / (2.0 * density)
-    if ((region.kind == "disc" and psi < outage_floor(density, region.area))
-            or _u_derivatives(region, 1.0, params, q)[0] < target):
-        return OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
-                                  feasible=False, psi=psi)
-
-    k_relaxed = _peak(params, region, density, q)
-    u_peak = _u_derivatives(region, k_relaxed, params, q)[0]
-    if u_peak < target:
-        # the ceiling binds; log u is nearly linear in K, so its chord
-        # through K = 1 and the peak starts Newton close to the root
-        log_target = math.log(target)
-        log_one = math.log(_u_derivatives(region, 1.0, params, q)[0])
-        chord = 1.0 + (k_relaxed - 1.0) * (log_one - log_target) / (
-            log_one - math.log(u_peak))
-
-        def gap(k: float) -> tuple[float, float]:
-            u, du, _ = _u_derivatives(region, k, params, q)
-            return math.log(u) - log_target, du / u
-
-        k_relaxed = _newton(gap, chord, 1.0, k_relaxed, "outage ceiling")
-    k_opt = max(1, math.floor(k_relaxed))
-    kappa_opt = throughput(k_opt, params, region, density, q)
-    return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
-                              kappa_opt=kappa_opt, feasible=True, psi=psi)
+    return optimize_K_sweep(params, region, [density], psi, q)[0]
 
 
 def _neg_log_ceiling(psi: float) -> float:
@@ -212,7 +292,7 @@ def cutoff_density(psi: float, params: SystemParams, region: Region,
                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Density below which the ceiling psi cannot be met even at K = 1."""
     neg_log = _neg_log_ceiling(psi)
-    return neg_log / (2.0 * _u_derivatives(region, 1.0, params, q)[0])
+    return neg_log / (2.0 * _derivatives(region, (1.0,), params, q)[0][0])
 
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:

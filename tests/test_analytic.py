@@ -220,8 +220,8 @@ def test_cold_u_reuses_the_disc_grid():
 def test_derivative_rows_match_the_freespace_closed_form(params, n):
     # u = pi P/(4 n s) exp(-B n) with B = s r_sd**2 / (2 P), P = P_t/N_0,
     # so u' = -u (1/n + B) and u'' = u ((1/n + B)**2 + 1/n**2)
-    u, du, d2u = _u_derivatives(Region.plane(), n, params,
-                                DEFAULT_QUADRATURE)
+    u, du, d2u = _u_derivatives(Region.plane(), (n,), params,
+                                DEFAULT_QUADRATURE)[:, 0]
     ref = _u_freespace(params, n)
     b = params.threshold * params.r_sd**2 / (2.0 * params.snr_budget)
     rel = DEFAULT_QUADRATURE.rel_tol
@@ -241,7 +241,7 @@ def test_derivative_rows_match_central_differences(params, alpha, region, n):
     p = SystemParams(snr_budget=params.snr_budget, path_loss=alpha,
                      threshold=params.threshold, subcarriers=4,
                      r_sd=params.r_sd)
-    u, du, d2u = _u_derivatives(region, n, p, TIGHT)
+    u, du, d2u = _u_derivatives(region, (n,), p, TIGHT)[:, 0]
     h = 1e-3 * n
     f = {i: _u_values(region, (n + i * h,), p, TIGHT)[0]
          for i in (-2, -1, 0, 1, 2)}

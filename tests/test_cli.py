@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import math
 import platform
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy
 import pytest
 import scipy
 
+import relayfield.analytic
 import relayfield.cli
 import relayfield.optimize
 from relayfield import (
@@ -601,8 +604,9 @@ def test_newton_step_cap_is_a_numerical_failure(tmp_path, capsys,
     # kappa'' > 0, which turns every step into a bisection, and no
     # bisection is a step short enough to stop on
     monkeypatch.setattr(
-        relayfield.optimize, "_u_derivatives",
-        lambda region, k, *args: (1.0 if k < 3.0 else -1.0, 0.0, 1.0))
+        relayfield.optimize, "_derivatives",
+        lambda region, ks, *args: [(1.0 if k < 3.0 else -1.0, 0.0, 1.0)
+                                   for k in ks])
     out = tmp_path / "opt.csv"
     rc = main(["--mode", "optimize-k", "--lambda", "1", "--output", str(out)])
     assert rc == 2
@@ -613,6 +617,48 @@ def test_newton_step_cap_is_a_numerical_failure(tmp_path, capsys,
     lo, hi = map(float, re.search(r"\[(.*), (.*)\]", err).groups())
     assert 2.0 < lo <= 3.0 <= hi < 4.0 and hi - lo < 1e-15
     assert not out.exists()
+
+
+def _benchmark_reset():
+    """The quadrature-cache reset the benchmark runs before each pass
+    (perfbench/run.py), loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.clear_caches
+
+
+def test_benchmark_reset_clears_every_cache(tmp_path, monkeypatch):
+    # the reset calls cache_clear() with no arguments on every module-level
+    # object of relayfield that has one; each must take that call, and
+    # after it fig7 integrates exactly as much as from a cold start
+    reset = _benchmark_reset()
+    clearable = [obj for name, module in list(sys.modules.items())
+                 if name == "relayfield" or name.startswith("relayfield.")
+                 for obj in vars(module).values()
+                 if callable(getattr(obj, "cache_clear", None))]
+    assert relayfield.optimize._derivatives in clearable
+    for obj in clearable:
+        obj.cache_clear()
+    integrate, calls = relayfield.analytic._integrate, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
+    argv = ["--mode", "figure", "--figure", "fig7",
+            "--output", str(tmp_path / "fig7.csv")]
+    counts = []
+    for before in (None, None, reset):
+        if before:
+            before()
+        calls.clear()
+        assert main(argv) == 0
+        counts.append(len(calls))
+    cold, warm, after_reset = counts
+    assert cold > 0 and warm == 0 and after_reset == cold
 
 
 def test_figure_optima_match_exhaustive_search(tmp_path):

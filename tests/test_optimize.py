@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import optimize as sopt
 
@@ -10,13 +11,15 @@ from relayfield import (
     cutoff_density,
     cutoff_density_freespace,
     optimize_K_constrained,
+    optimize_K_sweep,
     optimize_K_unconstrained,
     outage_bulk,
     outage_floor,
     throughput,
 )
-from relayfield.analytic import (QuadratureSettings, _integrate,
-                                 _u_derivatives, _u_values)
+from relayfield.analytic import (DEFAULT_QUADRATURE, QuadratureSettings,
+                                 _integrate, _u_derivatives, _u_values)
+from relayfield.cli import main
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
@@ -64,19 +67,30 @@ def test_relaxed_optimum_is_local_max(disc):
 
 
 def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
-    """The K of every derivative pass a solve asks for, in order, each
-    with whether it was cold, that is integrated rather than cached; the
-    derivative cache, the optimiser's one source of u, starts empty."""
-    _u_derivatives.cache_clear()
-    passes = []
+    """The K of every u, u' and u'' a solve reads, in order, each with
+    whether it was cold, that is integrated in its round rather than read
+    from the store; the store, the optimiser's one source of u, starts
+    empty, and a round integrates its cold Ks in at most one pass."""
+    relayfield.optimize._derivatives.cache_clear()
+    store, integrate = (relayfield.optimize._derivatives,
+                        relayfield.optimize._u_derivatives)
+    passes, integrated = [], []
 
-    def recording(region, n, *args):
-        misses = _u_derivatives.cache_info().misses
-        result = _u_derivatives(region, n, *args)
-        passes.append((n, _u_derivatives.cache_info().misses > misses))
+    def integrating(region, ns, *args):
+        integrated.append(list(ns))
+        return integrate(region, ns, *args)
+
+    def recording(region, ks, *args):
+        integrated.clear()
+        result = store(region, ks, *args)
+        assert len(integrated) <= 1
+        cold = set(integrated[0]) if integrated else set()
+        passes.extend((k, k in cold) for k in ks)
         return result
 
-    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
+    recording.cache_clear = store.cache_clear
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", integrating)
+    monkeypatch.setattr(relayfield.optimize, "_derivatives", recording)
     return passes
 
 
@@ -124,27 +138,55 @@ def test_relaxed_optimum_needs_few_kappa_evaluations(monkeypatch, alpha,
 @pytest.mark.parametrize("psi", [1e-2, 1e-3, 1e-5])
 def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
                                                       psi):
-    # the constrained solve reads u(1) for feasibility, runs the
-    # unconstrained solve's peak search and reads u at the peak; as the
-    # ceiling binds, the chord reads u(1) again, a cache hit, and the
-    # root search on log u takes at most 6 passes, each cold and at a K
-    # not seen; the rounding reads kappa at the floor of the root
+    # the constrained solve reads u(1) for feasibility and runs the
+    # unconstrained solve's peak search; u at the peak comes from a
+    # Taylor step off the search's last pass, so the peak itself is never
+    # integrated. As the ceiling binds, the root search on log u starts
+    # from the chord through K = 1 and the peak, and takes at most 6
+    # passes, each cold and at a K not seen; the rounding reads kappa at
+    # the floor of the root
     p = _params()
     passes = _record_passes(monkeypatch)
     peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
     search = _split_rounding([k for k, _ in passes], peak)
-    _u_derivatives.cache_clear()
+    relayfield.optimize._derivatives.cache_clear()
     passes.clear()
     res = optimize_K_constrained(p, disc, 1.0, psi)
     ks = [k for k, _ in passes]
     n = len(search)
-    assert ks[0] == 1.0 and ks[1:n + 1] == search
-    assert ks[n + 1:n + 3] == [peak, 1.0] and ks[-1] == res.k_opt
-    root = ks[n + 3:-1]
+    assert ks[0] == 1.0 and ks[1:n + 1] == search and ks[-1] == res.k_opt
+    assert peak not in ks
+    root = ks[n + 1:-1]
     assert 1 <= len(root) <= 6
-    assert len(set(root)) == len(root) and not set(root) & set(ks[:n + 3])
+    assert len(set(root)) == len(root) and not set(root) & set(ks[:n + 1])
     cold = [k for k, is_cold in passes if is_cold]
     assert cold == list(dict.fromkeys(ks))
+
+
+def test_relaxed_peak_u_is_a_taylor_step_from_the_last_pass(monkeypatch,
+                                                            disc):
+    # the peak search's last pass lies one accepted step d short of the
+    # peak, |d| <= sqrt(1e-9 K), so u + d u' + d**2 u'' / 2 there is u at
+    # the peak to O(d**3); a ceiling set just below and just above that
+    # value decides whether the root search runs
+    p = _params()
+    passes = _record_passes(monkeypatch)
+    peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
+    last = _split_rounding([k for k, _ in passes], peak)[-1]
+    d = peak - last
+    assert 0 < d * d <= 1e-9 * last
+    u, du, d2u = relayfield.optimize._derivatives(disc, (last,), p,
+                                                  DEFAULT_QUADRATURE)[0]
+    taylor = u + d * (du + 0.5 * d * d2u)
+    exact = _u_derivatives(disc, (peak,), p, DEFAULT_QUADRATURE)[0, 0]
+    assert taylor == pytest.approx(exact, rel=1e-12, abs=0)
+    for scale, binds in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+        # Phi <= psi where u >= -log psi / (2 density)
+        psi = math.exp(-2.0 * scale * taylor)
+        res = optimize_K_constrained(p, disc, 1.0, psi)
+        assert (res.k_relaxed < peak) is binds
+        if not binds:
+            assert res.k_relaxed == peak
 
 
 def test_unconstrained_evaluates_each_k_once(monkeypatch):
@@ -153,7 +195,7 @@ def test_unconstrained_evaluates_each_k_once(monkeypatch):
     # the floor and the ceiling both round to K = 1. No integrator pass,
     # derivative or value, is repeated.
     _u_values.cache_clear()
-    _u_derivatives.cache_clear()
+    relayfield.optimize._derivatives.cache_clear()
     calls = []
 
     def counting(region, cs, *args, moments=0, **kwargs):
@@ -165,6 +207,97 @@ def test_unconstrained_evaluates_each_k_once(monkeypatch):
     assert res.k_relaxed < 1 and res.k_opt == 1
     assert len(calls) <= 16
     assert len(set(calls)) == len(calls)
+
+
+def _count_integrals(monkeypatch) -> list[tuple[float, float]]:
+    """(alpha, c) of every c a derivative pass integrates, in order; u,
+    its derivatives and the store start empty."""
+    _u_values.cache_clear()
+    relayfield.optimize._derivatives.cache_clear()
+    integrated = []
+
+    def counting(region, cs, params, *args, moments=0, **kwargs):
+        assert moments == 2
+        integrated.append([(params.path_loss, c) for c in cs])
+        return _integrate(region, cs, params, *args, moments=moments,
+                          **kwargs)
+
+    monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
+    return integrated
+
+
+# the fig7 and fig8 density grid
+FIG_DENSITIES = [float(v) for v in np.geomspace(0.05, 5.0, 13)]
+
+
+def test_figures_integrate_each_k_at_most_once(monkeypatch, tmp_path):
+    # fig7's two sweeps and fig8's three share one store: a K integrated
+    # for one density, one ceiling or one figure is read from it by every
+    # other, and fig7 takes at most 25 passes for the 109 Ks the
+    # one-density solves integrated one pass each
+    passes = _count_integrals(monkeypatch)
+    for figure in ("fig7", "fig8"):
+        assert main(["--mode", "figure", "--figure", figure,
+                     "--output", str(tmp_path / f"{figure}.csv")]) == 0
+        if figure == "fig7":
+            assert len(passes) <= 25
+            assert sum(map(len, passes)) <= 109
+    ks = [k for batch in passes for k in batch]
+    assert len(set(ks)) == len(ks)
+
+
+def test_each_round_is_one_integrator_pass(monkeypatch):
+    # every round of a lockstep solve asks the store once for the Ks of
+    # all open solves, and the Ks it lacks are integrated in one pass;
+    # the sweep takes as many rounds as its slowest one-density solve
+    p, disc = _params(), Region.disc(5.0)
+    store = relayfield.optimize._derivatives
+    rounds = []
+
+    def recording(*args):
+        calls = len(passes)
+        values = store(*args)
+        rounds.append(len(passes) - calls)
+        return values
+
+    passes = _count_integrals(monkeypatch)
+    monkeypatch.setattr(relayfield.optimize, "_derivatives", recording)
+    singles = []
+    for density in FIG_DENSITIES:
+        store.cache_clear()
+        rounds.clear()
+        optimize_K_unconstrained(p, disc, density)
+        singles.append(len(rounds))
+    store.cache_clear()
+    rounds.clear()
+    passes.clear()
+    optimize_K_sweep(p, disc, FIG_DENSITIES)
+    assert set(rounds) <= {0, 1} and sum(rounds) == len(passes)
+    assert len(rounds) == max(singles) and len(passes) < sum(singles) / 4
+
+
+@pytest.mark.parametrize("alpha,region,densities,psi", [
+    (2.0, Region.disc(5.0), FIG_DENSITIES, None),
+    (4.0, Region.disc(5.0), FIG_DENSITIES, None),
+    (2.0, Region.disc(5.0), FIG_DENSITIES, 1e-5),
+    (4.0, Region.plane(), [float(v) for v in np.geomspace(3.0, 30.0, 13)],
+     1e-3)])
+def test_lockstep_matches_one_density_solves(alpha, region, densities, psi):
+    # batching changes only which Ks share an integrator pass, so each
+    # density's optimum is the one its own solve finds, from a cold store
+    p = _params(alpha)
+    store = relayfield.optimize._derivatives
+    store.cache_clear()
+    swept = optimize_K_sweep(p, region, densities, psi)
+    for density, res in zip(densities, swept):
+        store.cache_clear()
+        one = optimize_K_sweep(p, region, [density], psi)[0]
+        assert (res.k_opt, res.feasible) == (one.k_opt, one.feasible)
+        assert res.k_relaxed == pytest.approx(
+            one.k_relaxed, rel=1e-9, abs=0)
+    assert any(res.k_opt > 1 for res in swept)
+    if psi == 1e-5:
+        assert not swept[0].feasible and swept[-1].feasible
 
 
 @pytest.mark.parametrize("alpha,region,density",

@@ -185,15 +185,16 @@ def _inner_chances(s, rng, trials):
     """(inner relay counts, uniforms v, (1 - n_b, 1 - z) per trial) of
     one block's trials, one trial at a time.
 
-    Each trial's count is the number of CDF table entries at or below its
-    uniform (none drawn where inner_mean is 0), then every trial draws
+    Each trial's count is count_start plus the number of CDF table
+    entries at or below its uniform (none drawn where inner_mean is 0),
+    the count a full table from 0 gives, then every trial draws
     its v. Then come rounds of s, 2 s, 4 s, ... relays (s = first_round)
     for the trials still open, each drawing all its radii, then all its
     angles, trial after trial. A trial leaves once its relays run out or
     v < 1 - n_b over those processed so far. Each round's logs are
     summed from 0 (_inner_logs) and then added to the trial's.
     """
-    counts = ([bisect.bisect_right(s.count_table, u)
+    counts = ([s.count_start + bisect.bisect_right(s.count_table, u)
                for u in rng.random(trials)] if s.inner_mean else [0] * trials)
     v = rng.random(trials)
     logs = [[0.0, 0.0] for _ in range(trials)]
@@ -536,6 +537,39 @@ def test_count_table_starts_at_its_last_exact_zero(params):
     assert len(s.count_table) <= 60 * math.sqrt(s.inner_mean) + 100
     assert s.count_table[0] == 0 < s.count_table[1]
     assert s.count_table[-1] == 1.0 and s.count_table[-2] < 1.0
+
+
+def test_oracle_replays_counts_past_the_table_window(params, monkeypatch):
+    # past inner_mean 745 the oracle's counts start at count_start too.
+    # At plane, alpha 2, lambda 0.1, SNR 1e4 they are the full table's
+    # inversion of the block's first uniforms, though v decides every
+    # trial long before its relays run out; at disc 20, alpha 2, K 32,
+    # SNR 100, lambda 3 (inner_mean 2,242, count_start 712) the trials
+    # do run out, so their counts set the draw sizes and the outcomes
+    cases = [(replace(params, snr_budget=1e4), Region.plane(), 0.1, 40),
+             (replace(params, subcarriers=32), Region.disc(20.0), 3.0, 30)]
+    for p, region, density, trials in cases:
+        s = _sampler(p, region, density)
+        assert s.count_start > 700
+        counts = _inner_chances(s, block_rng(5, 0), trials)[0]
+        full = pdtr(np.arange(s.count_start + len(s.count_table)),
+                    s.inner_mean)
+        assert np.array_equal(counts, np.searchsorted(
+            full, block_rng(5, 0).random(trials), "right"))
+        drawn = {"kernel": [], "oracle": []}
+
+        def streams(who):
+            return lambda seed, b: _DrawSizes(block_rng(seed, b), drawn[who])
+
+        monkeypatch.setattr(simulation, "block_rng", streams("kernel"))
+        got = _simulate_chunk(s, 5, trials, 0, -(-trials // s.length))
+        monkeypatch.undo()
+        assert got == _trial_by_trial(p, region, density, 5, trials,
+                                      streams("oracle"))
+        assert drawn["kernel"] == drawn["oracle"]
+    # the disc's trials mostly end in bulk outage with all their relays
+    # processed, but the per-subcarrier scheme serves them
+    assert 0 < got[0] < trials and got[1] == 0
 
 
 def test_tail_is_drawn_only_for_trials_the_inner_relays_leave_open(
