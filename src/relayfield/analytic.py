@@ -9,9 +9,17 @@ one cached grid of r**alpha + r_mD**alpha (`_grid`), whose radial range
 ends at the disc's radius, or at the call's largest cut, where the
 kernel has fallen e**-40 below its peak bound, with the neglected tail
 bounded in closed form; its error estimate is the difference against
-the rule with twice the nodes. It gives u(n), the integral of H(n), to
-the outage formulas (`_u_values`) and Delta(k) to `metrics`, reducing
-each row over the grid. The optimiser's derivative pass
+the rule with twice the nodes. Each rule evaluates exp(-c e), e the
+table, in one buffer reused across its batches, on the argument floored
+at -700 (`_EXP_FLOOR`): numpy's vector exp leaves its fast path below
+about -707.5 (15-19 ns per value between -708 and -750, 0.9 ns at
+-700), where u(1..K) on the plane, sharing u(1)'s grid, send about an
+eighth of their arguments. A node whose g is below e**-700 (about
+9.9e-305) reads e**-700 instead, so an integral moves by at most
+e**-700 times the grid's half-area (see `_integrate`), below the last
+bit of any integral above about 1e-280. It gives u(n), the integral of
+H(n), to the outage formulas (`_u_values`) and Delta(k) to `metrics`,
+reducing each row over the grid. The optimiser's derivative pass
 (`_u_derivatives`) gets u, u' and u'' for a vector of n instead from one
 product of exp(-c e), e the exponent table, with the table
 [w, e w, e**2 w] that the grid's cache entry builds beside it. On the
@@ -87,9 +95,12 @@ _CUT_NATS = 40.0
 # Nodes per panel of the first coarse rule; the rule it is checked
 # against, whose value is returned, has twice as many.
 _FIRST_NODES = 16
-# Grid values evaluated at once over a call's shared grid: keeps each
-# batch temporary near 256 kB.
+# Grid values evaluated at once over a call's shared grid: keeps the
+# batch buffer near 256 kB.
 _BATCH_NODES = 2**15
+# Floor of exp's argument in each rule, above where numpy's vector exp
+# leaves its fast path (about -707.5).
+_EXP_FLOOR = -700.0
 
 
 def _exponent(r, cos_theta, alpha: float, r_sd: float):
@@ -178,6 +189,15 @@ def _integrate(region: Region, cs, params: SystemParams,
     function for the moment rows. Every row must meet the tolerance.
     While one is above it the nodes are doubled, up to
     q.max_subdivisions per panel, beyond which QuadratureError is raised.
+
+    Each rule evaluates g in one buffer, allocated per rule and reused
+    by its batches, from x floored at _EXP_FLOOR = -700, which keeps
+    numpy's vector exp on its fast path (it slows 15-20 fold just below
+    about -707.5). Where g would be below e**-700 it reads e**-700, so
+    the j-th row of h moves by at most slopes[j] * e**-700 times the
+    grid's half-area pi outer**2 / 2, below the last bit of any integral
+    above about 1e-280, and moment row j by at most e**-700 times the
+    half-area times the largest |x|**j on the grid.
     """
     alpha, r_sd = params.path_loss, params.r_sd
     radius = region.outer_radius()
@@ -208,15 +228,18 @@ def _integrate(region: Region, cs, params: SystemParams,
     def rule(n: int) -> np.ndarray:
         grid = _grid(alpha, r_sd, outer, n)
         step = max(1, _BATCH_NODES // grid.exponent.size)
+        buf = np.empty((min(step, cs.size),) + grid.exponent.shape)
         parts = []
         for at in (slice(i, i + step) for i in range(0, cs.size, step)):
+            g = buf[:len(cs[at])]
+            np.multiply(-cs[at, None, None], grid.exponent, out=g)
+            np.maximum(g, _EXP_FLOOR, out=g)
+            np.exp(g, out=g)
             if moments:
                 # row j: (-c)**j times the weighted sum of e**j g
-                g = np.exp(-cs[at, None] * grid.exponent.ravel())
-                parts.append(grid.moment_table[:moments + 1] @ g.T
-                             * (-cs[at]) ** powers)
+                parts.append(grid.moment_table[:moments + 1]
+                             @ g.reshape(len(g), -1).T * (-cs[at]) ** powers)
             else:
-                g = np.exp(-cs[at, None, None] * grid.exponent)
                 parts.append([(v @ grid.w_theta * grid.rw).sum(axis=-1)
                               for v in h(g)])
         return np.concatenate(parts, axis=1)
@@ -294,11 +317,16 @@ def outage_bulk(params: SystemParams, region: Region, density: float,
     return math.exp(log_outage_bulk(params, region, density, q, subcarriers))
 
 
+@lru_cache(maxsize=128)
+def _signed_binomials(big_k: int) -> tuple[int, ...]:
+    """binom(K, k) (-1)**(k+1) for k = 1..K, as exact integers."""
+    return tuple(math.comb(big_k, k) * (-1) ** (k + 1)
+                 for k in range(1, big_k + 1))
+
+
 def _inclusion_exclusion(values) -> list[float]:
     """binom(K, k) (-1)**(k+1) values[k-1] for k = 1..K, K = len(values)."""
-    big_k = len(values)
-    return [math.comb(big_k, k) * (-1) ** (k + 1) * v
-            for k, v in enumerate(values, start=1)]
+    return [b * v for b, v in zip(_signed_binomials(len(values)), values)]
 
 
 @lru_cache(maxsize=64)

@@ -9,6 +9,8 @@ import pytest
 from scipy import integrate, special
 
 import relayfield
+import relayfield.metrics
+import relayfield.optimize
 from relayfield import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -32,12 +34,16 @@ from relayfield import (
     u_plane,
 )
 from relayfield.analytic import (
+    _BATCH_NODES,
     _grid,
+    _integrate,
     _outage_ps_from_u,
     _u_derivatives,
     _u_freespace,
     _u_values,
 )
+from relayfield.cli import main
+from relayfield.metrics import _delta_table
 from reference import integrand_H, quad
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
@@ -200,6 +206,129 @@ def test_shared_grid_keeps_every_u_within_tolerance(alpha, big_k, snr):
     q = DEFAULT_QUADRATURE
     for got, ref in zip(batched, refs):
         assert abs(got - ref) <= max(q.abs_tol, q.rel_tol * abs(ref))
+
+
+def _unfloored_rule(key, cs, h=lambda g: (g,), moments=0) -> np.ndarray:
+    """One rule of `_integrate` on the grid `_grid(*key)`, with exp taken
+    out of place on the raw argument, so far nodes underflow freely; the
+    same batches and reductions as the integrator."""
+    grid = _grid(*key)
+    cs = np.asarray(cs, dtype=float)
+    powers = np.arange(moments + 1)[:, None]
+    step = max(1, _BATCH_NODES // grid.exponent.size)
+    parts = []
+    for at in (slice(i, i + step) for i in range(0, cs.size, step)):
+        if moments:
+            g = np.exp(-cs[at, None] * grid.exponent.ravel())
+            parts.append(grid.moment_table[:moments + 1] @ g.T
+                         * (-cs[at]) ** powers)
+        else:
+            g = np.exp(-cs[at, None, None] * grid.exponent)
+            parts.append([(v @ grid.w_theta * grid.rw).sum(axis=-1)
+                          for v in h(g)])
+    return np.concatenate(parts, axis=1)
+
+
+def _integrate_against_unfloored(region, cs, params, **kwargs):
+    """`_integrate`'s result, the unfloored rule at the grid it returned
+    from, and that grid's key (alpha, r_sd, outer, n)."""
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return _grid(*key)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relayfield.analytic, "_grid", recording)
+        got = _integrate(region, cs, params, DEFAULT_QUADRATURE, "u",
+                         **kwargs)
+    ref = _unfloored_rule(keys[-1], cs, kwargs.get("h", lambda g: (g,)),
+                          kwargs.get("moments", 0))
+    return got, ref, keys[-1]
+
+
+@pytest.mark.parametrize("snr", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("alpha, big_k", [(4.0, 32), (2.0, 16)])
+@pytest.mark.parametrize("batch", ["u(1..K)", "u(K)"])
+def test_exp_floor_leaves_the_plane_u_bitwise(alpha, big_k, snr, batch):
+    # exp's argument is floored at -700, where g is below 1e-304; no u
+    # here moves by a bit, though u(1..K) floors 3-50 % of its nodes
+    p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
+                     subcarriers=big_k, r_sd=5.0)
+    ns = range(1, big_k + 1) if batch == "u(1..K)" else (big_k,)
+    cs = np.array([n / snr for n in ns])
+    got, ref, key = _integrate_against_unfloored(Region.plane(), cs, p)
+    assert (got == ref).all()
+    if batch == "u(1..K)":
+        assert (cs[:, None, None] * _grid(*key).exponent > 700.0).any()
+
+
+def test_exp_floor_leaves_the_disc_u_bitwise():
+    # the grid ends at u(1)'s cut, r = 7.99, inside the disc of radius 8,
+    # so u(16) floors a tenth of its nodes
+    p = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
+                     subcarriers=16, r_sd=5.0)
+    cs = np.arange(1, 17) / 100.0
+    got, ref, key = _integrate_against_unfloored(Region.disc(8.0), cs, p)
+    assert (got == ref).all()
+    assert (cs[:, None, None] * _grid(*key).exponent > 700.0).any()
+
+
+def test_exp_floor_leaves_the_moment_rows_bitwise(tmp_path):
+    # every derivative pass of fig7, re-run against the unfloored rule
+    _u_values.cache_clear()
+    relayfield.optimize._derivatives.cache_clear()
+    passes = []
+
+    def recording(region, cs, params, *args, moments=0, **kwargs):
+        passes.append((region, np.array(cs, dtype=float), params))
+        return _integrate(region, cs, params, *args, moments=moments,
+                          **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relayfield.analytic, "_integrate", recording)
+        assert main(["--mode", "figure", "--figure", "fig7",
+                     "--output", str(tmp_path / "fig7.csv")]) == 0
+    assert passes
+    for region, cs, params in passes:
+        got, ref, _ = _integrate_against_unfloored(region, cs, params,
+                                                   moments=2)
+        assert got.shape == (3, cs.size) and (got == ref).all()
+
+
+@pytest.mark.parametrize("region, big_k", [
+    (Region.plane(), 8), (Region.disc(5.0), 4)])
+def test_exp_floor_leaves_the_delta_integrands_bitwise(region, big_k):
+    p = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=big_k, r_sd=5.0)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return _integrate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(relayfield.metrics, "_integrate", recording)
+        _delta_table.__wrapped__(p, region, DEFAULT_QUADRATURE)
+    (_, cs, _, _, _, h, slopes), = calls
+    got, ref, _ = _integrate_against_unfloored(region, cs, p, h=h,
+                                               slopes=slopes)
+    assert got.shape == (big_k, 1) and (got == ref).all()
+
+
+def test_exp_floor_bounds_a_wholly_underflowing_integral():
+    # at c = 1000 every node's argument is below -12,000: the unfloored
+    # rule reads 0 and the floored one e**-700 times the grid's half-area,
+    # the bound the floor puts on any integral's move
+    p = SystemParams(snr_budget=1e-3, path_loss=2.0, threshold=1.0,
+                     subcarriers=1, r_sd=5.0)
+    (got,), (ref,), key = _integrate_against_unfloored(Region.disc(5.0),
+                                                       (1000.0,), p)
+    half_area = 0.5 * math.pi * key[2] ** 2
+    assert ref[0] == 0.0
+    assert got[0] == pytest.approx(math.exp(-700.0) * half_area,
+                                   rel=1e-12, abs=0.0)
+    assert abs(got[0] - ref[0]) <= math.exp(-700.0) * half_area * (1 + 1e-12)
 
 
 def test_cold_u_reuses_the_disc_grid():
