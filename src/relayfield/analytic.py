@@ -5,10 +5,11 @@ H(n) = r * exp(-c * (r**alpha + r_mD**alpha)), c = n*s/(P_t/N_0),
 over the half-disc (a symmetry factor 2 covers theta in [pi, 2pi)).
 `_integrate` evaluates them for a whole vector of c in one numpy pass,
 on a tensor Gauss-Legendre grid in (r, theta). The cs of a call share
-one cached grid of r**alpha + r_mD**alpha (`_grid`), whose radial range
-ends at the disc's radius, or at the call's largest cut, where the
-kernel has fallen e**-40 below its peak bound, with the neglected tail
-bounded in closed form; its error estimate is the difference against
+one cached grid of r**alpha + r_mD**alpha (`_grid`, on the angular
+rule cached per node count, `_angular`), whose radial range ends at the
+disc's radius, or at the call's largest cut, where the kernel has
+fallen e**-40 below its peak bound, with the neglected tail bounded in
+closed form; its error estimate is the difference against
 the rule with twice the nodes. Each rule evaluates exp(-c e), e the
 table, in one buffer reused across its batches, on the argument floored
 at -700 (`_EXP_FLOOR`): numpy's vector exp leaves its fast path below
@@ -146,12 +147,30 @@ class _Rule:
     def moment_table(self) -> np.ndarray:
         """[w, e w, e**2 w] over the flattened grid, e the exponent and
         w the product weight: the derivative pass's rows are one product
-        of exp(-c e) with it. Built on first use, from the same entry."""
+        of exp(-c e) with it. Built on first use, from the same entry,
+        into one array, with e**2 w as (e e) w."""
         e = self.exponent.ravel()
-        w = np.multiply.outer(self.rw, self.w_theta).ravel()
-        table = np.stack([w, e * w, e * e * w])
+        table = np.empty((3, e.size))
+        w = table[0]
+        np.multiply.outer(self.rw, self.w_theta,
+                          out=w.reshape(self.exponent.shape))
+        np.multiply(e, w, out=table[1])
+        np.multiply(e, e, out=table[2])
+        table[2] *= w
         table.flags.writeable = False
         return table
+
+
+@lru_cache(maxsize=8)
+def _angular(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and the weights of the angular rule of n nodes per
+    panel, shared read-only by every grid of n nodes."""
+    # more angular nodes towards theta = 0, where the mass gathers as c grows
+    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
+    cos_theta = np.cos(theta)
+    for part in (cos_theta, w_theta):
+        part.flags.writeable = False
+    return cos_theta, w_theta
 
 
 @lru_cache(maxsize=8)
@@ -162,9 +181,8 @@ def _grid(alpha: float, r_sd: float, outer: float, n: int) -> _Rule:
     # panel at small c
     r, w_r = _panel_rule(np.minimum(
         [0.0, 0.5 * r_sd, r_sd, max(r_sd, 0.25 * outer), outer], outer), n)
-    # more angular nodes towards theta = 0, where the mass gathers as c grows
-    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
-    return _Rule(_exponent(r[:, None], np.cos(theta), alpha, r_sd),
+    cos_theta, w_theta = _angular(n)
+    return _Rule(_exponent(r[:, None], cos_theta, alpha, r_sd),
                  r * w_r, w_theta)
 
 

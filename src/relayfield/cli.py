@@ -416,14 +416,21 @@ def _fig7(cfg: ExperimentConfig) -> Sweep:
 
 
 def _fig8(cfg: ExperimentConfig) -> Sweep:
-    # constrained K_opt vs density for outage ceilings
-    rows = []
-    meta = {}
-    for psi in (1e-2, 1e-3, 1e-5):
-        _, grid, opt_meta = _optimize_rows(_caption(
-            cfg, psi=psi, densities=_log_grid(0.05, 5.0, 13)))
-        rows += [{"psi": psi, **row} for row in grid]
-        meta[f"cutoff_density_psi_{psi:g}"] = opt_meta["cutoff_density"]
+    # constrained K_opt vs density for outage ceilings: every (ceiling,
+    # density) pair in one lockstep sweep, so that a density's three
+    # ceilings share its peak search's integrator passes
+    psis = (1e-2, 1e-3, 1e-5)
+    fig = _caption(cfg, densities=_log_grid(0.05, 5.0, 13))
+    params, region, q = fig.system_params(), fig.region(), fig.quadrature()
+    pairs = [(psi, density) for psi in psis for density in fig.densities]
+    solved = optimize.optimize_K_sweep(
+        params, region, [density for _, density in pairs],
+        [psi for psi, _ in pairs], q)
+    rows = [{"psi": psi, "lambda": density, "K_opt": res.k_opt,
+             "feasible": res.feasible}
+            for (psi, density), res in zip(pairs, solved)]
+    meta = {f"cutoff_density_psi_{psi:g}":
+            optimize.cutoff_density(psi, params, region, q) for psi in psis}
     return ["psi", "lambda", "K_opt", "feasible"], rows, meta
 
 

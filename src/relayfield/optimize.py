@@ -12,17 +12,21 @@ search's last pass. Integer optima follow the stated rounding rules and
 are evaluated at integer K only. A cut-off density marks where an
 outage ceiling becomes unattainable even at K = 1.
 
-Each density's solve is a generator (`_solve`) that yields the Ks whose
-u, u' and u'' it needs next. `optimize_K_sweep` runs a sweep's solves in
-lockstep: each round gathers the Ks of every open solve, and the per-K
-store (`_derivatives`), the optimiser's one source of u, integrates
-those it lacks in one pass of `analytic._u_derivatives` and keeps every
-K for later rounds, solves and sweeps. The one-density solvers are
-sweeps of one density.
+Each (density, ceiling) pair's solve is a generator (`_solve`) that
+yields the Ks whose u, u' and u'' it needs next. `optimize_K_sweep` runs
+a list of pairs in lockstep: each round gathers the Ks of every open
+solve, and the store (`_derivatives`), the optimiser's one source of u,
+integrates those it lacks in one pass of `analytic._u_derivatives` and
+keeps every K for later rounds, solves and sweeps. The store keeps one
+dict of K per configuration (region, parameters and quadrature
+settings), looked up once per round. The one-density solvers are sweeps
+of one pair; fig8 sweeps its three ceilings' pairs together.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .analytic import (
@@ -70,32 +74,52 @@ class OptimizationResult:
     psi: float | None = None
 
 
-# u, u' and u'' by (region, params, q, K): the optimiser's one source of
-# u. Kept per K, so that a sweep's later solves (fig8's ceilings share
-# each density's peak search) and later sweeps reuse every pass; the
-# oldest entries go once it holds _STORE_SIZE.
+# u, u' and u'' by (region, params, q), then by K: the optimiser's one
+# source of u. Kept per K, so that a sweep's later rounds (the ceilings of
+# one density share its peak search) and later sweeps reuse every pass.
+# _ORDER lists every entry's (configuration, K), oldest first; the oldest
+# go once the store holds _STORE_SIZE.
 _STORE: dict = {}
+_ORDER: deque = deque()
 _STORE_SIZE = 4096
 
 
 def _derivatives(region: Region, ks, params: SystemParams,
                  q: QuadratureSettings) -> list[tuple[float, float, float]]:
     """u(K), u'(K) and u''(K) for each K of ks; the Ks not in the store
-    are integrated together, in one pass."""
-    keys = [(region, params, q, k) for k in ks]
-    missing = list(dict.fromkeys(key for key in keys if key not in _STORE))
+    are integrated together, in one pass.
+
+    The configuration's dict of K is looked up once per call. An entry's
+    last bits depend on the pass that computed it: the same K integrated
+    alone or in a batch, even on the same grid, can differ in its last
+    bits, as the BLAS reduction over the grid changes with the batch
+    width. So a sweep and the one-density solves it batches agree to
+    about 1e-9 in K_relaxed, not bit for bit.
+    """
+    config = (region, params, q)
+    known = _STORE.setdefault(config, {})
+    missing = [k for k in dict.fromkeys(ks) if k not in known]
     if missing:
-        rows = _u_derivatives(region, [key[-1] for key in missing],
-                              params, q)
-        _STORE.update(zip(missing, zip(*rows.tolist())))
-    values = [_STORE[key] for key in keys]
-    while len(_STORE) > _STORE_SIZE:
-        del _STORE[next(iter(_STORE))]
+        rows = _u_derivatives(region, missing, params, q)
+        known.update(zip(missing, zip(*rows.tolist())))
+        _ORDER.extend((config, k) for k in missing)
+    values = [known[k] for k in ks]
+    while len(_ORDER) > _STORE_SIZE:
+        old, k = _ORDER.popleft()
+        entries = _STORE[old]
+        del entries[k]
+        if not entries:
+            del _STORE[old]
     return values
 
 
+def _clear_store() -> None:
+    _STORE.clear()
+    _ORDER.clear()
+
+
 # as on an lru_cache'd function, so that a reset of every cache reaches it
-_derivatives.cache_clear = _STORE.clear
+_derivatives.cache_clear = _clear_store
 
 
 def _kappa(k: float, density: float, u: float) -> float:
@@ -230,22 +254,31 @@ def _solve(region: Region, density: float, psi: float | None):
 
 
 def optimize_K_sweep(params: SystemParams, region: Region, densities,
-                     psi: float | None = None,
+                     psi: float | None | Sequence[float | None] = None,
                      q: QuadratureSettings = DEFAULT_QUADRATURE
                      ) -> list[OptimizationResult]:
-    """The optimum of each density, without a ceiling if psi is None.
+    """The optimum of each (density, ceiling) pair, in the given order.
 
-    The solves run in lockstep: each round takes every open solve's next
-    step at once, and the Ks they ask for that the store lacks are
-    integrated in one pass. Infeasibility under psi (even K = 1 violates
-    it, or psi is below the outage floor of a finite region) is reported
-    via feasible=False and k_opt = 0, not an exception.
+    psi is one ceiling for every density, or a sequence of ceilings, one
+    per density; a ceiling of None asks for the unconstrained optimum.
+    The pairs' solves run in lockstep: each round takes every open
+    solve's next step at once, and the Ks they ask for that the store
+    lacks are integrated in one pass, so that pairs which ask for the
+    same K (the ceilings of one density share its peak search) share
+    its pass. Infeasibility under a ceiling (even K = 1 violates it, or
+    it is below the outage floor of a finite region) is reported via
+    feasible=False and k_opt = 0, not an exception.
     """
+    psis = (list(psi) if isinstance(psi, Sequence)
+            else [psi] * len(densities))
+    if len(psis) != len(densities):
+        raise ValueError("psi needs one ceiling per density")
     if any(density <= 0 for density in densities):
         raise ValueError("density must be > 0")
-    if psi is not None:
-        _neg_log_ceiling(psi)
-    solves = [_solve(region, density, psi) for density in densities]
+    for ceiling in set(psis) - {None}:
+        _neg_log_ceiling(ceiling)
+    solves = [_solve(region, density, ceiling)
+              for density, ceiling in zip(densities, psis)]
     results: list[OptimizationResult | None] = [None] * len(solves)
     sent = dict.fromkeys(range(len(solves)))
     while True:

@@ -35,8 +35,12 @@ from relayfield import (
 )
 from relayfield.analytic import (
     _BATCH_NODES,
+    _CUT_NATS,
+    _angular,
+    _exponent,
     _grid,
     _integrate,
+    _panel_rule,
     _outage_ps_from_u,
     _u_derivatives,
     _u_freespace,
@@ -343,6 +347,40 @@ def test_cold_u_reuses_the_disc_grid():
     u_disc(5.0, 2.5, p)
     after = _grid.cache_info()
     assert after.misses == built.misses and after.hits > built.hits
+
+
+def _rule_from_scratch(alpha, r_sd, outer, n):
+    """exponent, rw, w_theta and moment_table of _grid's rule, each built
+    afresh: the angular rule recomputed and the table stacked row by row."""
+    r, w_r = _panel_rule(np.minimum(
+        [0.0, 0.5 * r_sd, r_sd, max(r_sd, 0.25 * outer), outer], outer), n)
+    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
+    exponent = _exponent(r[:, None], np.cos(theta), alpha, r_sd)
+    rw = r * w_r
+    e, w = exponent.ravel(), np.multiply.outer(rw, w_theta).ravel()
+    return exponent, rw, w_theta, np.stack([w, e * w, e * e * w])
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("kind", ["disc", "plane"])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_cached_angular_rule_builds_the_same_grid(alpha, kind, n):
+    # a grid built on the cached angular rule of another grid, with its
+    # moment table written in place, equals a build from scratch array
+    # for array; the plane's outer radius is the cut of c = 1e-2
+    r_sd = 5.0
+    outer = 5.0 if kind == "disc" else (
+        _CUT_NATS / 1e-2 + 2.0 * (0.5 * r_sd) ** alpha) ** (1.0 / alpha)
+    _grid.cache_clear()
+    _angular.cache_clear()
+    _grid(alpha, r_sd, 2.0 * outer, n)
+    rule = _grid(alpha, r_sd, outer, n)
+    assert _angular.cache_info().hits == 1
+    built = (rule.exponent, rule.rw, rule.w_theta, rule.moment_table)
+    for got, ref in zip(built, _rule_from_scratch(alpha, r_sd, outer, n)):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert not got.flags.writeable
+    assert rule.moment_table.shape == (3, rule.exponent.size)
 
 
 @pytest.mark.parametrize("n", [0.3, 1.0, 4.0, 13.7])

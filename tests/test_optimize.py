@@ -20,6 +20,7 @@ from relayfield import (
 from relayfield.analytic import (DEFAULT_QUADRATURE, QuadratureSettings,
                                  _integrate, _u_derivatives, _u_values)
 from relayfield.cli import main
+from test_cli import _benchmark_reset
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
@@ -463,3 +464,94 @@ def test_cutoff_freespace_rejects_other_exponents():
     from relayfield import DomainError
     with pytest.raises(DomainError):
         cutoff_density_freespace(0.01, _params(alpha=4.0))
+
+
+@pytest.mark.parametrize("alpha,region,densities", [
+    (2.0, Region.disc(5.0), FIG_DENSITIES),
+    (4.0, Region.plane(), [float(v) for v in np.geomspace(3.0, 30.0, 5)])])
+def test_mixed_ceiling_sweep_matches_each_ceilings_sweep(alpha, region,
+                                                         densities):
+    # one sweep of every (density, ceiling) pair, no ceiling among them,
+    # returns each pair's optimum as its ceiling's own sweep finds it from
+    # a cold store; pairs share passes, so K_relaxed agrees to 1e-9
+    p = _params(alpha)
+    psis = [None, 1e-2, 1e-3, 1e-5]
+    pairs = [(density, psi) for psi in psis for density in densities]
+    store = relayfield.optimize._derivatives
+    store.cache_clear()
+    mixed = dict(zip(pairs, optimize_K_sweep(
+        p, region, [d for d, _ in pairs], [psi for _, psi in pairs])))
+    for psi in psis:
+        store.cache_clear()
+        own = optimize_K_sweep(p, region, densities, psi)
+        for density, one in zip(densities, own):
+            res = mixed[density, psi]
+            assert (res.k_opt, res.feasible, res.psi) == (
+                one.k_opt, one.feasible, one.psi)
+            assert res.k_relaxed == pytest.approx(
+                one.k_relaxed, rel=1e-9, abs=0)
+    assert len({res.k_opt for res in mixed.values()}) > 2
+    with pytest.raises(ValueError):
+        optimize_K_sweep(p, region, densities, psis)
+    with pytest.raises(ValueError):
+        optimize_K_sweep(p, region, densities[:2], [1e-2, 0.0])
+
+
+def test_fig8_solves_its_ceilings_in_one_sweep(monkeypatch, tmp_path):
+    # after fig7, as the benchmark runs them, fig8's three ceilings take 7
+    # integrator passes (18 as three sweeps) for at most the 92 Ks the
+    # three sweeps integrated
+    passes = _count_integrals(monkeypatch)
+    for figure in ("fig7", "fig8"):
+        passes.clear()
+        assert main(["--mode", "figure", "--figure", figure,
+                     "--output", str(tmp_path / f"{figure}.csv")]) == 0
+    assert len(passes) == 7
+    assert sum(map(len, passes)) <= 92
+
+
+def test_store_keeps_the_newest_entries(monkeypatch):
+    # the store holds at most _STORE_SIZE (u, u', u'') entries over all
+    # configurations and drops the oldest integrated first; a read does
+    # not renew an entry, and the cache reset empties it
+    size = 8
+    monkeypatch.setattr(relayfield.optimize, "_STORE_SIZE", size)
+    store = relayfield.optimize._derivatives
+    store.cache_clear()
+    integrated = []
+
+    def fake(region, ns, params, q):
+        integrated.extend((region, params.path_loss, n) for n in ns)
+        return np.array([[n, -n, params.path_loss] for n in ns]).T
+
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", fake)
+
+    def held():
+        return [(config[0], config[1].path_loss, k)
+                for config, entries in relayfield.optimize._STORE.items()
+                for k in entries]
+
+    configs = [(region, _params(alpha)) for alpha in (2.0, 3.0, 4.0)
+               for region in (Region.disc(5.0), Region.plane())]
+    for i, (region, p) in enumerate(configs * 2):
+        ks = [float(i % 3 + j) for j in range(3)] + [1.0]
+        values = store(region, ks, p, DEFAULT_QUADRATURE)
+        assert values == [(k, -k, p.path_loss) for k in ks]
+        assert len(held()) <= size
+        # an entry is integrated again only once it is dropped, so the
+        # store holds the last size integrated
+        assert sorted(held(), key=repr) == sorted(integrated[-size:],
+                                                  key=repr)
+    assert len(integrated) > 3 * size
+    assert len(held()) == size
+    # the oldest entry held is read, then a new K drops it all the same
+    oldest = integrated[-size]
+    store(oldest[0], [oldest[2]], _params(oldest[1]), DEFAULT_QUADRATURE)
+    assert integrated[-size] == oldest
+    store(Region.disc(5.0), [99.0], _params(), DEFAULT_QUADRATURE)
+    assert oldest not in held() and len(held()) == size
+    _benchmark_reset()()
+    assert not relayfield.optimize._STORE and not relayfield.optimize._ORDER
+    count = len(integrated)
+    store(Region.disc(5.0), [2.0], _params(), DEFAULT_QUADRATURE)
+    assert len(integrated) == count + 1
