@@ -18,19 +18,26 @@ about -707.5 (15-19 ns per value between -708 and -750, 0.9 ns at
 eighth of their arguments. A node whose g is below e**-700 (about
 9.9e-305) reads e**-700 instead, so an integral moves by at most
 e**-700 times the grid's half-area (see `_integrate`), below the last
-bit of any integral above about 1e-280. It gives u(n), the integral of
-H(n), to the outage formulas (`_u_values`) and Delta(k) to `metrics`,
-reducing each row over the grid. The optimiser's derivative pass
-(`_u_derivatives`) gets u, u' and u'' for a vector of n instead from one
-product of exp(-c e), e the exponent table, with the table
-[w, e w, e**2 w] that the grid's cache entry builds beside it. On the
-plane at alpha = 2 u(n) has the closed form `_u_freespace`. The outage
-formulas share one sum (`_inclusion_exclusion`).
+bit of any integral above about 1e-280.
+
+This module is the only one that integrates the kernel. It gives u(n),
+the integral of H(n), to the outage formulas (`_u_values`, cached per
+batch of n) and Delta(1..K) to `metrics` (`_delta_table`), reducing each
+row over the grid. The optimiser reads u, u' and u'' from a store kept
+per n (`_u_derivatives`), which fills what it lacks with one derivative
+pass: one product of exp(-c e), e the exponent table, with the table
+[w, e w, e**2 w] that the grid's cache entry builds beside it. The store
+stays apart from `_u_values`: u(K) alone sits on c(K)'s grid but in the
+batch u(1..K) on c(1)'s, so one cache for both would make an outage's
+last bits depend on what ran before it. On the plane at alpha = 2 u(n)
+has the closed form `_u_freespace`. The outage formulas share one sum
+(`_inclusion_exclusion`).
 """
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -78,7 +85,7 @@ class QuadratureSettings:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be > 0")
 
 
@@ -289,18 +296,80 @@ def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
                             f"u over the {region.kind}")[0].tolist())
 
 
+# u, u' and u'' by (region, params, q), then by n: the optimiser's one
+# source of u. Kept per n, so that a sweep's later rounds (the ceilings of
+# one density share its peak search) and later sweeps reuse every pass.
+# _ORDER lists every entry's (configuration, n), oldest first; the oldest
+# go once the store holds _STORE_SIZE.
+_STORE: dict = {}
+_ORDER: deque = deque()
+_STORE_SIZE = 4096
+
+
 def _u_derivatives(region: Region, ns, params: SystemParams,
-                   q: QuadratureSettings) -> np.ndarray:
-    """u(n), u'(n) and u''(n) for each n of ns from one integrator pass,
-    shape (3, len(ns)); not cached here, as the optimiser keeps them per
-    n. With x = -c (r**alpha + r_mD**alpha), u' = int r x g / n and
-    u'' = int r x**2 g / n**2."""
-    ns = np.asarray(ns, dtype=float)
-    u, first, second = _integrate(region, ns * params.threshold
-                                  / params.snr_budget, params, q,
-                                  f"u and its derivatives over the "
-                                  f"{region.kind}", moments=2)
-    return np.stack([u, first / ns, second / (ns * ns)])
+                   q: QuadratureSettings) -> list[tuple[float, float, float]]:
+    """u(n), u'(n) and u''(n) for each n of ns, from the store; the ns it
+    lacks are integrated together, in one derivative pass. With
+    x = -c (r**alpha + r_mD**alpha), u' = int r x g / n and
+    u'' = int r x**2 g / n**2.
+
+    The configuration's dict of n is looked up once per call. An entry's
+    last bits depend on the pass that computed it: the same n integrated
+    alone or in a batch, even on the same grid, can differ in its last
+    bits, as the BLAS reduction over the grid changes with the batch
+    width. So a sweep and the one-density solves it batches agree to
+    about 1e-9 in K_relaxed, not bit for bit.
+    """
+    config = (region, params, q)
+    known = _STORE.setdefault(config, {})
+    missing = [n for n in dict.fromkeys(ns) if n not in known]
+    if missing:
+        n = np.asarray(missing, dtype=float)
+        u, first, second = _integrate(region, n * params.threshold
+                                      / params.snr_budget, params, q,
+                                      f"u and its derivatives over the "
+                                      f"{region.kind}", moments=2)
+        known.update(zip(missing, zip(u.tolist(), (first / n).tolist(),
+                                      (second / (n * n)).tolist())))
+        _ORDER.extend((config, key) for key in missing)
+    values = [known[key] for key in ns]
+    while len(_ORDER) > _STORE_SIZE:
+        old, key = _ORDER.popleft()
+        entries = _STORE[old]
+        del entries[key]
+        if not entries:
+            del _STORE[old]
+    return values
+
+
+def _clear_store() -> None:
+    _STORE.clear()
+    _ORDER.clear()
+
+
+# as on an lru_cache'd function, so that a reset of every cache reaches it
+_u_derivatives.cache_clear = _clear_store
+
+
+@lru_cache(maxsize=256)
+def _delta_table(params: SystemParams, region: Region,
+                 q: QuadratureSettings) -> tuple[float, ...]:
+    """Delta(1..K), the integrals of 1 - F**k - (1-F)**K over the whole
+    region, from one evaluation of the kernel on the grid."""
+    big_k = params.subcarriers
+
+    def integrands(g):
+        # 1 - f**k - g**K with f = 1 - g, in a form that keeps 1 - f**k
+        # accurate where g is small
+        log_f, g_big_k = np.log1p(-g), g**big_k
+        return (-np.expm1(k * log_f) - g_big_k for k in range(1, big_k + 1))
+
+    # each integrand is at most k * g, which bounds its cut-off tail; the
+    # factor 2 covers the half-plane theta in [pi, 2pi)
+    c = params.threshold / params.snr_budget
+    return tuple((2.0 * _integrate(region, (c,), params, q, "delta_k",
+                                   integrands, range(1, big_k + 1))[:, 0]
+                  ).tolist())
 
 
 def u_disc(sigma: float, n: float, params: SystemParams,
@@ -322,7 +391,7 @@ def log_outage_bulk(params: SystemParams, region: Region, density: float,
 
     subcarriers overrides params.subcarriers and may be real (relaxed K).
     """
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
     n = params.subcarriers if subcarriers is None else subcarriers
     return -2.0 * density * _u_values(region, (n,), params, q)[0]
@@ -377,7 +446,7 @@ def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
 def outage_ps(params: SystemParams, region: Region, density: float,
               q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Per-subcarrier outage probability over either region."""
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
     return _outage_ps_from_u(density, _u_values(
         region, tuple(range(1, params.subcarriers + 1)), params, q))
@@ -431,6 +500,8 @@ def _out_of_range(corr: float) -> DomainError:
 def asymptotic_bulk_disc(params: SystemParams, density: float,
                          sigma: float) -> float:
     """High-SNR expansion of the disc bulk outage."""
+    if not density >= 0:
+        raise ValueError("density must be >= 0")
     corr = _asymptotic_correction(params, sigma)
     try:
         value = math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
@@ -449,6 +520,8 @@ def asymptotic_ps_disc(params: SystemParams, density: float,
     Raw: outside its validity region it can leave [floor, 1], which a
     warning flags, or double range, a DomainError; nothing is clamped.
     """
+    if not density >= 0:
+        raise ValueError("density must be >= 0")
     tau = tau_alpha(params.path_loss, params.r_sd, sigma)
     area = math.pi * sigma**2
     floor = math.exp(-density * area)
@@ -470,16 +543,16 @@ def outage_floor(density: float, area: float) -> float:
     """Void probability exp(-density * area): the scheme-independent floor."""
     if not (0 < area < math.inf):
         raise ValueError("area must be finite and positive")
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
     return math.exp(-density * area)
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """Unregularised lower incomplete gamma integral_0^x t**(a-1) e**-t dt."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be > 0")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be >= 0")
     return float(special.gammainc(a, x) * special.gamma(a))
 
@@ -491,9 +564,9 @@ def exp_integral_E(nu: float, x: float) -> float:
     the regularised upper incomplete gamma function. Values below double
     range (x beyond about 708) may read 0.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be > 0")
-    if nu > 1:
+    if not nu <= 1:
         raise DomainError(f"exp_integral_E takes orders nu <= 1, got {nu}")
     if nu == 1:
         return float(special.exp1(x))

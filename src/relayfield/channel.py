@@ -25,13 +25,13 @@ class SystemParams:
     r_sd: float
 
     def __post_init__(self):
-        if self.snr_budget <= 0:
+        if not self.snr_budget > 0:
             raise ValueError("snr_budget must be > 0")
-        if self.path_loss < 2:
+        if not self.path_loss >= 2:
             raise ValueError("path_loss must be >= 2")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be > 0")
-        if self.subcarriers < 1:
+        if not self.subcarriers >= 1:
             raise ValueError("subcarriers must be >= 1")
-        if self.r_sd <= 0:
+        if not self.r_sd > 0:
             raise ValueError("r_sd must be > 0")

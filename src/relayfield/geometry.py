@@ -27,7 +27,8 @@ class Region:
     def __post_init__(self):
         if self.kind not in ("disc", "plane"):
             raise ConfigurationError(f"unknown region kind {self.kind!r}")
-        if self.kind == "disc" and (self.radius is None or self.radius <= 0):
+        if self.kind == "disc" and (self.radius is None
+                                    or not self.radius > 0):
             raise ConfigurationError("disc region requires radius > 0")
 
     @classmethod

@@ -3,24 +3,23 @@
 The per-subcarrier over bulk outage ratio phi(density) admits an exact
 alternating-sum form in the area integrals Delta(k), a small-density
 quadratic approximation, and an inverse giving the minimum relay density
-for a target advantage.
+for a target advantage. The Delta(k) come from `analytic._delta_table`,
+which integrates them; this module holds only the formulas on them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
 from scipy import optimize
 
 from .analytic import (
     DEFAULT_QUADRATURE,
     DomainError,
     QuadratureSettings,
+    _delta_table,
     _inclusion_exclusion,
-    _integrate,
     exp_integral_E,
     lower_incomplete_gamma,
     outage_bulk,
@@ -54,25 +53,6 @@ class DiversityEstimate:
     snr_window: tuple[float, float]
 
 
-@lru_cache(maxsize=256)
-def _delta_table(params: SystemParams, region: Region,
-                 q: QuadratureSettings) -> tuple[float, ...]:
-    """Delta(1..K) from one evaluation of the kernel on the grid."""
-    big_k = params.subcarriers
-
-    def integrands(g):
-        # 1 - f**k - g**K with f = 1 - g, in a form that keeps 1 - f**k
-        # accurate where g is small
-        log_f, g_big_k = np.log1p(-g), g**big_k
-        return (-np.expm1(k * log_f) - g_big_k for k in range(1, big_k + 1))
-
-    # each integrand is at most k * g, which bounds its cut-off tail
-    c = params.threshold / params.snr_budget
-    return tuple((2.0 * _integrate(region, (c,), params, q, "delta_k",
-                                   integrands, range(1, big_k + 1))[:, 0]
-                  ).tolist())
-
-
 def delta_k(k: int, params: SystemParams, region: Region,
             q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Area integral of 1 - F**k - (1-F)**K over the region.
@@ -102,7 +82,7 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
     quotient of the two outage integrals; they are the same identity, so
     disagreement beyond _CROSS_CHECK_RTOL signals a numerical problem.
     """
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
     deltas = _delta_table(params, region, q)
     phi = _phi_from_deltas(density, deltas)
@@ -120,7 +100,7 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
 def outage_ratio_approx(params: SystemParams, region: Region, density: float,
                         q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Quadratic small-density approximation of the outage ratio."""
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
     return 1.0 + 0.5 * density**2 * _quadratic_coefficient(
         _delta_table(params, region, q))

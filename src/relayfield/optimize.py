@@ -15,17 +15,14 @@ outage ceiling becomes unattainable even at K = 1.
 Each (density, ceiling) pair's solve is a generator (`_solve`) that
 yields the Ks whose u, u' and u'' it needs next. `optimize_K_sweep` runs
 a list of pairs in lockstep: each round gathers the Ks of every open
-solve, and the store (`_derivatives`), the optimiser's one source of u,
-integrates those it lacks in one pass of `analytic._u_derivatives` and
-keeps every K for later rounds, solves and sweeps. The store keeps one
-dict of K per configuration (region, parameters and quadrature
-settings), looked up once per round. The one-density solvers are sweeps
-of one pair; fig8 sweeps its three ceilings' pairs together.
+solve and reads them from `analytic._u_derivatives`, the optimiser's one
+source of u, whose store integrates those it lacks in one pass and keeps
+every K for later rounds, solves and sweeps. The one-density solvers are
+sweeps of one pair; fig8 sweeps its three ceilings' pairs together.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -74,54 +71,6 @@ class OptimizationResult:
     psi: float | None = None
 
 
-# u, u' and u'' by (region, params, q), then by K: the optimiser's one
-# source of u. Kept per K, so that a sweep's later rounds (the ceilings of
-# one density share its peak search) and later sweeps reuse every pass.
-# _ORDER lists every entry's (configuration, K), oldest first; the oldest
-# go once the store holds _STORE_SIZE.
-_STORE: dict = {}
-_ORDER: deque = deque()
-_STORE_SIZE = 4096
-
-
-def _derivatives(region: Region, ks, params: SystemParams,
-                 q: QuadratureSettings) -> list[tuple[float, float, float]]:
-    """u(K), u'(K) and u''(K) for each K of ks; the Ks not in the store
-    are integrated together, in one pass.
-
-    The configuration's dict of K is looked up once per call. An entry's
-    last bits depend on the pass that computed it: the same K integrated
-    alone or in a batch, even on the same grid, can differ in its last
-    bits, as the BLAS reduction over the grid changes with the batch
-    width. So a sweep and the one-density solves it batches agree to
-    about 1e-9 in K_relaxed, not bit for bit.
-    """
-    config = (region, params, q)
-    known = _STORE.setdefault(config, {})
-    missing = [k for k in dict.fromkeys(ks) if k not in known]
-    if missing:
-        rows = _u_derivatives(region, missing, params, q)
-        known.update(zip(missing, zip(*rows.tolist())))
-        _ORDER.extend((config, k) for k in missing)
-    values = [known[k] for k in ks]
-    while len(_ORDER) > _STORE_SIZE:
-        old, k = _ORDER.popleft()
-        entries = _STORE[old]
-        del entries[k]
-        if not entries:
-            del _STORE[old]
-    return values
-
-
-def _clear_store() -> None:
-    _STORE.clear()
-    _ORDER.clear()
-
-
-# as on an lru_cache'd function, so that a reset of every cache reaches it
-_derivatives.cache_clear = _clear_store
-
-
 def _kappa(k: float, density: float, u: float) -> float:
     # 1 - Phi as -expm1(log Phi), exact where Phi is close to 1
     return -k * math.expm1(-2.0 * density * u)
@@ -131,11 +80,11 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
                density: float,
                q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """kappa(K, density) for bulk selection; K may be real (relaxed)."""
-    if subcarriers <= 0:
+    if not subcarriers > 0:
         raise ValueError("subcarriers must be > 0")
-    if density < 0:
+    if not density >= 0:
         raise ValueError("density must be >= 0")
-    u = _derivatives(region, (subcarriers,), params, q)[0][0]
+    u = _u_derivatives(region, (subcarriers,), params, q)[0][0]
     return _kappa(subcarriers, density, u)
 
 
@@ -273,7 +222,7 @@ def optimize_K_sweep(params: SystemParams, region: Region, densities,
             else [psi] * len(densities))
     if len(psis) != len(densities):
         raise ValueError("psi needs one ceiling per density")
-    if any(density <= 0 for density in densities):
+    if not all(density > 0 for density in densities):
         raise ValueError("density must be > 0")
     for ceiling in set(psis) - {None}:
         _neg_log_ceiling(ceiling)
@@ -290,7 +239,7 @@ def optimize_K_sweep(params: SystemParams, region: Region, densities,
                 results[i] = done.value
         if not asks:
             return results
-        got = iter(_derivatives(
+        got = iter(_u_derivatives(
             region, [k for ks in asks.values() for k in ks], params, q))
         sent = {i: [next(got) for _ in ks] for i, ks in asks.items()}
 
@@ -325,7 +274,7 @@ def cutoff_density(psi: float, params: SystemParams, region: Region,
                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Density below which the ceiling psi cannot be met even at K = 1."""
     neg_log = _neg_log_ceiling(psi)
-    return neg_log / (2.0 * _derivatives(region, (1.0,), params, q)[0][0])
+    return neg_log / (2.0 * _u_derivatives(region, (1.0,), params, q)[0][0])
 
 
 def cutoff_density_freespace(psi: float, params: SystemParams) -> float:

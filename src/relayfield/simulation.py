@@ -559,8 +559,10 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     n_workers. Work for more than one process goes to pool, or to a pool
     of this call's own if none is given.
     """
-    if trials < 1:
+    if not trials >= 1:
         raise ValueError("trials must be >= 1")
+    if not density >= 0:
+        raise ValueError("density must be >= 0")
     s = _sampler(params, region, density)
     n_blocks = -(-trials // s.length)
     n_chunks = s.workers(trials, n_workers)

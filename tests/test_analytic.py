@@ -9,8 +9,7 @@ import pytest
 from scipy import integrate, special
 
 import relayfield
-import relayfield.metrics
-import relayfield.optimize
+import relayfield.analytic
 from relayfield import (
     DEFAULT_QUADRATURE,
     DomainError,
@@ -37,6 +36,7 @@ from relayfield.analytic import (
     _BATCH_NODES,
     _CUT_NATS,
     _angular,
+    _delta_table,
     _exponent,
     _grid,
     _integrate,
@@ -47,7 +47,6 @@ from relayfield.analytic import (
     _u_values,
 )
 from relayfield.cli import main
-from relayfield.metrics import _delta_table
 from reference import integrand_H, quad
 
 TIGHT = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
@@ -281,7 +280,7 @@ def test_exp_floor_leaves_the_disc_u_bitwise():
 def test_exp_floor_leaves_the_moment_rows_bitwise(tmp_path):
     # every derivative pass of fig7, re-run against the unfloored rule
     _u_values.cache_clear()
-    relayfield.optimize._derivatives.cache_clear()
+    _u_derivatives.cache_clear()
     passes = []
 
     def recording(region, cs, params, *args, moments=0, **kwargs):
@@ -312,7 +311,7 @@ def test_exp_floor_leaves_the_delta_integrands_bitwise(region, big_k):
         return _integrate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(relayfield.metrics, "_integrate", recording)
+        m.setattr(relayfield.analytic, "_integrate", recording)
         _delta_table.__wrapped__(p, region, DEFAULT_QUADRATURE)
     (_, cs, _, _, _, h, slopes), = calls
     got, ref, _ = _integrate_against_unfloored(region, cs, p, h=h,
@@ -388,7 +387,7 @@ def test_derivative_rows_match_the_freespace_closed_form(params, n):
     # u = pi P/(4 n s) exp(-B n) with B = s r_sd**2 / (2 P), P = P_t/N_0,
     # so u' = -u (1/n + B) and u'' = u ((1/n + B)**2 + 1/n**2)
     u, du, d2u = _u_derivatives(Region.plane(), (n,), params,
-                                DEFAULT_QUADRATURE)[:, 0]
+                                DEFAULT_QUADRATURE)[0]
     ref = _u_freespace(params, n)
     b = params.threshold * params.r_sd**2 / (2.0 * params.snr_budget)
     rel = DEFAULT_QUADRATURE.rel_tol
@@ -408,7 +407,7 @@ def test_derivative_rows_match_central_differences(params, alpha, region, n):
     p = SystemParams(snr_budget=params.snr_budget, path_loss=alpha,
                      threshold=params.threshold, subcarriers=4,
                      r_sd=params.r_sd)
-    u, du, d2u = _u_derivatives(region, (n,), p, TIGHT)[:, 0]
+    u, du, d2u = _u_derivatives(region, (n,), p, TIGHT)[0]
     h = 1e-3 * n
     f = {i: _u_values(region, (n + i * h,), p, TIGHT)[0]
          for i in (-2, -1, 0, 1, 2)}
@@ -420,6 +419,37 @@ def test_derivative_rows_match_central_differences(params, alpha, region, n):
         (16.0 * (f[-1] + f[1]) - f[-2] - f[2] - 30.0 * f[0]) / (12.0 * h * h),
         rel=1e-8, abs=0.0)
 
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("region", [Region.disc(5.0), Region.plane()],
+                         ids=["disc", "plane"])
+def test_store_hands_over_one_derivative_pass_bitwise(monkeypatch, alpha,
+                                                      region):
+    # from a cold store, the triples are the rows of one moments=2 pass
+    # over the same cs, as u, first / n and second / n**2, bit for bit;
+    # a second call, in another order, integrates nothing
+    p = SystemParams(snr_budget=100.0, path_loss=alpha, threshold=1.0,
+                     subcarriers=4, r_sd=5.0)
+    ns = np.array([0.5, 1.0, 2.0, 3.7, 8.0])
+    u, first, second = _integrate(region, ns * p.threshold / p.snr_budget,
+                                  p, DEFAULT_QUADRATURE, "u", moments=2)
+    expected = list(zip(u.tolist(), (first / ns).tolist(),
+                        (second / (ns * ns)).tolist()))
+    _u_derivatives.cache_clear()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["moments"])
+        return _integrate(*args, **kwargs)
+
+    monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
+    assert _u_derivatives(region, ns.tolist(), p,
+                          DEFAULT_QUADRATURE) == expected
+    assert calls == [2]
+    assert _u_derivatives(region, ns[::-1].tolist(), p,
+                          DEFAULT_QUADRATURE) == expected[::-1]
+    assert calls == [2]
 
 def test_bulk_outage_spot_values(params, disc):
     assert outage_bulk(params, disc, 1.0) == pytest.approx(

@@ -604,7 +604,7 @@ def test_newton_step_cap_is_a_numerical_failure(tmp_path, capsys,
     # kappa'' > 0, which turns every step into a bisection, and no
     # bisection is a step short enough to stop on
     monkeypatch.setattr(
-        relayfield.optimize, "_derivatives",
+        relayfield.optimize, "_u_derivatives",
         lambda region, ks, *args: [(1.0 if k < 3.0 else -1.0, 0.0, 1.0)
                                    for k in ks])
     out = tmp_path / "opt.csv"
@@ -638,7 +638,7 @@ def test_benchmark_reset_clears_every_cache(tmp_path, monkeypatch):
                  if name == "relayfield" or name.startswith("relayfield.")
                  for obj in vars(module).values()
                  if callable(getattr(obj, "cache_clear", None))]
-    assert relayfield.optimize._derivatives in clearable
+    assert relayfield.analytic._u_derivatives in clearable
     for obj in clearable:
         obj.cache_clear()
     integrate, calls = relayfield.analytic._integrate, []

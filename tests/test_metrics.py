@@ -1,14 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from relayfield import (
     OutageUnderflowError,
+    QuadratureSettings,
     Region,
     Scheme,
     SystemParams,
     appendix_bound_T1,
+    asymptotic_bulk_disc,
+    asymptotic_ps_disc,
     delta_k,
     diversity_slope,
     estimate_outage_both,
@@ -16,10 +20,15 @@ from relayfield import (
     log_outage_bulk,
     lower_incomplete_gamma,
     min_density_for_advantage,
+    optimize_K_constrained,
+    optimize_K_sweep,
+    optimize_K_unconstrained,
     outage_bulk,
+    outage_floor,
     outage_ps,
     outage_ratio,
     outage_ratio_approx,
+    throughput,
 )
 from relayfield import metrics
 from reference import appendix_bound_T1_quadrature
@@ -187,3 +196,75 @@ def test_appendix_bound_shrinks_with_path_loss(params):
     p4 = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
                       subcarriers=4, r_sd=5.0)
     assert appendix_bound_T1(p4) < appendix_bound_T1(params)
+
+
+def _params_with(**fields):
+    base = dict(snr_budget=100.0, path_loss=2.0, threshold=1.0,
+                subcarriers=4, r_sd=5.0)
+    return SystemParams(**{**base, **fields})
+
+
+_P, _DISC = _params_with(), Region.disc(5.0)
+_DENSITY = "density must be >= 0"
+# every public range check, as a function of the one value it checks,
+# with its message; each must fail at NaN as at a negative value
+_RANGE_CHECKS = [
+    ("outage_bulk", lambda x: outage_bulk(_P, _DISC, x), _DENSITY),
+    ("log_outage_bulk", lambda x: log_outage_bulk(_P, _DISC, x), _DENSITY),
+    ("outage_ps", lambda x: outage_ps(_P, _DISC, x), _DENSITY),
+    ("outage_floor", lambda x: outage_floor(x, 1.0), _DENSITY),
+    ("outage_floor area", lambda x: outage_floor(1.0, x),
+     "area must be finite and positive"),
+    ("outage_ratio", lambda x: outage_ratio(_P, _DISC, x), _DENSITY),
+    ("outage_ratio_approx", lambda x: outage_ratio_approx(_P, _DISC, x),
+     _DENSITY),
+    ("throughput", lambda x: throughput(4.0, _P, _DISC, x), _DENSITY),
+    ("throughput subcarriers", lambda x: throughput(x, _P, _DISC, 1.0),
+     "subcarriers must be > 0"),
+    ("optimize_K_unconstrained",
+     lambda x: optimize_K_unconstrained(_P, _DISC, x),
+     "density must be > 0"),
+    ("optimize_K_constrained",
+     lambda x: optimize_K_constrained(_P, _DISC, x, 1e-2),
+     "density must be > 0"),
+    ("optimize_K_sweep", lambda x: optimize_K_sweep(_P, _DISC, [1.0, x]),
+     "density must be > 0"),
+    ("estimate_outage_both",
+     lambda x: estimate_outage_both(_P, _DISC, x, trials=10, seed=1),
+     _DENSITY),
+    ("asymptotic_bulk_disc", lambda x: asymptotic_bulk_disc(_P, x, 5.0),
+     _DENSITY),
+    ("asymptotic_ps_disc", lambda x: asymptotic_ps_disc(_P, x, 5.0),
+     _DENSITY),
+    ("lower_incomplete_gamma a", lambda x: lower_incomplete_gamma(x, 1.0),
+     "a must be > 0"),
+    ("lower_incomplete_gamma x", lambda x: lower_incomplete_gamma(1.0, x),
+     "x must be >= 0"),
+    ("exp_integral_E", lambda x: exp_integral_E(0.5, x), "x must be > 0"),
+    # nu = 1 - x: above 1 for x < 0
+    ("exp_integral_E nu", lambda x: exp_integral_E(1.0 - x, 1.0),
+     "exp_integral_E takes orders nu <= 1"),
+    ("SystemParams snr_budget", lambda x: _params_with(snr_budget=x),
+     "snr_budget must be > 0"),
+    ("SystemParams path_loss", lambda x: _params_with(path_loss=x),
+     "path_loss must be >= 2"),
+    ("SystemParams threshold", lambda x: _params_with(threshold=x),
+     "threshold must be > 0"),
+    ("SystemParams subcarriers", lambda x: _params_with(subcarriers=x),
+     "subcarriers must be >= 1"),
+    ("SystemParams r_sd", lambda x: _params_with(r_sd=x),
+     "r_sd must be > 0"),
+    ("Region.disc", Region.disc, "disc region requires radius > 0"),
+    ("QuadratureSettings abs_tol", lambda x: QuadratureSettings(abs_tol=x),
+     "tolerances must be > 0"),
+    ("QuadratureSettings rel_tol", lambda x: QuadratureSettings(rel_tol=x),
+     "tolerances must be > 0"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize("check", _RANGE_CHECKS, ids=lambda c: c[0])
+def test_entry_points_reject_nan_and_negative_inputs(check, value):
+    _, call, message = check
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)

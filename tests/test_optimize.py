@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize as sopt
 
+import relayfield.analytic
 import relayfield.optimize
 from relayfield import (
     Region,
@@ -72,26 +73,27 @@ def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
     whether it was cold, that is integrated in its round rather than read
     from the store; the store, the optimiser's one source of u, starts
     empty, and a round integrates its cold Ks in at most one pass."""
-    relayfield.optimize._derivatives.cache_clear()
-    store, integrate = (relayfield.optimize._derivatives,
-                        relayfield.optimize._u_derivatives)
+    relayfield.analytic._u_derivatives.cache_clear()
+    store, integrate = (relayfield.analytic._u_derivatives,
+                        relayfield.analytic._integrate)
     passes, integrated = [], []
 
-    def integrating(region, ns, *args):
-        integrated.append(list(ns))
-        return integrate(region, ns, *args)
+    def integrating(region, cs, *args, **kwargs):
+        integrated.append(len(cs))
+        return integrate(region, cs, *args, **kwargs)
 
-    def recording(region, ks, *args):
+    def recording(region, ks, params, q):
         integrated.clear()
-        result = store(region, ks, *args)
+        held = set(relayfield.analytic._STORE.get((region, params, q), ()))
+        result = store(region, ks, params, q)
         assert len(integrated) <= 1
-        cold = set(integrated[0]) if integrated else set()
+        cold = {k for k in ks if k not in held}
+        assert integrated == ([len(cold)] if cold else [])
         passes.extend((k, k in cold) for k in ks)
         return result
 
-    recording.cache_clear = store.cache_clear
-    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", integrating)
-    monkeypatch.setattr(relayfield.optimize, "_derivatives", recording)
+    monkeypatch.setattr(relayfield.analytic, "_integrate", integrating)
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
     return passes
 
 
@@ -150,7 +152,7 @@ def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
     passes = _record_passes(monkeypatch)
     peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
     search = _split_rounding([k for k, _ in passes], peak)
-    relayfield.optimize._derivatives.cache_clear()
+    relayfield.analytic._u_derivatives.cache_clear()
     passes.clear()
     res = optimize_K_constrained(p, disc, 1.0, psi)
     ks = [k for k, _ in passes]
@@ -176,10 +178,10 @@ def test_relaxed_peak_u_is_a_taylor_step_from_the_last_pass(monkeypatch,
     last = _split_rounding([k for k, _ in passes], peak)[-1]
     d = peak - last
     assert 0 < d * d <= 1e-9 * last
-    u, du, d2u = relayfield.optimize._derivatives(disc, (last,), p,
-                                                  DEFAULT_QUADRATURE)[0]
+    u, du, d2u = relayfield.optimize._u_derivatives(disc, (last,), p,
+                                                    DEFAULT_QUADRATURE)[0]
     taylor = u + d * (du + 0.5 * d * d2u)
-    exact = _u_derivatives(disc, (peak,), p, DEFAULT_QUADRATURE)[0, 0]
+    exact = _u_derivatives(disc, (peak,), p, DEFAULT_QUADRATURE)[0][0]
     assert taylor == pytest.approx(exact, rel=1e-12, abs=0)
     for scale, binds in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
         # Phi <= psi where u >= -log psi / (2 density)
@@ -196,7 +198,7 @@ def test_unconstrained_evaluates_each_k_once(monkeypatch):
     # the floor and the ceiling both round to K = 1. No integrator pass,
     # derivative or value, is repeated.
     _u_values.cache_clear()
-    relayfield.optimize._derivatives.cache_clear()
+    _u_derivatives.cache_clear()
     calls = []
 
     def counting(region, cs, *args, moments=0, **kwargs):
@@ -214,7 +216,7 @@ def _count_integrals(monkeypatch) -> list[tuple[float, float]]:
     """(alpha, c) of every c a derivative pass integrates, in order; u,
     its derivatives and the store start empty."""
     _u_values.cache_clear()
-    relayfield.optimize._derivatives.cache_clear()
+    _u_derivatives.cache_clear()
     integrated = []
 
     def counting(region, cs, params, *args, moments=0, **kwargs):
@@ -252,7 +254,7 @@ def test_each_round_is_one_integrator_pass(monkeypatch):
     # all open solves, and the Ks it lacks are integrated in one pass;
     # the sweep takes as many rounds as its slowest one-density solve
     p, disc = _params(), Region.disc(5.0)
-    store = relayfield.optimize._derivatives
+    store = _u_derivatives
     rounds = []
 
     def recording(*args):
@@ -262,7 +264,7 @@ def test_each_round_is_one_integrator_pass(monkeypatch):
         return values
 
     passes = _count_integrals(monkeypatch)
-    monkeypatch.setattr(relayfield.optimize, "_derivatives", recording)
+    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
     singles = []
     for density in FIG_DENSITIES:
         store.cache_clear()
@@ -287,7 +289,7 @@ def test_lockstep_matches_one_density_solves(alpha, region, densities, psi):
     # batching changes only which Ks share an integrator pass, so each
     # density's optimum is the one its own solve finds, from a cold store
     p = _params(alpha)
-    store = relayfield.optimize._derivatives
+    store = _u_derivatives
     store.cache_clear()
     swept = optimize_K_sweep(p, region, densities, psi)
     for density, res in zip(densities, swept):
@@ -477,7 +479,7 @@ def test_mixed_ceiling_sweep_matches_each_ceilings_sweep(alpha, region,
     p = _params(alpha)
     psis = [None, 1e-2, 1e-3, 1e-5]
     pairs = [(density, psi) for psi in psis for density in densities]
-    store = relayfield.optimize._derivatives
+    store = _u_derivatives
     store.cache_clear()
     mixed = dict(zip(pairs, optimize_K_sweep(
         p, region, [d for d, _ in pairs], [psi for _, psi in pairs])))
@@ -515,26 +517,29 @@ def test_store_keeps_the_newest_entries(monkeypatch):
     # configurations and drops the oldest integrated first; a read does
     # not renew an entry, and the cache reset empties it
     size = 8
-    monkeypatch.setattr(relayfield.optimize, "_STORE_SIZE", size)
-    store = relayfield.optimize._derivatives
+    monkeypatch.setattr(relayfield.analytic, "_STORE_SIZE", size)
+    store = _u_derivatives
     store.cache_clear()
     integrated = []
 
-    def fake(region, ns, params, q):
-        integrated.extend((region, params.path_loss, n) for n in ns)
-        return np.array([[n, -n, params.path_loss] for n in ns]).T
+    def fake(region, cs, params, q, what, moments):
+        # the integer Ks back from c = K s / (P_t/N_0), and rows whose
+        # (u, u' n, u'' n**2) are (K, -K**2, alpha K**2)
+        ns = np.rint(np.asarray(cs) * params.snr_budget / params.threshold)
+        integrated.extend((region, params.path_loss, n) for n in ns.tolist())
+        return np.array([ns, -ns * ns, params.path_loss * ns * ns])
 
-    monkeypatch.setattr(relayfield.optimize, "_u_derivatives", fake)
+    monkeypatch.setattr(relayfield.analytic, "_integrate", fake)
 
     def held():
         return [(config[0], config[1].path_loss, k)
-                for config, entries in relayfield.optimize._STORE.items()
+                for config, entries in relayfield.analytic._STORE.items()
                 for k in entries]
 
     configs = [(region, _params(alpha)) for alpha in (2.0, 3.0, 4.0)
                for region in (Region.disc(5.0), Region.plane())]
     for i, (region, p) in enumerate(configs * 2):
-        ks = [float(i % 3 + j) for j in range(3)] + [1.0]
+        ks = [float(i % 3 + j) for j in range(1, 4)] + [2.0]
         values = store(region, ks, p, DEFAULT_QUADRATURE)
         assert values == [(k, -k, p.path_loss) for k in ks]
         assert len(held()) <= size
@@ -551,7 +556,7 @@ def test_store_keeps_the_newest_entries(monkeypatch):
     store(Region.disc(5.0), [99.0], _params(), DEFAULT_QUADRATURE)
     assert oldest not in held() and len(held()) == size
     _benchmark_reset()()
-    assert not relayfield.optimize._STORE and not relayfield.optimize._ORDER
+    assert not relayfield.analytic._STORE and not relayfield.analytic._ORDER
     count = len(integrated)
     store(Region.disc(5.0), [2.0], _params(), DEFAULT_QUADRATURE)
     assert len(integrated) == count + 1

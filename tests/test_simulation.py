@@ -21,7 +21,7 @@ from relayfield import (
     outage_bulk,
     outage_ps,
 )
-from relayfield import simulation
+from relayfield import analytic, simulation
 from relayfield.simulation import _sampler, _simulate_chunk
 from reference import (
     FadingRealization,
@@ -860,6 +860,30 @@ def test_simulation_imports_nothing_from_the_analytic_route():
             assert not (package == "relayfield" and modules
                         and modules[0] in forbidden), (node.lineno, name)
 
+
+
+def test_only_analytic_reaches_the_integrator():
+    # analytic is the one module that integrates the relay kernel: no
+    # other module of the package names its integrator, grids, rules or
+    # derivative store, by name, attribute, import or string
+    private = {"_integrate", "_grid", "_Rule", "_STORE", "_ORDER"}
+    package = Path(simulation.__file__).parent
+    assert private <= set(vars(analytic))
+    for path in sorted(package.glob("*.py")):
+        if path.name == "analytic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            assert name not in private, (path.name, node.lineno, name)
 
 def test_estimate_outage_zero_density(params):
     est = estimate_outage(params, Region.disc(5.0), 0.0, Scheme.BULK,
