@@ -25,8 +25,7 @@ from .analytic import (
     outage_ps,
     outage_ps_plane_freespace,
     tau_alpha,
-    u_disc,
-    u_plane,
+    u,
 )
 from .channel import SystemParams
 from .geometry import ConfigurationError, InfiniteAreaError, Region

@@ -21,11 +21,12 @@ e**-700 times the grid's half-area (see `_integrate`), below the last
 bit of any integral above about 1e-280.
 
 This module is the only one that integrates the kernel. It gives u(n),
-the integral of H(n), to the outage formulas (`_u_values`, cached per
-batch of n) and Delta(1..K) to `metrics` (`_delta_table`), reducing each
-row over the grid. The optimiser reads u, u' and u'' from a store kept
-per n (`_u_derivatives`), which fills what it lacks with one derivative
-pass: one product of exp(-c e), e the exponent table, with the table
+the integral of H(n) over a `Region` (`u(n, params, region)`), to the
+outage formulas (`_u_values`, cached per batch of n) and Delta(1..K) to
+`metrics` (`_delta_table`), reducing each row over the grid. The
+optimiser reads u, u' and u'' from a store kept per n
+(`_u_derivatives`), which fills what it lacks with one derivative pass:
+one product of exp(-c e), e the exponent table, with the table
 [w, e w, e**2 w] that the grid's cache entry builds beside it. The store
 stays apart from `_u_values`: u(K) alone sits on c(K)'s grid but in the
 batch u(1..K) on c(1)'s, so one cache for both would make an outage's
@@ -372,16 +373,10 @@ def _delta_table(params: SystemParams, region: Region,
                   ).tolist())
 
 
-def u_disc(sigma: float, n: float, params: SystemParams,
-           q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Half-disc integral of H(n) over [0, sigma] x [0, pi]."""
-    return _u_values(Region.disc(sigma), (n,), params, q)[0]
-
-
-def u_plane(n: float, params: SystemParams,
-            q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Semi-infinite integral of H(n) over [0, inf) x [0, pi]."""
-    return _u_values(Region.plane(), (n,), params, q)[0]
+def u(n: float, params: SystemParams, region: Region,
+      q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+    """Integral of H(n) over the half region, [0, pi] in theta."""
+    return _u_values(region, (n,), params, q)[0]
 
 
 def log_outage_bulk(params: SystemParams, region: Region, density: float,
@@ -453,7 +448,7 @@ def outage_ps(params: SystemParams, region: Region, density: float,
 
 
 def _u_freespace(params: SystemParams, n: float) -> float:
-    """Closed-form u_plane(n) at alpha = 2."""
+    """Closed-form u(n) over the plane at alpha = 2."""
     if params.path_loss != 2:
         raise DomainError("closed form requires path_loss == 2")
     ns = n * params.threshold
@@ -478,17 +473,17 @@ def outage_ps_plane_freespace(params: SystemParams, density: float) -> float:
         _u_freespace(params, n) for n in range(1, params.subcarriers + 1)))
 
 
-def tau_alpha(alpha: float, r_sd: float, sigma: float) -> float:
+def tau_alpha(alpha: float, r_sd: float, region: Region) -> float:
     """Coefficient of the high-SNR expansion: the mean of
-    r**alpha + r_mD**alpha over the disc of radius sigma, from the
-    shared grid's exponent table over the half-disc area pi sigma**2 / 2."""
-    grid = _grid(alpha, r_sd, sigma, 2 * _FIRST_NODES)
-    return (float((grid.exponent @ grid.w_theta * grid.rw).sum())
-            / (0.5 * math.pi * sigma**2))
+    r**alpha + r_mD**alpha over the disc, from the shared grid's exponent
+    table over the half-disc area; InfiniteAreaError on the plane."""
+    half_area = 0.5 * region.area
+    grid = _grid(alpha, r_sd, region.radius, 2 * _FIRST_NODES)
+    return float((grid.exponent @ grid.w_theta * grid.rw).sum()) / half_area
 
 
-def _asymptotic_correction(params: SystemParams, sigma: float) -> float:
-    tau = tau_alpha(params.path_loss, params.r_sd, sigma)
+def _asymptotic_correction(params: SystemParams, region: Region) -> float:
+    tau = tau_alpha(params.path_loss, params.r_sd, region)
     return params.subcarriers * params.threshold * tau / params.snr_budget
 
 
@@ -497,14 +492,16 @@ def _out_of_range(corr: float) -> DomainError:
                        f"K*s*tau/(P_t/N_0) = {corr:.3g}")
 
 
-def asymptotic_bulk_disc(params: SystemParams, density: float,
-                         sigma: float) -> float:
+def asymptotic_bulk_disc(params: SystemParams, region: Region,
+                         density: float) -> float:
     """High-SNR expansion of the disc bulk outage."""
     if not density >= 0:
         raise ValueError("density must be >= 0")
-    corr = _asymptotic_correction(params, sigma)
+    corr = _asymptotic_correction(params, region)
     try:
-        value = math.exp(-density * math.pi * sigma**2 * (1.0 - corr))
+        # (-density pi) r**2, not -density region.area: the other rounding
+        # moves some sweeps' values in their last bit
+        value = math.exp(-density * math.pi * region.radius**2 * (1.0 - corr))
     except OverflowError:
         raise _out_of_range(corr) from None
     if corr >= 1:
@@ -513,8 +510,8 @@ def asymptotic_bulk_disc(params: SystemParams, density: float,
     return value
 
 
-def asymptotic_ps_disc(params: SystemParams, density: float,
-                       sigma: float) -> float:
+def asymptotic_ps_disc(params: SystemParams, region: Region,
+                       density: float) -> float:
     """High-SNR expansion of the disc per-subcarrier outage.
 
     Raw: outside its validity region it can leave [floor, 1], which a
@@ -522,8 +519,8 @@ def asymptotic_ps_disc(params: SystemParams, density: float,
     """
     if not density >= 0:
         raise ValueError("density must be >= 0")
-    tau = tau_alpha(params.path_loss, params.r_sd, sigma)
-    area = math.pi * sigma**2
+    tau = tau_alpha(params.path_loss, params.r_sd, region)
+    area = region.area
     floor = math.exp(-density * area)
     try:
         value = floor * (1.0 - params.subcarriers * (1.0 - math.exp(
@@ -531,7 +528,7 @@ def asymptotic_ps_disc(params: SystemParams, density: float,
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise _out_of_range(_asymptotic_correction(params, sigma))
+        raise _out_of_range(_asymptotic_correction(params, region))
     if not (floor <= value <= 1.0):
         warnings.warn(f"per-subcarrier asymptotic left [floor, 1] "
                       f"({value!r}); outside its validity region",

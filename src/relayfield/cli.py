@@ -281,8 +281,8 @@ def _asymptotic_rows(cfg: ExperimentConfig) -> Sweep:
     def point(params, density):
         outage = {Scheme.BULK: analytic.asymptotic_bulk_disc,
                   Scheme.PER_SUBCARRIER: analytic.asymptotic_ps_disc}
-        return {scheme: {"p_outage": outage[scheme](params, density,
-                                                    cfg.sigma)}
+        return {scheme: {"p_outage": outage[scheme](params, cfg.region(),
+                                                    density)}
                 for scheme in _SCHEMES[cfg.scheme]}
 
     return _grid_rows(cfg, point, [])

@@ -364,6 +364,8 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
     """One grid point's sampler."""
+    if not density >= 0:
+        raise ValueError("density must be >= 0")
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
@@ -561,8 +563,6 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     """
     if not trials >= 1:
         raise ValueError("trials must be >= 1")
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
     s = _sampler(params, region, density)
     n_blocks = -(-trials // s.length)
     n_chunks = s.workers(trials, n_workers)

@@ -30,7 +30,6 @@ from relayfield import (
     Scheme,
     SystemParams,
 )
-from relayfield.analytic import _exponent
 
 
 def quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
@@ -47,15 +46,16 @@ def quad(f, lo, hi, q: QuadratureSettings, what: str) -> float:
 
 def integrand_H(n: float, r, theta, params: SystemParams):
     """Kernel of all outage integrals, r * exp(-c (r**alpha + r_mD**alpha)),
-    c = n*s/(P_t/N_0), from the package's exponent table formula.
+    c = n*s/(P_t/N_0), with r_mD from relay_dest_distance.
 
     Accepts real n (relaxed K) and arrays of r and theta.
     """
     if np.any(np.asarray(r) < 0):
         raise ValueError("r must be >= 0")
     c = n * params.threshold / params.snr_budget
-    return r * np.exp(-c * _exponent(r, np.cos(theta), params.path_loss,
-                                     params.r_sd))
+    alpha = params.path_loss
+    r_md = relay_dest_distance(r, theta, params.r_sd)
+    return r * np.exp(-c * (r**alpha + r_md**alpha))
 
 
 def appendix_bound_T1_quadrature(params: SystemParams,

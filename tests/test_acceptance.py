@@ -115,9 +115,11 @@ def test_criterion_4_asymptotic_validity():
             exact_b = outage_bulk(p, Region.disc(5.0), 1.0)
             exact_p = outage_ps(p, Region.disc(5.0), 1.0)
             errs_bulk.append(
-                abs(asymptotic_bulk_disc(p, 1.0, 5.0) - exact_b) / exact_b)
+                abs(asymptotic_bulk_disc(p, Region.disc(5.0), 1.0) - exact_b)
+                / exact_b)
             errs_ps.append(
-                abs(asymptotic_ps_disc(p, 1.0, 5.0) - exact_p) / exact_p)
+                abs(asymptotic_ps_disc(p, Region.disc(5.0), 1.0) - exact_p)
+                / exact_p)
     ok = (errs_bulk[0] > errs_bulk[1] > errs_bulk[2]
           and errs_ps[0] > errs_ps[1] > errs_ps[2]
           and errs_bulk[2] < 1e-3 and errs_ps[2] < 1e-3)

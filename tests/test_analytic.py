@@ -12,7 +12,9 @@ import relayfield
 import relayfield.analytic
 from relayfield import (
     DEFAULT_QUADRATURE,
+    ConfigurationError,
     DomainError,
+    InfiniteAreaError,
     NumericalInstabilityError,
     QuadratureError,
     QuadratureSettings,
@@ -29,8 +31,7 @@ from relayfield import (
     outage_ps,
     outage_ps_plane_freespace,
     tau_alpha,
-    u_disc,
-    u_plane,
+    u,
 )
 from relayfield.analytic import (
     _BATCH_NODES,
@@ -96,12 +97,13 @@ def test_integrand_examples(params):
 
 def test_u_disc_degenerate_and_monotone(params):
     # n = 0 kills the exponential, leaving the half-disc area
-    assert u_disc(5.0, 0.0, params) == pytest.approx(
+    assert u(0.0, params, Region.disc(5.0)) == pytest.approx(
         math.pi * 12.5, rel=1e-10)
-    values = [u_disc(5.0, n, params) for n in (0.0, 1.0, 2.0, 4.0, 8.0)]
+    values = [u(n, params, Region.disc(5.0))
+              for n in (0.0, 1.0, 2.0, 4.0, 8.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
-        u_disc(0.0, 1.0, params)
+        u(1.0, params, Region.disc(0.0))
 
 
 def test_u_disc_against_monte_carlo(params):
@@ -110,7 +112,7 @@ def test_u_disc_against_monte_carlo(params):
         return r * np.exp(-0.04 * (r * r + r_md2))
 
     est, se = _mc_integral(kernel, 5.0, 40_000_000, seed=2024)
-    quad = u_disc(5.0, 4.0, params)
+    quad = u(4.0, params, Region.disc(5.0))
     assert abs(quad - est) < max(3 * se, 1e-4 * quad)
     assert quad == pytest.approx(8.705482784086396, rel=1e-9)
 
@@ -126,10 +128,10 @@ def test_u_plane_against_monte_carlo():
         return r * np.exp(-0.01 * (r**4 + r_md2 * r_md2))
 
     est, se = _mc_integral(kernel, 8.0, 20_000_000, seed=77)
-    quad = u_plane(1.0, p)
+    quad = u(1.0, p, Region.plane())
     assert abs(quad - est) < max(3 * se, 1e-4 * quad)
     with pytest.raises(DomainError):
-        u_plane(0.0, p)
+        u(0.0, p, Region.plane())
 
 
 @pytest.mark.parametrize("c", [0.3, 0.4])
@@ -147,7 +149,7 @@ def test_tiny_u_keeps_its_relative_accuracy(c):
             0.0, 10.0, tight, "radial")
 
     oracle = quad(angular, 0.0, math.pi, tight, "angular")
-    assert u_plane(c, p) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert u(c, p, Region.plane()) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [1.0, 4.0, 40.0, 320.0])
@@ -160,7 +162,8 @@ def test_u_disc_matches_the_bessel_oracle(params, n):
                    * math.exp(-c * (r * r + (r - 5.0) ** 2))
                    * special.i0e(2.0 * c * r * 5.0),
                    0.0, 5.0, tight, "bessel oracle")
-    assert u_disc(5.0, n, params) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert u(n, params, Region.disc(5.0)) == pytest.approx(
+        oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e-3, 1e-2])
@@ -171,8 +174,8 @@ def test_first_rule_resolves_the_wide_plane_kernel(c):
                      subcarriers=4, r_sd=5.0)
     first_only = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10,
                                     max_subdivisions=32)
-    assert u_plane(c, p, first_only) == pytest.approx(
-        u_plane(c, p), rel=1e-12, abs=0.0)
+    assert u(c, p, Region.plane(), first_only) == pytest.approx(
+        u(c, p, Region.plane()), rel=1e-12, abs=0.0)
 
 
 def test_integrator_raises_with_its_estimate_past_the_cap():
@@ -183,12 +186,12 @@ def test_integrator_raises_with_its_estimate_past_the_cap():
     capped = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12,
                                 max_subdivisions=32)
     with pytest.raises(QuadratureError) as caught:
-        u_plane(32.0, p, capped)
+        u(32.0, p, Region.plane(), capped)
     assert caught.value.estimate == pytest.approx(3.0228e-111, rel=1e-3,
                                                   abs=0.0)
     assert caught.value.error > 1e-12 * caught.value.estimate
-    assert u_plane(32.0, p) == pytest.approx(caught.value.estimate,
-                                             rel=1e-3, abs=0.0)
+    assert u(32.0, p, Region.plane()) == pytest.approx(
+        caught.value.estimate, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, big_k, snr", [
@@ -340,10 +343,10 @@ def test_cold_u_reuses_the_disc_grid():
     p = SystemParams(snr_budget=37.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
     _grid.cache_clear()
-    u_disc(5.0, 1.25, p)
+    u(1.25, p, Region.disc(5.0))
     built = _grid.cache_info()
     assert built.misses > 0
-    u_disc(5.0, 2.5, p)
+    u(2.5, p, Region.disc(5.0))
     after = _grid.cache_info()
     assert after.misses == built.misses and after.hits > built.hits
 
@@ -455,7 +458,7 @@ def test_bulk_outage_spot_values(params, disc):
     assert outage_bulk(params, disc, 1.0) == pytest.approx(
         2.7448191127058575e-08, rel=1e-8)
     assert outage_bulk(params, Region.disc(5.0), 1.0) == pytest.approx(
-        math.exp(-2.0 * u_disc(5.0, 4.0, params)), rel=1e-12)
+        math.exp(-2.0 * u(4.0, params, Region.disc(5.0))), rel=1e-12)
     assert log_outage_bulk(params, disc, 1.0) == pytest.approx(
         -2.0 * 8.705482784086396, rel=1e-9)
 
@@ -520,7 +523,7 @@ def test_tau_alpha_table():
     # the mean over the grid against the closed forms
     for alpha in (2, 4, 6):
         for r_sd, sigma in ((5.0, 5.0), (5.0, 2.0), (1.0, 10.0), (3.0, 7.0)):
-            assert tau_alpha(alpha, r_sd, sigma) == pytest.approx(
+            assert tau_alpha(alpha, r_sd, Region.disc(sigma)) == pytest.approx(
                 _tau_table(alpha, r_sd, sigma), rel=1e-14, abs=0)
 
 
@@ -533,7 +536,7 @@ def test_tau_alpha_off_the_table():
 
     total, _ = integrate.dblquad(weighted, 0.0, 5.0, 0.0, math.pi,
                                  epsabs=0.0, epsrel=1e-13)
-    assert tau_alpha(3.0, 5.0, 5.0) == pytest.approx(
+    assert tau_alpha(3.0, 5.0, Region.disc(5.0)) == pytest.approx(
         total / (12.5 * math.pi), rel=1e-12, abs=0)
 
 
@@ -545,9 +548,11 @@ def test_asymptotics_converge_to_exact():
         exact_b = outage_bulk(p, Region.disc(5.0), 1.0)
         exact_p = outage_ps(p, Region.disc(5.0), 1.0)
         rel_errors_bulk.append(
-            abs(asymptotic_bulk_disc(p, 1.0, 5.0) - exact_b) / exact_b)
+            abs(asymptotic_bulk_disc(p, Region.disc(5.0), 1.0) - exact_b)
+            / exact_b)
         rel_errors_ps.append(
-            abs(asymptotic_ps_disc(p, 1.0, 5.0) - exact_p) / exact_p)
+            abs(asymptotic_ps_disc(p, Region.disc(5.0), 1.0) - exact_p)
+            / exact_p)
     assert rel_errors_bulk[1] < rel_errors_bulk[0] < 0.05
     assert rel_errors_ps[1] < rel_errors_ps[0] < 0.05
     assert rel_errors_bulk[1] < 1e-5
@@ -557,12 +562,12 @@ def test_asymptotics_converge_to_exact():
 def test_asymptotics_warn_outside_validity(params):
     # K * s * tau / budget = 2 >= 1 at this budget
     with pytest.warns(UserWarning):
-        asymptotic_bulk_disc(params, 1.0, 5.0)
+        asymptotic_bulk_disc(params, Region.disc(5.0), 1.0)
     # low budget pushes the per-subcarrier expansion above 1
     p = SystemParams(snr_budget=60.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
     with pytest.warns(UserWarning):
-        assert asymptotic_ps_disc(p, 0.05, 5.0) > 1.0
+        assert asymptotic_ps_disc(p, Region.disc(5.0), 0.05) > 1.0
 
 
 def test_asymptotics_raise_without_warning():
@@ -574,7 +579,25 @@ def test_asymptotics_raise_without_warning():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="leaves double range"):
-                expansion(p, 1.0, 5.0)
+                expansion(p, Region.disc(5.0), 1.0)
+
+
+@pytest.mark.parametrize("region, error", [
+    (lambda: Region.disc(-1.0), ConfigurationError),
+    (lambda: Region.disc(0.0), ConfigurationError),
+    (lambda: Region.disc(math.nan), ConfigurationError),
+    (Region.plane, InfiniteAreaError)])
+def test_asymptotics_reject_a_bad_region_before_any_arithmetic(
+        params, region, error):
+    # Region.disc checks the radius; the plane has no area, which the
+    # closed forms read before they build a grid
+    _grid.cache_clear()
+    for call in (lambda: asymptotic_bulk_disc(params, region(), 1.0),
+                 lambda: asymptotic_ps_disc(params, region(), 1.0),
+                 lambda: tau_alpha(2.0, 5.0, region())):
+        with pytest.raises(error):
+            call()
+    assert _grid.cache_info().currsize == 0
 
 
 def test_outage_floor():
@@ -664,5 +687,5 @@ def test_quadrature_settings_validation():
                                max_subdivisions=50)
     p = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
-    assert u_disc(5.0, 4.0, p, loose) == pytest.approx(
-        u_disc(5.0, 4.0, p), rel=1e-5)
+    assert u(4.0, p, Region.disc(5.0), loose) == pytest.approx(
+        u(4.0, p, Region.disc(5.0)), rel=1e-5)

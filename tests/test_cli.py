@@ -20,7 +20,7 @@ from relayfield import (
     SystemParams,
     outage_bulk,
     throughput,
-    u_plane,
+    u,
 )
 from relayfield.cli import (
     _OPTIONS,
@@ -590,7 +590,7 @@ def test_optimum_at_tiny_densities(tmp_path):
     p = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
                      subcarriers=1, r_sd=5.0)
     for row in rows:
-        x = 2.0 * float(row["lambda"]) * u_plane(1.0, p)
+        x = 2.0 * float(row["lambda"]) * u(1.0, p, Region.plane())
         assert float(row["kappa_opt"]) == pytest.approx(x * (1.0 - 0.5 * x),
                                                         rel=1e-14, abs=0)
     assert float(rows[1]["kappa_opt"]) == pytest.approx(

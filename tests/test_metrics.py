@@ -232,9 +232,9 @@ _RANGE_CHECKS = [
     ("estimate_outage_both",
      lambda x: estimate_outage_both(_P, _DISC, x, trials=10, seed=1),
      _DENSITY),
-    ("asymptotic_bulk_disc", lambda x: asymptotic_bulk_disc(_P, x, 5.0),
+    ("asymptotic_bulk_disc", lambda x: asymptotic_bulk_disc(_P, _DISC, x),
      _DENSITY),
-    ("asymptotic_ps_disc", lambda x: asymptotic_ps_disc(_P, x, 5.0),
+    ("asymptotic_ps_disc", lambda x: asymptotic_ps_disc(_P, _DISC, x),
      _DENSITY),
     ("lower_incomplete_gamma a", lambda x: lower_incomplete_gamma(x, 1.0),
      "a must be > 0"),

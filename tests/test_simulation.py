@@ -1,5 +1,6 @@
 import ast
 import bisect
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -21,7 +22,7 @@ from relayfield import (
     outage_bulk,
     outage_ps,
 )
-from relayfield import analytic, simulation
+from relayfield import analytic, metrics, optimize, simulation
 from relayfield.simulation import _sampler, _simulate_chunk
 from reference import (
     FadingRealization,
@@ -884,6 +885,33 @@ def test_only_analytic_reaches_the_integrator():
             else:
                 continue
             assert name not in private, (path.name, node.lineno, name)
+
+
+def test_no_public_analysis_function_takes_a_bare_radius():
+    # a region reaches the analysis only as a Region, whose constructor
+    # checks the disc radius
+    for module in (analytic, metrics, optimize):
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == module.__name__):
+                assert "sigma" not in inspect.signature(obj).parameters, (
+                    module.__name__, name)
+
+
+@pytest.mark.parametrize("density", [math.nan, -1.0, -math.inf])
+def test_every_sampler_route_rejects_a_bad_density(params, disc, density):
+    # block_length and estimate_outage_both share _sampler's check;
+    # trials is still checked first, and density 0 still runs
+    with pytest.raises(ValueError, match="density must be >= 0"):
+        block_length(params, disc, density)
+    with pytest.raises(ValueError, match="density must be >= 0"):
+        estimate_outage_both(params, disc, density, trials=10, seed=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_outage_both(params, disc, density, trials=0, seed=1)
+    assert block_length(params, disc, 0.0) >= 1
+    empty = estimate_outage_both(params, disc, 0.0, trials=10, seed=1)
+    assert empty[Scheme.BULK].p_hat == empty[Scheme.PER_SUBCARRIER].p_hat == 1
+
 
 def test_estimate_outage_zero_density(params):
     est = estimate_outage(params, Region.disc(5.0), 0.0, Scheme.BULK,
