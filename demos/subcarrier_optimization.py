@@ -13,8 +13,7 @@ from relayfield import (
     Region,
     SystemParams,
     cutoff_density,
-    optimize_K_constrained,
-    optimize_K_unconstrained,
+    optimize_K,
 )
 
 PARAMS = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
@@ -25,7 +24,7 @@ REGION = Region.disc(5.0)
 def main():
     print(f"{'lambda':>8} {'K relaxed':>10} {'K opt':>6} {'kappa':>9}")
     for density in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
-        res = optimize_K_unconstrained(PARAMS, REGION, density)
+        res = optimize_K(PARAMS, REGION, density)
         print(f"{density:>8} {res.k_relaxed:>10.3f} {res.k_opt:>6} "
               f"{res.kappa_opt:>9.3f}")
 
@@ -34,7 +33,7 @@ def main():
           f"(cut-off density {cutoff_density(psi, PARAMS, REGION):.4f}):")
     print(f"{'lambda':>8} {'K opt':>6} {'feasible':>9}")
     for density in (0.02, 0.05, 0.2, 1.0, 5.0):
-        res = optimize_K_constrained(PARAMS, REGION, density, psi)
+        res = optimize_K(PARAMS, REGION, density, psi)
         print(f"{density:>8} {res.k_opt:>6} {str(res.feasible):>9}")
     print("\nbelow the cut-off even a single subcarrier misses the "
           "ceiling, so K_opt = 0")

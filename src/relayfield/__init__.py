@@ -32,7 +32,6 @@ from .geometry import ConfigurationError, InfiniteAreaError, Region
 from .metrics import (
     DiversityEstimate,
     MinDensityResult,
-    OutageUnderflowError,
     RatioResult,
     appendix_bound_T1,
     delta_k,
@@ -47,9 +46,8 @@ from .optimize import (
     UnboundedOptimumError,
     cutoff_density,
     cutoff_density_freespace,
-    optimize_K_constrained,
+    optimize_K,
     optimize_K_sweep,
-    optimize_K_unconstrained,
     throughput,
 )
 from .simulation import (
@@ -57,7 +55,6 @@ from .simulation import (
     Scheme,
     block_length,
     block_rng,
-    estimate_outage,
     estimate_outage_both,
 )
 

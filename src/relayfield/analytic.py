@@ -31,8 +31,9 @@ one product of exp(-c e), e the exponent table, with the table
 stays apart from `_u_values`: u(K) alone sits on c(K)'s grid but in the
 batch u(1..K) on c(1)'s, so one cache for both would make an outage's
 last bits depend on what ran before it. On the plane at alpha = 2 u(n)
-has the closed form `_u_freespace`. The outage formulas share one sum
-(`_inclusion_exclusion`).
+has the closed form `_u_freespace`. Phi_ps and the ratio phi in
+`metrics` share one guarded sum of exponentials
+(`_exp_inclusion_exclusion`).
 """
 from __future__ import annotations
 
@@ -401,7 +402,12 @@ def outage_bulk(params: SystemParams, region: Region, density: float,
 
 @lru_cache(maxsize=128)
 def _signed_binomials(big_k: int) -> tuple[int, ...]:
-    """binom(K, k) (-1)**(k+1) for k = 1..K, as exact integers."""
+    """binom(K, k) (-1)**(k+1) for k = 1..K, as exact integers. Every
+    alternating sum takes its binomials here, so K is capped here."""
+    if big_k > MAX_SUBCARRIERS_EXACT:
+        raise NumericalInstabilityError(
+            f"subcarrier count {big_k} exceeds the double-precision "
+            f"cancellation limit {MAX_SUBCARRIERS_EXACT}")
     return tuple(math.comb(big_k, k) * (-1) ** (k + 1)
                  for k in range(1, big_k + 1))
 
@@ -411,24 +417,12 @@ def _inclusion_exclusion(values) -> list[float]:
     return [b * v for b, v in zip(_signed_binomials(len(values)), values)]
 
 
-@lru_cache(maxsize=64)
-def _inner_sums(u: tuple[float, ...]) -> tuple[float, ...]:
-    """S(k), the inclusion-exclusion sum of u(1..k), for k = 1..len(u);
-    cached, as sweeps reuse them across densities."""
-    return tuple(math.fsum(_inclusion_exclusion(u[:k]))
-                 for k in range(1, len(u) + 1))
-
-
-def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
-    """Per-subcarrier outage from u(1..K), guarded against cancellation:
-    the inclusion-exclusion sum of exp(-2 density S(k)) over k."""
-    big_k = len(u)
-    if big_k > MAX_SUBCARRIERS_EXACT:
-        raise NumericalInstabilityError(
-            f"subcarrier count {big_k} exceeds the double-precision "
-            f"cancellation limit {MAX_SUBCARRIERS_EXACT}")
-    terms = _inclusion_exclusion([math.exp(-2.0 * density * s)
-                                  for s in _inner_sums(u)])
+def _exp_inclusion_exclusion(rates) -> float:
+    """The inclusion-exclusion sum of exp(-rates[k-1]) over k = 1..K,
+    K = len(rates), guarded against cancellation: Phi_ps and the ratio
+    phi both lie in [0, 1], so a sum outside it by more than its rounding
+    slack raises NumericalInstabilityError; within it, it is clamped."""
+    terms = _inclusion_exclusion([math.exp(-rate) for rate in rates])
     total = math.fsum(terms)
     slack = 1e-12 + 1e-15 * max(abs(t) for t in terms)
     if total < -slack or total > 1.0 + slack:
@@ -436,6 +430,24 @@ def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
             f"alternating sum left [0, 1] ({total!r}); reduce the subcarrier "
             f"count or tighten quadrature tolerances")
     return min(max(total, 0.0), 1.0)
+
+
+@lru_cache(maxsize=64)
+def _inner_sums(u: tuple[float, ...]) -> tuple[float, ...]:
+    """S(k), the inclusion-exclusion sum of u(1..k), for k = 1..len(u);
+    cached, as sweeps reuse them across densities."""
+    # K's binomials first, so that a K past the cap is named, not the
+    # first k past it
+    _signed_binomials(len(u))
+    return tuple(math.fsum(_inclusion_exclusion(u[:k]))
+                 for k in range(1, len(u) + 1))
+
+
+def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
+    """Per-subcarrier outage from u(1..K): the inclusion-exclusion sum of
+    exp(-2 density S(k)) over k."""
+    return _exp_inclusion_exclusion([2.0 * density * s
+                                     for s in _inner_sums(u)])
 
 
 def outage_ps(params: SystemParams, region: Region, density: float,

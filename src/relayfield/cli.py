@@ -120,13 +120,6 @@ def _parse_bool(text: str) -> bool:
     return word in ("1", "true", "yes")
 
 
-def connection_probability_view(p_outage: float) -> float:
-    """Connection probability 1 - outage (log-friendly at small density)."""
-    if not 0 <= p_outage <= 1:
-        raise ValueError("p_outage must be in [0, 1]")
-    return 1.0 - p_outage
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
@@ -202,8 +195,7 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
                    "K": params.subcarriers, "alpha": params.path_loss,
                    "s": params.threshold, "scheme": scheme.value, **fields}
             if cfg.connection:
-                row["connection"] = connection_probability_view(
-                    min(max(row["p_outage"], 0.0), 1.0))
+                row["connection"] = 1.0 - min(max(row["p_outage"], 0.0), 1.0)
             rows.append(row)
     columns = ["lambda", "snr", "snr_db", "K", "alpha", "s", "scheme",
                "p_outage", *extra]
@@ -318,7 +310,7 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
             def log_curve(snr: float) -> float:
                 params = replace(cfg.system_params(), snr_budget=snr)
                 return analytic.log_outage_bulk(params, region, density, q)
-            est = metrics.diversity_slope(log_curve, lo, hi, log_domain=True)
+            est = metrics.diversity_slope(log_curve, lo, hi)
             rows.append({"lambda": density, "snr_lo": lo, "snr_hi": hi,
                          "slope": est.slope})
     return ["lambda", "snr_lo", "snr_hi", "slope"], rows, {}

@@ -28,8 +28,9 @@ class Region:
         if self.kind not in ("disc", "plane"):
             raise ConfigurationError(f"unknown region kind {self.kind!r}")
         if self.kind == "disc" and (self.radius is None
-                                    or not self.radius > 0):
-            raise ConfigurationError("disc region requires radius > 0")
+                                    or not 0 < self.radius < math.inf):
+            raise ConfigurationError("disc region requires radius > 0 and "
+                                     f"finite, got {self.radius!r}")
 
     @classmethod
     def disc(cls, radius: float) -> "Region":

@@ -4,7 +4,9 @@ The per-subcarrier over bulk outage ratio phi(density) admits an exact
 alternating-sum form in the area integrals Delta(k), a small-density
 quadratic approximation, and an inverse giving the minimum relay density
 for a target advantage. The Delta(k) come from `analytic._delta_table`,
-which integrates them; this module holds only the formulas on them.
+which integrates them, and phi's alternating sum is the guarded one that
+Phi_ps uses (`analytic._exp_inclusion_exclusion`); this module holds
+only the formulas on them.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .analytic import (
     DomainError,
     QuadratureSettings,
     _delta_table,
+    _exp_inclusion_exclusion,
     _inclusion_exclusion,
     exp_integral_E,
     lower_incomplete_gamma,
@@ -29,11 +32,6 @@ from .channel import SystemParams
 from .geometry import Region
 
 _CROSS_CHECK_RTOL = 1e-5
-
-
-class OutageUnderflowError(ArithmeticError):
-    """Outage underflowed to zero; evaluate the curve in log domain
-    (see analytic.log_outage_bulk) and pass log_domain=True."""
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,6 @@ def delta_k(k: int, params: SystemParams, region: Region,
     return _delta_table(params, region, q)[k - 1]
 
 
-def _phi_from_deltas(density: float, deltas: Sequence[float]) -> float:
-    return math.fsum(_inclusion_exclusion(
-        [math.exp(-density * d) for d in deltas]))
-
-
 def _quadratic_coefficient(deltas: Sequence[float]) -> float:
     """The density**2 / 2 coefficient of phi's small-density expansion."""
     return math.fsum(_inclusion_exclusion([d**2 for d in deltas]))
@@ -84,8 +77,8 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
     """
     if not density >= 0:
         raise ValueError("density must be >= 0")
-    deltas = _delta_table(params, region, q)
-    phi = _phi_from_deltas(density, deltas)
+    phi = _exp_inclusion_exclusion(
+        [density * d for d in _delta_table(params, region, q)])
     quotient = outage_ps(params, region, density, q) / outage_bulk(
         params, region, density, q)
     if not math.isclose(phi, quotient, rel_tol=_CROSS_CHECK_RTOL,
@@ -136,7 +129,8 @@ def min_density_for_advantage(epsilon: float, params: SystemParams,
     approx = math.sqrt(2.0 * (epsilon - 1.0) / quad_sum)
 
     def gap(density: float) -> float:
-        return _phi_from_deltas(density, deltas) - epsilon
+        phi = _exp_inclusion_exclusion([density * d for d in deltas])
+        return phi - epsilon
 
     hi = max(approx, 1e-6)
     while gap(hi) > 0:
@@ -148,24 +142,16 @@ def min_density_for_advantage(epsilon: float, params: SystemParams,
                             epsilon=epsilon)
 
 
-def diversity_slope(outage_curve: Callable[[float], float],
-                    snr_lo: float, snr_hi: float,
-                    log_domain: bool = False) -> DiversityEstimate:
-    """Finite-window diversity slope of an outage-vs-SNR curve.
+def diversity_slope(log_outage_curve: Callable[[float], float],
+                    snr_lo: float, snr_hi: float) -> DiversityEstimate:
+    """Finite-window diversity slope of a curve of ln(outage) against SNR.
 
-    With log_domain=True the curve returns ln(outage), which avoids
-    underflow at extreme SNR (bulk curves have a log evaluation path).
+    The curve is taken in log domain, where outages far below double
+    range stay finite (see analytic.log_outage_bulk).
     """
     if not 0 < snr_lo < snr_hi:
         raise ValueError("need snr_hi > snr_lo > 0")
-    lo, hi = outage_curve(snr_lo), outage_curve(snr_hi)
-    if log_domain:
-        log_lo, log_hi = lo, hi
-    else:
-        if lo <= 0 or hi <= 0:
-            raise OutageUnderflowError(
-                "outage underflowed to zero; evaluate in log domain")
-        log_lo, log_hi = math.log(lo), math.log(hi)
+    log_lo, log_hi = log_outage_curve(snr_lo), log_outage_curve(snr_hi)
     # log_lo - log_hi, not -(log_hi - log_lo): a flat curve gives 0, not -0
     slope = (log_lo - log_hi) / (math.log(snr_hi) - math.log(snr_lo))
     return DiversityEstimate(slope=slope, snr_window=(snr_lo, snr_hi))

@@ -17,8 +17,8 @@ yields the Ks whose u, u' and u'' it needs next. `optimize_K_sweep` runs
 a list of pairs in lockstep: each round gathers the Ks of every open
 solve and reads them from `analytic._u_derivatives`, the optimiser's one
 source of u, whose store integrates those it lacks in one pass and keeps
-every K for later rounds, solves and sweeps. The one-density solvers are
-sweeps of one pair; fig8 sweeps its three ceilings' pairs together.
+every K for later rounds, solves and sweeps. `optimize_K` solves one
+pair as a sweep of one; fig8 sweeps its three ceilings' pairs together.
 """
 from __future__ import annotations
 
@@ -244,19 +244,12 @@ def optimize_K_sweep(params: SystemParams, region: Region, densities,
         sent = {i: [next(got) for _ in ks] for i, ks in asks.items()}
 
 
-def optimize_K_unconstrained(params: SystemParams, region: Region,
-                             density: float,
-                             q: QuadratureSettings = DEFAULT_QUADRATURE
-                             ) -> OptimizationResult:
-    """Maximise kappa over the relaxed K, then round (`_solve`)."""
-    return optimize_K_sweep(params, region, [density], None, q)[0]
-
-
-def optimize_K_constrained(params: SystemParams, region: Region,
-                           density: float, psi: float,
-                           q: QuadratureSettings = DEFAULT_QUADRATURE
-                           ) -> OptimizationResult:
-    """Maximise kappa subject to Phi_bulk(K) <= psi; k_opt = floor(relaxed).
+def optimize_K(params: SystemParams, region: Region, density: float,
+               psi: float | None = None,
+               q: QuadratureSettings = DEFAULT_QUADRATURE
+               ) -> OptimizationResult:
+    """Maximise kappa over K at one density, subject to Phi_bulk(K) <= psi
+    if psi is given: a sweep of one pair (`_solve` states the rounding).
 
     Infeasibility is reported via feasible=False and k_opt = 0.
     """

@@ -589,13 +589,3 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
 
     return {Scheme.BULK: _estimate(n_bulk),
             Scheme.PER_SUBCARRIER: _estimate(n_ps)}
-
-
-def estimate_outage(params: SystemParams, region: Region, density: float,
-                    scheme: Scheme, trials: int, seed: int,
-                    n_workers: int = 1) -> OutageEstimate:
-    """Monte Carlo outage probability for one selection scheme."""
-    both = estimate_outage_both(params, region, density, trials, seed,
-                                n_workers=n_workers)
-    return both[scheme]
-

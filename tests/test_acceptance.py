@@ -22,8 +22,7 @@ from relayfield import (
     diversity_slope,
     estimate_outage_both,
     log_outage_bulk,
-    optimize_K_constrained,
-    optimize_K_unconstrained,
+    optimize_K,
     outage_bulk,
     outage_bulk_plane_freespace,
     outage_floor,
@@ -179,13 +178,13 @@ def test_criterion_7_optimization_correctness():
     for alpha in (2.0, 4.0):
         p = _params(alpha=alpha)
         for density in (0.05, 0.2, 1.0, 5.0):
-            res = optimize_K_unconstrained(p, DISC, density)
+            res = optimize_K(p, DISC, density)
             best = max(range(1, 129),
                        key=lambda k: throughput(float(k), p, DISC, density))
             match_ok &= res.k_opt == best
     p = _params()
-    unconstrained = optimize_K_unconstrained(p, DISC, 1.0).k_opt
-    constrained = [optimize_K_constrained(p, DISC, 1.0, psi).k_opt
+    unconstrained = optimize_K(p, DISC, 1.0).k_opt
+    constrained = [optimize_K(p, DISC, 1.0, psi).k_opt
                    for psi in (1e-2, 1e-3, 1e-5)]
     constrained_ok = (all(k <= unconstrained for k in constrained)
                       and constrained[0] >= constrained[1] >= constrained[2])
@@ -209,14 +208,13 @@ def test_criterion_8_diversity_ternary():
         p = _params(budget=snr, s=0.1)
         return log_outage_bulk(p, DISC, 1.0)
 
-    disc_slope = diversity_slope(disc_curve, 1e5, 1e6,
-                                 log_domain=True).slope
+    disc_slope = diversity_slope(disc_curve, 1e5, 1e6).slope
 
     def plane_curve(snr):
         return log_outage_bulk_plane_freespace(_params(budget=snr), 1.0)
 
-    low = diversity_slope(plane_curve, 1e2, 1e3, log_domain=True).slope
-    high = diversity_slope(plane_curve, 1e3, 1e4, log_domain=True).slope
+    low = diversity_slope(plane_curve, 1e2, 1e3).slope
+    high = diversity_slope(plane_curve, 1e3, 1e4).slope
     ok = disc_slope < 0.01 and high > low
     _report(8, ok, f"disc slope {disc_slope:.4f}, plane slopes "
                    f"{low:.1f} -> {high:.1f}")

@@ -625,6 +625,16 @@ def test_subcarrier_cap(disc):
         outage_ps_plane_freespace(p, 0.1)
 
 
+def test_subcarrier_cap_names_the_requested_count(disc):
+    # the inner sums of k = 1..80 pass k = 65 first; the error must still
+    # name the K asked for
+    p = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=80, r_sd=5.0)
+    with pytest.raises(NumericalInstabilityError,
+                       match="subcarrier count 80 exceeds"):
+        outage_ps(p, disc, 0.1)
+
+
 def test_alternating_sum_outside_the_unit_interval_raises():
     # u(n) falls with n for every relay kernel, so u = (1, 5) is no
     # kernel's table: at lambda 1 its inclusion-exclusion sum comes to

@@ -30,7 +30,6 @@ from relayfield.cli import (
     _parse_float_list,
     _simulate_rows,
     _within_3_sigma,
-    connection_probability_view,
     main,
     parse_config,
     run_sweep,
@@ -215,10 +214,7 @@ def test_mode_is_required():
         parse_config([])
 
 
-def test_connection_probability_view(tmp_path):
-    assert connection_probability_view(0.25) == 0.75
-    with pytest.raises(ValueError):
-        connection_probability_view(1.5)
+def test_connection_column(tmp_path):
     out = tmp_path / "conn.csv"
     assert main(["--mode", "analytic", "--scheme", "both", "--lambda",
                  "0.01,1", "--connection", "--output", str(out)]) == 0

@@ -29,6 +29,13 @@ def test_invalid_regions():
         Region(kind="square")
 
 
+def test_disc_radius_must_be_finite():
+    # an infinite disc would silently read as the plane in the quadrature
+    with pytest.raises(ConfigurationError,
+                       match="disc region requires radius > 0"):
+        Region.disc(math.inf)
+
+
 def test_relay_dest_distance_values():
     assert relay_dest_distance(5.0, 0.0, 5.0) == pytest.approx(0.0, abs=1e-12)
     assert relay_dest_distance(5.0, math.pi / 2, 5.0) == pytest.approx(7.0711, abs=1e-4)

@@ -1,11 +1,13 @@
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
+import relayfield
 from relayfield import (
-    OutageUnderflowError,
+    NumericalInstabilityError,
     QuadratureSettings,
     Region,
     Scheme,
@@ -20,9 +22,8 @@ from relayfield import (
     log_outage_bulk,
     lower_incomplete_gamma,
     min_density_for_advantage,
-    optimize_K_constrained,
+    optimize_K,
     optimize_K_sweep,
-    optimize_K_unconstrained,
     outage_bulk,
     outage_floor,
     outage_ps,
@@ -30,7 +31,7 @@ from relayfield import (
     outage_ratio_approx,
     throughput,
 )
-from relayfield import metrics
+from relayfield import cli, metrics
 from reference import appendix_bound_T1_quadrature
 
 
@@ -142,6 +143,24 @@ def test_min_density_monotone_in_epsilon(params, disc):
     assert exact[0] < exact[1] < exact[2]
 
 
+@pytest.mark.parametrize("big_k", [65, 70, 100])
+def test_ratio_inverse_past_the_subcarrier_cap_names_k(disc, big_k):
+    # past the cap the quadratic coefficient's sign is noise, so the cap
+    # must fire before its sign test or the root search sees it
+    p = _params_with(subcarriers=big_k)
+    with pytest.raises(NumericalInstabilityError,
+                       match=f"subcarrier count {big_k} exceeds"):
+        min_density_for_advantage(0.5, p, disc)
+
+
+def test_each_result_has_one_entry_point():
+    for name in ("optimize_K_unconstrained", "optimize_K_constrained",
+                 "estimate_outage", "OutageUnderflowError"):
+        assert not hasattr(relayfield, name), name
+    assert not hasattr(cli, "connection_probability_view")
+    assert "log_domain" not in inspect.signature(diversity_slope).parameters
+
+
 def test_diversity_slope_plane():
     # plane bulk outage keeps improving with SNR: the finite-window
     # slope grows without bound as the window moves up
@@ -150,25 +169,28 @@ def test_diversity_slope_plane():
                          subcarriers=4, r_sd=5.0)
         return log_outage_bulk(p, Region.plane(), 1.0)
 
-    low = diversity_slope(curve, 1e3, 1e4, log_domain=True)
-    high = diversity_slope(curve, 1e4, 1e5, log_domain=True)
+    low = diversity_slope(curve, 1e3, 1e4)
+    high = diversity_slope(curve, 1e4, 1e5)
     assert low.slope == pytest.approx(1534.7350062516327, rel=1e-6)
     assert high.slope > 5 * low.slope
 
 
 def test_diversity_slope_basics():
-    est = diversity_slope(lambda snr: 1.0 / snr**2, 10.0, 1000.0)
+    est = diversity_slope(lambda snr: -2.0 * math.log(snr), 10.0, 1000.0)
     assert est.slope == pytest.approx(2.0, rel=1e-9)
     assert est.snr_window == (10.0, 1000.0)
-    flat = diversity_slope(lambda snr: 0.25, 10.0, 1000.0)
+    flat = diversity_slope(lambda snr: math.log(0.25), 10.0, 1000.0)
     assert flat.slope == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        diversity_slope(lambda snr: 0.5, 100.0, 10.0)
+        diversity_slope(lambda snr: math.log(0.5), 100.0, 10.0)
 
 
-def test_diversity_slope_underflow():
-    with pytest.raises(OutageUnderflowError):
-        diversity_slope(lambda snr: 0.0, 10.0, 100.0)
+def test_diversity_slope_far_below_double_range():
+    # outage snr**-1e5 is below double range (about 1e-308) at any snr
+    # above 1.01, yet its ln-outage curve keeps the exact slope
+    est = diversity_slope(lambda snr: -1e5 * math.log(snr), 10.0, 100.0)
+    assert math.exp(-1e5 * math.log(10.0)) == 0.0
+    assert est.slope == pytest.approx(1e5, rel=1e-12)
 
 
 def test_appendix_bound_value(params):
@@ -221,11 +243,8 @@ _RANGE_CHECKS = [
     ("throughput", lambda x: throughput(4.0, _P, _DISC, x), _DENSITY),
     ("throughput subcarriers", lambda x: throughput(x, _P, _DISC, 1.0),
      "subcarriers must be > 0"),
-    ("optimize_K_unconstrained",
-     lambda x: optimize_K_unconstrained(_P, _DISC, x),
-     "density must be > 0"),
-    ("optimize_K_constrained",
-     lambda x: optimize_K_constrained(_P, _DISC, x, 1e-2),
+    ("optimize_K", lambda x: optimize_K(_P, _DISC, x), "density must be > 0"),
+    ("optimize_K psi", lambda x: optimize_K(_P, _DISC, x, 1e-2),
      "density must be > 0"),
     ("optimize_K_sweep", lambda x: optimize_K_sweep(_P, _DISC, [1.0, x]),
      "density must be > 0"),

@@ -11,9 +11,8 @@ from relayfield import (
     SystemParams,
     cutoff_density,
     cutoff_density_freespace,
-    optimize_K_constrained,
     optimize_K_sweep,
-    optimize_K_unconstrained,
+    optimize_K,
     outage_bulk,
     outage_floor,
     throughput,
@@ -47,7 +46,7 @@ def test_throughput_examples(params, disc):
     (2.0, 0.2, 8), (2.0, 1.0, 14), (4.0, 0.2, 1), (4.0, 1.0, 2)])
 def test_unconstrained_matches_exhaustive(alpha, density, expected, disc):
     p = _params(alpha)
-    res = optimize_K_unconstrained(p, disc, density)
+    res = optimize_K(p, disc, density)
     best = max(range(1, 65),
                key=lambda k: throughput(float(k), p, disc, density))
     assert res.k_opt == best == expected
@@ -60,7 +59,7 @@ def test_unconstrained_matches_exhaustive(alpha, density, expected, disc):
 
 def test_relaxed_optimum_is_local_max(disc):
     p = _params()
-    res = optimize_K_unconstrained(p, disc, 1.0)
+    res = optimize_K(p, disc, 1.0)
     k = res.k_relaxed
     peak = throughput(k, p, disc, 1.0)
     for step in (1e-3, 1e-2, 0.1):
@@ -116,8 +115,7 @@ def test_relaxed_optimum_needs_few_kappa_evaluations(monkeypatch, alpha,
     # and kappa'' from one derivative pass per step; the rounding reads
     # kappa from the same cache
     passes = _record_passes(monkeypatch)
-    k_star = optimize_K_unconstrained(_params(alpha), region,
-                                      density).k_relaxed
+    k_star = optimize_K(_params(alpha), region, density).k_relaxed
     ks = [k for k, _ in passes]
     search = _split_rounding(ks, k_star)
     n_bracket = 1
@@ -150,11 +148,11 @@ def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
     # the floor of the root
     p = _params()
     passes = _record_passes(monkeypatch)
-    peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
+    peak = optimize_K(p, disc, 1.0).k_relaxed
     search = _split_rounding([k for k, _ in passes], peak)
     relayfield.analytic._u_derivatives.cache_clear()
     passes.clear()
-    res = optimize_K_constrained(p, disc, 1.0, psi)
+    res = optimize_K(p, disc, 1.0, psi)
     ks = [k for k, _ in passes]
     n = len(search)
     assert ks[0] == 1.0 and ks[1:n + 1] == search and ks[-1] == res.k_opt
@@ -174,7 +172,7 @@ def test_relaxed_peak_u_is_a_taylor_step_from_the_last_pass(monkeypatch,
     # value decides whether the root search runs
     p = _params()
     passes = _record_passes(monkeypatch)
-    peak = optimize_K_unconstrained(p, disc, 1.0).k_relaxed
+    peak = optimize_K(p, disc, 1.0).k_relaxed
     last = _split_rounding([k for k, _ in passes], peak)[-1]
     d = peak - last
     assert 0 < d * d <= 1e-9 * last
@@ -186,7 +184,7 @@ def test_relaxed_peak_u_is_a_taylor_step_from_the_last_pass(monkeypatch,
     for scale, binds in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
         # Phi <= psi where u >= -log psi / (2 density)
         psi = math.exp(-2.0 * scale * taylor)
-        res = optimize_K_constrained(p, disc, 1.0, psi)
+        res = optimize_K(p, disc, 1.0, psi)
         assert (res.k_relaxed < peak) is binds
         if not binds:
             assert res.k_relaxed == peak
@@ -206,7 +204,7 @@ def test_unconstrained_evaluates_each_k_once(monkeypatch):
         return _integrate(region, cs, *args, moments=moments, **kwargs)
 
     monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
-    res = optimize_K_unconstrained(_params(), Region.plane(), 1e-9)
+    res = optimize_K(_params(), Region.plane(), 1e-9)
     assert res.k_relaxed < 1 and res.k_opt == 1
     assert len(calls) <= 16
     assert len(set(calls)) == len(calls)
@@ -269,7 +267,7 @@ def test_each_round_is_one_integrator_pass(monkeypatch):
     for density in FIG_DENSITIES:
         store.cache_clear()
         rounds.clear()
-        optimize_K_unconstrained(p, disc, density)
+        optimize_K(p, disc, density)
         singles.append(len(rounds))
     store.cache_clear()
     rounds.clear()
@@ -310,7 +308,7 @@ def test_relaxed_optimum_matches_a_tight_reference(alpha, region, density):
     # quadrature, which does not search on kappa's values at all; on the
     # plane at 1e-9 the optimum lies far below the doubling's start K = 2
     p = _params(alpha)
-    k_relaxed = optimize_K_unconstrained(p, region, density).k_relaxed
+    k_relaxed = optimize_K(p, region, density).k_relaxed
 
     def slope(k):
         h = 1e-3 * k
@@ -342,7 +340,7 @@ def test_throughput_concave_up_to_the_optimum(disc):
     # past the relaxed optimum
     p = _params()
     for density in (0.2, 1.0, 5.0):
-        k_star = optimize_K_unconstrained(p, disc, density).k_relaxed
+        k_star = optimize_K(p, disc, density).k_relaxed
         ks = [0.5 * i for i in range(1, 65) if 0.5 * i <= k_star + 2.0]
         vals = [throughput(k, p, disc, density) for k in ks]
         second = [vals[i - 1] - 2 * vals[i] + vals[i + 1]
@@ -363,7 +361,7 @@ def test_throughput_tail_is_genuinely_convex(disc):
 
 def test_optimum_grows_with_density(disc):
     p = _params()
-    opts = [optimize_K_unconstrained(p, disc, lam).k_opt
+    opts = [optimize_K(p, disc, lam).k_opt
             for lam in (0.05, 0.2, 1.0, 5.0)]
     assert all(a <= b for a, b in zip(opts, opts[1:]))
     assert opts[0] < opts[-1]
@@ -373,7 +371,7 @@ def test_constrained_examples(disc):
     p = _params()
     got = {}
     for psi in (1e-2, 1e-3, 1e-5):
-        res = optimize_K_constrained(p, disc, 1.0, psi)
+        res = optimize_K(p, disc, 1.0, psi)
         assert res.feasible is True
         assert res.psi == psi
         assert res.k_opt == math.floor(res.k_relaxed)
@@ -389,15 +387,15 @@ def test_constrained_examples(disc):
 def test_constrained_root_meets_the_ceiling(disc, psi):
     # the log-domain root puts the relaxed K on Phi = psi
     p = _params()
-    res = optimize_K_constrained(p, disc, 1.0, psi)
+    res = optimize_K(p, disc, 1.0, psi)
     phi = outage_bulk(p, disc, 1.0, subcarriers=res.k_relaxed)
     assert phi == pytest.approx(psi, rel=1e-6, abs=0)
 
 
 def test_constrained_inactive_ceiling(disc):
     p = _params()
-    res = optimize_K_constrained(p, disc, 1.0, 1.0)
-    unc = optimize_K_unconstrained(p, disc, 1.0)
+    res = optimize_K(p, disc, 1.0, 1.0)
+    unc = optimize_K(p, disc, 1.0)
     assert res.k_relaxed == pytest.approx(unc.k_relaxed, rel=1e-9)
     assert res.k_opt == math.floor(res.k_relaxed)
 
@@ -406,7 +404,7 @@ def test_constrained_infeasible_below_floor(disc):
     # psi under the void-probability floor can never be met on a disc
     p = _params()
     assert 1e-3 < outage_floor(0.01, disc.area)
-    res = optimize_K_constrained(p, disc, 0.01, 1e-3)
+    res = optimize_K(p, disc, 0.01, 1e-3)
     assert res.feasible is False
     assert res.k_opt == 0
     assert res.kappa_opt == 0.0
@@ -415,11 +413,11 @@ def test_constrained_infeasible_below_floor(disc):
 def test_constrained_validation(disc):
     p = _params()
     with pytest.raises(ValueError):
-        optimize_K_constrained(p, disc, 1.0, 0.0)
+        optimize_K(p, disc, 1.0, 0.0)
     with pytest.raises(ValueError):
-        optimize_K_constrained(p, disc, 1.0, 1.5)
+        optimize_K(p, disc, 1.0, 1.5)
     with pytest.raises(ValueError):
-        optimize_K_constrained(p, disc, 0.0, 0.5)
+        optimize_K(p, disc, 0.0, 0.5)
 
 
 def test_cutoff_density_plane():
@@ -431,8 +429,8 @@ def test_cutoff_density_plane():
     assert cutoff_density_freespace(0.01, p) == pytest.approx(
         cutoff, rel=1e-10)
     # feasibility flips exactly at the cutoff
-    assert optimize_K_constrained(p, plane, 1.05 * cutoff, 0.01).feasible
-    assert not optimize_K_constrained(p, plane, 0.95 * cutoff, 0.01).feasible
+    assert optimize_K(p, plane, 1.05 * cutoff, 0.01).feasible
+    assert not optimize_K(p, plane, 0.95 * cutoff, 0.01).feasible
 
 
 @pytest.mark.parametrize("region", [Region.disc(5.0), Region.plane()])
@@ -440,8 +438,7 @@ def test_constrained_root_at_the_cutoff_density(region):
     # at the cut-off density K = 1 meets the ceiling with equality, so
     # the root lies on the lower end of the Newton bracket
     p = _params()
-    res = optimize_K_constrained(p, region, cutoff_density(0.01, p, region),
-                                 0.01)
+    res = optimize_K(p, region, cutoff_density(0.01, p, region), 0.01)
     assert res.feasible and res.k_opt == 1
     assert res.k_relaxed == pytest.approx(1.0, abs=1e-9, rel=0)
 
@@ -449,8 +446,8 @@ def test_constrained_root_at_the_cutoff_density(region):
 def test_cutoff_density_disc(disc):
     p = _params()
     cutoff = cutoff_density(0.01, p, disc)
-    assert optimize_K_constrained(p, disc, 1.05 * cutoff, 0.01).feasible
-    assert not optimize_K_constrained(p, disc, 0.95 * cutoff, 0.01).feasible
+    assert optimize_K(p, disc, 1.05 * cutoff, 0.01).feasible
+    assert not optimize_K(p, disc, 0.95 * cutoff, 0.01).feasible
     # every density meets psi = 1; +0.0, not -0.0, reaches the .meta
     for zero in (cutoff_density(1.0, p, disc),
                  cutoff_density_freespace(1.0, p)):

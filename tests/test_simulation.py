@@ -17,7 +17,6 @@ from relayfield import (
     SystemParams,
     block_length,
     block_rng,
-    estimate_outage,
     estimate_outage_both,
     outage_bulk,
     outage_ps,
@@ -835,8 +834,8 @@ def test_empty_fraction_with_a_thinned_tail(params):
         s = _sampler(p, region, density)
         assert s.tail_mean > 0
         assert s.inner_radius == pytest.approx(r_in, abs=0.05)
-        est = estimate_outage(p, region, density, Scheme.BULK,
-                              trials=trials, seed=37)
+        est = estimate_outage_both(p, region, density, trials=trials,
+                                   seed=37)[Scheme.BULK]
         assert _agrees(est.empty_fraction,
                        math.exp(-density * region.area), trials)
 
@@ -914,8 +913,8 @@ def test_every_sampler_route_rejects_a_bad_density(params, disc, density):
 
 
 def test_estimate_outage_zero_density(params):
-    est = estimate_outage(params, Region.disc(5.0), 0.0, Scheme.BULK,
-                          trials=500, seed=3)
+    est = estimate_outage_both(params, Region.disc(5.0), 0.0, trials=500,
+                               seed=3)[Scheme.BULK]
     assert est.p_hat == 1.0
     assert est.empty_fraction == 1.0
     assert est.stderr == 0.0
@@ -926,8 +925,8 @@ def test_estimate_outage_matches_floor(params):
     # by the void event, so p_hat should track exp(-density * area)
     region = Region.disc(1.0)
     density = 0.5
-    est = estimate_outage(params, region, density, Scheme.BULK,
-                          trials=100_000, seed=11)
+    est = estimate_outage_both(params, region, density, trials=100_000,
+                               seed=11)[Scheme.BULK]
     floor = math.exp(-density * region.area)
     assert est.p_hat >= floor - 3 * est.stderr
     assert abs(est.empty_fraction - floor) < 4 * math.sqrt(
@@ -1000,12 +999,12 @@ def test_outage_grows_with_subcarriers():
     for k in (1, 4, 16):
         p = SystemParams(snr_budget=20.0, path_loss=2.0, threshold=1.0,
                          subcarriers=k, r_sd=5.0)
-        p_hats.append(estimate_outage(p, region, 0.1, Scheme.BULK,
-                                      trials=20_000, seed=23).p_hat)
+        p_hats.append(estimate_outage_both(p, region, 0.1, trials=20_000,
+                                           seed=23)[Scheme.BULK].p_hat)
     assert p_hats[0] < p_hats[1] < p_hats[2]
 
 
 def test_trials_must_be_positive(params):
     with pytest.raises(ValueError):
-        estimate_outage(params, Region.disc(5.0), 0.1, Scheme.BULK,
-                        trials=0, seed=1)
+        estimate_outage_both(params, Region.disc(5.0), 0.1, trials=0,
+                             seed=1)
