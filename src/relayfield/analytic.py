@@ -46,11 +46,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import special
 
-from .channel import SystemParams
+from .channel import SystemParams, check_density
 from .geometry import Region
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Quadrature missed its tolerance; carries the best estimate of the
     integral and the estimate of its error."""
 
@@ -62,7 +62,7 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-class NumericalInstabilityError(RuntimeError):
+class NumericalInstabilityError(ArithmeticError):
     """Alternating binomial sum cancelled beyond double precision.
 
     Use a smaller subcarrier count or higher-precision arithmetic.
@@ -387,8 +387,7 @@ def log_outage_bulk(params: SystemParams, region: Region, density: float,
 
     subcarriers overrides params.subcarriers and may be real (relaxed K).
     """
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     n = params.subcarriers if subcarriers is None else subcarriers
     return -2.0 * density * _u_values(region, (n,), params, q)[0]
 
@@ -421,8 +420,16 @@ def _exp_inclusion_exclusion(rates) -> float:
     """The inclusion-exclusion sum of exp(-rates[k-1]) over k = 1..K,
     K = len(rates), guarded against cancellation: Phi_ps and the ratio
     phi both lie in [0, 1], so a sum outside it by more than its rounding
-    slack raises NumericalInstabilityError; within it, it is clamped."""
-    terms = _inclusion_exclusion([math.exp(-rate) for rate in rates])
+    slack raises NumericalInstabilityError; within it, it is clamped. A
+    rate so negative that exp(-rate) overflows, an inner sum S(k) that
+    cancelled, raises it too."""
+    try:
+        terms = _inclusion_exclusion([math.exp(-rate) for rate in rates])
+    except OverflowError:
+        raise NumericalInstabilityError(
+            f"alternating sum's exponent {-min(rates)!r} overflows a double; "
+            f"reduce the subcarrier count or tighten quadrature tolerances"
+        ) from None
     total = math.fsum(terms)
     slack = 1e-12 + 1e-15 * max(abs(t) for t in terms)
     if total < -slack or total > 1.0 + slack:
@@ -453,8 +460,7 @@ def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:
 def outage_ps(params: SystemParams, region: Region, density: float,
               q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Per-subcarrier outage probability over either region."""
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     return _outage_ps_from_u(density, _u_values(
         region, tuple(range(1, params.subcarriers + 1)), params, q))
 
@@ -507,8 +513,7 @@ def _out_of_range(corr: float) -> DomainError:
 def asymptotic_bulk_disc(params: SystemParams, region: Region,
                          density: float) -> float:
     """High-SNR expansion of the disc bulk outage."""
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     corr = _asymptotic_correction(params, region)
     try:
         # (-density pi) r**2, not -density region.area: the other rounding
@@ -529,8 +534,7 @@ def asymptotic_ps_disc(params: SystemParams, region: Region,
     Raw: outside its validity region it can leave [floor, 1], which a
     warning flags, or double range, a DomainError; nothing is clamped.
     """
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     tau = tau_alpha(params.path_loss, params.r_sd, region)
     area = region.area
     floor = math.exp(-density * area)
@@ -552,8 +556,7 @@ def outage_floor(density: float, area: float) -> float:
     """Void probability exp(-density * area): the scheme-independent floor."""
     if not (0 < area < math.inf):
         raise ValueError("area must be finite and positive")
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     return math.exp(-density * area)
 
 

@@ -2,10 +2,13 @@
 
 Hop gains are i.i.d. unit-mean exponential (Rayleigh fading) per
 subcarrier; the end-to-end SNR of a relay link is the minimum of the two
-hop SNRs. Everything is in linear scale.
+hop SNRs. Everything is in linear scale. `check_density` is the range
+check of a relay density that every layer shares.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -15,7 +18,8 @@ class SystemParams:
 
     snr_budget is the transmit-power-to-noise ratio P_t/N_0 (linear),
     threshold the target SNR s (linear), subcarriers the OFDM subcarrier
-    count K, r_sd the source-destination distance.
+    count K, r_sd the source-destination distance. The range checks run
+    first, then the finiteness of the real fields and K's integrality.
     """
 
     snr_budget: float
@@ -35,3 +39,16 @@ class SystemParams:
             raise ValueError("subcarriers must be >= 1")
         if not self.r_sd > 0:
             raise ValueError("r_sd must be > 0")
+        for name in ("snr_budget", "path_loss", "threshold", "r_sd"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.subcarriers, numbers.Integral):
+            raise ValueError("subcarriers must be an integer, got "
+                             f"{self.subcarriers!r}")
+
+
+def check_density(density: float) -> None:
+    """The one range check of a relay density: ValueError unless
+    density >= 0, so that NaN fails too."""
+    if not density >= 0:
+        raise ValueError("density must be >= 0")

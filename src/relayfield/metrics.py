@@ -28,7 +28,7 @@ from .analytic import (
     outage_bulk,
     outage_ps,
 )
-from .channel import SystemParams
+from .channel import SystemParams, check_density
 from .geometry import Region
 
 _CROSS_CHECK_RTOL = 1e-5
@@ -71,21 +71,23 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
                  q: QuadratureSettings = DEFAULT_QUADRATURE) -> RatioResult:
     """Exact outage ratio phi = Phi_ps / Phi_bulk at one density.
 
-    Evaluates both the Delta-based alternating sum and the direct
-    quotient of the two outage integrals; they are the same identity, so
-    disagreement beyond _CROSS_CHECK_RTOL signals a numerical problem.
+    Evaluates both the Delta-based alternating sum and the two outage
+    integrals; Phi_ps = phi Phi_bulk is the same identity, so disagreement
+    beyond _CROSS_CHECK_RTOL, relative and absolute on the scale of
+    Phi_bulk, signals a numerical problem. The check is taken multiplied
+    through by Phi_bulk, so that it still holds where Phi_bulk underflows
+    to 0.
     """
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     phi = _exp_inclusion_exclusion(
         [density * d for d in _delta_table(params, region, q)])
-    quotient = outage_ps(params, region, density, q) / outage_bulk(
-        params, region, density, q)
-    if not math.isclose(phi, quotient, rel_tol=_CROSS_CHECK_RTOL,
-                        abs_tol=_CROSS_CHECK_RTOL):
+    ps = outage_ps(params, region, density, q)
+    bulk = outage_bulk(params, region, density, q)
+    if not math.isclose(ps, phi * bulk, rel_tol=_CROSS_CHECK_RTOL,
+                        abs_tol=_CROSS_CHECK_RTOL * bulk):
         raise ArithmeticError(
-            f"ratio cross-check failed: Delta-sum {phi!r} vs quotient "
-            f"{quotient!r}")
+            f"ratio cross-check failed: Delta-sum {phi!r} vs Phi_ps {ps!r} "
+            f"over Phi_bulk {bulk!r}")
     approx = outage_ratio_approx(params, region, density, q)
     return RatioResult(phi=phi, phi_approx=approx, density=density)
 
@@ -93,8 +95,7 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
 def outage_ratio_approx(params: SystemParams, region: Region, density: float,
                         q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Quadratic small-density approximation of the outage ratio."""
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     return 1.0 + 0.5 * density**2 * _quadratic_coefficient(
         _delta_table(params, region, q))
 

@@ -33,7 +33,7 @@ from .analytic import (
     _u_freespace,
     outage_floor,
 )
-from .channel import SystemParams
+from .channel import SystemParams, check_density
 from .geometry import Region
 
 _K_CAP = 2**16
@@ -48,11 +48,11 @@ _STEP_SQ = 1e-9
 _MAX_STEPS = 60
 
 
-class UnboundedOptimumError(RuntimeError):
+class UnboundedOptimumError(ArithmeticError):
     """Bracket expansion ran past the cap; parameters are degenerate."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ArithmeticError):
     """A Newton search hit its step cap without converging."""
 
 
@@ -82,8 +82,7 @@ def throughput(subcarriers: float, params: SystemParams, region: Region,
     """kappa(K, density) for bulk selection; K may be real (relaxed)."""
     if not subcarriers > 0:
         raise ValueError("subcarriers must be > 0")
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     u = _u_derivatives(region, (subcarriers,), params, q)[0][0]
     return _kappa(subcarriers, density, u)
 

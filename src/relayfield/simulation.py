@@ -101,13 +101,13 @@ import math
 from contextlib import nullcontext
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import pdtr
 
-from .channel import SystemParams
+from .channel import SystemParams, check_density
 from .geometry import Region
 
 # Expected processed relays (inner relays until v decides the trial, and
@@ -364,8 +364,7 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
     """One grid point's sampler."""
-    if not density >= 0:
-        raise ValueError("density must be >= 0")
+    check_density(density)
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
@@ -555,30 +554,25 @@ def estimate_outage_both(params: SystemParams, region: Region, density: float,
     """Outage estimates for both schemes on a shared trial stream.
 
     Sharing realisations gives paired samples for ratio estimation and
-    halves the simulation cost when both schemes are wanted. The point
-    runs on _sampler(params, region, density).workers(trials, n_workers)
-    processes, each with whole blocks, so the result does not depend on
-    n_workers. Work for more than one process goes to pool, or to a pool
+    halves the simulation cost when both schemes are wanted. The point's
+    blocks are cut into _sampler(params, region, density).workers(trials,
+    n_workers) chunks of whole blocks, so the result does not depend on
+    n_workers, and every chunk runs through one map: the builtin one,
+    in this process, for a single chunk, else that of pool, or of a pool
     of this call's own if none is given.
     """
     if not trials >= 1:
         raise ValueError("trials must be >= 1")
     s = _sampler(params, region, density)
-    n_blocks = -(-trials // s.length)
     n_chunks = s.workers(trials, n_workers)
-    bounds = np.linspace(0, n_blocks, n_chunks + 1).astype(int).tolist()
-    if n_chunks == 1:
-        counts = [_simulate_chunk(s, seed, trials, 0, n_blocks)]
-    else:
-        lifetime = (ProcessPoolExecutor(n_chunks) if pool is None
-                    else nullcontext(pool))
-        with lifetime as workers:
-            counts = list(workers.map(
-                _simulate_chunk, [s] * n_chunks, [seed] * n_chunks,
-                [trials] * n_chunks, bounds[:-1], bounds[1:]))
-    n_bulk = sum(c[0] for c in counts)
-    n_ps = sum(c[1] for c in counts)
-    n_empty = sum(c[2] for c in counts)
+    bounds = np.linspace(0, -(-trials // s.length),
+                         n_chunks + 1).astype(int).tolist()
+    spread = n_chunks > 1
+    with (ProcessPoolExecutor(n_chunks) if spread and pool is None
+          else nullcontext(pool)) as workers:
+        chunks = (workers.map if spread else map)(
+            partial(_simulate_chunk, s, seed, trials), bounds[:-1], bounds[1:])
+        n_bulk, n_ps, n_empty = map(sum, zip(*chunks))
 
     def _estimate(n_out: int) -> OutageEstimate:
         p = n_out / trials

@@ -643,6 +643,18 @@ def test_alternating_sum_outside_the_unit_interval_raises():
         _outage_ps_from_u(1.0, (1.0, 5.0))
 
 
+def test_overflowing_exponent_is_a_numerical_instability(disc):
+    # at K 64 (disc 5, alpha 2, SNR 1000) an inner sum S(k) cancels to a
+    # large negative value, so exp(-2 lambda S(k)) leaves double range:
+    # the guard must name the exponent, not leak OverflowError
+    p = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=64, r_sd=5.0)
+    for outage in (outage_ps, relayfield.outage_ratio):
+        with pytest.raises(NumericalInstabilityError,
+                           match="exponent .* overflows a double"):
+            outage(p, disc, 0.1)
+
+
 def test_lower_incomplete_gamma_against_quadrature():
     for a, x in ((0.5, 1.0), (1.0, 2.0), (2.5, 0.7)):
         oracle = quad(lambda t: t ** (a - 1) * math.exp(-t), 0.0, x,

@@ -17,6 +17,7 @@ import relayfield.optimize
 from relayfield import (
     OutageEstimate,
     Region,
+    Scheme,
     SystemParams,
     outage_bulk,
     throughput,
@@ -266,8 +267,9 @@ def test_verify_mismatch_exits_2_and_keeps_the_csv(tmp_path, capsys,
     # against a reference outage of 0.5, both rows of a point whose
     # estimates lie near 0.1 fail the 3-sigma check: the sweep still
     # writes its CSV and .meta, then exits 2 with the count
-    monkeypatch.setattr(relayfield.cli, "_analytic_outage",
-                        lambda *args: 0.5)
+    for scheme in Scheme:
+        monkeypatch.setitem(relayfield.cli._OUTAGES, ("analytic", scheme),
+                            lambda *args: 0.5)
     out = tmp_path / "sim.csv"
     rc = main(["--mode", "simulate", "--scheme", "both",
                "--lambda", "0.1", "--snr", "10", "--trials", "4000",
@@ -734,6 +736,17 @@ def test_exit_codes(tmp_path, capsys):
                "--output", str(out)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_every_numerical_failure_is_an_arithmetic_error():
+    # main exits 2 on ArithmeticError alone, so every numerical failure
+    # the layers raise must be one
+    for failure in (relayfield.analytic.QuadratureError,
+                    relayfield.analytic.NumericalInstabilityError,
+                    relayfield.optimize.UnboundedOptimumError,
+                    relayfield.optimize.ConvergenceError,
+                    relayfield.cli.NumericalFailure):
+        assert issubclass(failure, ArithmeticError), failure
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -90,6 +90,15 @@ def test_ratio_cross_check_catches_a_wrong_quotient(params, disc,
         outage_ratio(params, disc, 0.1)
 
 
+def test_ratio_where_the_bulk_outage_underflows():
+    # plane, alpha 2, K 8, SNR 1e4, lambda 1: Phi_bulk = exp(-2 lambda u(8))
+    # with u(8) near 971 reads 0.0, as does Phi_ps; phi's Delta sum reads
+    # 0 too, and the cross-check must hold without dividing by Phi_bulk
+    p = _params_with(snr_budget=1e4, subcarriers=8)
+    assert outage_bulk(p, Region.plane(), 1.0) == 0.0
+    assert outage_ratio(p, Region.plane(), 1.0).phi == 0.0
+
+
 def test_ratio_spot_values(params, disc):
     r = outage_ratio(params, disc, 0.02)
     assert r.phi == pytest.approx(0.8430167041829354, rel=1e-8)
@@ -287,3 +296,24 @@ def test_entry_points_reject_nan_and_negative_inputs(check, value):
     _, call, message = check
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
+
+
+# SystemParams fields that meet their range check but no model: each
+# must fail when it is built, before any layer uses it
+@pytest.mark.parametrize("field, value, message", [
+    ("snr_budget", math.inf, "snr_budget must be finite, got inf"),
+    ("path_loss", math.inf, "path_loss must be finite, got inf"),
+    ("threshold", math.inf, "threshold must be finite, got inf"),
+    ("r_sd", math.inf, "r_sd must be finite, got inf"),
+    ("subcarriers", 2.5, "subcarriers must be an integer, got 2.5"),
+    ("subcarriers", math.inf, "subcarriers must be an integer, got inf"),
+])
+def test_system_params_reject_infinite_and_fractional_fields(field, value,
+                                                             message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _params_with(**{field: value})
+
+
+def test_system_params_take_numpy_integer_subcarriers():
+    assert outage_ps(_params_with(subcarriers=np.int64(4)), _DISC, 0.1) == (
+        outage_ps(_P, _DISC, 0.1))
