@@ -15,7 +15,7 @@ from relayfield import (
     Region,
     Scheme,
     SystemParams,
-    estimate_outage_both,
+    estimate_outage_sweep,
     outage_bulk,
     outage_floor,
     outage_ps,
@@ -33,12 +33,14 @@ def main():
           f"outage floor {floor:.4f}")
     print(f"{'P_t/N_0 (dB)':>12} {'bulk quad':>11} {'bulk sim':>11} "
           f"{'ps quad':>11} {'ps sim':>11}")
-    for snr_db in (0, 10, 20, 30, 40, 50):
-        snr = 10.0 ** (snr_db / 10.0)
-        params = SystemParams(snr_budget=snr, path_loss=2.0, threshold=1.0,
-                              subcarriers=4, r_sd=5.0)
-        both = estimate_outage_both(params, region, DENSITY,
-                                    trials=TRIALS, seed=1)
+    snrs_db = (0, 10, 20, 30, 40, 50)
+    points = [SystemParams(snr_budget=10.0 ** (snr_db / 10.0), path_loss=2.0,
+                           threshold=1.0, subcarriers=4, r_sd=5.0)
+              for snr_db in snrs_db]
+    # the six points' trials run as one sweep, each on its own stream
+    simulated, _ = estimate_outage_sweep(
+        [(params, region, DENSITY, TRIALS, 1) for params in points])
+    for snr_db, params, both in zip(snrs_db, points, simulated):
         print(f"{snr_db:>12} "
               f"{outage_bulk(params, region, DENSITY):>11.4e} "
               f"{both[Scheme.BULK].p_hat:>11.4e} "

@@ -56,6 +56,7 @@ from .simulation import (
     block_length,
     block_rng,
     estimate_outage_both,
+    estimate_outage_sweep,
 )
 
 __version__ = "0.1.0"

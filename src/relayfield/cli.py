@@ -21,8 +21,6 @@ import operator
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -33,7 +31,7 @@ import scipy
 from . import __version__, analytic, metrics, optimize
 from .channel import SystemParams
 from .geometry import Region
-from .simulation import OutageEstimate, Scheme, _sampler, estimate_outage_both
+from .simulation import OutageEstimate, Scheme, estimate_outage_sweep
 
 
 class ValidationError(ValueError):
@@ -216,20 +214,18 @@ def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
     return columns, rows, {}
 
 
-def _simulated_point(cfg: ExperimentConfig, pool: Executor | None,
+def _simulated_point(cfg: ExperimentConfig, estimates,
                      params: SystemParams, density: float) -> dict:
-    """The fields of one simulated point, per scheme of cfg.scheme; a
-    point of more than one block runs on pool."""
-    region = cfg.region()
-    both = estimate_outage_both(params, region, density, cfg.trials,
-                                cfg.seed, n_workers=cfg.workers, pool=pool)
+    """The fields of one point, per scheme of cfg.scheme, from the next
+    of estimates, an iterator in _points order."""
+    both = next(estimates)
     fields = {}
     for scheme in _SCHEMES[cfg.scheme]:
         est = both[scheme]
         fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
                           "empty_fraction": est.empty_fraction}
         if cfg.verify:
-            ref = _OUTAGES["analytic", scheme](params, region, density,
+            ref = _OUTAGES["analytic", scheme](params, cfg.region(), density,
                                                cfg.quadrature())
             fields[scheme].update(p_analytic=ref,
                                   verify_ok=_within_3_sigma(est, ref))
@@ -237,27 +233,23 @@ def _simulated_point(cfg: ExperimentConfig, pool: Executor | None,
 
 
 def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
-    """Simulated rows of each of cfgs in turn, on one process pool.
-
-    The pool has as many processes as the point that uses the most
-    (simulation._Sampler.workers: --workers is a ceiling, and a point is
-    split only where each process gets MIN_BLOCKS_PER_WORKER blocks),
-    since a forked pool starts all of its processes on the first task.
-    If that is one, no pool is started and every point runs in this
-    process. The .meta records the size as pool_workers.
-    """
-    size = max(_sampler(params, cfg.region(), density).workers(
-        cfg.trials, cfg.workers)
-        for cfg in cfgs for params, density in _points(cfg))
+    """Simulated rows of each of cfgs in turn, from one sweep of all
+    their points (simulation.estimate_outage_sweep, with --workers as its
+    ceiling). The .meta records the processes that ran the sweep as
+    pool_workers, 1 where no pool started."""
+    estimates, size = estimate_outage_sweep(
+        [(params, cfg.region(), density, cfg.trials, cfg.seed)
+         for cfg in cfgs for params, density in _points(cfg)],
+        max(cfg.workers for cfg in cfgs))
+    estimates = iter(estimates)
     rows, meta = [], {}
-    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
-        for cfg in cfgs:
-            extra = ["stderr", "empty_fraction"]
-            if cfg.verify:
-                extra += ["p_analytic", "verify_ok"]
-            columns, cfg_rows, _ = _grid_rows(
-                cfg, partial(_simulated_point, cfg, pool), extra)
-            rows += cfg_rows
+    for cfg in cfgs:
+        extra = ["stderr", "empty_fraction"]
+        if cfg.verify:
+            extra += ["p_analytic", "verify_ok"]
+        columns, cfg_rows, _ = _grid_rows(
+            cfg, partial(_simulated_point, cfg, estimates), extra)
+        rows += cfg_rows
     if any(cfg.verify for cfg in cfgs):
         checked = [row for row in rows if "verify_ok" in row]
         meta["verify_mismatches"] = sum(not row["verify_ok"]

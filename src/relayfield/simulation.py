@@ -80,9 +80,9 @@ trials, and block b draws from one counter-based Philox stream keyed by
 The block length depends only on the grid point, through the expected
 relays a trial processes and K, and workers always receive whole blocks,
 so results depend on the seed and the trial count but are bitwise
-identical for any number of workers. A point is split across processes
-only where each gets at least MIN_BLOCKS_PER_WORKER blocks
-(_Sampler.workers).
+identical for any number of workers. A sweep (estimate_outage_sweep)
+runs chunks of MIN_BLOCKS_PER_WORKER blocks of all its points in this
+process, or on one pool that has at least that many blocks per process.
 
 Per-trial results are reductions over the relays' owners: bincount
 sums the inner logs and finds the kept tail relays that serve all K,
@@ -99,9 +99,9 @@ import enum
 import itertools
 import math
 from contextlib import nullcontext
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -116,11 +116,10 @@ from .geometry import Region
 # a thousand trials per numpy call, about 1 ms of work (BENCH_23.json).
 DRAWS_PER_BLOCK = 1 << 15
 MAX_BLOCK = 8192
-# Fewest blocks worth a process of their own: starting and stopping a
-# pool costs 20-40 ms. With blocks of 0.9-1.5 ms, one point on 2
-# processes of a pool of its own broke even with one process at about
-# 48 blocks and ran faster from 56 on 2 cores (BENCH_23.json); a sweep's
-# shared pool starts once.
+# Blocks per chunk of a sweep, and the fewest of its blocks worth a
+# process of their own: starting and stopping a pool costs 20-40 ms, and
+# with blocks of 0.9-1.5 ms one point on 2 processes broke even at about
+# 48 blocks and ran faster from 56 on 2 cores (BENCH_23.json).
 MIN_BLOCKS_PER_WORKER = 32
 # Drops of log h below its maximum at which the tail envelope touches it
 # on each side: for a Gaussian, tangents every 3/4 of a standard
@@ -242,13 +241,6 @@ class _Sampler:
         return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
                        MAX_BLOCK))
 
-    def workers(self, trials: int, n_workers: int) -> int:
-        """Processes a run of `trials` trials is split over: n_workers is
-        a ceiling, every process gets at least MIN_BLOCKS_PER_WORKER
-        blocks, and a run of fewer than twice that stays in one."""
-        n_blocks = -(-trials // self.length)
-        return max(1, min(n_workers, n_blocks // MIN_BLOCKS_PER_WORKER))
-
     def propose(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tail proposals r by inversion of the envelope at uniforms u in
         [0, 1), and log e(r). u picks the piece whose share of the mass
@@ -363,8 +355,10 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
 @lru_cache(maxsize=4096)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """One grid point's sampler."""
+    """One grid point's sampler, at a finite density."""
     check_density(density)
+    if density == math.inf:
+        raise ValueError("density must be finite to simulate")
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
     inner_mean = density * math.pi * radius * radius
@@ -537,49 +531,65 @@ def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,
     L = s.length, and draws from block_rng(seed, b).
     """
     length = s.length
-    n_bulk = n_ps = n_empty = 0
-    for b in range(first, stop):
-        n_trials = min(length, trials - b * length)
-        bulk, ps, empty = _block_outages(s, block_rng(seed, b), n_trials)
-        n_bulk += bulk
-        n_ps += ps
-        n_empty += empty
-    return n_bulk, n_ps, n_empty
+    counts = (_block_outages(s, block_rng(seed, b),
+                             min(length, trials - b * length))
+              for b in range(first, stop))
+    return tuple(map(sum, zip(*counts)))
+
+
+def _estimates(trials: int, seed: int, n_bulk: int, n_ps: int,
+               n_empty: int) -> dict[Scheme, OutageEstimate]:
+    """Both schemes' estimates from a run's outage and empty counts."""
+    return {scheme: OutageEstimate(
+                p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials),
+                trials=trials, seed=seed, empty_fraction=n_empty / trials)
+            for scheme, p in zip(Scheme, (n_bulk / trials, n_ps / trials))}
+
+
+def estimate_outage_sweep(points, n_workers: int = 1,
+                          ) -> tuple[list[dict[Scheme, OutageEstimate]], int]:
+    """Outage estimates for both schemes at each point (params, region,
+    density, trials, seed) of a sweep, on the point's shared trial
+    stream, and the processes that ran them (1: no pool).
+
+    All the points' blocks run in chunks of MIN_BLOCKS_PER_WORKER through
+    one map: the builtin one, in this process, or that of one pool of
+    min(n_workers, blocks // MIN_BLOCKS_PER_WORKER) processes where that
+    is at least 2. A point's counts are summed over its chunks, so its
+    estimates depend on its seed and trial count alone.
+    """
+    runs, chunks = [], []
+    for params, region, density, trials, seed in points:
+        if not trials >= 1:
+            raise ValueError("trials must be >= 1")
+        s = _sampler(params, region, density)
+        # built here, so that the sampler each chunk receives carries them
+        s.inner_chance, s.count_table
+        n_blocks = -(-trials // s.length)
+        firsts = range(0, n_blocks, MIN_BLOCKS_PER_WORKER)
+        chunks += [(s, seed, trials, first,
+                    min(first + MIN_BLOCKS_PER_WORKER, n_blocks))
+                   for first in firsts]
+        runs.append((trials, seed, len(firsts)))
+    blocks = sum(stop - first for *_, first, stop in chunks)
+    size = max(1, min(n_workers, blocks // MIN_BLOCKS_PER_WORKER))
+    with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
+        counts = iter(list(pool.map(_simulate_chunk, *zip(*chunks)) if pool
+                           else itertools.starmap(_simulate_chunk, chunks)))
+    # each point's chunks come one after another in counts
+    return [_estimates(trials, seed,
+                       *map(sum, zip(*itertools.islice(counts, n_chunks))))
+            for trials, seed, n_chunks in runs], size
 
 
 def estimate_outage_both(params: SystemParams, region: Region, density: float,
                          trials: int, seed: int, n_workers: int = 1,
-                         pool: Executor | None = None,
                          ) -> dict[Scheme, OutageEstimate]:
     """Outage estimates for both schemes on a shared trial stream.
 
     Sharing realisations gives paired samples for ratio estimation and
-    halves the simulation cost when both schemes are wanted. The point's
-    blocks are cut into _sampler(params, region, density).workers(trials,
-    n_workers) chunks of whole blocks, so the result does not depend on
-    n_workers, and every chunk runs through one map: the builtin one,
-    in this process, for a single chunk, else that of pool, or of a pool
-    of this call's own if none is given.
+    halves the simulation cost when both schemes are wanted. This is a
+    sweep of one point (estimate_outage_sweep).
     """
-    if not trials >= 1:
-        raise ValueError("trials must be >= 1")
-    s = _sampler(params, region, density)
-    n_chunks = s.workers(trials, n_workers)
-    bounds = np.linspace(0, -(-trials // s.length),
-                         n_chunks + 1).astype(int).tolist()
-    spread = n_chunks > 1
-    with (ProcessPoolExecutor(n_chunks) if spread and pool is None
-          else nullcontext(pool)) as workers:
-        chunks = (workers.map if spread else map)(
-            partial(_simulate_chunk, s, seed, trials), bounds[:-1], bounds[1:])
-        n_bulk, n_ps, n_empty = map(sum, zip(*chunks))
-
-    def _estimate(n_out: int) -> OutageEstimate:
-        p = n_out / trials
-        return OutageEstimate(p_hat=p,
-                              stderr=math.sqrt(p * (1.0 - p) / trials),
-                              trials=trials, seed=seed,
-                              empty_fraction=n_empty / trials)
-
-    return {Scheme.BULK: _estimate(n_bulk),
-            Scheme.PER_SUBCARRIER: _estimate(n_ps)}
+    return estimate_outage_sweep([(params, region, density, trials, seed)],
+                                 n_workers)[0][0]

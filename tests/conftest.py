@@ -27,7 +27,7 @@ def pools(monkeypatch):
 
     Each records its size (_max_workers) and whether it was shut down.
     """
-    from relayfield import cli, simulation
+    from relayfield import simulation
 
     launched = []
 
@@ -44,5 +44,4 @@ def pools(monkeypatch):
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorded)
     return launched

@@ -222,8 +222,8 @@ def test_criterion_8_diversity_ternary():
 
 
 def test_criterion_9_reproducibility(tmp_path, pools):
-    # the lambda = 1, SNR 10 point (153 blocks) is split across the
-    # processes of each multi-worker sweep's pool, so the digests compare
+    # the lambda = 1, SNR 10 point (153 blocks) is cut into 5 chunks that
+    # run on each multi-worker sweep's pool, so the digests compare
     # split runs with the single-process one
     digests = []
     for workers in (1, 2, 8):

@@ -5,6 +5,7 @@ import platform
 import re
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy
@@ -297,12 +298,18 @@ def test_one_worker_pool_per_sweep(tmp_path, pools):
     assert [row["verify_ok"] for row in _read_rows(out)] == ["1"] * 4
     assert len(pools) == 1 and pools[0].stopped
     assert pools[0]._max_workers == 2
-    # a largest point of 3.5 floors of blocks starts 3 of 8 workers (SNR
-    # 100's blocks are the shorter)
+    # the sweep's blocks size the pool: at SNR 100 a point of 2.5 floors
+    # of blocks, which alone would start 2 workers, and at SNR 1000 a
+    # point of more than half a floor (its blocks are the longer) start
+    # 3 of 8 workers together
     params = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
                           subcarriers=4, r_sd=5.0)
-    trials = (7 * simulation.MIN_BLOCKS_PER_WORKER
-              * block_length(params, Region.plane(), 0.1) // 2)
+    floor = simulation.MIN_BLOCKS_PER_WORKER
+    trials = 5 * floor * block_length(params, Region.plane(), 0.1) // 2
+    blocks = [-(-trials // block_length(replace(params, snr_budget=snr),
+                                        Region.plane(), 0.1))
+              for snr in (100.0, 1000.0)]
+    assert blocks[0] == 5 * floor // 2 and 3 * floor <= sum(blocks) < 4 * floor
     assert main(["--mode", "simulate", "--region", "plane",
                  "--lambda", "0.1", "--snr", "100,1000",
                  "--trials", str(trials), "--workers", "8",
@@ -314,13 +321,11 @@ def test_one_worker_pool_per_sweep(tmp_path, pools):
                  "--trials", "500", "--workers", "2",
                  "--output", str(tmp_path / "disc.csv")]) == 0
     assert len(pools) == 2
-    # points of too few blocks to pay for a pool: none is started, and
+    # a sweep of too few blocks to pay for a pool: none is started, and
     # the CSV is the one a single worker writes
-    for snr in (100.0, 1000.0):
-        point = SystemParams(snr_budget=snr, path_loss=2.0, threshold=1.0,
-                             subcarriers=4, r_sd=5.0)
-        blocks = -(-400 // block_length(point, Region.plane(), 0.1))
-        assert blocks < 2 * simulation.MIN_BLOCKS_PER_WORKER
+    assert sum(-(-400 // block_length(replace(params, snr_budget=snr),
+                                      Region.plane(), 0.1))
+               for snr in (100.0, 1000.0)) < 2 * floor
     dense = ["--mode", "simulate", "--scheme", "both", "--region", "plane",
              "--lambda", "0.1", "--snr", "100,1000", "--trials", "400"]
     for workers in (1, 2):
@@ -331,15 +336,24 @@ def test_one_worker_pool_per_sweep(tmp_path, pools):
             == (tmp_path / "dense2.csv").read_bytes())
 
 
-def test_configs_share_one_pool_sized_by_their_largest_point(pools):
-    # a figure's configs run on one pool, as large as the point that
-    # splits furthest in any of them, and give the rows each gives alone
+def test_configs_share_one_pool_sized_by_their_blocks(pools):
+    # a figure's configs run as one sweep: its pool is sized by the
+    # blocks of all their points, though no point alone has the 2 floors
+    # of blocks a pool needs, and they give the rows each gives alone
+    from relayfield import Region, SystemParams, block_length, simulation
+
     small = parse_config(["--mode", "simulate", "--lambda", "0.1",
                           "--trials", "500", "--workers", "2"])
     plane = parse_config(["--mode", "simulate", "--scheme", "both",
                           "--region", "plane", "--lambda", "0.1",
-                          "--snr", "100,1000", "--trials", "40000",
+                          "--snr", "100,1000", "--trials", "30000",
                           "--workers", "2"])
+    blocks = [-(-30000 // block_length(
+        SystemParams(snr_budget=snr, path_loss=2.0, threshold=1.0,
+                     subcarriers=4, r_sd=5.0), Region.plane(), 0.1))
+        for snr in (100.0, 1000.0)]
+    floor = simulation.MIN_BLOCKS_PER_WORKER
+    assert max(blocks) < 2 * floor <= sum(blocks)
     _, rows, meta = _simulate_rows(small, plane)
     assert meta == {"pool_workers": 2}
     assert len(pools) == 1 and pools[0].stopped
@@ -348,11 +362,9 @@ def test_configs_share_one_pool_sized_by_their_largest_point(pools):
 
 
 def test_each_point_builds_its_sampler_once(tmp_path):
-    # sizing the pool needs every point's sampler before the first point
-    # runs, and each point's run finds it again in simulation._sampler's
-    # cache, which holds all 70 points (past its old bound of 64): one
-    # miss per point at any --workers, and the CSV the other worker
-    # count writes
+    # a sweep builds every point's sampler once, before its first chunk
+    # runs: one miss of simulation._sampler's cache per point at any
+    # --workers, and the CSV the other worker count writes
     from relayfield.simulation import _sampler
 
     sweep = ["--mode", "simulate", "--sigma", "8", "--alpha", "4",

@@ -18,6 +18,7 @@ from relayfield import (
     block_length,
     block_rng,
     estimate_outage_both,
+    estimate_outage_sweep,
     outage_bulk,
     outage_ps,
 )
@@ -862,6 +863,20 @@ def test_simulation_imports_nothing_from_the_analytic_route():
 
 
 
+def _names(path: Path):
+    """(line, name) of each name a module's source uses: by name,
+    attribute, import or string."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Constant):
+            yield node.lineno, node.value
+
+
 def test_only_analytic_reaches_the_integrator():
     # analytic is the one module that integrates the relay kernel: no
     # other module of the package names its integrator, grids, rules or
@@ -872,18 +887,24 @@ def test_only_analytic_reaches_the_integrator():
     for path in sorted(package.glob("*.py")):
         if path.name == "analytic.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            elif isinstance(node, ast.Constant):
-                name = node.value
-            else:
-                continue
-            assert name not in private, (path.name, node.lineno, name)
+        for line, name in _names(path):
+            assert name not in private, (path.name, line, name)
+
+
+def test_only_simulation_starts_a_pool():
+    # which blocks run in which process is decided in simulation alone:
+    # no other module of the package names ProcessPoolExecutor, and cli
+    # names none of simulation's private sampler names
+    package = Path(simulation.__file__).parent
+    private = {"_sampler", "_Sampler", "_simulate_chunk"}
+    assert private <= set(vars(simulation))
+    for path in sorted(package.glob("*.py")):
+        if path.name == "simulation.py":
+            continue
+        forbidden = {"ProcessPoolExecutor"} | (
+            private if path.name == "cli.py" else set())
+        for line, name in _names(path):
+            assert name not in forbidden, (path.name, line, name)
 
 
 def test_no_public_analysis_function_takes_a_bare_radius():
@@ -897,16 +918,25 @@ def test_no_public_analysis_function_takes_a_bare_radius():
                     module.__name__, name)
 
 
-@pytest.mark.parametrize("density", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("density", [math.nan, -1.0, -math.inf, math.inf])
 def test_every_sampler_route_rejects_a_bad_density(params, disc, density):
-    # block_length and estimate_outage_both share _sampler's check;
-    # trials is still checked first, and density 0 still runs
-    with pytest.raises(ValueError, match="density must be >= 0"):
+    # block_length, estimate_outage_both and estimate_outage_sweep share
+    # _sampler's check, which also rejects the infinite density that the
+    # analytic route keeps; trials is still checked first, and density 0
+    # still runs
+    message = ("density must be finite to simulate" if density == math.inf
+               else "density must be >= 0")
+    with pytest.raises(ValueError, match=message):
         block_length(params, disc, density)
-    with pytest.raises(ValueError, match="density must be >= 0"):
+    with pytest.raises(ValueError, match=message):
         estimate_outage_both(params, disc, density, trials=10, seed=1)
+    with pytest.raises(ValueError, match=message):
+        estimate_outage_sweep([(params, disc, 0.1, 10, 1),
+                               (params, disc, density, 10, 1)])
     with pytest.raises(ValueError, match="trials must be >= 1"):
         estimate_outage_both(params, disc, density, trials=0, seed=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_outage_sweep([(params, disc, density, 0, 1)])
     assert block_length(params, disc, 0.0) >= 1
     empty = estimate_outage_both(params, disc, 0.0, trials=10, seed=1)
     assert empty[Scheme.BULK].p_hat == empty[Scheme.PER_SUBCARRIER].p_hat == 1
@@ -971,20 +1001,58 @@ def test_worker_split_keeps_block_streams(params, pools, monkeypatch):
 
 
 def test_points_below_the_floor_run_in_process(params, pools):
-    # --workers is a ceiling: each process needs MIN_BLOCKS_PER_WORKER
-    # blocks, so 4 blocks stay in this process and 2.5 floors use 2 of 8
+    # --workers is a ceiling: each process needs MIN_BLOCKS_PER_WORKER of
+    # the sweep's blocks, counted over all its points, so 4 blocks stay
+    # in this process, 2.5 floors use 2 of 8, and so do two points of one
+    # floor each, which would stay in this process one at a time
     region = Region.disc(5.0)
     length = block_length(params, region, 0.1)
     floor = simulation.MIN_BLOCKS_PER_WORKER
-    for blocks, ceiling, used in ((4, 8, 1), (2 * floor - 1, 8, 1),
-                                  (2 * floor, 8, 2), (5 * floor // 2, 8, 2),
-                                  (3 * floor, 2, 2), (3 * floor, 1, 1)):
-        assert _sampler(params, region, 0.1).workers(
-            blocks * length, ceiling) == used
+    table = (([4], 8, 1), ([2 * floor - 1], 8, 1), ([2 * floor], 8, 2),
+             ([5 * floor // 2], 8, 2), ([3 * floor], 2, 2),
+             ([3 * floor], 1, 1), ([floor, floor - 1], 8, 1),
+             ([floor, floor], 8, 2), ([floor // 2] * 5, 8, 2))
+    for blocks, ceiling, used in table:
+        started = len(pools)
+        points = [(params, region, 0.1, n * length, seed)
+                  for seed, n in enumerate(blocks)]
+        assert estimate_outage_sweep(points, ceiling)[1] == used
+        assert [(pool._max_workers, pool.stopped)
+                for pool in pools[started:]] == [(used, True)] * (used > 1)
     one = estimate_outage_both(params, region, 0.1, 4 * length, seed=5)
+    started = len(pools)
     assert estimate_outage_both(params, region, 0.1, 4 * length, seed=5,
                                 n_workers=8) == one
+    assert len(pools) == started
+
+
+def test_sweep_gives_each_point_its_own_estimates(params, pools):
+    # one-block points, a point of three chunks whose last block is
+    # partial, disc and plane regions and two trial counts: each point
+    # gets exactly what it gets alone, at 1 and 2 workers, and a sweep
+    # starts at most one pool, which it shuts down
+    plane = Region.plane()
+    long = 70 * block_length(params, plane, 0.1) + 123
+    points = [(params, Region.disc(5.0), 0.1, 500, 1),
+              (params, plane, 0.1, long, 2),
+              (replace(params, snr_budget=1000.0), plane, 0.1, 500, 3),
+              (params, Region.disc(5.0), 0.2, 500, 4)]
+    assert -(-long // block_length(params, plane, 0.1)) == 71
+    alone = [estimate_outage_both(*point) for point in points]
+    # alone, each point gives the counts of all its blocks in one run
+    for (p, region, density, trials, seed), both in zip(points, alone):
+        s = _sampler(p, region, density)
+        bulk, ps, empty = _simulate_chunk(s, seed, trials, 0,
+                                          -(-trials // s.length))
+        assert (both[Scheme.BULK].p_hat, both[Scheme.PER_SUBCARRIER].p_hat,
+                both[Scheme.BULK].empty_fraction) == (
+            bulk / trials, ps / trials, empty / trials)
     assert pools == []
+    assert estimate_outage_sweep(points) == (alone, 1)
+    assert pools == []
+    assert estimate_outage_sweep(points, n_workers=2) == (alone, 2)
+    assert [(pool._max_workers, pool.stopped) for pool in pools] == [
+        (2, True)]
 
 
 def test_ps_outage_never_above_bulk(params):
