@@ -24,22 +24,22 @@ This module is the only one that integrates the kernel. It gives u(n),
 the integral of H(n) over a `Region` (`u(n, params, region)`), to the
 outage formulas (`_u_values`, cached per batch of n) and Delta(1..K) to
 `metrics` (`_delta_table`), reducing each row over the grid. The
-optimiser reads u, u' and u'' from a store kept per n
-(`_u_derivatives`), which fills what it lacks with one derivative pass:
-one product of exp(-c e), e the exponent table, with the table
-[w, e w, e**2 w] that the grid's cache entry builds beside it. The store
-stays apart from `_u_values`: u(K) alone sits on c(K)'s grid but in the
-batch u(1..K) on c(1)'s, so one cache for both would make an outage's
-last bits depend on what ran before it. On the plane at alpha = 2 u(n)
-has the closed form `_u_freespace`. Phi_ps and the ratio phi in
-`metrics` share one guarded sum of exponentials
+optimiser reads u, u' and u'' through `_u_derivatives` from a store
+kept per n: `_store`, an lru_cache of the 8 configurations used last,
+each a dict of at most 512 entries. It fills what it lacks with one
+derivative pass: one product of exp(-c e), e the exponent table, with
+the table [w, e w, e**2 w] that the grid's cache entry builds beside it.
+The store stays apart from `_u_values`: u(K) alone sits on c(K)'s grid
+but in the batch u(1..K) on c(1)'s, so one cache for both would make an
+outage's last bits depend on what ran before it. On the plane at
+alpha = 2 u(n) has the closed form `_u_freespace`. Phi_ps and the ratio
+phi in `metrics` share one guarded sum of exponentials
 (`_exp_inclusion_exclusion`).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -78,13 +78,11 @@ class QuadratureSettings:
     """Tolerances of every quadrature.
 
     An integral is accepted once its error estimate is at most
-    max(abs_tol, rel_tol * |integral|). max_subdivisions caps the
-    Gauss-Legendre nodes per panel (the first level, of 32, always runs).
+    max(abs_tol, rel_tol * |integral|).
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -103,8 +101,11 @@ MAX_SUBCARRIERS_EXACT = 64
 # call share one grid, cut at the largest cut, the smallest c's.
 _CUT_NATS = 40.0
 # Nodes per panel of the first coarse rule; the rule it is checked
-# against, whose value is returned, has twice as many.
+# against, whose value is returned, has twice as many. The nodes double
+# while an integral misses its tolerance, up to _MAX_NODES per panel (the
+# first level, of 32, always runs).
 _FIRST_NODES = 16
+_MAX_NODES = 200
 # Grid values evaluated at once over a call's shared grid: keeps the
 # batch buffer near 256 kB.
 _BATCH_NODES = 2**15
@@ -214,8 +215,8 @@ def _integrate(region: Region, cs, params: SystemParams,
     a closed-form bound on the cut-off tail at that cut: slopes[j] times
     that of g for the rows of h, and one from the upper incomplete gamma
     function for the moment rows. Every row must meet the tolerance.
-    While one is above it the nodes are doubled, up to
-    q.max_subdivisions per panel, beyond which QuadratureError is raised.
+    While one is above it the nodes are doubled, up to _MAX_NODES per
+    panel, beyond which QuadratureError is raised.
 
     Each rule evaluates g in one buffer, allocated per rule and reused
     by its batches, from x floored at _EXP_FLOOR = -700, which keeps
@@ -278,7 +279,7 @@ def _integrate(region: Region, cs, params: SystemParams,
         excess = error / np.maximum(q.abs_tol, q.rel_tol * np.abs(fine))
         if (excess <= 1.0).all():
             return fine
-        if 2 * n > q.max_subdivisions:
+        if 2 * n > _MAX_NODES:
             worst = np.unravel_index(np.argmax(excess), excess.shape)
             raise QuadratureError(
                 f"{what} missed its tolerance with {n} nodes per panel",
@@ -298,14 +299,18 @@ def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
                             f"u over the {region.kind}")[0].tolist())
 
 
-# u, u' and u'' by (region, params, q), then by n: the optimiser's one
-# source of u. Kept per n, so that a sweep's later rounds (the ceilings of
-# one density share its peak search) and later sweeps reuse every pass.
-# _ORDER lists every entry's (configuration, n), oldest first; the oldest
-# go once the store holds _STORE_SIZE.
-_STORE: dict = {}
-_ORDER: deque = deque()
-_STORE_SIZE = 4096
+# entries the store keeps per configuration
+_STORE_SIZE = 512
+
+
+@lru_cache(maxsize=8)
+def _store(region: Region, params: SystemParams,
+           q: QuadratureSettings) -> dict:
+    """u, u' and u'' of one configuration by n: the optimiser's one source
+    of u, filled by `_u_derivatives`. Kept per n, so that a sweep's later
+    rounds (the ceilings of one density share its peak search) and later
+    sweeps reuse every pass; the 8 configurations used last are kept."""
+    return {}
 
 
 def _u_derivatives(region: Region, ns, params: SystemParams,
@@ -315,15 +320,15 @@ def _u_derivatives(region: Region, ns, params: SystemParams,
     x = -c (r**alpha + r_mD**alpha), u' = int r x g / n and
     u'' = int r x**2 g / n**2.
 
-    The configuration's dict of n is looked up once per call. An entry's
-    last bits depend on the pass that computed it: the same n integrated
-    alone or in a batch, even on the same grid, can differ in its last
-    bits, as the BLAS reduction over the grid changes with the batch
-    width. So a sweep and the one-density solves it batches agree to
-    about 1e-9 in K_relaxed, not bit for bit.
+    The configuration's dict of n is looked up once per call, and trimmed
+    to its _STORE_SIZE newest entries, oldest integrated first; a read
+    does not renew an entry. An entry's last bits depend on the pass that
+    computed it: the same n integrated alone or in a batch, even on the
+    same grid, can differ in its last bits, as the BLAS reduction over
+    the grid changes with the batch width. So a sweep and the one-density
+    solves it batches agree to about 1e-9 in K_relaxed, not bit for bit.
     """
-    config = (region, params, q)
-    known = _STORE.setdefault(config, {})
+    known = _store(region, params, q)
     missing = [n for n in dict.fromkeys(ns) if n not in known]
     if missing:
         n = np.asarray(missing, dtype=float)
@@ -333,24 +338,10 @@ def _u_derivatives(region: Region, ns, params: SystemParams,
                                       f"{region.kind}", moments=2)
         known.update(zip(missing, zip(u.tolist(), (first / n).tolist(),
                                       (second / (n * n)).tolist())))
-        _ORDER.extend((config, key) for key in missing)
     values = [known[key] for key in ns]
-    while len(_ORDER) > _STORE_SIZE:
-        old, key = _ORDER.popleft()
-        entries = _STORE[old]
-        del entries[key]
-        if not entries:
-            del _STORE[old]
+    while len(known) > _STORE_SIZE:
+        del known[next(iter(known))]
     return values
-
-
-def _clear_store() -> None:
-    _STORE.clear()
-    _ORDER.clear()
-
-
-# as on an lru_cache'd function, so that a reset of every cache reaches it
-_u_derivatives.cache_clear = _clear_store
 
 
 @lru_cache(maxsize=256)

@@ -7,10 +7,11 @@ versions of relayfield, numpy, scipy and Python. Exit codes: 0 success,
 ArithmeticError.
 
 Four tables drive the module: `_MODES` maps each mode to the function
-that computes its rows, `_FIGURES` maps each figure preset to its own,
-`_OUTAGES` maps each (mode, scheme) to its outage function, which
-analytic and asymptotic rows and --verify share, and `_OPTIONS` gives
-each setting's flag, config-file keys and parsing.
+that computes its rows and extra `.meta` entries, `_FIGURES` maps each
+figure preset to its own, `_OUTAGES` maps each (mode, scheme) to its
+outage function, which analytic and asymptotic rows and --verify share,
+and `_OPTIONS` gives each setting's flag, config-file keys and parsing.
+A CSV's columns are its rows' keys, in the order first seen.
 Flags and a config file are only split into text, which `parse_config`
 checks alike before it checks the settings together.
 """
@@ -22,7 +23,6 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -129,7 +129,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
@@ -179,8 +180,9 @@ def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
     return abs(est.p_hat - ref) <= 3.0 * se
 
 
-# A sweep's CSV columns, its rows and its extra .meta entries
-Sweep = tuple[list[str], list[dict], dict]
+# A sweep's rows, whose keys are its CSV columns, and its extra .meta
+# entries
+Sweep = tuple[list[dict], dict]
 
 
 def _points(cfg: ExperimentConfig):
@@ -191,45 +193,23 @@ def _points(cfg: ExperimentConfig):
             yield replace(cfg.system_params(), snr_budget=snr), density
 
 
-def _grid_rows(cfg: ExperimentConfig, point, extra: list[str]) -> Sweep:
+def _grid_rows(cfg: ExperimentConfig, fields: list[dict]) -> list[dict]:
     """One row per (lambda, SNR, scheme) point of the grid.
 
-    point(params, density) maps each scheme of cfg.scheme to its row's
-    fields: p_outage and the extra columns.
+    fields holds one entry per point, in _points order: a map from each
+    scheme of cfg.scheme to its row's fields, p_outage first.
     """
     rows = []
-    for params, density in _points(cfg):
-        for scheme, fields in point(params, density).items():
+    for (params, density), point in zip(_points(cfg), fields, strict=True):
+        for scheme, extra in point.items():
             row = {"lambda": density, "snr": params.snr_budget,
                    "snr_db": 10.0 * math.log10(params.snr_budget),
                    "K": params.subcarriers, "alpha": params.path_loss,
-                   "s": params.threshold, "scheme": scheme.value, **fields}
+                   "s": params.threshold, "scheme": scheme.value, **extra}
             if cfg.connection:
                 row["connection"] = 1.0 - min(max(row["p_outage"], 0.0), 1.0)
             rows.append(row)
-    columns = ["lambda", "snr", "snr_db", "K", "alpha", "s", "scheme",
-               "p_outage", *extra]
-    if cfg.connection:
-        columns.append("connection")
-    return columns, rows, {}
-
-
-def _simulated_point(cfg: ExperimentConfig, estimates,
-                     params: SystemParams, density: float) -> dict:
-    """The fields of one point, per scheme of cfg.scheme, from the next
-    of estimates, an iterator in _points order."""
-    both = next(estimates)
-    fields = {}
-    for scheme in _SCHEMES[cfg.scheme]:
-        est = both[scheme]
-        fields[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
-                          "empty_fraction": est.empty_fraction}
-        if cfg.verify:
-            ref = _OUTAGES["analytic", scheme](params, cfg.region(), density,
-                                               cfg.quadrature())
-            fields[scheme].update(p_analytic=ref,
-                                  verify_ok=_within_3_sigma(est, ref))
-    return fields
+    return rows
 
 
 def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
@@ -244,12 +224,20 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     estimates = iter(estimates)
     rows, meta = [], {}
     for cfg in cfgs:
-        extra = ["stderr", "empty_fraction"]
-        if cfg.verify:
-            extra += ["p_analytic", "verify_ok"]
-        columns, cfg_rows, _ = _grid_rows(
-            cfg, partial(_simulated_point, cfg, estimates), extra)
-        rows += cfg_rows
+        region, q, fields = cfg.region(), cfg.quadrature(), []
+        for params, density in _points(cfg):
+            both, point = next(estimates), {}
+            for scheme in _SCHEMES[cfg.scheme]:
+                est = both[scheme]
+                point[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
+                                 "empty_fraction": est.empty_fraction}
+                if cfg.verify:
+                    ref = _OUTAGES["analytic", scheme](params, region,
+                                                       density, q)
+                    point[scheme].update(p_analytic=ref,
+                                         verify_ok=_within_3_sigma(est, ref))
+            fields.append(point)
+        rows += _grid_rows(cfg, fields)
     if any(cfg.verify for cfg in cfgs):
         checked = [row for row in rows if "verify_ok" in row]
         meta["verify_mismatches"] = sum(not row["verify_ok"]
@@ -259,19 +247,17 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
         meta["verify_unchecked"] = sum(row["verify_ok"]
                                        and row["p_outage"] == 0
                                        for row in checked)
-    return columns, rows, {**meta, "pool_workers": size}
+    return rows, {**meta, "pool_workers": size}
 
 
 def _outage_rows(cfg: ExperimentConfig) -> Sweep:
     """The analytic or asymptotic rows of cfg.mode, from _OUTAGES."""
     q, region = cfg.quadrature(), cfg.region()
-
-    def point(params, density):
-        return {scheme: {"p_outage": _OUTAGES[cfg.mode, scheme](
-                    params, region, density, q)}
-                for scheme in _SCHEMES[cfg.scheme]}
-
-    return _grid_rows(cfg, point, [])
+    return _grid_rows(cfg, [
+        {scheme: {"p_outage": _OUTAGES[cfg.mode, scheme](params, region,
+                                                          density, q)}
+         for scheme in _SCHEMES[cfg.scheme]}
+        for params, density in _points(cfg)]), {}
 
 
 def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
@@ -289,10 +275,7 @@ def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
                      "epsilon": eps,
                      "lambda_exact": res.density_exact,
                      "lambda_approx": res.density_approx})
-    columns = ["lambda", "phi", "phi_approx"]
-    if cfg.epsilons:
-        columns += ["epsilon", "lambda_exact", "lambda_approx"]
-    return columns, rows, {}
+    return rows, {}
 
 
 def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
@@ -307,7 +290,7 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
             est = metrics.diversity_slope(log_curve, lo, hi)
             rows.append({"lambda": density, "snr_lo": lo, "snr_hi": hi,
                          "slope": est.slope})
-    return ["lambda", "snr_lo", "snr_hi", "slope"], rows, {}
+    return rows, {}
 
 
 def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
@@ -323,8 +306,7 @@ def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     if cfg.psi is not None:
         meta["cutoff_density"] = optimize.cutoff_density(cfg.psi, params,
                                                          region, q)
-    return (["lambda", "K_relaxed", "K_opt", "kappa_opt", "feasible"],
-            rows, meta)
+    return rows, meta
 
 
 def _caption(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
@@ -352,20 +334,21 @@ def _fig2(cfg: ExperimentConfig) -> Sweep:
                  fig.region(), density, fig.quadrature())}
             for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
             for k in range(1, 17)]
-    return ["lambda", "K", "kappa"], rows, {}
+    return rows, {}
 
 
 def _outage_vs_snr(cfg: ExperimentConfig, scheme: str) -> Sweep:
     # fig3 (bulk) and fig4 (per-subcarrier): quadrature and simulation
     # against P_t/N_0 at lambda = 1; a figure plots a 3-sigma miss
     # rather than failing on it, so its .meta keeps only pool_workers
-    _, rows, meta = _simulate_rows(*[
+    rows, meta = _simulate_rows(*[
         _caption(cfg, alpha=alpha, subcarriers=k, scheme=scheme,
                  densities=[1.0], snrs=_log_grid(1.0, 1e4, 9), verify=True)
         for alpha in (2.0, 4.0) for k in (2, 4)])
-    return (["alpha", "K", "snr", "snr_db", "p_analytic", "p_sim", "stderr"],
-            [{**row, "p_sim": row["p_outage"]} for row in rows],
-            {"pool_workers": meta["pool_workers"]})
+    return ([{"alpha": row["alpha"], "K": row["K"], "snr": row["snr"],
+              "snr_db": row["snr_db"], "p_analytic": row["p_analytic"],
+              "p_sim": row["p_outage"], "stderr": row["stderr"]}
+             for row in rows], {"pool_workers": meta["pool_workers"]})
 
 
 def _fig5(cfg: ExperimentConfig) -> Sweep:
@@ -374,12 +357,12 @@ def _fig5(cfg: ExperimentConfig) -> Sweep:
     for alpha in (2.0, 4.0):
         fig = _caption(cfg, mode="analytic", alpha=alpha, scheme="both",
                        densities=_log_grid(1e-3, 2.0, 12))
-        grid = _outage_rows(fig)[1]
+        grid = _outage_rows(fig)[0]
         rows += [{"alpha": alpha, "lambda": bulk["lambda"],
                   "connection_bulk": 1.0 - bulk["p_outage"],
                   "connection_ps": 1.0 - ps["p_outage"]}
                  for bulk, ps in zip(grid[::2], grid[1::2])]
-    return ["alpha", "lambda", "connection_bulk", "connection_ps"], rows, {}
+    return rows, {}
 
 
 def _fig6(cfg: ExperimentConfig) -> Sweep:
@@ -387,18 +370,20 @@ def _fig6(cfg: ExperimentConfig) -> Sweep:
     # the caption gives sigma, r_SD and K; P_t/N_0 = 100 is assumed
     epsbars = _log_grid(1e-6, 1e-2, 9)
     fig = _caption(cfg, densities=[], epsilons=[1.0 - e for e in epsbars])
-    rows = [{"epsbar": e, **row}
-            for e, row in zip(epsbars, _ratio_rows(fig)[1])]
-    return (["epsbar", "lambda_exact", "lambda_approx"], rows,
-            {"assumed_snr": 100.0})
+    rows = [{"epsbar": e, "lambda_exact": row["lambda_exact"],
+             "lambda_approx": row["lambda_approx"]}
+            for e, row in zip(epsbars, _ratio_rows(fig)[0])]
+    return rows, {"assumed_snr": 100.0}
 
 
 def _fig7(cfg: ExperimentConfig) -> Sweep:
     # unconstrained K_opt and max throughput vs density
-    rows = [{"alpha": alpha, **row} for alpha in (2.0, 4.0)
+    rows = [{"alpha": alpha, "lambda": row["lambda"],
+             "K_relaxed": row["K_relaxed"], "K_opt": row["K_opt"],
+             "kappa_opt": row["kappa_opt"]} for alpha in (2.0, 4.0)
             for row in _optimize_rows(_caption(
-                cfg, alpha=alpha, densities=_log_grid(0.05, 5.0, 13)))[1]]
-    return ["alpha", "lambda", "K_relaxed", "K_opt", "kappa_opt"], rows, {}
+                cfg, alpha=alpha, densities=_log_grid(0.05, 5.0, 13)))[0]]
+    return rows, {}
 
 
 def _fig8(cfg: ExperimentConfig) -> Sweep:
@@ -417,7 +402,7 @@ def _fig8(cfg: ExperimentConfig) -> Sweep:
             for (psi, density), res in zip(pairs, solved)]
     meta = {f"cutoff_density_psi_{psi:g}":
             optimize.cutoff_density(psi, params, region, q) for psi in psis}
-    return ["psi", "lambda", "K_opt", "feasible"], rows, meta
+    return rows, meta
 
 
 _FIGURES = {
@@ -433,8 +418,8 @@ FIGURES = tuple(_FIGURES)
 
 
 def _figure_rows(cfg: ExperimentConfig) -> Sweep:
-    columns, rows, meta = _FIGURES[cfg.figure](cfg)
-    return columns, rows, {"figure": cfg.figure, **meta}
+    rows, meta = _FIGURES[cfg.figure](cfg)
+    return rows, {"figure": cfg.figure, **meta}
 
 
 _MODES = {
@@ -654,8 +639,8 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Execute the configured sweep and write CSV plus .meta sidecar."""
-    columns, rows, meta = _MODES[cfg.mode](cfg)
-    _write_csv(cfg.output, columns, rows)
+    rows, meta = _MODES[cfg.mode](cfg)
+    _write_csv(cfg.output, rows)
     _write_meta(cfg.output, cfg, meta)
     if meta.get("verify_mismatches"):
         raise NumericalFailure(

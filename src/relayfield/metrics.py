@@ -19,6 +19,7 @@ from scipy import optimize
 from .analytic import (
     DEFAULT_QUADRATURE,
     DomainError,
+    NumericalInstabilityError,
     QuadratureSettings,
     _delta_table,
     _exp_inclusion_exclusion,
@@ -63,8 +64,16 @@ def delta_k(k: int, params: SystemParams, region: Region,
 
 
 def _quadratic_coefficient(deltas: Sequence[float]) -> float:
-    """The density**2 / 2 coefficient of phi's small-density expansion."""
-    return math.fsum(_inclusion_exclusion([d**2 for d in deltas]))
+    """The density**2 / 2 coefficient c2 of phi's small-density expansion;
+    NumericalInstabilityError where its rounding bound (Higham 2002, ch. 4)
+    4 u sum_k binom(K, k) Delta(k)**2, u = 2**-53, exceeds 1 % of |c2|, as
+    on the disc of radius 5 from K = 44."""
+    terms = _inclusion_exclusion([d**2 for d in deltas])
+    c2 = math.fsum(terms)
+    if 4.0 * 2.0**-53 * math.fsum(map(abs, terms)) > 0.01 * abs(c2):
+        raise NumericalInstabilityError(f"quadratic coefficient cancelled "
+                                        f"at subcarrier count {len(deltas)}")
+    return c2
 
 
 def outage_ratio(params: SystemParams, region: Region, density: float,

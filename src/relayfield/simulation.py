@@ -98,6 +98,7 @@ import bisect
 import enum
 import itertools
 import math
+import numbers
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -556,12 +557,18 @@ def estimate_outage_sweep(points, n_workers: int = 1,
     one map: the builtin one, in this process, or that of one pool of
     min(n_workers, blocks // MIN_BLOCKS_PER_WORKER) processes where that
     is at least 2. A point's counts are summed over its chunks, so its
-    estimates depend on its seed and trial count alone.
+    estimates depend on its seed and trial count alone: integers, trials
+    at least 1 and the seed in [0, 2**64 - 1], the Philox key's range.
     """
     runs, chunks = [], []
     for params, region, density, trials, seed in points:
+        if not isinstance(trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {trials!r}")
         if not trials >= 1:
             raise ValueError("trials must be >= 1")
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], "
+                             f"got {seed!r}")
         s = _sampler(params, region, density)
         # built here, so that the sampler each chunk receives carries them
         s.inner_chance, s.count_table

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from relayfield.analytic import (
     _integrate,
     _panel_rule,
     _outage_ps_from_u,
+    _store,
     _u_derivatives,
     _u_freespace,
     _u_values,
@@ -166,16 +168,30 @@ def test_u_disc_matches_the_bessel_oracle(params, n):
         oracle, rel=1e-12, abs=0.0)
 
 
+@contextmanager
+def _first_rule_only():
+    """The integrator capped at its first level, 32 nodes per panel. The
+    cap is no part of a cache key, so the u cache is emptied around it."""
+    _u_values.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(relayfield.analytic, "_MAX_NODES", 32)
+            yield
+    finally:
+        _u_values.cache_clear()
+
+
 @pytest.mark.parametrize("c", [1e-4, 1e-3, 1e-2])
 def test_first_rule_resolves_the_wide_plane_kernel(c):
     # small c spreads the kernel out to r ~ c**-0.5; the far-field panel
     # keeps the first coarse rule within 1e-10, so no refinement is needed
     p = SystemParams(snr_budget=1.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
-    first_only = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10,
-                                    max_subdivisions=32)
-    assert u(c, p, Region.plane(), first_only) == pytest.approx(
-        u(c, p, Region.plane()), rel=1e-12, abs=0.0)
+    strict = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-10)
+    with _first_rule_only():
+        first = u(c, p, Region.plane(), strict)
+    assert first == pytest.approx(u(c, p, Region.plane()), rel=1e-12,
+                                  abs=0.0)
 
 
 def test_integrator_raises_with_its_estimate_past_the_cap():
@@ -183,10 +199,9 @@ def test_integrator_raises_with_its_estimate_past_the_cap():
     # 32 nodes per panel; the estimate is still close
     p = SystemParams(snr_budget=10.0, path_loss=4.0, threshold=1.0,
                      subcarriers=32, r_sd=5.0)
-    capped = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12,
-                                max_subdivisions=32)
-    with pytest.raises(QuadratureError) as caught:
-        u(32.0, p, Region.plane(), capped)
+    strict = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12)
+    with _first_rule_only(), pytest.raises(QuadratureError) as caught:
+        u(32.0, p, Region.plane(), strict)
     assert caught.value.estimate == pytest.approx(3.0228e-111, rel=1e-3,
                                                   abs=0.0)
     assert caught.value.error > 1e-12 * caught.value.estimate
@@ -283,7 +298,7 @@ def test_exp_floor_leaves_the_disc_u_bitwise():
 def test_exp_floor_leaves_the_moment_rows_bitwise(tmp_path):
     # every derivative pass of fig7, re-run against the unfloored rule
     _u_values.cache_clear()
-    _u_derivatives.cache_clear()
+    _store.cache_clear()
     passes = []
 
     def recording(region, cs, params, *args, moments=0, **kwargs):
@@ -439,7 +454,7 @@ def test_store_hands_over_one_derivative_pass_bitwise(monkeypatch, alpha,
                                   p, DEFAULT_QUADRATURE, "u", moments=2)
     expected = list(zip(u.tolist(), (first / ns).tolist(),
                         (second / (ns * ns)).tolist()))
-    _u_derivatives.cache_clear()
+    _store.cache_clear()
     calls = []
 
     def counting(*args, **kwargs):
@@ -705,8 +720,7 @@ def test_import_loads_no_mpmath_and_no_scipy_integrate():
 def test_quadrature_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(abs_tol=0.0)
-    loose = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-5,
-                               max_subdivisions=50)
+    loose = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-5)
     p = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
     assert u(4.0, p, Region.disc(5.0), loose) == pytest.approx(

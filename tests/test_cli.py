@@ -354,11 +354,11 @@ def test_configs_share_one_pool_sized_by_their_blocks(pools):
         for snr in (100.0, 1000.0)]
     floor = simulation.MIN_BLOCKS_PER_WORKER
     assert max(blocks) < 2 * floor <= sum(blocks)
-    _, rows, meta = _simulate_rows(small, plane)
+    rows, meta = _simulate_rows(small, plane)
     assert meta == {"pool_workers": 2}
     assert len(pools) == 1 and pools[0].stopped
     assert pools[0]._max_workers == 2
-    assert rows == _simulate_rows(small)[1] + _simulate_rows(plane)[1]
+    assert rows == _simulate_rows(small)[0] + _simulate_rows(plane)[0]
 
 
 def test_each_point_builds_its_sampler_once(tmp_path):
@@ -648,7 +648,7 @@ def test_benchmark_reset_clears_every_cache(tmp_path, monkeypatch):
                  if name == "relayfield" or name.startswith("relayfield.")
                  for obj in vars(module).values()
                  if callable(getattr(obj, "cache_clear", None))]
-    assert relayfield.analytic._u_derivatives in clearable
+    assert relayfield.analytic._store in clearable
     for obj in clearable:
         obj.cache_clear()
     integrate, calls = relayfield.analytic._integrate, []
@@ -714,6 +714,40 @@ FIGURE_CSV = {
     "fig7": ("alpha,lambda,K_relaxed,K_opt,kappa_opt", 2 * 13),
     "fig8": ("psi,lambda,K_opt,feasible", 3 * 13),
 }
+
+
+# every mode's CSV header, by the mode and the flags that add columns
+_SIMULATED = ("lambda,snr,snr_db,K,alpha,s,scheme,p_outage,stderr,"
+              "empty_fraction")
+MODE_CSV = {
+    "simulate --verify --connection":
+        f"{_SIMULATED},p_analytic,verify_ok,connection",
+    "simulate": _SIMULATED,
+    "analytic --connection":
+        "lambda,snr,snr_db,K,alpha,s,scheme,p_outage,connection",
+    "asymptotic --snr 10000": "lambda,snr,snr_db,K,alpha,s,scheme,p_outage",
+    "ratio --epsilon 0.5":
+        "lambda,phi,phi_approx,epsilon,lambda_exact,lambda_approx",
+    "ratio": "lambda,phi,phi_approx",
+    "diversity --snr 10,100": "lambda,snr_lo,snr_hi,slope",
+    "optimize-k": "lambda,K_relaxed,K_opt,kappa_opt,feasible",
+}
+
+
+@pytest.mark.parametrize("mode", MODE_CSV)
+def test_mode_csv_header(tmp_path, mode):
+    # a mode's columns come in a fixed order, and every row fills each of
+    # them but where ratio mixes density and epsilon rows: a density row
+    # leaves the epsilon columns empty, an epsilon row phi_approx
+    out = tmp_path / "mode.csv"
+    assert main(["--mode", *mode.split(), "--lambda", "0.2",
+                 "--trials", "2000", "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == MODE_CSV[mode]
+    empty = [[key for key, cell in row.items() if cell == ""]
+             for row in _read_rows(out)]
+    assert empty == ([["epsilon", "lambda_exact", "lambda_approx"],
+                      ["phi_approx"]] if "--epsilon" in mode
+                     else [[]] * len(empty))
 
 
 @pytest.mark.parametrize("figure", FIGURES)

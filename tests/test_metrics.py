@@ -1,12 +1,14 @@
 import inspect
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import relayfield
 from relayfield import (
+    DEFAULT_QUADRATURE,
     NumericalInstabilityError,
     QuadratureSettings,
     Region,
@@ -160,6 +162,43 @@ def test_ratio_inverse_past_the_subcarrier_cap_names_k(disc, big_k):
     with pytest.raises(NumericalInstabilityError,
                        match=f"subcarrier count {big_k} exceeds"):
         min_density_for_advantage(0.5, p, disc)
+
+
+# (region, path loss, SNR, K) and whether c2's rounding bound
+# 4 u sum binom(K, k) Delta(k)**2 stays within 1 % of |c2|: it reads
+# 2.5e-5 of it on the disc at K 32, 0.94 % at K 40, 18 % at K 44 and 17
+# times at K 52; 9.5e-5 and 3.6 % on the alpha 4 plane at K 32 and 40
+_C2_POINTS = [(Region.disc(5.0), 2.0, 100.0, k, k <= 40)
+              for k in (4, 16, 32, 40, 44, 52)] + [
+    (Region.plane(), 4.0, 1e3, k, k <= 32) for k in (32, 40)]
+
+
+@pytest.mark.parametrize("region, alpha, snr, big_k, passes", _C2_POINTS)
+def test_quadratic_coefficient_guards_its_cancellation(region, alpha, snr,
+                                                       big_k, passes):
+    # where the bound passes c2 lies within 1 % of the exact sum of the
+    # same Deltas; elsewhere c2 raises, naming K, and so do the
+    # approximation and the inverse that use it. On the disc at K 52 the
+    # double sum reads about +718, the exact one about +517, and the
+    # inverse blamed the target with a DomainError
+    p = _params_with(path_loss=alpha, snr_budget=snr, subcarriers=big_k)
+    deltas = relayfield.analytic._delta_table(p, region, DEFAULT_QUADRATURE)
+    exact = float(sum(Fraction(math.comb(big_k, k) * (-1) ** (k + 1))
+                      * Fraction(d) ** 2
+                      for k, d in enumerate(deltas, 1)))
+    if passes:
+        assert metrics._quadratic_coefficient(deltas) == pytest.approx(
+            exact, rel=0.01, abs=0)
+        if region.kind == "disc":
+            assert min_density_for_advantage(0.5, p,
+                                             region).density_exact > 0
+        return
+    for call in (lambda: metrics._quadratic_coefficient(deltas),
+                 lambda: outage_ratio_approx(p, region, 0.01),
+                 lambda: min_density_for_advantage(0.5, p, region)):
+        with pytest.raises(NumericalInstabilityError,
+                           match=f"subcarrier count {big_k}$"):
+            call()
 
 
 def test_each_result_has_one_entry_point():

@@ -18,7 +18,8 @@ from relayfield import (
     throughput,
 )
 from relayfield.analytic import (DEFAULT_QUADRATURE, QuadratureSettings,
-                                 _integrate, _u_derivatives, _u_values)
+                                 _integrate, _store, _u_derivatives,
+                                 _u_values)
 from relayfield.cli import main
 from test_cli import _benchmark_reset
 
@@ -72,7 +73,7 @@ def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
     whether it was cold, that is integrated in its round rather than read
     from the store; the store, the optimiser's one source of u, starts
     empty, and a round integrates its cold Ks in at most one pass."""
-    relayfield.analytic._u_derivatives.cache_clear()
+    relayfield.analytic._store.cache_clear()
     store, integrate = (relayfield.analytic._u_derivatives,
                         relayfield.analytic._integrate)
     passes, integrated = [], []
@@ -83,7 +84,7 @@ def _record_passes(monkeypatch) -> list[tuple[float, bool]]:
 
     def recording(region, ks, params, q):
         integrated.clear()
-        held = set(relayfield.analytic._STORE.get((region, params, q), ()))
+        held = set(relayfield.analytic._store(region, params, q))
         result = store(region, ks, params, q)
         assert len(integrated) <= 1
         cold = {k for k in ks if k not in held}
@@ -150,7 +151,7 @@ def test_constrained_root_needs_few_derivative_passes(monkeypatch, disc,
     passes = _record_passes(monkeypatch)
     peak = optimize_K(p, disc, 1.0).k_relaxed
     search = _split_rounding([k for k, _ in passes], peak)
-    relayfield.analytic._u_derivatives.cache_clear()
+    relayfield.analytic._store.cache_clear()
     passes.clear()
     res = optimize_K(p, disc, 1.0, psi)
     ks = [k for k, _ in passes]
@@ -196,7 +197,7 @@ def test_unconstrained_evaluates_each_k_once(monkeypatch):
     # the floor and the ceiling both round to K = 1. No integrator pass,
     # derivative or value, is repeated.
     _u_values.cache_clear()
-    _u_derivatives.cache_clear()
+    _store.cache_clear()
     calls = []
 
     def counting(region, cs, *args, moments=0, **kwargs):
@@ -214,7 +215,7 @@ def _count_integrals(monkeypatch) -> list[tuple[float, float]]:
     """(alpha, c) of every c a derivative pass integrates, in order; u,
     its derivatives and the store start empty."""
     _u_values.cache_clear()
-    _u_derivatives.cache_clear()
+    _store.cache_clear()
     integrated = []
 
     def counting(region, cs, params, *args, moments=0, **kwargs):
@@ -265,11 +266,11 @@ def test_each_round_is_one_integrator_pass(monkeypatch):
     monkeypatch.setattr(relayfield.optimize, "_u_derivatives", recording)
     singles = []
     for density in FIG_DENSITIES:
-        store.cache_clear()
+        _store.cache_clear()
         rounds.clear()
         optimize_K(p, disc, density)
         singles.append(len(rounds))
-    store.cache_clear()
+    _store.cache_clear()
     rounds.clear()
     passes.clear()
     optimize_K_sweep(p, disc, FIG_DENSITIES)
@@ -287,11 +288,10 @@ def test_lockstep_matches_one_density_solves(alpha, region, densities, psi):
     # batching changes only which Ks share an integrator pass, so each
     # density's optimum is the one its own solve finds, from a cold store
     p = _params(alpha)
-    store = _u_derivatives
-    store.cache_clear()
+    _store.cache_clear()
     swept = optimize_K_sweep(p, region, densities, psi)
     for density, res in zip(densities, swept):
-        store.cache_clear()
+        _store.cache_clear()
         one = optimize_K_sweep(p, region, [density], psi)[0]
         assert (res.k_opt, res.feasible) == (one.k_opt, one.feasible)
         assert res.k_relaxed == pytest.approx(
@@ -476,12 +476,11 @@ def test_mixed_ceiling_sweep_matches_each_ceilings_sweep(alpha, region,
     p = _params(alpha)
     psis = [None, 1e-2, 1e-3, 1e-5]
     pairs = [(density, psi) for psi in psis for density in densities]
-    store = _u_derivatives
-    store.cache_clear()
+    _store.cache_clear()
     mixed = dict(zip(pairs, optimize_K_sweep(
         p, region, [d for d, _ in pairs], [psi for _, psi in pairs])))
     for psi in psis:
-        store.cache_clear()
+        _store.cache_clear()
         own = optimize_K_sweep(p, region, densities, psi)
         for density, one in zip(densities, own):
             res = mixed[density, psi]
@@ -509,51 +508,65 @@ def test_fig8_solves_its_ceilings_in_one_sweep(monkeypatch, tmp_path):
     assert sum(map(len, passes)) <= 92
 
 
-def test_store_keeps_the_newest_entries(monkeypatch):
-    # the store holds at most _STORE_SIZE (u, u', u'') entries over all
-    # configurations and drops the oldest integrated first; a read does
-    # not renew an entry, and the cache reset empties it
-    size = 8
-    monkeypatch.setattr(relayfield.analytic, "_STORE_SIZE", size)
+def test_store_keeps_the_newest_entries_of_the_last_configurations(
+        monkeypatch):
+    # the store keeps each configuration's 512 newest (u, u', u'')
+    # entries, dropping the oldest integrated first, and a read does not
+    # renew an entry; it keeps the 8 configurations used last, so a
+    # ninth drops the least recently used one whole; the cache reset
+    # empties it
+    size, q = 512, DEFAULT_QUADRATURE
     store = _u_derivatives
-    store.cache_clear()
+    _store.cache_clear()
     integrated = []
 
     def fake(region, cs, params, q, what, moments):
-        # the integer Ks back from c = K s / (P_t/N_0), and rows whose
+        # the Ks back from c = K s / (P_t/N_0), and rows whose
         # (u, u' n, u'' n**2) are (K, -K**2, alpha K**2)
         ns = np.rint(np.asarray(cs) * params.snr_budget / params.threshold)
         integrated.extend((region, params.path_loss, n) for n in ns.tolist())
         return np.array([ns, -ns * ns, params.path_loss * ns * ns])
 
     monkeypatch.setattr(relayfield.analytic, "_integrate", fake)
+    disc, p = Region.disc(5.0), _params()
+    ks = [float(k) for k in range(1, size + 1)]
+    assert store(disc, ks, p, q) == [(k, -k, 2.0) for k in ks]
+    assert list(_store(disc, p, q)) == ks
+    # the oldest entry is read, then a new K drops it all the same
+    assert store(disc, [1.0, 9999.0], p, q) == [(1.0, -1.0, 2.0),
+                                                (9999.0, -9999.0, 2.0)]
+    assert list(_store(disc, p, q)) == ks[1:] + [9999.0]
+    assert len(integrated) == size + 1
+    # a pass of more new Ks than the store keeps returns them all
+    many = [float(k) for k in range(10_000, 10_000 + size + 3)]
+    assert store(disc, many, p, q) == [(k, -k, 2.0) for k in many]
+    assert list(_store(disc, p, q)) == many[3:]
 
-    def held():
-        return [(config[0], config[1].path_loss, k)
-                for config, entries in relayfield.analytic._STORE.items()
-                for k in entries]
+    def read(config, ks):
+        region, params = config
+        return store(region, ks, params, q)
 
-    configs = [(region, _params(alpha)) for alpha in (2.0, 3.0, 4.0)
+    configs = [(region, _params(alpha)) for alpha in (2.0, 3.0, 4.0, 5.0)
                for region in (Region.disc(5.0), Region.plane())]
-    for i, (region, p) in enumerate(configs * 2):
-        ks = [float(i % 3 + j) for j in range(1, 4)] + [2.0]
-        values = store(region, ks, p, DEFAULT_QUADRATURE)
-        assert values == [(k, -k, p.path_loss) for k in ks]
-        assert len(held()) <= size
-        # an entry is integrated again only once it is dropped, so the
-        # store holds the last size integrated
-        assert sorted(held(), key=repr) == sorted(integrated[-size:],
-                                                  key=repr)
-    assert len(integrated) > 3 * size
-    assert len(held()) == size
-    # the oldest entry held is read, then a new K drops it all the same
-    oldest = integrated[-size]
-    store(oldest[0], [oldest[2]], _params(oldest[1]), DEFAULT_QUADRATURE)
-    assert integrated[-size] == oldest
-    store(Region.disc(5.0), [99.0], _params(), DEFAULT_QUADRATURE)
-    assert oldest not in held() and len(held()) == size
-    _benchmark_reset()()
-    assert not relayfield.analytic._STORE and not relayfield.analytic._ORDER
+    configs.append((Region.disc(7.0), _params()))
+    _store.cache_clear()
+    for config in configs[:8]:
+        read(config, [1.0, 2.0])
+    # a read makes the first the most recently used, so the ninth
+    # configuration drops the second, and only it
+    read(configs[0], [2.0])
+    read(configs[8], [1.0, 2.0])
     count = len(integrated)
-    store(Region.disc(5.0), [2.0], _params(), DEFAULT_QUADRATURE)
+    for config in configs[:1] + configs[2:]:
+        read(config, [1.0, 2.0])
+    assert len(integrated) == count
+    read(configs[1], [1.0, 2.0])
+    assert integrated[count:] == [(Region.plane(), 2.0, 1.0),
+                                  (Region.plane(), 2.0, 2.0)]
+    assert _store.cache_info().currsize == 8
+
+    _benchmark_reset()()
+    assert _store.cache_info().currsize == 0
+    count = len(integrated)
+    store(disc, [2.0], p, q)
     assert len(integrated) == count + 1

@@ -3,6 +3,7 @@ import bisect
 import inspect
 import itertools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -881,7 +882,7 @@ def test_only_analytic_reaches_the_integrator():
     # analytic is the one module that integrates the relay kernel: no
     # other module of the package names its integrator, grids, rules or
     # derivative store, by name, attribute, import or string
-    private = {"_integrate", "_grid", "_Rule", "_STORE", "_ORDER"}
+    private = {"_integrate", "_grid", "_Rule", "_store"}
     package = Path(simulation.__file__).parent
     assert private <= set(vars(analytic))
     for path in sorted(package.glob("*.py")):
@@ -940,6 +941,32 @@ def test_every_sampler_route_rejects_a_bad_density(params, disc, density):
     assert block_length(params, disc, 0.0) >= 1
     empty = estimate_outage_both(params, disc, 0.0, trials=10, seed=1)
     assert empty[Scheme.BULK].p_hat == empty[Scheme.PER_SUBCARRIER].p_hat == 1
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (1e4, 1, "trials must be an integer, got 10000.0"),
+    (100, 1.7, "seed must be an integer in [0, 2**64 - 1], got 1.7"),
+    (100, -1, "seed must be an integer in [0, 2**64 - 1], got -1"),
+    (100, 2**64, "seed must be an integer in [0, 2**64 - 1], got "
+                 "18446744073709551616"),
+    (100, None, "seed must be an integer in [0, 2**64 - 1], got None"),
+])
+def test_sweep_rejects_a_fractional_or_out_of_range_trials_or_seed(
+        params, disc, trials, seed, message):
+    # a float seed would run the stream of its integer part and record
+    # the float; out of the Philox key's range it overflowed
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_outage_sweep([(params, disc, 0.2, trials, seed)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_outage_both(params, disc, 0.2, trials, seed)
+
+
+def test_sweep_takes_numpy_integer_trials_and_seeds(params, disc):
+    # as SystemParams.subcarriers does; the largest seed is in range
+    for seed in (7, 2**64 - 1):
+        assert (estimate_outage_sweep(
+                    [(params, disc, 0.2, np.int64(300), np.uint64(seed))])
+                == estimate_outage_sweep([(params, disc, 0.2, 300, seed)]))
 
 
 def test_estimate_outage_zero_density(params):
