@@ -29,12 +29,15 @@ kept per n: `_store`, an lru_cache of the 8 configurations used last,
 each a dict of at most 512 entries. It fills what it lacks with one
 derivative pass: one product of exp(-c e), e the exponent table, with
 the table [w, e w, e**2 w] that the grid's cache entry builds beside it.
-The store stays apart from `_u_values`: u(K) alone sits on c(K)'s grid
-but in the batch u(1..K) on c(1)'s, so one cache for both would make an
-outage's last bits depend on what ran before it. On the plane at
-alpha = 2 u(n) has the closed form `_u_freespace`. Phi_ps and the ratio
-phi in `metrics` share one guarded sum of exponentials
-(`_exp_inclusion_exclusion`).
+Both exact outages read one batch per configuration, u(1..K) from
+`_u_values`: Phi_ps sums it and Phi_bulk reads its last entry, so a
+configuration asking for both integrates once. The store stays apart
+from it: an entry's last bits depend on the pass that computed it (see
+`_u_derivatives`), and the optimiser's passes batch whatever Ks a round
+lacks, so one cache for both would make an outage's last bits depend
+on what ran before it. On the plane at alpha = 2 u(n) has the closed
+form `_u_freespace`. Phi_ps and the ratio phi in `metrics` share one
+guarded sum of exponentials (`_exp_inclusion_exclusion`).
 """
 from __future__ import annotations
 
@@ -291,10 +294,16 @@ def _integrate(region: Region, cs, params: SystemParams,
 def _u_values(region: Region, ns: tuple[float, ...], params: SystemParams,
               q: QuadratureSettings) -> tuple[float, ...]:
     """u(n) for each n of ns from one integrator pass; cached, so that
-    sweeps reuse them across densities."""
+    sweeps reuse them across densities. Every u the outage formulas use
+    comes from here: the batch (1..K) of `_u_batch` at K <= the cap, and
+    a lone (n,) for `u`, a real K and K past the cap. Each n must be at
+    least 0, and above 0 on the plane, else DomainError."""
     cs = [n * params.threshold / params.snr_budget for n in ns]
     if region.kind == "plane" and min(cs) <= 0:
         raise DomainError("plane integral diverges for n <= 0")
+    for n in ns:
+        if not n >= 0:  # NaN fails too
+            raise DomainError(f"u(n) needs n >= 0, got {n!r}")
     return tuple(_integrate(region, cs, params, q,
                             f"u over the {region.kind}")[0].tolist())
 
@@ -371,16 +380,33 @@ def u(n: float, params: SystemParams, region: Region,
     return _u_values(region, (n,), params, q)[0]
 
 
+def _u_batch(params: SystemParams, region: Region,
+             q: QuadratureSettings) -> tuple[float, ...]:
+    """u(1..K), K = params.subcarriers, from one pass: the batch that
+    Phi_ps sums and Phi_bulk reads u(K) from."""
+    return _u_values(region, tuple(range(1, params.subcarriers + 1)),
+                     params, q)
+
+
 def log_outage_bulk(params: SystemParams, region: Region, density: float,
                     q: QuadratureSettings = DEFAULT_QUADRATURE,
                     subcarriers: float | None = None) -> float:
     """Natural log of the bulk outage probability (underflow-safe).
 
-    subcarriers overrides params.subcarriers and may be real (relaxed K).
+    u(K) is the last entry of the batch u(1..K) that `outage_ps` sums, so
+    a configuration asking for both schemes integrates once, and its bulk
+    value depends on the configuration alone, not on which scheme ran
+    first. Past MAX_SUBCARRIERS_EXACT, where no Phi_ps exists, u(K) is
+    integrated alone; so is u(subcarriers), which overrides
+    params.subcarriers and may be real (relaxed K).
     """
     check_density(density)
-    n = params.subcarriers if subcarriers is None else subcarriers
-    return -2.0 * density * _u_values(region, (n,), params, q)[0]
+    if subcarriers is None and params.subcarriers <= MAX_SUBCARRIERS_EXACT:
+        u_k = _u_batch(params, region, q)[-1]
+    else:
+        n = params.subcarriers if subcarriers is None else subcarriers
+        u_k = u(n, params, region, q)
+    return -2.0 * density * u_k
 
 
 def outage_bulk(params: SystemParams, region: Region, density: float,
@@ -452,8 +478,7 @@ def outage_ps(params: SystemParams, region: Region, density: float,
               q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Per-subcarrier outage probability over either region."""
     check_density(density)
-    return _outage_ps_from_u(density, _u_values(
-        region, tuple(range(1, params.subcarriers + 1)), params, q))
+    return _outage_ps_from_u(density, _u_batch(params, region, q))
 
 
 def _u_freespace(params: SystemParams, n: float) -> float:

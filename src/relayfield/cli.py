@@ -185,22 +185,25 @@ def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
 Sweep = tuple[list[dict], dict]
 
 
-def _points(cfg: ExperimentConfig):
+def _points(cfg: ExperimentConfig) -> list[tuple[SystemParams, float]]:
     """The system parameters and density of each (lambda, SNR) point of
-    the grid, density-major."""
-    for density in cfg.densities:
-        for snr in cfg.snrs:
-            yield replace(cfg.system_params(), snr_budget=snr), density
+    the grid, density-major; each SNR's parameters are built once and
+    shared by its densities."""
+    by_snr = [replace(cfg.system_params(), snr_budget=snr)
+              for snr in cfg.snrs]
+    return [(params, density) for density in cfg.densities
+            for params in by_snr]
 
 
-def _grid_rows(cfg: ExperimentConfig, fields: list[dict]) -> list[dict]:
+def _grid_rows(cfg: ExperimentConfig, points: list, fields: list[dict]
+               ) -> list[dict]:
     """One row per (lambda, SNR, scheme) point of the grid.
 
-    fields holds one entry per point, in _points order: a map from each
-    scheme of cfg.scheme to its row's fields, p_outage first.
+    fields holds one entry per point of points, cfg's _points: a map from
+    each scheme of cfg.scheme to its row's fields, p_outage first.
     """
     rows = []
-    for (params, density), point in zip(_points(cfg), fields, strict=True):
+    for (params, density), point in zip(points, fields, strict=True):
         for scheme, extra in point.items():
             row = {"lambda": density, "snr": params.snr_budget,
                    "snr_db": 10.0 * math.log10(params.snr_budget),
@@ -217,15 +220,16 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     their points (simulation.estimate_outage_sweep, with --workers as its
     ceiling). The .meta records the processes that ran the sweep as
     pool_workers, 1 where no pool started."""
+    grids = [_points(cfg) for cfg in cfgs]
     estimates, size = estimate_outage_sweep(
         [(params, cfg.region(), density, cfg.trials, cfg.seed)
-         for cfg in cfgs for params, density in _points(cfg)],
+         for cfg, points in zip(cfgs, grids) for params, density in points],
         max(cfg.workers for cfg in cfgs))
     estimates = iter(estimates)
     rows, meta = [], {}
-    for cfg in cfgs:
+    for cfg, points in zip(cfgs, grids):
         region, q, fields = cfg.region(), cfg.quadrature(), []
-        for params, density in _points(cfg):
+        for params, density in points:
             both, point = next(estimates), {}
             for scheme in _SCHEMES[cfg.scheme]:
                 est = both[scheme]
@@ -237,7 +241,7 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
                     point[scheme].update(p_analytic=ref,
                                          verify_ok=_within_3_sigma(est, ref))
             fields.append(point)
-        rows += _grid_rows(cfg, fields)
+        rows += _grid_rows(cfg, points, fields)
     if any(cfg.verify for cfg in cfgs):
         checked = [row for row in rows if "verify_ok" in row]
         meta["verify_mismatches"] = sum(not row["verify_ok"]
@@ -252,12 +256,12 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
 
 def _outage_rows(cfg: ExperimentConfig) -> Sweep:
     """The analytic or asymptotic rows of cfg.mode, from _OUTAGES."""
-    q, region = cfg.quadrature(), cfg.region()
-    return _grid_rows(cfg, [
+    q, region, points = cfg.quadrature(), cfg.region(), _points(cfg)
+    return _grid_rows(cfg, points, [
         {scheme: {"p_outage": _OUTAGES[cfg.mode, scheme](params, region,
                                                           density, q)}
          for scheme in _SCHEMES[cfg.scheme]}
-        for params, density in _points(cfg)]), {}
+        for params, density in points]), {}
 
 
 def _ratio_rows(cfg: ExperimentConfig) -> Sweep:

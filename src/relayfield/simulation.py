@@ -384,8 +384,19 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
     return _sampler(params, region, density).length
 
 
+def _check_key(name: str, value) -> None:
+    """ValueError unless value is an integer in [0, 2**64 - 1], the range
+    of a Philox key word; numpy integers pass."""
+    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], "
+                         f"got {value!r}")
+
+
 def block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based stream for one block of trials, independent of all others."""
+    """Counter-based stream for one block of trials, independent of all
+    others; seed and block are the Philox key's two words."""
+    _check_key("seed", seed)
+    _check_key("block", block)
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -566,9 +577,7 @@ def estimate_outage_sweep(points, n_workers: int = 1,
             raise ValueError(f"trials must be an integer, got {trials!r}")
         if not trials >= 1:
             raise ValueError("trials must be >= 1")
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], "
-                             f"got {seed!r}")
+        _check_key("seed", seed)
         s = _sampler(params, region, density)
         # built here, so that the sampler each chunk receives carries them
         s.inner_chance, s.count_table

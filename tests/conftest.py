@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,34 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", Recorded)
     return launched
+
+
+@pytest.fixture
+def cold_caches():
+    """A function that empties every module-level cache of relayfield, as
+    a fresh process starts; it has run once when the test starts."""
+    def clear():
+        for name, module in list(sys.modules.items()):
+            if name == "relayfield" or name.startswith("relayfield."):
+                for obj in vars(module).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+
+    clear()
+    return clear
+
+
+@pytest.fixture
+def integrations(monkeypatch, cold_caches):
+    """The number of cs of each analytic._integrate call made while the
+    test runs, in order, from cold caches."""
+    from relayfield import analytic
+
+    integrate, calls = analytic._integrate, []
+
+    def counting(region, cs, *args, **kwargs):
+        calls.append(len(cs))
+        return integrate(region, cs, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_integrate", counting)
+    return calls

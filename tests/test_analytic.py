@@ -483,6 +483,52 @@ def test_ps_outage_spot_value(params):
         1.2371493662280298e-21, rel=1e-6)
 
 
+@pytest.mark.parametrize("region", [Region.disc(5.0), Region.plane()],
+                         ids=["disc", "plane"])
+def test_bulk_outage_reads_u_of_k_from_the_per_subcarrier_batch(
+        region, integrations, cold_caches):
+    # plane alpha 2, K 16, SNR 1000 is where u(16) alone and in the batch
+    # differ in their last bits; either scheme first, bulk is the same
+    # value, and each order integrates u(1..16) once
+    p = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
+                     subcarriers=16, r_sd=5.0)
+    bulk = outage_bulk(p, region, 0.5)
+    ps = outage_ps(p, region, 0.5)
+    cold_caches()
+    assert outage_ps(p, region, 0.5) == ps
+    assert outage_bulk(p, region, 0.5) == bulk
+    assert integrations == [16, 16]
+    u_k = relayfield.analytic._u_values(region, tuple(range(1, 17)), p,
+                                        DEFAULT_QUADRATURE)[-1]
+    assert log_outage_bulk(p, region, 0.5) == -2.0 * 0.5 * u_k
+    assert integrations == [16, 16]
+
+
+def test_bulk_outage_integrates_alone_past_the_cap_or_at_a_real_k(
+        integrations):
+    # no per-subcarrier outage exists at K 65 to share a batch with, and
+    # a relaxed K has no batch
+    p = SystemParams(snr_budget=100.0, path_loss=4.0, threshold=1.0,
+                     subcarriers=65, r_sd=5.0)
+    plane = Region.plane()
+    assert log_outage_bulk(p, plane, 1.0) == -2.0 * u(65, p, plane)
+    assert log_outage_bulk(p, plane, 1.0, subcarriers=7.5) == (
+        -2.0 * u(7.5, p, plane))
+    assert integrations == [1, 1]
+
+
+@pytest.mark.parametrize("region", [Region.disc(5.0), Region.plane()],
+                         ids=["disc", "plane"])
+@pytest.mark.parametrize("n", [math.nan, -1.0, -math.inf])
+def test_u_rejects_nan_and_negative_n(params, region, n):
+    # a NaN cut emptied the grid and divided by its size; a negative n
+    # on the disc did the same
+    with pytest.raises(DomainError):
+        u(n, params, region)
+    with pytest.raises(DomainError):
+        outage_bulk(params, region, 1.0, subcarriers=n)
+
+
 def test_zero_density_identities(params, disc):
     # no relays at all: both schemes are certainly in outage
     assert outage_bulk(params, disc, 0.0) == 1.0

@@ -639,7 +639,7 @@ def _benchmark_reset():
     return run.clear_caches
 
 
-def test_benchmark_reset_clears_every_cache(tmp_path, monkeypatch):
+def test_benchmark_reset_clears_every_cache(tmp_path, integrations):
     # the reset calls cache_clear() with no arguments on every module-level
     # object of relayfield that has one; each must take that call, and
     # after it fig7 integrates exactly as much as from a cold start
@@ -649,26 +649,60 @@ def test_benchmark_reset_clears_every_cache(tmp_path, monkeypatch):
                  for obj in vars(module).values()
                  if callable(getattr(obj, "cache_clear", None))]
     assert relayfield.analytic._store in clearable
-    for obj in clearable:
-        obj.cache_clear()
-    integrate, calls = relayfield.analytic._integrate, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(relayfield.analytic, "_integrate", counting)
     argv = ["--mode", "figure", "--figure", "fig7",
             "--output", str(tmp_path / "fig7.csv")]
     counts = []
     for before in (None, None, reset):
         if before:
             before()
-        calls.clear()
+        integrations.clear()
         assert main(argv) == 0
-        counts.append(len(calls))
+        counts.append(len(integrations))
     cold, warm, after_reset = counts
     assert cold > 0 and warm == 0 and after_reset == cold
+
+
+@pytest.mark.parametrize("argv, passes", [
+    # u(1..32) in one pass; bulk reads u(32) from it
+    ("--mode analytic --scheme both --region plane --K 32 --alpha 4 "
+     "--snr 100 --lambda 0.01:0.5:8", [32]),
+    # one pass per SNR, each a configuration of its own
+    ("--mode analytic --scheme both --K 8 --alpha 3 --snr 10,100,1000 "
+     "--lambda 0.05:2:6", [8, 8, 8]),
+    # Delta(1..8), then u(1..8), which both outages of the cross-check read
+    ("--mode ratio --region plane --K 8 --snr 100 --lambda 0.03,0.3 "
+     "--epsilon 0.01,0.2", [1, 8]),
+])
+def test_each_analytic_configuration_integrates_once(tmp_path, integrations,
+                                                     argv, passes):
+    assert main(argv.split() + ["--output", str(tmp_path / "o.csv")]) == 0
+    assert integrations == passes
+
+
+def test_bulk_cells_do_not_depend_on_the_schemes_asked(tmp_path, cold_caches):
+    # plane alpha 2, K 16 at SNR 1000 is where u(16) alone and in the
+    # batch differ in their last bits
+    argv = ["--mode", "analytic", "--region", "plane", "--K", "16",
+            "--snr", "316.227766,1000", "--lambda", "0.01:0.5:8"]
+    bulk = {}
+    for scheme in ("both", "bulk"):
+        cold_caches()
+        out = tmp_path / f"{scheme}.csv"
+        assert main(argv + ["--scheme", scheme, "--output", str(out)]) == 0
+        bulk[scheme] = [row for row in _read_rows(out)
+                        if row["scheme"] == "bulk"]
+    assert len(bulk["bulk"]) == 16 and bulk["both"] == bulk["bulk"]
+
+
+def test_past_the_subcarrier_cap_bulk_integrates_u_of_k_alone(
+        tmp_path, capsys, integrations):
+    argv = ["--mode", "analytic", "--region", "plane", "--K", "65",
+            "--alpha", "4", "--lambda", "0.1,1", "--output",
+            str(tmp_path / "o.csv")]
+    assert main(argv + ["--scheme", "bulk"]) == 0
+    assert integrations == [1]
+    assert main(argv + ["--scheme", "ps"]) == 2
+    assert "subcarrier count 65 exceeds" in capsys.readouterr().err
 
 
 def test_figure_optima_match_exhaustive_search(tmp_path):

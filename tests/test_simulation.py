@@ -133,6 +133,29 @@ def test_block_rng_reproducible():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed, block, message", [
+    (1.7, 0, "seed must be an integer in [0, 2**64 - 1], got 1.7"),
+    (1, 2.5, "block must be an integer in [0, 2**64 - 1], got 2.5"),
+    (-1, 0, "seed must be an integer in [0, 2**64 - 1], got -1"),
+    (1, -1, "block must be an integer in [0, 2**64 - 1], got -1"),
+    (2**64, 0, "seed must be an integer in [0, 2**64 - 1], got "
+               "18446744073709551616"),
+    (0, 2**64, "block must be an integer in [0, 2**64 - 1], got "
+               "18446744073709551616"),
+])
+def test_block_rng_rejects_a_key_outside_philox_range(seed, block, message):
+    # a float drew its integer part's stream; out of range it overflowed
+    with pytest.raises(ValueError, match=re.escape(message)):
+        block_rng(seed, block)
+
+
+def test_block_rng_takes_numpy_integers():
+    for seed, block in ((7, 3), (2**64 - 1, 2**64 - 1)):
+        assert np.array_equal(
+            block_rng(np.uint64(seed), np.uint64(block)).random(4),
+            block_rng(seed, block).random(4))
+
+
 def _hop_gains(params, r, theta, exponential):
     """(2, N, K) hop gains that clear both hops iff exponential >=
     c (r^alpha + r_md^alpha): each exponential split between the hops in
