@@ -30,9 +30,7 @@ from .analytic import (
 from .channel import SystemParams
 from .geometry import ConfigurationError, InfiniteAreaError, Region
 from .metrics import (
-    DiversityEstimate,
     MinDensityResult,
-    RatioResult,
     appendix_bound_T1,
     delta_k,
     diversity_slope,

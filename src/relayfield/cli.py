@@ -270,9 +270,9 @@ def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
     region = cfg.region()
     rows = []
     for density in cfg.densities:
-        res = metrics.outage_ratio(params, region, density, q)
-        rows.append({"lambda": density, "phi": res.phi,
-                     "phi_approx": res.phi_approx})
+        phi = metrics.outage_ratio(params, region, density, q)
+        rows.append({"lambda": density, "phi": phi, "phi_approx":
+                     metrics.outage_ratio_approx(params, region, density, q)})
     for eps in cfg.epsilons:
         res = metrics.min_density_for_advantage(eps, params, region, q)
         rows.append({"lambda": res.density_exact, "phi": eps,
@@ -291,9 +291,8 @@ def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
             def log_curve(snr: float) -> float:
                 params = replace(cfg.system_params(), snr_budget=snr)
                 return analytic.log_outage_bulk(params, region, density, q)
-            est = metrics.diversity_slope(log_curve, lo, hi)
             rows.append({"lambda": density, "snr_lo": lo, "snr_hi": hi,
-                         "slope": est.slope})
+                         "slope": metrics.diversity_slope(log_curve, lo, hi)})
     return rows, {}
 
 
@@ -332,10 +331,9 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 def _fig2(cfg: ExperimentConfig) -> Sweep:
     # kappa(K, lambda) surface, bulk
     fig = _caption(cfg)
+    params, region, q = fig.system_params(), fig.region(), fig.quadrature()
     rows = [{"lambda": density, "K": k,
-             "kappa": optimize.throughput(
-                 k, replace(fig.system_params(), subcarriers=k),
-                 fig.region(), density, fig.quadrature())}
+             "kappa": optimize.throughput(k, params, region, density, q)}
             for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
             for k in range(1, 17)]
     return rows, {}

@@ -6,7 +6,8 @@ quadratic approximation, and an inverse giving the minimum relay density
 for a target advantage. The Delta(k) come from `analytic._delta_table`,
 which integrates them, and phi's alternating sum is the guarded one that
 Phi_ps uses (`analytic._exp_inclusion_exclusion`); this module holds
-only the formulas on them.
+only the formulas on them. phi, its approximation and the diversity
+slope each come back as a plain float from one function.
 """
 from __future__ import annotations
 
@@ -35,23 +36,6 @@ from .geometry import Region
 _CROSS_CHECK_RTOL = 1e-5
 
 
-@dataclass(frozen=True)
-class RatioResult:
-    """Outage ratio per-subcarrier/bulk at one relay density."""
-
-    phi: float
-    phi_approx: float
-    density: float
-
-
-@dataclass(frozen=True)
-class DiversityEstimate:
-    """Finite-window diversity slope in decades of outage per decade of SNR."""
-
-    slope: float
-    snr_window: tuple[float, float]
-
-
 def delta_k(k: int, params: SystemParams, region: Region,
             q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
     """Area integral of 1 - F**k - (1-F)**K over the region.
@@ -77,8 +61,9 @@ def _quadratic_coefficient(deltas: Sequence[float]) -> float:
 
 
 def outage_ratio(params: SystemParams, region: Region, density: float,
-                 q: QuadratureSettings = DEFAULT_QUADRATURE) -> RatioResult:
-    """Exact outage ratio phi = Phi_ps / Phi_bulk at one density.
+                 q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+    """Exact outage ratio phi = Phi_ps / Phi_bulk at one density; its
+    small-density approximation is `outage_ratio_approx`.
 
     Evaluates both the Delta-based alternating sum and the two outage
     integrals; Phi_ps = phi Phi_bulk is the same identity, so disagreement
@@ -97,8 +82,7 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
         raise ArithmeticError(
             f"ratio cross-check failed: Delta-sum {phi!r} vs Phi_ps {ps!r} "
             f"over Phi_bulk {bulk!r}")
-    approx = outage_ratio_approx(params, region, density, q)
-    return RatioResult(phi=phi, phi_approx=approx, density=density)
+    return phi
 
 
 def outage_ratio_approx(params: SystemParams, region: Region, density: float,
@@ -119,7 +103,6 @@ class MinDensityResult:
 
     density_approx: float
     density_exact: float
-    epsilon: float
 
 
 def min_density_for_advantage(epsilon: float, params: SystemParams,
@@ -132,7 +115,7 @@ def min_density_for_advantage(epsilon: float, params: SystemParams,
     deltas = _delta_table(params, region, q)
     quad_sum = _quadratic_coefficient(deltas)
     if epsilon == 1.0:
-        return MinDensityResult(0.0, 0.0, epsilon)
+        return MinDensityResult(0.0, 0.0)
     if not quad_sum < 0:
         raise DomainError("epsilon target inconsistent with the sign of the "
                           "quadratic coefficient")
@@ -148,13 +131,13 @@ def min_density_for_advantage(epsilon: float, params: SystemParams,
         if hi > 1e9:
             raise ArithmeticError("could not bracket the exact inverse")
     exact = optimize.brentq(gap, 0.0, hi, xtol=1e-12, rtol=1e-12)
-    return MinDensityResult(density_approx=approx, density_exact=exact,
-                            epsilon=epsilon)
+    return MinDensityResult(density_approx=approx, density_exact=exact)
 
 
 def diversity_slope(log_outage_curve: Callable[[float], float],
-                    snr_lo: float, snr_hi: float) -> DiversityEstimate:
-    """Finite-window diversity slope of a curve of ln(outage) against SNR.
+                    snr_lo: float, snr_hi: float) -> float:
+    """Finite-window diversity slope of a curve of ln(outage) against SNR,
+    in decades of outage per decade of SNR.
 
     The curve is taken in log domain, where outages far below double
     range stay finite (see analytic.log_outage_bulk).
@@ -163,8 +146,7 @@ def diversity_slope(log_outage_curve: Callable[[float], float],
         raise ValueError("need snr_hi > snr_lo > 0")
     log_lo, log_hi = log_outage_curve(snr_lo), log_outage_curve(snr_hi)
     # log_lo - log_hi, not -(log_hi - log_lo): a flat curve gives 0, not -0
-    slope = (log_lo - log_hi) / (math.log(snr_hi) - math.log(snr_lo))
-    return DiversityEstimate(slope=slope, snr_window=(snr_lo, snr_hi))
+    return (log_lo - log_hi) / (math.log(snr_hi) - math.log(snr_lo))
 
 
 def appendix_bound_T1(params: SystemParams) -> float:

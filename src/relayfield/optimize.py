@@ -68,7 +68,6 @@ class OptimizationResult:
     k_opt: int
     kappa_opt: float
     feasible: bool
-    psi: float | None = None
 
 
 def _kappa(k: float, density: float, u: float) -> float:
@@ -177,7 +176,7 @@ def _solve(region: Region, density: float, psi: float | None):
     # Phi <= psi where u >= target, and u falls with K
     target = _neg_log_ceiling(psi) / (2.0 * density)
     infeasible = OptimizationResult(k_relaxed=0.0, k_opt=0, kappa_opt=0.0,
-                                    feasible=False, psi=psi)
+                                    feasible=False)
     if region.kind == "disc" and psi < outage_floor(density, region.area):
         return infeasible
     [(u_one, _, _)] = yield (1.0,)
@@ -198,7 +197,7 @@ def _solve(region: Region, density: float, psi: float | None):
     [(u, _, _)] = yield (k_opt,)
     return OptimizationResult(k_relaxed=k_relaxed, k_opt=k_opt,
                               kappa_opt=_kappa(k_opt, density, u),
-                              feasible=True, psi=psi)
+                              feasible=True)
 
 
 def optimize_K_sweep(params: SystemParams, region: Region, densities,

@@ -66,7 +66,7 @@ trials, and block b draws from one counter-based Philox stream keyed by
   again (given acceptance, that uniform over its bound is uniform). Each
   success pattern S then has intensity exactly
   lambda g^|S| (1 - g)^(K - |S|).
-* on a disc with a tail, last, for the trials with no inner and no
+* on a disc with an annulus, last, for the trials with no inner and no
   kept relay (all open), if any: the void walk. The annulus's relays
   that serve nothing form a Poisson field of intensity lambda (1 - g)^K,
   independent of the others, so each such trial draws N ~ Poisson(lambda
@@ -143,7 +143,6 @@ class OutageEstimate:
     p_hat: float
     stderr: float
     trials: int
-    seed: int
     empty_fraction: float
 
 
@@ -163,13 +162,13 @@ class _Sampler:
     params: SystemParams
     inner_radius: float  # r_in, at most R
     inner_mean: float    # expected inner relays
-    tail_mean: float     # expected tail proposals; 0: no tail
+    tail_mean: float     # expected tail proposals; may underflow to 0
     cuts: np.ndarray | None = None
     levels: np.ndarray | None = None
     slopes: np.ndarray | None = None
     cumulative: np.ndarray | None = None
     scales: np.ndarray | None = None
-    annulus_mean: float = 0.0  # expected relays in r_in < r < R (inf)
+    annulus_mean: float = 0.0  # relays in r_in < r < R (inf); 0: no tail
 
     @cached_property
     def inner_chance(self) -> float:
@@ -344,13 +343,19 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
     # mass of each piece over e^top, as in _Sampler.propose: its width
     # where flat, and -1/slope on the unbounded last piece
     width = np.diff(cuts)
-    mass = np.exp(level) * np.divide(np.expm1(slope * width), slope,
-                                     out=width.copy(), where=slope != 0)
-    total = mass.sum()
-    cumulative = np.concatenate(([0.0], np.cumsum(mass[:-1]) / total))
-    return math.exp(top) * total, {
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = np.exp(level) * np.divide(np.expm1(slope * width), slope,
+                                         out=width.copy(), where=slope != 0)
+        total = mass.sum()
+        cumulative = np.concatenate(([0.0], np.cumsum(mass[:-1]) / total))
+        scales = total * np.exp(-level)
+    # where log h peaks below double range, e^top and so the tail
+    # intensity are 0, whatever the pieces' masses read (a steep piece
+    # far below the peak reads 0 * inf)
+    peak = math.exp(top)
+    return peak * total if peak else 0.0, {
         "cuts": cuts, "levels": level + top, "slopes": slope,
-        "cumulative": cumulative, "scales": total * np.exp(-level)}
+        "cumulative": cumulative, "scales": scales}
 
 
 @lru_cache(maxsize=4096)
@@ -474,7 +479,7 @@ def _block_outages(s: _Sampler, rng: np.random.Generator,
     # a trial that bulk already serves succeeds in both schemes whatever
     # its independent tail holds, and has an inner relay, so only the
     # open trials draw one, and a block without them draws no more
-    if s.tail_mean == 0 or bulk.all():
+    if not s.annulus_mean or bulk.all():
         n_empty = n_trials - int(np.count_nonzero(counts))
     else:
         open_ = np.flatnonzero(~bulk)
@@ -549,12 +554,12 @@ def _simulate_chunk(s: _Sampler, seed: int, trials: int, first: int,
     return tuple(map(sum, zip(*counts)))
 
 
-def _estimates(trials: int, seed: int, n_bulk: int, n_ps: int,
+def _estimates(trials: int, n_bulk: int, n_ps: int,
                n_empty: int) -> dict[Scheme, OutageEstimate]:
     """Both schemes' estimates from a run's outage and empty counts."""
     return {scheme: OutageEstimate(
                 p_hat=p, stderr=math.sqrt(p * (1.0 - p) / trials),
-                trials=trials, seed=seed, empty_fraction=n_empty / trials)
+                trials=trials, empty_fraction=n_empty / trials)
             for scheme, p in zip(Scheme, (n_bulk / trials, n_ps / trials))}
 
 
@@ -586,16 +591,16 @@ def estimate_outage_sweep(points, n_workers: int = 1,
         chunks += [(s, seed, trials, first,
                     min(first + MIN_BLOCKS_PER_WORKER, n_blocks))
                    for first in firsts]
-        runs.append((trials, seed, len(firsts)))
+        runs.append((trials, len(firsts)))
     blocks = sum(stop - first for *_, first, stop in chunks)
     size = max(1, min(n_workers, blocks // MIN_BLOCKS_PER_WORKER))
     with ProcessPoolExecutor(size) if size > 1 else nullcontext() as pool:
         counts = iter(list(pool.map(_simulate_chunk, *zip(*chunks)) if pool
                            else itertools.starmap(_simulate_chunk, chunks)))
     # each point's chunks come one after another in counts
-    return [_estimates(trials, seed,
+    return [_estimates(trials,
                        *map(sum, zip(*itertools.islice(counts, n_chunks))))
-            for trials, seed, n_chunks in runs], size
+            for trials, n_chunks in runs], size
 
 
 def estimate_outage_both(params: SystemParams, region: Region, density: float,

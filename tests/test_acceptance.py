@@ -28,6 +28,7 @@ from relayfield import (
     outage_floor,
     outage_ps,
     outage_ratio,
+    outage_ratio_approx,
     throughput,
 )
 from relayfield.analytic import log_outage_bulk_plane_freespace
@@ -138,9 +139,9 @@ def test_criterion_5_dominance_and_ratio():
                             p, DISC, density):
                         dominance_ok = False
     p = _params()
-    limit_ok = outage_ratio(p, DISC, 1e-4).phi > 1.0 - 1e-4
-    res = outage_ratio(p, DISC, 0.02)
-    approx_err = abs(res.phi - res.phi_approx) / abs(res.phi - 1.0)
+    limit_ok = outage_ratio(p, DISC, 1e-4) > 1.0 - 1e-4
+    phi = outage_ratio(p, DISC, 0.02)
+    approx_err = abs(phi - outage_ratio_approx(p, DISC, 0.02)) / abs(phi - 1.0)
     approx_ok = approx_err <= 0.1
     ok = dominance_ok and limit_ok and approx_ok
     _report(5, ok, f"dominance {dominance_ok}, small-density limit "
@@ -208,13 +209,13 @@ def test_criterion_8_diversity_ternary():
         p = _params(budget=snr, s=0.1)
         return log_outage_bulk(p, DISC, 1.0)
 
-    disc_slope = diversity_slope(disc_curve, 1e5, 1e6).slope
+    disc_slope = diversity_slope(disc_curve, 1e5, 1e6)
 
     def plane_curve(snr):
         return log_outage_bulk_plane_freespace(_params(budget=snr), 1.0)
 
-    low = diversity_slope(plane_curve, 1e2, 1e3).slope
-    high = diversity_slope(plane_curve, 1e3, 1e4).slope
+    low = diversity_slope(plane_curve, 1e2, 1e3)
+    high = diversity_slope(plane_curve, 1e3, 1e4)
     ok = disc_slope < 0.01 and high > low
     _report(8, ok, f"disc slope {disc_slope:.4f}, plane slopes "
                    f"{low:.1f} -> {high:.1f}")

@@ -484,12 +484,12 @@ def test_verify_under_rmax_checks_against_the_disc(tmp_path):
 def test_verify_accepts_no_outages_when_truth_is_rare(tmp_path):
     # p = 3.8e-6 is far below 1/trials: seeing no outage is the likely,
     # correct result, although its plug-in standard error is 0
-    none_seen = OutageEstimate(p_hat=0.0, stderr=0.0, trials=1000, seed=1,
+    none_seen = OutageEstimate(p_hat=0.0, stderr=0.0, trials=1000,
                                empty_fraction=0.0)
     assert _within_3_sigma(none_seen, 3.8e-6)
     assert not _within_3_sigma(none_seen, 0.01)
     off = OutageEstimate(p_hat=0.5, stderr=math.sqrt(0.25 / 1000),
-                         trials=1000, seed=1, empty_fraction=0.0)
+                         trials=1000, empty_fraction=0.0)
     assert _within_3_sigma(off, 0.47)
     assert not _within_3_sigma(off, 0.45)
     # the plane run that exited 2 when only the plug-in error was used
@@ -530,7 +530,7 @@ def test_ratio_mode(tmp_path):
     p = SystemParams(snr_budget=100.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
     expect = outage_ratio(p, Region.disc(5.0), 0.02)
-    assert float(rows[0]["phi"]) == pytest.approx(expect.phi, rel=1e-12)
+    assert float(rows[0]["phi"]) == pytest.approx(expect, rel=1e-12)
     assert float(rows[2]["epsilon"]) == 0.99
 
 
@@ -672,6 +672,8 @@ def test_benchmark_reset_clears_every_cache(tmp_path, integrations):
     # Delta(1..8), then u(1..8), which both outages of the cross-check read
     ("--mode ratio --region plane --K 8 --snr 100 --lambda 0.03,0.3 "
      "--epsilon 0.01,0.2", [1, 8]),
+    # fig2's kappa(K, lambda) surface: one pass per K, reused across lambda
+    ("--mode figure --figure fig2", [1] * 16),
 ])
 def test_each_analytic_configuration_integrates_once(tmp_path, integrations,
                                                      argv, passes):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -74,7 +75,7 @@ def test_delta_positive_and_increasing(params, disc):
 def test_ratio_identity_with_direct_quotient(params, disc):
     # outage_ratio already cross-checks internally; pin it here too
     for density in (0.02, 0.1, 0.5):
-        phi = outage_ratio(params, disc, density).phi
+        phi = outage_ratio(params, disc, density)
         quotient = (outage_ps(params, disc, density)
                     / outage_bulk(params, disc, density))
         assert phi == pytest.approx(quotient, rel=1e-6)
@@ -98,16 +99,15 @@ def test_ratio_where_the_bulk_outage_underflows():
     # 0 too, and the cross-check must hold without dividing by Phi_bulk
     p = _params_with(snr_budget=1e4, subcarriers=8)
     assert outage_bulk(p, Region.plane(), 1.0) == 0.0
-    assert outage_ratio(p, Region.plane(), 1.0).phi == 0.0
+    assert outage_ratio(p, Region.plane(), 1.0) == 0.0
 
 
 def test_ratio_spot_values(params, disc):
-    r = outage_ratio(params, disc, 0.02)
-    assert r.phi == pytest.approx(0.8430167041829354, rel=1e-8)
-    assert r.phi_approx == pytest.approx(0.7581247449051078, rel=1e-8)
+    assert outage_ratio(params, disc, 0.02) == pytest.approx(
+        0.8430167041829354, rel=1e-8)
     assert outage_ratio_approx(params, disc, 0.02) == pytest.approx(
-        r.phi_approx, rel=1e-12)
-    assert outage_ratio(params, disc, 0.0).phi == pytest.approx(1.0)
+        0.7581247449051078, rel=1e-8)
+    assert outage_ratio(params, disc, 0.0) == pytest.approx(1.0)
 
 
 def test_ratio_against_paired_monte_carlo(disc):
@@ -116,7 +116,7 @@ def test_ratio_against_paired_monte_carlo(disc):
     # both outage probabilities measurable
     p = SystemParams(snr_budget=10.0, path_loss=2.0, threshold=1.0,
                      subcarriers=4, r_sd=5.0)
-    phi = outage_ratio(p, disc, 1.0).phi
+    phi = outage_ratio(p, disc, 1.0)
     both = estimate_outage_both(p, disc, 1.0, trials=200_000, seed=42,
                                 n_workers=4)
     bulk, ps = both[Scheme.BULK], both[Scheme.PER_SUBCARRIER]
@@ -129,8 +129,8 @@ def test_ratio_against_paired_monte_carlo(disc):
 def test_quadratic_approximation_error_order(params, disc):
     # the approximation error should fall roughly as density**3
     def err(density):
-        r = outage_ratio(params, disc, density)
-        return abs(r.phi - r.phi_approx)
+        return abs(outage_ratio(params, disc, density)
+                   - outage_ratio_approx(params, disc, density))
 
     ratio = err(0.04) / err(0.02)
     assert 4.0 < ratio < 16.0
@@ -139,7 +139,7 @@ def test_quadratic_approximation_error_order(params, disc):
 def test_min_density_inverse(params, disc):
     res = min_density_for_advantage(0.999, params, disc)
     assert res.density_approx == pytest.approx(res.density_exact, rel=0.05)
-    assert outage_ratio(params, disc, res.density_exact).phi == pytest.approx(
+    assert outage_ratio(params, disc, res.density_exact) == pytest.approx(
         0.999, abs=1e-9)
     assert min_density_for_advantage(1.0, params, disc).density_exact == 0.0
     with pytest.raises(ValueError):
@@ -201,12 +201,29 @@ def test_quadratic_coefficient_guards_its_cancellation(region, alpha, snr,
             call()
 
 
-def test_each_result_has_one_entry_point():
+def test_each_result_has_one_entry_point(params, disc):
     for name in ("optimize_K_unconstrained", "optimize_K_constrained",
-                 "estimate_outage", "OutageUnderflowError"):
+                 "estimate_outage", "OutageUnderflowError", "RatioResult",
+                 "DiversityEstimate"):
         assert not hasattr(relayfield, name), name
+        assert not hasattr(metrics, name), name
     assert not hasattr(cli, "connection_probability_view")
     assert "log_domain" not in inspect.signature(diversity_slope).parameters
+    # phi, its approximation and the slope each come back as a float
+    assert type(outage_ratio(params, disc, 0.02)) is float
+    assert type(outage_ratio_approx(params, disc, 0.02)) is float
+    assert type(diversity_slope(math.log, 10.0, 100.0)) is float
+    # and no result echoes an argument of the call that made it, except
+    # an estimate's trials, which the 3-sigma check's binomial floor reads
+    for result, calls in (
+            (relayfield.MinDensityResult, [min_density_for_advantage]),
+            (relayfield.OptimizationResult, [optimize_K, optimize_K_sweep]),
+            (relayfield.OutageEstimate, [estimate_outage_both,
+                                         relayfield.estimate_outage_sweep])):
+        fields = {f.name for f in dataclasses.fields(result)} - {"trials"}
+        for call in calls:
+            args = set(inspect.signature(call).parameters)
+            assert not fields & args, (result.__name__, fields & args)
 
 
 def test_diversity_slope_plane():
@@ -219,16 +236,15 @@ def test_diversity_slope_plane():
 
     low = diversity_slope(curve, 1e3, 1e4)
     high = diversity_slope(curve, 1e4, 1e5)
-    assert low.slope == pytest.approx(1534.7350062516327, rel=1e-6)
-    assert high.slope > 5 * low.slope
+    assert low == pytest.approx(1534.7350062516327, rel=1e-6)
+    assert high > 5 * low
 
 
 def test_diversity_slope_basics():
-    est = diversity_slope(lambda snr: -2.0 * math.log(snr), 10.0, 1000.0)
-    assert est.slope == pytest.approx(2.0, rel=1e-9)
-    assert est.snr_window == (10.0, 1000.0)
+    slope = diversity_slope(lambda snr: -2.0 * math.log(snr), 10.0, 1000.0)
+    assert slope == pytest.approx(2.0, rel=1e-9)
     flat = diversity_slope(lambda snr: math.log(0.25), 10.0, 1000.0)
-    assert flat.slope == pytest.approx(0.0, abs=1e-12)
+    assert flat == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         diversity_slope(lambda snr: math.log(0.5), 100.0, 10.0)
 
@@ -236,9 +252,9 @@ def test_diversity_slope_basics():
 def test_diversity_slope_far_below_double_range():
     # outage snr**-1e5 is below double range (about 1e-308) at any snr
     # above 1.01, yet its ln-outage curve keeps the exact slope
-    est = diversity_slope(lambda snr: -1e5 * math.log(snr), 10.0, 100.0)
+    slope = diversity_slope(lambda snr: -1e5 * math.log(snr), 10.0, 100.0)
     assert math.exp(-1e5 * math.log(10.0)) == 0.0
-    assert est.slope == pytest.approx(1e5, rel=1e-12)
+    assert slope == pytest.approx(1e5, rel=1e-12)
 
 
 def test_appendix_bound_value(params):

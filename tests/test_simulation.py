@@ -865,6 +865,29 @@ def test_empty_fraction_with_a_thinned_tail(params):
                        math.exp(-density * region.area), trials)
 
 
+@pytest.mark.parametrize("alpha, r_sd, snr, region, density, trials", [
+    (6.0, 10.0, 10.0, Region.disc(5.0), 1.0, 1000),
+    (4.0, 20.0, 1.0, Region.plane(), 1.0, 1000),
+    (2.0, 50.0, 1.0, Region.disc(5.0), 0.01, 20_000)])
+def test_tail_below_double_range_still_walks_the_void(
+        params, alpha, r_sd, snr, region, density, trials):
+    # log h peaks below -1139 at these points, so the tail intensity
+    # underflows to 0 (a 0 * inf piece mass made it NaN at the first
+    # two), and the void walk must still cover the disc's annulus, where
+    # it used to count every trial without an inner relay as empty
+    p = replace(params, path_loss=alpha, r_sd=r_sd, snr_budget=snr)
+    assert _sampler(p, region, density).tail_mean == 0.0
+    both = estimate_outage_both(p, region, density, trials=trials, seed=1)
+    assert [est.p_hat for est in both.values()] == [1.0, 1.0]
+    empty = both[Scheme.BULK].empty_fraction
+    if region.kind == "plane":
+        assert empty == 0.0
+    else:
+        truth = math.exp(-density * region.area)
+        assert abs(empty - truth) <= 3.0 * math.sqrt(
+            truth * (1.0 - truth) / trials)
+
+
 def test_simulation_imports_nothing_from_the_analytic_route():
     # the Monte Carlo route checks the quadrature route, so it must not
     # import anything from analytic, metrics or optimize
