@@ -5,20 +5,19 @@ H(n) = r * exp(-c * (r**alpha + r_mD**alpha)), c = n*s/(P_t/N_0),
 over the half-disc (a symmetry factor 2 covers theta in [pi, 2pi)).
 `_integrate` evaluates them for a whole vector of c in one numpy pass,
 on a tensor Gauss-Legendre grid in (r, theta). The cs of a call share
-one cached grid of r**alpha + r_mD**alpha (`_grid`, on the angular
-rule cached per node count, `_angular`), whose radial range ends at the
-disc's radius, or at the call's largest cut, where the kernel has
-fallen e**-40 below its peak bound, with the neglected tail bounded in
-closed form; its error estimate is the difference against
-the rule with twice the nodes. Each rule evaluates exp(-c e), e the
-table, in one buffer reused across its batches, on the argument floored
-at -700 (`_EXP_FLOOR`): numpy's vector exp leaves its fast path below
-about -707.5 (15-19 ns per value between -708 and -750, 0.9 ns at
--700), where u(1..K) on the plane, sharing u(1)'s grid, send about an
-eighth of their arguments. A node whose g is below e**-700 (about
-9.9e-305) reads e**-700 instead, so an integral moves by at most
-e**-700 times the grid's half-area (see `_integrate`), below the last
-bit of any integral above about 1e-280.
+one cached grid of r**alpha + r_mD**alpha (`_grid`, which builds its
+own angular rule), whose radial range ends at the disc's radius, or at
+the call's largest cut, where the kernel has fallen e**-40 below its
+peak bound, with the neglected tail bounded in closed form; its error
+estimate is the difference against the rule with twice the nodes.
+Each rule evaluates exp(-c e), e the table, in one buffer reused across
+its batches, on the argument floored at -700 (`_EXP_FLOOR`): numpy's
+vector exp leaves its fast path below about -707.5 (15-19 ns per value
+between -708 and -750, 0.9 ns at -700), where u(1..K) on the plane,
+sharing u(1)'s grid, send about an eighth of their arguments. A node
+whose g is below e**-700 (about 9.9e-305) reads e**-700 instead, so an
+integral moves by at most e**-700 times the grid's half-area (see
+`_integrate`), below the last bit of any integral above about 1e-280.
 
 This module is the only one that integrates the kernel. It gives u(n),
 the integral of H(n) over a `Region` (`u(n, params, region)`), to the
@@ -175,18 +174,6 @@ class _Rule:
 
 
 @lru_cache(maxsize=8)
-def _angular(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and the weights of the angular rule of n nodes per
-    panel, shared read-only by every grid of n nodes."""
-    # more angular nodes towards theta = 0, where the mass gathers as c grows
-    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
-    cos_theta = np.cos(theta)
-    for part in (cos_theta, w_theta):
-        part.flags.writeable = False
-    return cos_theta, w_theta
-
-
-@lru_cache(maxsize=8)
 def _grid(alpha: float, r_sd: float, outer: float, n: int) -> _Rule:
     """The rule of n nodes per panel over [0, outer] x [0, pi]."""
     # radial panel ends: the kernel peaks near r_sd/2 for large c,
@@ -194,8 +181,9 @@ def _grid(alpha: float, r_sd: float, outer: float, n: int) -> _Rule:
     # panel at small c
     r, w_r = _panel_rule(np.minimum(
         [0.0, 0.5 * r_sd, r_sd, max(r_sd, 0.25 * outer), outer], outer), n)
-    cos_theta, w_theta = _angular(n)
-    return _Rule(_exponent(r[:, None], cos_theta, alpha, r_sd),
+    # more angular nodes towards theta = 0, where the mass gathers as c grows
+    theta, w_theta = _panel_rule(np.array([0.0, math.pi / 4.0, math.pi]), n)
+    return _Rule(_exponent(r[:, None], np.cos(theta), alpha, r_sd),
                  r * w_r, w_theta)
 
 

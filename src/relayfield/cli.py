@@ -6,11 +6,12 @@ versions of relayfield, numpy, scipy and Python. Exit codes: 0 success,
 1 validation or domain error, 2 numerical failure, which is any
 ArithmeticError.
 
-Four tables drive the module: `_MODES` maps each mode to the function
+Five tables drive the module: `_MODES` maps each mode to the function
 that computes its rows and extra `.meta` entries, `_FIGURES` maps each
-figure preset to its own, `_OUTAGES` maps each (mode, scheme) to its
-outage function, which analytic and asymptotic rows and --verify share,
-and `_OPTIONS` gives each setting's flag, config-file keys and parsing.
+figure preset to its own, `_CAPTION` holds the model fields that every
+preset fixes, `_OUTAGES` maps each (mode, scheme) to its outage
+function, which analytic and asymptotic rows and --verify share, and
+`_OPTIONS` gives each setting's flag, config-file keys and parsing.
 A CSV's columns are its rows' keys, in the order first seen.
 Flags and a config file are only split into text, which `parse_config`
 checks alike before it checks the settings together.
@@ -195,24 +196,17 @@ def _points(cfg: ExperimentConfig) -> list[tuple[SystemParams, float]]:
             for params in by_snr]
 
 
-def _grid_rows(cfg: ExperimentConfig, points: list, fields: list[dict]
-               ) -> list[dict]:
-    """One row per (lambda, SNR, scheme) point of the grid.
-
-    fields holds one entry per point of points, cfg's _points: a map from
-    each scheme of cfg.scheme to its row's fields, p_outage first.
-    """
-    rows = []
-    for (params, density), point in zip(points, fields, strict=True):
-        for scheme, extra in point.items():
-            row = {"lambda": density, "snr": params.snr_budget,
-                   "snr_db": 10.0 * math.log10(params.snr_budget),
-                   "K": params.subcarriers, "alpha": params.path_loss,
-                   "s": params.threshold, "scheme": scheme.value, **extra}
-            if cfg.connection:
-                row["connection"] = 1.0 - min(max(row["p_outage"], 0.0), 1.0)
-            rows.append(row)
-    return rows
+def _row(cfg: ExperimentConfig, params: SystemParams, density: float,
+         scheme: Scheme, **fields) -> dict:
+    """One grid row: the point's coordinates, then fields (p_outage
+    first), then connection where cfg asks for it."""
+    row = {"lambda": density, "snr": params.snr_budget,
+           "snr_db": 10.0 * math.log10(params.snr_budget),
+           "K": params.subcarriers, "alpha": params.path_loss,
+           "s": params.threshold, "scheme": scheme.value, **fields}
+    if cfg.connection:
+        row["connection"] = 1.0 - min(max(row["p_outage"], 0.0), 1.0)
+    return row
 
 
 def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
@@ -228,20 +222,19 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     estimates = iter(estimates)
     rows, meta = [], {}
     for cfg, points in zip(cfgs, grids):
-        region, q, fields = cfg.region(), cfg.quadrature(), []
+        region, q = cfg.region(), cfg.quadrature()
         for params, density in points:
-            both, point = next(estimates), {}
+            both = next(estimates)
             for scheme in _SCHEMES[cfg.scheme]:
                 est = both[scheme]
-                point[scheme] = {"p_outage": est.p_hat, "stderr": est.stderr,
-                                 "empty_fraction": est.empty_fraction}
+                fields = {"p_outage": est.p_hat, "stderr": est.stderr,
+                          "empty_fraction": est.empty_fraction}
                 if cfg.verify:
                     ref = _OUTAGES["analytic", scheme](params, region,
                                                        density, q)
-                    point[scheme].update(p_analytic=ref,
-                                         verify_ok=_within_3_sigma(est, ref))
-            fields.append(point)
-        rows += _grid_rows(cfg, points, fields)
+                    fields.update(p_analytic=ref,
+                                  verify_ok=_within_3_sigma(est, ref))
+                rows.append(_row(cfg, params, density, scheme, **fields))
     if any(cfg.verify for cfg in cfgs):
         checked = [row for row in rows if "verify_ok" in row]
         meta["verify_mismatches"] = sum(not row["verify_ok"]
@@ -256,12 +249,12 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
 
 def _outage_rows(cfg: ExperimentConfig) -> Sweep:
     """The analytic or asymptotic rows of cfg.mode, from _OUTAGES."""
-    q, region, points = cfg.quadrature(), cfg.region(), _points(cfg)
-    return _grid_rows(cfg, points, [
-        {scheme: {"p_outage": _OUTAGES[cfg.mode, scheme](params, region,
-                                                          density, q)}
-         for scheme in _SCHEMES[cfg.scheme]}
-        for params, density in points]), {}
+    q, region = cfg.quadrature(), cfg.region()
+    return [_row(cfg, params, density, scheme,
+                 p_outage=_OUTAGES[cfg.mode, scheme](params, region,
+                                                     density, q))
+            for params, density in _points(cfg)
+            for scheme in _SCHEMES[cfg.scheme]], {}
 
 
 def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
@@ -312,16 +305,19 @@ def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
     return rows, meta
 
 
-def _caption(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """cfg with a figure caption's parameters, then the given changes.
+# The fields a figure caption fixes: the disc of radius 5, r_SD = 5 and
+# s = 1; K = 4, alpha = 2 and P_t/N_0 = 100 unless a figure sweeps them.
+# Each figure sets its own scheme, densities, targets and columns, so
+# mode figure takes none of these fields from flags or a config file.
+_CAPTION = {"scheme": "bulk", "densities": [1.0], "region_kind": "disc",
+            "sigma": 5.0, "rsd": 5.0, "threshold": 1.0, "subcarriers": 4,
+            "alpha": 2.0, "snrs": [100.0], "psi": None, "epsilons": [],
+            "connection": False, "verify": False}
 
-    The captions fix the disc of radius 5, r_SD = 5 and s = 1; K = 4,
-    alpha = 2 and P_t/N_0 = 100 unless a figure sweeps them.
-    """
-    return replace(cfg, **{"region_kind": "disc", "sigma": 5.0, "rsd": 5.0,
-                           "threshold": 1.0, "subcarriers": 4, "alpha": 2.0,
-                           "snrs": [100.0], "psi": None, "epsilons": [],
-                           "connection": False, "verify": False, **changes})
+
+def _caption(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """cfg with a figure caption's parameters, then the given changes."""
+    return replace(cfg, **{**_CAPTION, **changes})
 
 
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -358,11 +354,11 @@ def _fig5(cfg: ExperimentConfig) -> Sweep:
     rows = []
     for alpha in (2.0, 4.0):
         fig = _caption(cfg, mode="analytic", alpha=alpha, scheme="both",
-                       densities=_log_grid(1e-3, 2.0, 12))
+                       densities=_log_grid(1e-3, 2.0, 12), connection=True)
         grid = _outage_rows(fig)[0]
         rows += [{"alpha": alpha, "lambda": bulk["lambda"],
-                  "connection_bulk": 1.0 - bulk["p_outage"],
-                  "connection_ps": 1.0 - ps["p_outage"]}
+                  "connection_bulk": bulk["connection"],
+                  "connection_ps": ps["connection"]}
                  for bulk, ps in zip(grid[::2], grid[1::2])]
     return rows, {}
 
@@ -419,11 +415,6 @@ _FIGURES = {
 FIGURES = tuple(_FIGURES)
 
 
-def _figure_rows(cfg: ExperimentConfig) -> Sweep:
-    rows, meta = _FIGURES[cfg.figure](cfg)
-    return rows, {"figure": cfg.figure, **meta}
-
-
 _MODES = {
     "simulate": _simulate_rows,
     "analytic": _outage_rows,
@@ -431,7 +422,7 @@ _MODES = {
     "ratio": _ratio_rows,
     "diversity": _diversity_rows,
     "optimize-k": _optimize_rows,
-    "figure": _figure_rows,
+    "figure": lambda cfg: _FIGURES[cfg.figure](cfg),
 }
 MODES = tuple(_MODES)
 
@@ -617,8 +608,12 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         problems.append("--mode is required")
     # the placeholder mode lets the checks below run when mode is missing
     cfg = ExperimentConfig(**{"mode": "analytic", **values})
-    if cfg.mode == "figure" and cfg.figure is None:
-        problems.append("mode figure requires --figure")
+    if cfg.mode == "figure":
+        if cfg.figure is None:
+            problems.append("mode figure requires --figure")
+        problems += [f"mode figure takes its model from the figure's "
+                     f"caption, not from {label}"
+                     for name, label in labels.items() if name in _CAPTION]
     if cfg.mode == "asymptotic" and cfg.region_kind == "plane":
         problems.append("mode asymptotic has closed forms for the disc only")
     if cfg.mode in ("ratio", "optimize-k") and len(cfg.snrs) > 1:

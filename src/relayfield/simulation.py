@@ -102,7 +102,7 @@ import numbers
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -358,10 +358,10 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
         "cumulative": cumulative, "scales": scales}
 
 
-@lru_cache(maxsize=4096)
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """One grid point's sampler, at a finite density."""
+    """One grid point's sampler, at a finite density. A sweep builds it
+    once per point, and nothing keeps it after the sweep."""
     check_density(density)
     if density == math.inf:
         raise ValueError("density must be finite to simulate")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import math
@@ -5,6 +6,7 @@ import platform
 import re
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from relayfield import (
     Scheme,
     SystemParams,
     outage_bulk,
+    outage_ps,
     throughput,
     u,
 )
@@ -361,20 +364,30 @@ def test_configs_share_one_pool_sized_by_their_blocks(pools):
     assert rows == _simulate_rows(small)[0] + _simulate_rows(plane)[0]
 
 
-def test_each_point_builds_its_sampler_once(tmp_path):
+def test_each_point_builds_its_sampler_once(tmp_path, monkeypatch):
     # a sweep builds every point's sampler once, before its first chunk
-    # runs: one miss of simulation._sampler's cache per point at any
-    # --workers, and the CSV the other worker count writes
-    from relayfield.simulation import _sampler
+    # runs, at any --workers, and nothing keeps a sampler after the
+    # sweep; each worker count writes the same CSV
+    from relayfield import simulation
 
+    build, built = simulation._sampler, []
+
+    def counted(*args):
+        s = build(*args)
+        built.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(simulation, "_sampler", counted)
     sweep = ["--mode", "simulate", "--sigma", "8", "--alpha", "4",
              "--K", "8", "--snr", "1000", "--lambda", "0.01:1:70",
              "--trials", "50"]
     for workers in ("1", "2"):
-        _sampler.cache_clear()
+        built.clear()
         assert main([*sweep, "--workers", workers,
                      "--output", str(tmp_path / f"sweep{workers}.csv")]) == 0
-        assert _sampler.cache_info().misses == 70
+        assert len(built) == 70
+        gc.collect()
+        assert all(ref() is None for ref in built)
     assert ((tmp_path / "sweep1.csv").read_bytes()
             == (tmp_path / "sweep2.csv").read_bytes())
 
@@ -740,6 +753,25 @@ def test_figure_optima_match_exhaustive_search(tmp_path):
         assert row["feasible"] == ("1" if meeting else "0")
 
 
+def test_fig5_rows_are_one_minus_the_exact_outages(tmp_path):
+    # each (alpha, lambda) row's connection probabilities are 1 - Phi of
+    # the caption's point, bit for bit
+    out = tmp_path / "fig5.csv"
+    assert main(["--mode", "figure", "--figure", "fig5",
+                 "--output", str(out)]) == 0
+    rows = _read_rows(out)
+    assert len(rows) == 2 * 12
+    disc = Region.disc(5.0)
+    for row in rows:
+        p = SystemParams(snr_budget=100.0, path_loss=float(row["alpha"]),
+                         threshold=1.0, subcarriers=4, r_sd=5.0)
+        density = float(row["lambda"])
+        assert float(row["connection_bulk"]) == 1.0 - outage_bulk(
+            p, disc, density)
+        assert float(row["connection_ps"]) == 1.0 - outage_ps(
+            p, disc, density)
+
+
 # each preset's CSV header and row count
 FIGURE_CSV = {
     "fig2": ("lambda,K,kappa", 7 * 16),
@@ -878,6 +910,37 @@ def test_model_errors_exit_1(tmp_path, capsys, argv, message):
 def test_figure_mode_requires_figure():
     with pytest.raises(ValidationError, match="requires --figure"):
         parse_config(["--mode", "figure"])
+
+
+def test_figure_rejects_the_model_flags_its_caption_fixes(tmp_path, capsys):
+    # a preset fixes its model, so a model value given with it would be
+    # ignored, yet recorded in the .meta as if it ran
+    out = tmp_path / "fig7.csv"
+    figure = ["--mode", "figure", "--figure", "fig7", "--output", str(out)]
+    assert main([*figure, "--alpha", "3", "--K", "9",
+                 "--region", "plane"]) == 1
+    err = capsys.readouterr().err
+    for flag in ("--alpha", "--K", "--region"):
+        assert f"caption, not from {flag}\n" in err
+    conf = tmp_path / "run.conf"
+    conf.write_text("alpha = 3\n")
+    assert main([*figure, "--config", str(conf)]) == 1
+    assert "caption, not from config key 'alpha'" in capsys.readouterr().err
+    assert not out.exists()
+    # with the three above, every field a caption fixes
+    model = {"--scheme": "ps", "--lambda": "1", "--snr-db": "20",
+             "--sigma": "5", "--rsd": "5", "--s": "1", "--psi": "0.1",
+             "--epsilon": "0.5", "--verify": None, "--connection": None}
+    with pytest.raises(ValidationError) as exc:
+        parse_config([*figure, *(flag if text is None else f"{flag}={text}"
+                                 for flag, text in model.items())])
+    assert exc.value.problems == [
+        f"mode figure takes its model from the figure's caption, not from "
+        f"{flag}" for flag in model]
+    # the run settings stay
+    assert parse_config([*figure, "--trials", "200", "--seed", "3",
+                         "--workers", "2", "--abs-tol", "1e-9",
+                         "--rel-tol", "1e-7"]).figure == "fig7"
 
 
 def test_flags_and_config_file_give_equal_configs(tmp_path):

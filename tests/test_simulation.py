@@ -888,6 +888,48 @@ def test_tail_below_double_range_still_walks_the_void(
             truth * (1.0 - truth) / trials)
 
 
+def test_tail_envelope_is_finite_or_exactly_zero():
+    # the tangent points may collapse where log h peaks far below double
+    # range; that is harmless only while such a tail reads exactly 0. At
+    # lambda 1 over plane and discs of sigma 5 and 50, every sampler with
+    # an annulus has a well-formed envelope or a zero tail whose log h
+    # stays below -745 (exp underflows) on a dense grid over its annulus
+    found = {"tail": 0, "zero": 0, "no annulus": 0}
+    for region, alpha, r_sd, snr, k in itertools.product(
+            (Region.plane(), Region.disc(5.0), Region.disc(50.0)),
+            (2.0, 3.0, 4.0, 6.0), (0.1, 1.0, 10.0, 50.0, 200.0),
+            (1.0, 100.0, 1e4), (1, 4, 16)):
+        p = SystemParams(snr_budget=snr, path_loss=alpha, threshold=1.0,
+                         subcarriers=k, r_sd=r_sd)
+        s = _sampler(p, region, 1.0)
+        if s.annulus_mean == 0.0:
+            found["no annulus"] += 1
+        elif s.tail_mean > 0:
+            found["tail"] += 1
+            assert math.isfinite(s.tail_mean)
+            for part in (s.levels, s.slopes, s.cumulative, s.scales):
+                assert np.isfinite(part).all()
+            inner = s.cuts[:-1] if region.kind == "plane" else s.cuts
+            assert np.isfinite(inner).all()
+            assert s.cuts[-1] == region.outer_radius()
+            assert (np.diff(s.cuts) > 0).all()
+            assert s.cumulative[0] == 0.0
+            assert (np.diff(s.cumulative) >= 0).all()
+            assert (s.cumulative < 1.0).all()
+        else:
+            found["zero"] += 1
+            assert s.tail_mean == 0.0
+            # log h falls beyond max(r_sd, (c alpha)**(-1/alpha))
+            c = 1.0 / snr
+            hi = min(region.outer_radius(), 2.0 * max(
+                s.inner_radius, r_sd, (c * alpha) ** (-1.0 / alpha)))
+            r = np.linspace(s.inner_radius, hi, 4001)
+            with np.errstate(divide="ignore"):
+                log_h = np.log(r) - c * (r**alpha + np.abs(r - r_sd)**alpha)
+            assert log_h.max() < -745.0
+    assert found == {"tail": 335, "zero": 165, "no annulus": 40}
+
+
 def test_simulation_imports_nothing_from_the_analytic_route():
     # the Monte Carlo route checks the quadrature route, so it must not
     # import anything from analytic, metrics or optimize
