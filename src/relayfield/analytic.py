@@ -36,7 +36,8 @@ from it: an entry's last bits depend on the pass that computed it (see
 lacks, so one cache for both would make an outage's last bits depend
 on what ran before it. On the plane at alpha = 2 u(n) has the closed
 form `_u_freespace`. Phi_ps and the ratio phi in `metrics` share one
-guarded sum of exponentials (`_exp_inclusion_exclusion`).
+guarded sum of exponentials (`_exp_inclusion_exclusion`); Phi_ps's
+exponents are exact inner sums of the batch's u (`_inner_sums`).
 """
 from __future__ import annotations
 
@@ -446,13 +447,22 @@ def _exp_inclusion_exclusion(rates) -> float:
 
 @lru_cache(maxsize=64)
 def _inner_sums(u: tuple[float, ...]) -> tuple[float, ...]:
-    """S(k), the inclusion-exclusion sum of u(1..k), for k = 1..len(u);
-    cached, as sweeps reuse them across densities."""
-    # K's binomials first, so that a K past the cap is named, not the
-    # first k past it
-    _signed_binomials(len(u))
-    return tuple(math.fsum(_inclusion_exclusion(u[:k]))
-                 for k in range(1, len(u) + 1))
+    """S(k), the inclusion-exclusion sum of u(1..k), for k = 1..len(u),
+    exact and rounded once; cached, as sweeps reuse them across densities.
+
+    S(k) = D^k g(0), D g(j) = g(j) - g(j + 1), g = (0, -u(1), ..., -u(K)),
+    taken in integers over the largest denominator of the u (a power of
+    2), and int / int rounds correctly. An exact sum is still only as
+    good as u's last bits, which the binomials amplify, so a large K can
+    still leave [0, 1] in `_exp_inclusion_exclusion`."""
+    _signed_binomials(len(u))  # the subcarrier cap
+    ratios = [x.as_integer_ratio() for x in u]
+    scale = max(d for _, d in ratios)
+    row, sums = [0, *(-n * (scale // d) for n, d in ratios)], []
+    for _ in u:
+        row = [a - b for a, b in zip(row, row[1:])]
+        sums.append(row[0] / scale)
+    return tuple(sums)
 
 
 def _outage_ps_from_u(density: float, u: tuple[float, ...]) -> float:

@@ -2,8 +2,8 @@
 
 Hop gains are i.i.d. unit-mean exponential (Rayleigh fading) per
 subcarrier; the end-to-end SNR of a relay link is the minimum of the two
-hop SNRs. Everything is in linear scale. `check_density` is the range
-check of a relay density that every layer shares.
+hop SNRs. Everything is in linear scale. Every layer shares the range
+check of a relay density, `check_density`, and the integer test.
 """
 from __future__ import annotations
 
@@ -42,9 +42,14 @@ class SystemParams:
         for name in ("snr_budget", "path_loss", "threshold", "r_sd"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.subcarriers, numbers.Integral):
+        if not _is_integer(self.subcarriers):
             raise ValueError("subcarriers must be an integer, got "
                              f"{self.subcarriers!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer: numpy integers are, a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_density(density: float) -> None:

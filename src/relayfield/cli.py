@@ -71,19 +71,17 @@ class ExperimentConfig:
     verify: bool = False
     connection: bool = False
 
-    def system_params(self) -> SystemParams:
-        return SystemParams(snr_budget=self.snrs[0], path_loss=self.alpha,
-                            threshold=self.threshold,
-                            subcarriers=self.subcarriers, r_sd=self.rsd)
-
-    def region(self) -> Region:
-        if self.region_kind == "plane":
-            return Region.plane()
-        return Region.disc(self.sigma)
-
-    def quadrature(self) -> analytic.QuadratureSettings:
-        return analytic.QuadratureSettings(abs_tol=self.abs_tol,
-                                           rel_tol=self.rel_tol)
+    def model(self) -> tuple[SystemParams, Region,
+                             analytic.QuadratureSettings]:
+        """The system parameters at the first SNR, the region and the
+        quadrature settings: a sweep's whole model, built once."""
+        return (SystemParams(snr_budget=self.snrs[0], path_loss=self.alpha,
+                             threshold=self.threshold,
+                             subcarriers=self.subcarriers, r_sd=self.rsd),
+                Region.plane() if self.region_kind == "plane"
+                else Region.disc(self.sigma),
+                analytic.QuadratureSettings(abs_tol=self.abs_tol,
+                                            rel_tol=self.rel_tol))
 
 
 def _parse_float_list(text: str,
@@ -186,14 +184,14 @@ def _within_3_sigma(est: OutageEstimate, ref: float) -> bool:
 Sweep = tuple[list[dict], dict]
 
 
-def _points(cfg: ExperimentConfig) -> list[tuple[SystemParams, float]]:
+def _points(cfg: ExperimentConfig,
+            params: SystemParams) -> list[tuple[SystemParams, float]]:
     """The system parameters and density of each (lambda, SNR) point of
-    the grid, density-major; each SNR's parameters are built once and
-    shared by its densities."""
-    by_snr = [replace(cfg.system_params(), snr_budget=snr)
-              for snr in cfg.snrs]
-    return [(params, density) for density in cfg.densities
-            for params in by_snr]
+    the grid, density-major, from the model's params; each SNR's
+    parameters are built once and shared by its densities."""
+    by_snr = [replace(params, snr_budget=snr) for snr in cfg.snrs]
+    return [(point, density) for density in cfg.densities
+            for point in by_snr]
 
 
 def _row(cfg: ExperimentConfig, params: SystemParams, density: float,
@@ -214,15 +212,16 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
     their points (simulation.estimate_outage_sweep, with --workers as its
     ceiling). The .meta records the processes that ran the sweep as
     pool_workers, 1 where no pool started."""
-    grids = [_points(cfg) for cfg in cfgs]
+    models = [cfg.model() for cfg in cfgs]
+    grids = [_points(cfg, params) for cfg, (params, *_) in zip(cfgs, models)]
     estimates, size = estimate_outage_sweep(
-        [(params, cfg.region(), density, cfg.trials, cfg.seed)
-         for cfg, points in zip(cfgs, grids) for params, density in points],
+        [(params, region, density, cfg.trials, cfg.seed)
+         for cfg, (_, region, _), points in zip(cfgs, models, grids)
+         for params, density in points],
         max(cfg.workers for cfg in cfgs))
     estimates = iter(estimates)
     rows, meta = [], {}
-    for cfg, points in zip(cfgs, grids):
-        region, q = cfg.region(), cfg.quadrature()
+    for cfg, (_, region, q), points in zip(cfgs, models, grids):
         for params, density in points:
             both = next(estimates)
             for scheme in _SCHEMES[cfg.scheme]:
@@ -249,18 +248,16 @@ def _simulate_rows(*cfgs: ExperimentConfig) -> Sweep:
 
 def _outage_rows(cfg: ExperimentConfig) -> Sweep:
     """The analytic or asymptotic rows of cfg.mode, from _OUTAGES."""
-    q, region = cfg.quadrature(), cfg.region()
+    base, region, q = cfg.model()
     return [_row(cfg, params, density, scheme,
                  p_outage=_OUTAGES[cfg.mode, scheme](params, region,
                                                      density, q))
-            for params, density in _points(cfg)
+            for params, density in _points(cfg, base)
             for scheme in _SCHEMES[cfg.scheme]], {}
 
 
 def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
-    q = cfg.quadrature()
-    params = cfg.system_params()
-    region = cfg.region()
+    params, region, q = cfg.model()
     rows = []
     for density in cfg.densities:
         phi = metrics.outage_ratio(params, region, density, q)
@@ -276,23 +273,20 @@ def _ratio_rows(cfg: ExperimentConfig) -> Sweep:
 
 
 def _diversity_rows(cfg: ExperimentConfig) -> Sweep:
-    q = cfg.quadrature()
-    region = cfg.region()
+    params, region, q = cfg.model()
     rows = []
     for density in cfg.densities:
         for lo, hi in zip(cfg.snrs[:-1], cfg.snrs[1:]):
             def log_curve(snr: float) -> float:
-                params = replace(cfg.system_params(), snr_budget=snr)
-                return analytic.log_outage_bulk(params, region, density, q)
+                return analytic.log_outage_bulk(
+                    replace(params, snr_budget=snr), region, density, q)
             rows.append({"lambda": density, "snr_lo": lo, "snr_hi": hi,
                          "slope": metrics.diversity_slope(log_curve, lo, hi)})
     return rows, {}
 
 
 def _optimize_rows(cfg: ExperimentConfig) -> Sweep:
-    q = cfg.quadrature()
-    params = cfg.system_params()
-    region = cfg.region()
+    params, region, q = cfg.model()
     meta = {}
     rows = [{"lambda": density, "K_relaxed": res.k_relaxed,
              "K_opt": res.k_opt, "kappa_opt": res.kappa_opt,
@@ -326,8 +320,7 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
 
 def _fig2(cfg: ExperimentConfig) -> Sweep:
     # kappa(K, lambda) surface, bulk
-    fig = _caption(cfg)
-    params, region, q = fig.system_params(), fig.region(), fig.quadrature()
+    params, region, q = _caption(cfg).model()
     rows = [{"lambda": density, "K": k,
              "kappa": optimize.throughput(k, params, region, density, q)}
             for density in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -390,7 +383,7 @@ def _fig8(cfg: ExperimentConfig) -> Sweep:
     # ceilings share its peak search's integrator passes
     psis = (1e-2, 1e-3, 1e-5)
     fig = _caption(cfg, densities=_log_grid(0.05, 5.0, 13))
-    params, region, q = fig.system_params(), fig.region(), fig.quadrature()
+    params, region, q = fig.model()
     pairs = [(psi, density) for psi in psis for density in fig.densities]
     solved = optimize.optimize_K_sweep(
         params, region, [density for _, density in pairs],

@@ -12,6 +12,7 @@ slope each come back as a plain float from one function.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,10 +88,15 @@ def outage_ratio(params: SystemParams, region: Region, density: float,
 
 def outage_ratio_approx(params: SystemParams, region: Region, density: float,
                         q: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
-    """Quadratic small-density approximation of the outage ratio."""
+    """Quadratic small-density approximation of the outage ratio;
+    DomainError where it leaves double range."""
     check_density(density)
-    return 1.0 + 0.5 * density**2 * _quadratic_coefficient(
-        _delta_table(params, region, q))
+    c2 = _quadratic_coefficient(_delta_table(params, region, q))
+    with suppress(OverflowError):  # density**2 past double range
+        if math.isfinite(value := 1.0 + 0.5 * density**2 * c2):
+            return value
+    raise DomainError(f"small-density approximation of the outage ratio "
+                      f"leaves double range at density {density!r}")
 
 
 @dataclass(frozen=True)

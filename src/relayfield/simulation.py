@@ -33,9 +33,9 @@ trials, and block b draws from one counter-based Philox stream keyed by
   counts of all the block's trials, one uniform each, inverted on a
   table of the Poisson CDF (from its last exact zero), then one uniform
   v per trial, then the relays in rounds of s 2^j (s is 2, or more where
-  the inner relays rarely decide a trial: _Sampler.first_round). No
-  inner relay serves a given subcarrier with chance z = prod(1 - g), and
-  none serves all K with chance n_b = prod(1 - g^K), sums of log1p over
+  the inner relays rarely decide a trial: _build_sampler). No inner
+  relay serves a given subcarrier with chance z = prod(1 - g), and none
+  serves all K with chance n_b = prod(1 - g^K), sums of log1p over
   the trial's relays. Bulk succeeds iff v < 1 - n_b or a kept tail relay
   (below) serves all K, and ps iff bulk does or v < (1 - z)^m, where m
   counts the subcarriers that no kept tail relay serves. The inner
@@ -81,7 +81,8 @@ The block length depends only on the grid point, through the expected
 relays a trial processes and K, and workers always receive whole blocks,
 so results depend on the seed and the trial count but are bitwise
 identical for any number of workers. A sweep (estimate_outage_sweep)
-runs chunks of MIN_BLOCKS_PER_WORKER blocks of all its points in this
+builds each point's sampler whole (_build_sampler), once, and runs
+chunks of MIN_BLOCKS_PER_WORKER blocks of all its points in this
 process, or on one pool that has at least that many blocks per process.
 
 Per-trial results are reductions over the relays' owners: bincount
@@ -98,21 +99,19 @@ import bisect
 import enum
 import itertools
 import math
-import numbers
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import pdtr
 
-from .channel import SystemParams, check_density
+from .channel import SystemParams, _is_integer, check_density
 from .geometry import Region
 
 # Expected processed relays (inner relays until v decides the trial, and
-# the open trials' tail proposals) times K per block (_Sampler.length).
+# the open trials' tail proposals) times K per block (_build_sampler).
 # It bounds a block's arrays and gives even a dense field's block about
 # a thousand trials per numpy call, about 1 ms of work (BENCH_23.json).
 DRAWS_PER_BLOCK = 1 << 15
@@ -146,9 +145,10 @@ class OutageEstimate:
     empty_fraction: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class _Sampler:
-    """Per-trial constants of the two-hop thinned sampler at one grid point.
+    """Per-trial constants of the two-hop thinned sampler at one grid
+    point, all computed by _build_sampler, so that pickling carries them.
 
     The tail proposes r from the envelope e of h(r) = r p q_hat, whose
     piece i covers cuts[i] <= r < cuts[i + 1] (cuts[-1] = R, inf on the
@@ -162,84 +162,18 @@ class _Sampler:
     params: SystemParams
     inner_radius: float  # r_in, at most R
     inner_mean: float    # expected inner relays
-    tail_mean: float     # expected tail proposals; may underflow to 0
+    inner_chance: float  # beta, the mean of g^K over the inner disc
+    count_start: int     # the count that count_table starts at
+    count_table: np.ndarray  # the Poisson(inner_mean) CDF from count_start
+    first_round: int     # inner relays per trial in the first round
+    length: int          # trials per block
+    tail_mean: float = 0.0  # expected tail proposals; may underflow to 0
     cuts: np.ndarray | None = None
     levels: np.ndarray | None = None
     slopes: np.ndarray | None = None
     cumulative: np.ndarray | None = None
     scales: np.ndarray | None = None
     annulus_mean: float = 0.0  # relays in r_in < r < R (inf); 0: no tail
-
-    @cached_property
-    def inner_chance(self) -> float:
-        """beta, the mean of g^K over a uniform point of the inner disc,
-        by the midpoint rule on 64 rings of equal area by 64 angles in
-        [0, pi): a function of the grid point alone, computed once per
-        sampler."""
-        params = self.params
-        mid = (np.arange(64) + 0.5) / 64
-        r = self.inner_radius * np.sqrt(mid)[:, None]
-        theta = math.pi * mid
-        x = (params.threshold / params.snr_budget * r ** params.path_loss
-             + _second_hop(params, r, theta))
-        return float(np.exp(-params.subcarriers * x).mean())
-
-    @cached_property
-    def count_start(self) -> int:
-        """Where count_table starts: the last count whose Poisson(inner_mean)
-        CDF is exactly 0, found by bisection, or 0 where none is (inner_mean
-        below about 745)."""
-        positive = bisect.bisect(range(int(self.inner_mean) + 1), 0.0,
-                                 key=lambda n: pdtr(n, self.inner_mean))
-        return max(positive - 1, 0)
-
-    @cached_property
-    def count_table(self) -> np.ndarray:
-        """The Poisson(inner_mean) CDF at count_start, count_start + 1, ...,
-        up to its first value that rounds to 1, past every uniform's
-        1 - 2^-53, built once per sampler: about 47 standard deviations of
-        counts, not inner_mean of zeros. As the values left out are 0, a
-        uniform u inverts to count_start + searchsorted(table, u, "right").
-        """
-        mu, start = self.inner_mean, self.count_start
-        size = int(mu - start + 10.0 * math.sqrt(mu)) + 40
-        while (cdf := pdtr(np.arange(start, start + size), mu))[-1] < 1.0:
-            size *= 2
-        return cdf[:np.searchsorted(cdf, 1.0) + 1]
-
-    @property
-    def first_round(self) -> int:
-        """Inner relays per trial in the first round: 2, or mu e^(-mu
-        beta) where that is more, the relays per trial of the trials
-        that the inner relays leave open, which are processed whatever v
-        says. A round costs about 40 numpy calls whatever its size, and
-        where the inner relays rarely decide a trial (K 8 to 16), blocks
-        hold a few dozen trials, which rounds from 2 slowed by up to 1.7
-        times (BENCH_23.json)."""
-        mu = self.inner_mean
-        return max(2, int(mu * math.exp(-mu * self.inner_chance))) if mu else 2
-
-    @property
-    def length(self) -> int:
-        """Trials per block: about DRAWS_PER_BLOCK expected processed
-        relays times K, whatever the density; never dependent on the
-        seed, the trial or the worker count.
-
-        Inner relays are processed until the trial's uniform decides it,
-        and a trial stays open after j of them with chance (1 - beta)^j
-        (inner_chance), so a trial processes (1 - e^(-mu beta)) / beta of
-        them on average with mu = inner_mean (one at a time; the rounds'
-        overshoot is left out), and draws tail_mean tail proposals with
-        the chance e^(-mu beta) that they leave it open, by the Poisson
-        probability generating functional.
-        """
-        mu = self.inner_mean
-        closed = -math.expm1(-mu * self.inner_chance) if mu else 0.0
-        inner = closed / self.inner_chance if closed else mu
-        pairs = ((inner + (1.0 - closed) * self.tail_mean)
-                 * self.params.subcarriers)
-        return int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
-                       MAX_BLOCK))
 
     def propose(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tail proposals r by inversion of the envelope at uniforms u in
@@ -358,23 +292,76 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
         "cumulative": cumulative, "scales": scales}
 
 
+def _build_sampler(params: SystemParams, radius: float, density: float,
+                   tail_mean: float = 0.0, **tail) -> _Sampler:
+    """The sampler of an inner disc of radius r_in at a finite density,
+    with tail_mean and, in tail, the envelope's fields and annulus_mean.
+
+    beta (inner_chance) is the mean of g^K over the inner disc, by the
+    midpoint rule on 64 rings of equal area by 64 angles in [0, pi).
+    count_table is the Poisson(mu) CDF, mu = inner_mean, from its last
+    count whose CDF is exactly 0 (count_start, found by bisection; 0
+    where none is, mu below about 745) up to its first value that rounds
+    to 1, past every uniform's 1 - 2^-53: about 47 standard deviations
+    of counts, not mu of zeros. As the values left out are 0, a uniform
+    u inverts to count_start + searchsorted(count_table, u, "right").
+
+    first_round is 2, or mu e^(-mu beta) where that is more, the relays
+    per trial of the trials that the inner relays leave open, which are
+    processed whatever v says. A round costs about 40 numpy calls
+    whatever its size, and where the inner relays rarely decide a trial
+    (K 8 to 16), blocks hold a few dozen trials, which rounds from 2
+    slowed by up to 1.7 times (BENCH_23.json).
+
+    length holds about DRAWS_PER_BLOCK expected processed relays times
+    K. A trial stays open after j inner relays with chance
+    (1 - beta)^j, so it processes (1 - e^(-mu beta)) / beta of them on
+    average (one at a time; the rounds' overshoot is left out), and
+    draws tail_mean tail proposals with the chance e^(-mu beta) that
+    they leave it open, by the Poisson probability generating
+    functional.
+    """
+    mu = density * math.pi * radius * radius
+    mid = (np.arange(64) + 0.5) / 64
+    r = radius * np.sqrt(mid)[:, None]
+    x = (params.threshold / params.snr_budget * r ** params.path_loss
+         + _second_hop(params, r, math.pi * mid))
+    beta = float(np.exp(-params.subcarriers * x).mean())
+    start = max(bisect.bisect(range(int(mu) + 1), 0.0,
+                              key=lambda n: pdtr(n, mu)) - 1, 0)
+    size = int(mu - start + 10.0 * math.sqrt(mu)) + 40
+    while (cdf := pdtr(np.arange(start, start + size), mu))[-1] < 1.0:
+        size *= 2
+    closed = -math.expm1(-mu * beta) if mu else 0.0
+    inner = closed / beta if closed else mu
+    pairs = (inner + (1.0 - closed) * tail_mean) * params.subcarriers
+    return _Sampler(
+        params=params, inner_radius=radius, inner_mean=mu,
+        inner_chance=beta, count_start=start,
+        count_table=cdf[:np.searchsorted(cdf, 1.0) + 1],
+        first_round=max(2, int(mu * math.exp(-mu * beta))) if mu else 2,
+        length=int(min(max(DRAWS_PER_BLOCK // max(1.0, pairs), 1),
+                       MAX_BLOCK)),
+        tail_mean=tail_mean, **tail)
+
+
 def _sampler(params: SystemParams, region: Region,
              density: float) -> _Sampler:
-    """One grid point's sampler, at a finite density. A sweep builds it
-    once per point, and nothing keeps it after the sweep."""
+    """One grid point's whole sampler, at a finite density. A sweep
+    builds it once per point, and nothing keeps it after the sweep."""
     check_density(density)
     if density == math.inf:
         raise ValueError("density must be finite to simulate")
     outer = region.outer_radius()
     radius = min(_inner_radius(params), outer)
-    inner_mean = density * math.pi * radius * radius
     if density == 0 or radius == outer:
-        return _Sampler(params, radius, inner_mean, 0.0)
+        return _build_sampler(params, radius, density)
     mass, envelope = _tail_envelope(params, radius, outer)
-    tail_mean = density * params.subcarriers * 2.0 * math.pi * mass
-    annulus_mean = density * math.pi * (outer * outer - radius * radius)
-    return _Sampler(params, radius, inner_mean, tail_mean,
-                    annulus_mean=annulus_mean, **envelope)
+    return _build_sampler(
+        params, radius, density,
+        density * params.subcarriers * 2.0 * math.pi * mass,
+        annulus_mean=density * math.pi * (outer * outer - radius * radius),
+        **envelope)
 
 
 def block_length(params: SystemParams, region: Region, density: float) -> int:
@@ -383,7 +370,7 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
     A fixed function of the expected relays the sampler processes per
     trial (inner relays until v decides it, and tail proposals) and K,
     so that one block's work stays near DRAWS_PER_BLOCK values however
-    dense the field is (_Sampler.length). It never depends on the seed,
+    dense the field is (_build_sampler). It never depends on the seed,
     the trial or the worker count.
     """
     return _sampler(params, region, density).length
@@ -391,8 +378,8 @@ def block_length(params: SystemParams, region: Region, density: float) -> int:
 
 def _check_key(name: str, value) -> None:
     """ValueError unless value is an integer in [0, 2**64 - 1], the range
-    of a Philox key word; numpy integers pass."""
-    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+    of a Philox key word; numpy integers pass, a bool does not."""
+    if not (_is_integer(value) and 0 <= value < 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64 - 1], "
                          f"got {value!r}")
 
@@ -578,14 +565,12 @@ def estimate_outage_sweep(points, n_workers: int = 1,
     """
     runs, chunks = [], []
     for params, region, density, trials, seed in points:
-        if not isinstance(trials, numbers.Integral):
+        if not _is_integer(trials):
             raise ValueError(f"trials must be an integer, got {trials!r}")
         if not trials >= 1:
             raise ValueError("trials must be >= 1")
         _check_key("seed", seed)
         s = _sampler(params, region, density)
-        # built here, so that the sampler each chunk receives carries them
-        s.inner_chance, s.count_table
         n_blocks = -(-trials // s.length)
         firsts = range(0, n_blocks, MIN_BLOCKS_PER_WORKER)
         chunks += [(s, seed, trials, first,

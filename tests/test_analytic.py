@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from relayfield.analytic import (
     _delta_table,
     _exponent,
     _grid,
+    _inner_sums,
     _integrate,
     _panel_rule,
     _outage_ps_from_u,
@@ -703,15 +705,56 @@ def test_alternating_sum_outside_the_unit_interval_raises():
 
 
 def test_overflowing_exponent_is_a_numerical_instability(disc):
-    # at K 64 (disc 5, alpha 2, SNR 1000) an inner sum S(k) cancels to a
-    # large negative value, so exp(-2 lambda S(k)) leaves double range:
-    # the guard must name the exponent, not leak OverflowError
+    # at K 64 (disc 5, alpha 2, SNR 1000) an inner sum S(k) of the
+    # rounded u comes out large and negative, so at lambda 1
+    # exp(-2 lambda S(k)) leaves double range: the guard must name the
+    # exponent, not leak OverflowError. At lambda 0.1 the exponent
+    # stays in range and the sum leaves [0, 1] instead; it raised the
+    # overflow there while each term C(k, j) u(j) was rounded
     p = SystemParams(snr_budget=1000.0, path_loss=2.0, threshold=1.0,
                      subcarriers=64, r_sd=5.0)
     for outage in (outage_ps, relayfield.outage_ratio):
         with pytest.raises(NumericalInstabilityError,
                            match="exponent .* overflows a double"):
+            outage(p, disc, 1.0)
+        with pytest.raises(NumericalInstabilityError):
             outage(p, disc, 0.1)
+
+
+def _exact_inner_sums(u):
+    """S(k) = sum_j C(k, j) (-1)**(j+1) u(j) over j = 1..k, summed in
+    fractions and rounded once, for k = 1..len(u)."""
+    return tuple(float(sum(math.comb(k, j) * (-1) ** (j + 1)
+                           * Fraction(u[j - 1]) for j in range(1, k + 1)))
+                 for k in range(1, len(u) + 1))
+
+
+def test_inner_sums_are_the_exact_sums_rounded_once(tmp_path):
+    # each S(k) is the exact sum of the batch's u, rounded once, at every
+    # plane configuration of the quad_grid benchmark (alpha 4, K 32 and
+    # alpha 2, K 16 at SNR 10..1000), at a K 64 disc, and on tables of
+    # zeros, subnormals and values far from 1, since every double is an
+    # integer over a power of 2. Rounding each term C(k, j) u(j) first
+    # left Phi_ps up to 7.9e-5 off at alpha 4, K 32, and the K 32 ratio
+    # call failed its cross-check (Delta-sum 0.97170 against Phi_ps
+    # 0.97105 over Phi_bulk 0.99910)
+    configs = [(Region.plane(), alpha, k, snr)
+               for alpha, k in ((4.0, 32), (2.0, 16))
+               for snr in np.geomspace(10.0, 1000.0, 5)]
+    configs.append((Region.disc(5.0), 2.0, 64, 1000.0))
+    batches = [(0.0, 0.0, 0.0), (5e-324, 1e-320, 0.0),
+               (3e300, 1e300, 2e-300), (2.0 ** 60, 3.0, 2.0 ** -60)]
+    for region, alpha, k, snr in configs:
+        p = SystemParams(snr_budget=float(snr), path_loss=alpha,
+                         threshold=1.0, subcarriers=k, r_sd=5.0)
+        batches.append(_u_values(region, tuple(range(1, k + 1)), p,
+                                 DEFAULT_QUADRATURE))
+    for batch in batches:
+        assert _inner_sums(batch) == _exact_inner_sums(batch), batch
+    assert _inner_sums((1.0, 0.5, 0.25, 0.125)) == (1.0, 1.5, 1.75, 1.875)
+    out = str(tmp_path / "ratio.csv")
+    assert main(["--mode", "ratio", "--K", "32", "--lambda", "0.01,0.1,1",
+                 "--output", out]) == 0
 
 
 def test_lower_incomplete_gamma_against_quadrature():

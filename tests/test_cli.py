@@ -850,6 +850,13 @@ def test_exit_codes(tmp_path, capsys):
                "--output", str(out)])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+    # on a disc of radius 1e-6 phi stays above the target 0.5 past
+    # density 1e9, where the exact inverse stops looking for a bracket
+    rc = main(["--mode", "ratio", "--sigma", "1e-6", "--lambda", "1",
+               "--epsilon", "0.5", "--output", str(out)])
+    assert rc == 2
+    assert ("numerical failure: could not bracket the exact inverse"
+            in capsys.readouterr().err)
 
 
 def test_every_numerical_failure_is_an_arithmetic_error():
@@ -898,6 +905,12 @@ def test_every_numerical_failure_is_an_arithmetic_error():
      "--lambda must be finite, got -inf"),
     (["--mode", "analytic", "--lambda", "-inf:1:3"],
      "--lambda must be finite, got -inf:1:3"),
+    # 1 + c2 density^2 / 2 reads -inf at density 1e153, and density^2
+    # itself overflows at 1e160
+    (["--mode", "ratio", "--lambda", "1e153"], "small-density approximation "
+     "of the outage ratio leaves double range at density 1e+153"),
+    (["--mode", "ratio", "--lambda", "1e160"], "small-density approximation "
+     "of the outage ratio leaves double range at density 1e+160"),
 ])
 def test_model_errors_exit_1(tmp_path, capsys, argv, message):
     out = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import bisect
 import inspect
 import itertools
 import math
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -535,6 +536,17 @@ def test_inner_counts_invert_a_poisson_table(params):
         assert np.allclose(table, np.cumsum(pmf), rtol=1e-12, atol=1e-15)
 
 
+def test_a_pickled_sampler_carries_every_constant(params):
+    # a pool's workers receive each point's sampler pickled, so the
+    # sampler that _sampler returns holds beta, the count table and the
+    # block length as built, and no worker rebuilds them per chunk
+    s = _sampler(replace(params, snr_budget=1e4), Region.plane(), 0.1)
+    held = vars(pickle.loads(pickle.dumps(s)))
+    for name in ("inner_chance", "count_start", "first_round", "length"):
+        assert held[name] == getattr(s, name), name
+    assert np.array_equal(held["count_table"], s.count_table)
+
+
 def test_count_table_starts_at_its_last_exact_zero(params):
     # past inner_mean 745 the head of the Poisson CDF is exact zeros: the
     # table starts at the last of them, count_start, and a uniform u
@@ -676,9 +688,9 @@ def test_one_subcarrier_gives_equal_scheme_counts(params):
     # at K = 1 the two schemes are one event: n_b = z for the inner relays
     # and m = 1 exactly when no kept tail relay serves, so both counts are
     # equal trial by trial. r_in = 0 at K = 1, so the disc drawn whole is
-    # built by hand to give the inner part relays.
+    # built with an inner radius of 5 to give the inner part relays.
     p = replace(params, subcarriers=1)
-    whole = simulation._Sampler(p, 5.0, 0.1 * math.pi * 25.0, 0.0)
+    whole = simulation._build_sampler(p, 5.0, 0.1)
     samplers = [_sampler(p, Region.disc(5.0), 0.1),
                 _sampler(p, Region.plane(), 0.02), whole]
     assert [s.tail_mean > 0 for s in samplers] == [True, True, False]
@@ -822,10 +834,11 @@ def test_tail_envelope_inverts_flat_and_falling_pieces(params):
     # a flat piece on [0, 2) of mass 2 and the unbounded piece e^-(r - 2)
     # of mass 1: the share 1/3 lies halfway along the flat piece, the
     # share 2/3 + (1 - e^-1) / 3 one unit into the falling one
-    s = simulation._Sampler(
-        params, 0.0, 0.0, 1.0, cuts=np.array([0.0, 2.0, math.inf]),
-        levels=np.zeros(2), slopes=np.array([0.0, -1.0]),
-        cumulative=np.array([0.0, 2.0 / 3.0]), scales=np.full(2, 3.0))
+    s = replace(
+        _sampler(params, Region.plane(), 0.1),
+        cuts=np.array([0.0, 2.0, math.inf]), levels=np.zeros(2),
+        slopes=np.array([0.0, -1.0]), cumulative=np.array([0.0, 2.0 / 3.0]),
+        scales=np.full(2, 3.0))
     r, log_e = s.propose(np.array([0.0, 1.0 / 3.0, 2.0 / 3.0,
                                    2.0 / 3.0 + (1.0 - math.exp(-1.0)) / 3.0]))
     assert r == pytest.approx([0.0, 1.0, 2.0, 3.0], rel=1e-14)
@@ -985,7 +998,7 @@ def test_only_simulation_starts_a_pool():
     # no other module of the package names ProcessPoolExecutor, and cli
     # names none of simulation's private sampler names
     package = Path(simulation.__file__).parent
-    private = {"_sampler", "_Sampler", "_simulate_chunk"}
+    private = {"_sampler", "_build_sampler", "_Sampler", "_simulate_chunk"}
     assert private <= set(vars(simulation))
     for path in sorted(package.glob("*.py")):
         if path.name == "simulation.py":
@@ -1055,6 +1068,28 @@ def test_sweep_takes_numpy_integer_trials_and_seeds(params, disc):
         assert (estimate_outage_sweep(
                     [(params, disc, 0.2, np.int64(300), np.uint64(seed))])
                 == estimate_outage_sweep([(params, disc, 0.2, 300, seed)]))
+
+
+def test_bools_are_not_integers(params, disc):
+    # numbers.Integral admits bool, so True ran K 1, one trial or the
+    # stream of key 1 and was returned or recorded as True; numpy
+    # integers still pass (the tests above)
+    def key_message(name, value):
+        return re.escape(f"{name} must be an integer in [0, 2**64 - 1], "
+                         f"got {value}")
+
+    with pytest.raises(ValueError,
+                       match="subcarriers must be an integer, got True"):
+        replace(params, subcarriers=True)
+    with pytest.raises(ValueError,
+                       match="trials must be an integer, got True"):
+        estimate_outage_both(params, disc, 0.2, trials=True, seed=1)
+    with pytest.raises(ValueError, match=key_message("seed", False)):
+        estimate_outage_sweep([(params, disc, 0.2, 100, False)])
+    with pytest.raises(ValueError, match=key_message("seed", True)):
+        block_rng(True, 0)
+    with pytest.raises(ValueError, match=key_message("block", False)):
+        block_rng(0, False)
 
 
 def test_estimate_outage_zero_density(params):
