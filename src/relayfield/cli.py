@@ -2,9 +2,11 @@
 
 Runs are batch-style: a mode, a parameter grid, a CSV output with a
 `.meta` text sidecar recording the fully resolved configuration and the
-versions of relayfield, numpy, scipy and Python. Exit codes: 0 success,
-1 validation or domain error, 2 numerical failure, which is any
-ArithmeticError.
+versions of relayfield, numpy, scipy and Python. Each file is rendered
+whole and then written by `_write_text`, which rewrites an existing
+file in place (through a link) and cuts it to the new length. Exit
+codes: 0 success, 1 validation or domain error or an output that cannot
+be written, 2 numerical failure, which is any ArithmeticError.
 
 Five tables drive the module: `_MODES` maps each mode to the function
 that computes its rows and extra `.meta` entries, `_FIGURES` maps each
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import stat
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -128,23 +131,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _csv_text(rows: list[dict]) -> str:
     columns = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_meta(path: str, cfg: ExperimentConfig, extra: dict) -> None:
+def _meta_text(cfg: ExperimentConfig, extra: dict) -> str:
     items = {"tool_version": __version__, "numpy_version": np.__version__,
              "scipy_version": scipy.__version__,
              "python_version": "{}.{}.{}".format(*sys.version_info),
              **vars(cfg), **extra}
-    with open(path + ".meta", "w", encoding="utf-8") as fh:
-        for key, val in items.items():
-            fh.write(f"{key} = {val}\n")
+    return "".join(f"{key} = {val}\n" for key, val in items.items())
+
+
+def _write_text(path: str, text: str) -> None:
+    """Make text, in UTF-8, the whole content of the file at path.
+
+    An existing file is rewritten in place, through a link, and then cut
+    to the new length. Truncating it to zero first, as open(path, "w")
+    does, makes ext4 (auto_da_alloc, on by default) allocate and flush
+    the new blocks when the file is closed: 25-32 us per small file
+    against 6-8 us in place alone, and about 2.5 ms of the CLI's own
+    time in a benchmark pass of eleven calls (BENCH_38.json). A device
+    or a pipe is only written, as it has no length to cut.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # the schemes each --scheme value computes
@@ -630,8 +654,13 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Execute the configured sweep and write CSV plus .meta sidecar."""
     rows, meta = _MODES[cfg.mode](cfg)
-    _write_csv(cfg.output, rows)
-    _write_meta(cfg.output, cfg, meta)
+    for path, text in ((cfg.output, _csv_text(rows)),
+                       (cfg.output + ".meta", _meta_text(cfg, meta))):
+        try:
+            _write_text(path, text)
+        except OSError as exc:
+            raise ValidationError(
+                [f"cannot write {path}: {exc.strerror or exc}"]) from exc
     if meta.get("verify_mismatches"):
         raise NumericalFailure(
             f"{meta['verify_mismatches']} grid point(s) failed the "

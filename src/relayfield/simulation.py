@@ -287,6 +287,14 @@ def _tail_envelope(params: SystemParams, lo: float, hi: float,
     # intensity are 0, whatever the pieces' masses read (a steep piece
     # far below the peak reads 0 * inf)
     peak = math.exp(top)
+    if peak and not math.isfinite(peak * total):
+        # a mode search stopped short of the mode leaves a rising
+        # unbounded piece, whose mass would reach rng.poisson as inf
+        raise ArithmeticError(
+            f"the tail envelope has no finite mass on {lo:g} < r < {hi:g} "
+            f"at P_t/N_0 {params.snr_budget:g}, alpha {params.path_loss:g}, "
+            f"r_SD {params.r_sd:g}, K {params.subcarriers}, "
+            f"s {params.threshold:g}")
     return peak * total if peak else 0.0, {
         "cuts": cuts, "levels": level + top, "slopes": slope,
         "cumulative": cumulative, "scales": scales}

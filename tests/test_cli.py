@@ -1,7 +1,9 @@
+import errno
 import gc
 import hashlib
 import importlib.util
 import math
+import os
 import platform
 import re
 import sys
@@ -17,6 +19,7 @@ import scipy
 import relayfield.analytic
 import relayfield.cli
 import relayfield.optimize
+import relayfield.simulation
 from relayfield import (
     OutageEstimate,
     Region,
@@ -35,6 +38,7 @@ from relayfield.cli import (
     _parse_float_list,
     _simulate_rows,
     _within_3_sigma,
+    _write_text,
     main,
     parse_config,
     run_sweep,
@@ -249,6 +253,67 @@ def test_analytic_sweep_csv_roundtrip(tmp_path):
     assert "seed = 1" in meta
     # a lo:hi:n grid is recorded as plain floats
     assert "densities = [0.1, 1.0]" in meta.splitlines()
+
+
+def test_rerun_rewrites_both_outputs_in_place(tmp_path):
+    # a re-run over an existing CSV and .meta, longer than its output and
+    # then shorter, rewrites each file in place (same inode) and cuts it
+    # to exactly the bytes of a fresh run
+    out, meta = tmp_path / "run.csv", tmp_path / "run.csv.meta"
+    argv = ["--mode", "analytic", "--scheme", "both", "--lambda", "0.1,1",
+            "--output", str(out)]
+    assert main(argv) == 0
+    fresh = [out.read_bytes(), meta.read_bytes()]
+    for old in (b"x" * 4 * max(map(len, fresh)), b"y\n"):
+        for path in (out, meta):
+            path.write_bytes(old)
+        inodes = [os.stat(path).st_ino for path in (out, meta)]
+        assert main(argv) == 0
+        assert [out.read_bytes(), meta.read_bytes()] == fresh
+        assert [os.stat(path).st_ino for path in (out, meta)] == inodes
+
+
+def test_outputs_are_written_through_links(tmp_path):
+    # as open(path, "w") did, a linked --output and .meta are written to
+    # their targets, and stay links
+    link = tmp_path / "run.csv"
+    argv = ["--mode", "analytic", "--lambda", "0.1,1", "--output", str(link)]
+    assert main(argv) == 0
+    fresh = [link.read_bytes(), (tmp_path / "run.csv.meta").read_bytes()]
+    for name, target in (("run.csv", "a.csv"), ("run.csv.meta", "b.meta")):
+        (tmp_path / target).write_bytes(b"old\n" * 1000)
+        (tmp_path / name).unlink()
+        (tmp_path / name).symlink_to(tmp_path / target)
+    assert main(argv) == 0
+    assert link.is_symlink() and (tmp_path / "run.csv.meta").is_symlink()
+    assert [(tmp_path / "a.csv").read_bytes(),
+            (tmp_path / "b.meta").read_bytes()] == fresh
+
+
+def test_writing_to_a_device_does_not_cut_it():
+    # only a regular file has a length to cut to
+    _write_text(os.devnull, "x")
+
+
+@pytest.mark.parametrize("failing", ["run.csv", "run.csv.meta"])
+def test_an_output_that_cannot_be_written_exits_1(tmp_path, capsys,
+                                                  monkeypatch, failing):
+    # a full disk is reported as an error line naming the file, not as a
+    # traceback
+    real_open = os.open
+
+    def full_disk(path, *args):
+        if os.path.basename(path) == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        return real_open(path, *args)
+
+    monkeypatch.setattr(os, "open", full_disk)
+    out = tmp_path / "run.csv"
+    assert main(["--mode", "analytic", "--lambda", "0.1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / failing}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_simulate_verify_and_worker_invariance(tmp_path):
@@ -841,7 +906,7 @@ def test_figure_preset_smoke(tmp_path, figure):
                    for line in meta)
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--mode", "analytic", "--alpha", "1.5"]) == 1
     assert "alpha" in capsys.readouterr().err
     # K = 65 overruns the alternating-sum cancellation limit
@@ -856,6 +921,14 @@ def test_exit_codes(tmp_path, capsys):
                "--epsilon", "0.5", "--output", str(out)])
     assert rc == 2
     assert ("numerical failure: could not bracket the exact inverse"
+            in capsys.readouterr().err)
+    # a tail envelope of infinite mass names its point before any draw
+    monkeypatch.setattr(relayfield.simulation, "_tangent_points",
+                        lambda *args: [1.0])
+    rc = main(["--mode", "simulate", "--region", "plane", "--K", "1",
+               "--lambda", "0.1", "--trials", "100", "--output", str(out)])
+    assert rc == 2
+    assert ("numerical failure: the tail envelope has no finite mass"
             in capsys.readouterr().err)
 
 

@@ -943,6 +943,22 @@ def test_tail_envelope_is_finite_or_exactly_zero():
     assert found == {"tail": 335, "zero": 165, "no annulus": 40}
 
 
+def test_tail_envelope_of_infinite_mass_is_a_numerical_failure(
+        params, monkeypatch):
+    # a mode search that stops short of the mode can leave one rising
+    # tangent, whose unbounded piece has infinite mass; where log h peaks
+    # inside double range that names the point as an ArithmeticError
+    # (exit 2) instead of reaching rng.poisson as lam inf mid-sweep
+    p = replace(params, subcarriers=1)  # r_in = 0: the tail is r > 0
+    value, slope = simulation._log_density(p, 1.0)
+    assert slope > 0 and math.exp(value) > 0
+    monkeypatch.setattr(simulation, "_tangent_points", lambda *args: [1.0])
+    with pytest.raises(ArithmeticError, match=(
+            r"no finite mass on 0 < r < inf at P_t/N_0 100, alpha 2, "
+            r"r_SD 5, K 1")):
+        _sampler(p, Region.plane(), 0.1)
+
+
 def test_simulation_imports_nothing_from_the_analytic_route():
     # the Monte Carlo route checks the quadrature route, so it must not
     # import anything from analytic, metrics or optimize
