@@ -150,23 +150,34 @@ def _meta_text(cfg: ExperimentConfig, extra: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     """Make text, in UTF-8, the whole content of the file at path.
 
-    An existing file is rewritten in place, through a link, and then cut
-    to the new length. Truncating it to zero first, as open(path, "w")
-    does, makes ext4 (auto_da_alloc, on by default) allocate and flush
-    the new blocks when the file is closed: 25-32 us per small file
-    against 6-8 us in place alone, and about 2.5 ms of the CLI's own
-    time in a benchmark pass of eleven calls (BENCH_38.json). A device
-    or a pipe is only written, as it has no length to cut.
+    An existing file is written over in place, through a link, and cut
+    to the bytes written if it was longer. open(path, "w") truncates it
+    to zero first, and on an ext4 mounted with `discard` that truncation
+    waits for the disk: it discards the freed blocks and sleeps in
+    submit_bio_wait for 0.1-0.5 ms per small file, whether the file was
+    last written a millisecond or seconds before (BENCH_38.json). A
+    device or a pipe is only written, as it has no length to cut.
+
+    The bytes are counted with os.write so that a write that fails, or
+    is interrupted, still cuts the file to what was written: no old
+    tail follows the new bytes. A process killed outright (SIGKILL)
+    between the write and the cut can leave new bytes followed by old
+    ones, and a machine that crashes before the page cache reaches the
+    disk can leave any mix of the two, where open(path, "w") would leave
+    a short or empty file. Outputs are derived data: a re-run of the
+    command in the `.meta` writes them again.
     """
     data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
-                 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+        old = os.fstat(fd)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(old.st_mode) and old.st_size > written:
+                os.ftruncate(fd, written)
     finally:
         os.close(fd)
 

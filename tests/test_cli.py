@@ -295,6 +295,36 @@ def test_writing_to_a_device_does_not_cut_it():
     _write_text(os.devnull, "x")
 
 
+@pytest.mark.parametrize("failure", [
+    None, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()])
+def test_write_text_cuts_a_failed_write_to_the_bytes_written(
+        tmp_path, monkeypatch, failure):
+    # os.write may take only part of what it is given, and a write that
+    # fails or is interrupted partway leaves only the new bytes written,
+    # with no tail of the longer file it wrote over
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"old,row\n" * 100)
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        if failure is not None and len(sizes) == 3:
+            raise failure
+        return real_write(fd, bytes(data[:4]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    text = "a,b\n1,2\n3,4\n"
+    if failure is None:
+        _write_text(str(path), text)
+        assert path.read_bytes() == text.encode()
+    else:
+        with pytest.raises(type(failure)):
+            _write_text(str(path), text)
+        assert path.read_bytes() == text.encode()[:8]
+    assert sizes[:3] == [12, 8, 4]
+
+
 @pytest.mark.parametrize("failing", ["run.csv", "run.csv.meta"])
 def test_an_output_that_cannot_be_written_exits_1(tmp_path, capsys,
                                                   monkeypatch, failing):
